@@ -408,6 +408,10 @@ impl Index for Alex {
         d
     }
 
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
+
     fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -478,6 +482,10 @@ impl DepthStats for Alex {
         let mut sum = 0.0;
         Self::depth_stats_rec(&self.root, 1, &mut leaves, &mut sum);
         leaves
+    }
+
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        Some(self.stats())
     }
 }
 

@@ -446,6 +446,10 @@ impl Index for Apex {
     fn data_size_bytes(&self) -> usize {
         self.nodes.len() * NODE_BYTES
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl UpdatableIndex for Apex {

@@ -31,7 +31,7 @@ use li_core::telemetry::{Event, Recorder};
 use li_core::{Key, Sharded};
 use li_viper::{ConcurrentViperStore, MaintenanceConfig, MaintenanceWorker, StoreConfig};
 use li_workloads::Dataset;
-use lip::{AnyIndex, IndexKind};
+use lip::IndexKind;
 
 struct Args {
     inserts: usize,
@@ -66,7 +66,7 @@ fn parse_args(default_inserts: usize) -> Args {
 fn build(loaded: &[Key], shards: usize) -> ConcurrentViperStore<Sharded> {
     let config = StoreConfig::paper(loaded.len() * 4 + 1024);
     ConcurrentViperStore::bulk_load_shared(config, loaded, harness::value_of, |pairs| {
-        Sharded::build_with(shards, pairs, |chunk| AnyIndex::build(IndexKind::FitingBuf, chunk))
+        Sharded::build_boxed(shards, pairs, |chunk| IndexKind::FitingBuf.build(chunk))
     })
 }
 

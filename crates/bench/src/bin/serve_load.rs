@@ -33,7 +33,7 @@ use li_server::{testutil, Client, Server, ServiceConfig};
 use li_sync::sync::atomic::{AtomicBool, Ordering};
 use li_sync::sync::Arc;
 use li_viper::{BreakerConfig, ConcurrentViperStore, RecoverOptions, RetryPolicy, StoreConfig};
-use lip::{AnyIndex, IndexKind};
+use lip::IndexKind;
 
 struct Args {
     ops: usize,
@@ -300,7 +300,7 @@ fn storm(seed: u64) -> StormOutcome {
             Arc::clone(&dev),
             store_cfg.layout,
             RecoverOptions::default(),
-            |pairs| Sharded::build_with(1, pairs, |c| AnyIndex::build(IndexKind::BTree, c)),
+            |pairs| Sharded::build_boxed(1, pairs, |c| IndexKind::BTree.build(c)),
         );
         let vs = store_cfg.layout.value_size;
         let mut val = vec![0u8; vs];
@@ -320,7 +320,7 @@ fn storm(seed: u64) -> StormOutcome {
         Arc::clone(&dev),
         store_cfg.layout,
         RecoverOptions::default(),
-        |pairs| Sharded::build_with(8, pairs, |c| AnyIndex::build(IndexKind::BTree, c)),
+        |pairs| Sharded::build_boxed(8, pairs, |c| IndexKind::BTree.build(c)),
     );
     store.set_recorder(Recorder::enabled());
     let rec = store.recorder().clone();

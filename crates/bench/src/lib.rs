@@ -1,8 +1,10 @@
 //! # li-bench — the paper's evaluation harness
 //!
 //! One module per table/figure of *"Cutting Learned Index into Pieces"*
-//! (ICDE 2023); each has a `run(&BenchConfig)` entry point and a thin
-//! binary in `src/bin/`. `run_all` executes the lot.
+//! (ICDE 2023); each has a `run(&BenchConfig)` entry point, and the
+//! `li-bench <name>|all` binary dispatches over [`figs::FIGS`]. The gate
+//! binaries CI calls (`torture`, `recovery`, `adaptive`, `serve_load`,
+//! `bg_retrain`) live in `src/bin/`.
 //!
 //! Dataset sizes are scaled from the paper's 200M–800M down to a default
 //! of 200k–800k (set `LIP_BENCH_N` to change the base size); value size

@@ -45,7 +45,7 @@ pub use li_telemetry as telemetry;
 pub use hot::HotCache;
 pub use model::LinearModel;
 pub use shard::{
-    AdaptError, AdaptiveConfig, Admission, AdmissionGuard, BoxShard, KindSpec, Native, Saturated,
+    AdaptError, AdaptiveConfig, Admission, AdmissionGuard, BoxShard, KindSpec, Saturated,
     ShardIndex, Sharded,
 };
 pub use traits::{

@@ -357,6 +357,10 @@ impl Index for PiecewiseIndex {
             + self.overflow.len() * core::mem::size_of::<KeyValue>()
     }
 
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
+
     fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }

@@ -10,10 +10,10 @@
 //! lock. Writers touching different shards never contend; readers never
 //! block each other.
 //!
-//! Since PR 7 the router is *heterogeneous*: every shard cell owns a
-//! `Box<dyn ShardIndex>` instead of a shared generic `I`, so shards can
-//! differ in kind — and change kind at runtime. Three online adaptations
-//! share one cutover protocol (see `DESIGN.md` "Adaptation"):
+//! The router is *heterogeneous*: every shard cell owns a
+//! `Box<dyn ShardIndex>`, so shards can differ in kind — and change kind
+//! at runtime. Three online adaptations are one cutover,
+//! `Sharded::recut`, under three plans (see `DESIGN.md` "Adaptation"):
 //!
 //! * **split** — a hot shard's range is cut at its median key into two
 //!   cells ([`Sharded::force_split`]);
@@ -35,8 +35,8 @@
 //!
 //! Decisions come from [`crate::tuner::Tuner`] over always-on per-cell
 //! counters ([`Sharded::run_adaptation`], called by Viper's maintenance
-//! worker); [`Native`] remains as a zero-cost bridge for indexes that are
-//! already write-concurrent.
+//! worker). An index that is already write-concurrent (XIndex) is served
+//! by the same router: one cell plus [`Sharded::set_allow_native`].
 
 use std::time::{Duration, Instant};
 
@@ -48,43 +48,42 @@ use crate::tuner::{KindId, ShardObs, Tuner, TunerAction, TunerConfig};
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::{Event, Recorder};
 
-/// Returned when an [`Admission`] lane stayed saturated for the whole
+/// Returned when an [`Admission`] gate stayed saturated for the whole
 /// bounded wait — the `WouldBlock`-style rung of the overload ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Saturated;
 
-/// Bounded admission: at most `limit` callers inside each lane at once.
+/// Bounded admission: at most `limit` callers inside the gate at once.
 ///
-/// This is the first rung of the overload ladder: writers queue *here*,
-/// in a cheap spin/yield wait with a deadline, instead of piling onto a
-/// shard's write lock without bound. A lane is whatever granularity the
-/// caller picks — one per shard for [`Sharded`], a single global lane for
-/// a store-level gate.
+/// This is the first rung of the overload ladder (Viper's
+/// `set_admission_limit`): writers queue *here*, in a cheap spin/yield
+/// wait with a deadline, instead of piling onto the store's locks
+/// without bound.
 #[derive(Debug)]
 pub struct Admission {
     limit: usize,
-    lanes: Vec<AtomicUsize>,
+    inside: AtomicUsize,
 }
 
 impl Admission {
-    pub fn new(lanes: usize, limit: usize) -> Self {
-        assert!(lanes >= 1 && limit >= 1);
-        Admission { limit, lanes: (0..lanes).map(|_| AtomicUsize::new(0)).collect() }
+    pub fn new(limit: usize) -> Self {
+        assert!(limit >= 1);
+        Admission { limit, inside: AtomicUsize::new(0) }
     }
 
-    /// Concurrent-entrant cap per lane.
+    /// Concurrent-entrant cap.
     pub fn limit(&self) -> usize {
         self.limit
     }
 
-    /// Callers currently inside `lane`.
-    pub fn in_flight(&self, lane: usize) -> usize {
-        self.lanes[lane % self.lanes.len()].load(Ordering::Relaxed)
+    /// Callers currently inside the gate.
+    pub fn in_flight(&self) -> usize {
+        self.inside.load(Ordering::Relaxed)
     }
 
     /// Non-blocking admission attempt.
-    pub fn try_enter(&self, lane: usize) -> Option<AdmissionGuard<'_>> {
-        let slot = &self.lanes[lane % self.lanes.len()];
+    pub fn try_enter(&self) -> Option<AdmissionGuard<'_>> {
+        let slot = &self.inside;
         let mut cur = slot.load(Ordering::Relaxed);
         loop {
             if cur >= self.limit {
@@ -99,14 +98,14 @@ impl Admission {
 
     /// Admission with a bounded short wait; `Err(Saturated)` after
     /// `max_wait` of yielding without a free slot.
-    pub fn enter(&self, lane: usize, max_wait: Duration) -> Result<AdmissionGuard<'_>, Saturated> {
-        if let Some(g) = self.try_enter(lane) {
+    pub fn enter(&self, max_wait: Duration) -> Result<AdmissionGuard<'_>, Saturated> {
+        if let Some(g) = self.try_enter() {
             return Ok(g);
         }
         let t0 = Instant::now();
         loop {
             li_sync::thread::yield_now();
-            if let Some(g) = self.try_enter(lane) {
+            if let Some(g) = self.try_enter() {
                 return Ok(g);
             }
             if t0.elapsed() >= max_wait {
@@ -278,8 +277,8 @@ impl ShardCell {
             id,
             kind,
             native,
-            // `ordered`: merge commits hold two cells at once, always
-            // left-to-right in boundary order (see `commit_merge`).
+            // `ordered`: a merge commit holds two cells at once, always
+            // left-to-right in boundary order (see `Sharded::commit`).
             lock: RwLock::with_class(
                 li_sync::lock_class!("shard-cell", ordered),
                 ShardState { index, side: None },
@@ -334,12 +333,6 @@ struct AdaptState {
 pub struct Sharded {
     table: RwLock<Table>,
     recorder: Recorder,
-    /// Optional per-shard admission gate (overload backpressure). Lane
-    /// count is fixed at gate creation; cells map to lanes modulo.
-    admission: Option<Admission>,
-    /// Deadline for the gate's short wait before a writer proceeds (or,
-    /// via [`Sharded::try_insert`], is rejected with [`Saturated`]).
-    admission_wait: Duration,
     /// Allow writes through an inner index's shared-reference
     /// [`crate::traits::NativeWriter`] surface under the cell *read*
     /// lock (the XIndex route). Off by default so the sharded and
@@ -374,7 +367,18 @@ impl Sharded {
         data: &[KeyValue],
         mut build: impl FnMut(&[KeyValue]) -> B,
     ) -> Self {
-        Self::build_inner(shards, data, 0, &mut |chunk| Box::new(build(chunk)))
+        Self::build_boxed(shards, data, |chunk| Box::new(build(chunk)))
+    }
+
+    /// [`Sharded::build_with`] for a builder that already yields the
+    /// type-erased handle (a runtime-selected kind), so no second box is
+    /// wrapped around it.
+    pub fn build_boxed(
+        shards: usize,
+        data: &[KeyValue],
+        mut build: impl FnMut(&[KeyValue]) -> BoxShard,
+    ) -> Self {
+        Self::build_inner(shards, data, 0, &mut build)
     }
 
     /// [`Sharded::build_with`] using the index's own bulk constructor:
@@ -450,23 +454,11 @@ impl Sharded {
         Sharded {
             table: RwLock::with_class(li_sync::lock_class!("shard-table"), Table { lower, cells }),
             recorder: Recorder::disabled(),
-            admission: None,
-            admission_wait: Duration::from_micros(200),
             allow_native: false,
             defer_retrains: AtomicBool::new(false),
             adapt: None,
             next_cell_id: AtomicU64::new(next_id),
         }
-    }
-
-    /// Enables bounded per-shard admission: at most `per_shard` writers
-    /// queued into any one shard; further writers short-wait up to
-    /// `max_wait` (and [`Sharded::try_insert`] rejects with [`Saturated`]
-    /// instead of waiting past the deadline).
-    pub fn set_admission(&mut self, per_shard: usize, max_wait: Duration) {
-        let lanes = self.table.read().cells.len();
-        self.admission = Some(Admission::new(lanes, per_shard));
-        self.admission_wait = max_wait;
     }
 
     /// Permits writes through an inner index's shared-reference
@@ -475,18 +467,6 @@ impl Sharded {
     /// else keeps using the exclusive path.
     pub fn set_allow_native(&mut self, on: bool) {
         self.allow_native = on;
-    }
-
-    /// `WouldBlock`-style write: admission failure after the short wait
-    /// surfaces as `Err(Saturated)` rather than unbounded queueing.
-    pub fn try_insert(&self, key: Key, value: Value) -> Result<Option<Value>, Saturated> {
-        let t = self.table.read();
-        let s = t.shard_of(key);
-        let _admit = match &self.admission {
-            Some(gate) => Some(gate.enter(s, self.admission_wait)?),
-            None => None,
-        };
-        Ok(self.apply(&t, s, key, WriteOp::Put(value)))
     }
 
     /// Number of shards currently live (changes as adaptation splits and
@@ -535,14 +515,6 @@ impl Sharded {
         self.table.read().shard_of(key)
     }
 
-    /// Runs `f` on the shard owning `key` under its read lock.
-    pub fn with_shard<R>(&self, key: Key, f: impl FnOnce(&dyn ShardIndex) -> R) -> R {
-        let t = self.table.read();
-        let s = t.shard_of(key);
-        let g = t.cells[s].lock.read();
-        f(&*g.index)
-    }
-
     /// Acquires a cell's write lock, charging contention to both the
     /// always-on cell counters (tuner input) and, when a telemetry
     /// recorder is attached, the [`Event::ShardLockWait`] counter and
@@ -558,21 +530,6 @@ impl Sharded {
         cell.stats.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
         self.recorder.shard_lock_wait(s, ns);
         g
-    }
-
-    /// Blocking admission for the infallible `ConcurrentIndex` surface:
-    /// short-waits in rounds until admitted, charging each saturated
-    /// round to the lock-wait telemetry so overload is visible.
-    fn admit(&self, s: usize) -> Option<AdmissionGuard<'_>> {
-        let gate = self.admission.as_ref()?;
-        loop {
-            match gate.enter(s, self.admission_wait) {
-                Ok(g) => return Some(g),
-                Err(Saturated) => {
-                    self.recorder.shard_lock_wait(s, self.admission_wait.as_nanos() as u64);
-                }
-            }
-        }
     }
 
     /// One routed write against shard `s` of table `t`: the native fast
@@ -627,28 +584,64 @@ enum WriteOp {
 }
 
 // ---------------------------------------------------------------------------
-// Online adaptation: split / merge / kind swap + the tuner loop.
+// Online adaptation: one cutover (`recut`) under three plans + the tuner loop.
 // ---------------------------------------------------------------------------
+
+/// What a cutover replaces its old cells with.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    /// One cell → one cell of another registered kind.
+    Swap(KindId),
+    /// One cell → two of its kind, cut at the snapshot median.
+    Split,
+    /// Two adjacent cells → one of the left cell's kind.
+    Merge,
+}
+
+impl Plan {
+    /// How many adjacent live cells the plan retires.
+    fn old_cells(self) -> usize {
+        match self {
+            Plan::Merge => 2,
+            Plan::Swap(_) | Plan::Split => 1,
+        }
+    }
+
+    /// Registered kind of every cell the plan publishes.
+    fn kind(self, old: &[Arc<ShardCell>]) -> KindId {
+        match self {
+            Plan::Swap(to) => to,
+            Plan::Split | Plan::Merge => old[0].kind,
+        }
+    }
+
+    fn event(self) -> Event {
+        match self {
+            Plan::Swap(_) => Event::KindSwap,
+            Plan::Split => Event::ShardSplit,
+            Plan::Merge => Event::ShardMerge,
+        }
+    }
+}
 
 impl Sharded {
     fn next_id(&self) -> u64 {
         self.next_cell_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Samples the always-on per-cell counters into tuner observations.
+    /// Samples the always-on per-cell counters into tuner observations,
+    /// in boundary order.
     fn observe_cells(&self) -> Vec<ShardObs> {
         let t = self.table.read();
         t.cells
             .iter()
-            .enumerate()
-            .map(|(position, c)| {
+            .map(|c| {
                 let (len, pending) = {
                     let g = c.lock.read();
                     (g.index.len(), g.index.pending_retrains())
                 };
                 ShardObs {
                     cell: c.id,
-                    position,
                     kind: c.kind,
                     len,
                     reads: c.stats.reads.load(Ordering::Relaxed),
@@ -673,12 +666,7 @@ impl Sharded {
         let mut done = 0usize;
         for a in actions {
             self.recorder.event(Event::TunerDecision);
-            let ok = match a {
-                TunerAction::Split { shard } => self.split_shard(shard).is_ok(),
-                TunerAction::Merge { left } => self.merge_shards(left).is_ok(),
-                TunerAction::Swap { shard, to } => self.swap_kind(shard, to).is_ok(),
-            };
-            if ok {
+            if self.execute(a).is_ok() {
                 done += 1;
             } else {
                 adapt.tuner.lock().penalize();
@@ -687,285 +675,211 @@ impl Sharded {
         done
     }
 
+    /// Executes one tuner decision. Actions name cells by id, so an
+    /// earlier action of the same epoch that shifted positions (or
+    /// retired the cell) cannot redirect this one onto a neighbour the
+    /// tuner never judged: a cell that is gone answers `Stale`.
+    fn execute(&self, action: TunerAction) -> Result<(), AdaptError> {
+        match action {
+            TunerAction::Split { cell } => self.recut_at(|t| t.pos_of(cell), Plan::Split),
+            TunerAction::Swap { cell, to } => self.recut_at(|t| t.pos_of(cell), Plan::Swap(to)),
+            TunerAction::Merge { left, right } => self.recut_at(
+                |t| t.pos_of(left).filter(|&p| t.cells.get(p + 1).is_some_and(|c| c.id == right)),
+                Plan::Merge,
+            ),
+        }
+    }
+
     /// Cuts the shard at position `shard` at its median key into two
     /// cells of the same kind. Test/operator entry point; the tuner
     /// takes the same path.
     pub fn force_split(&self, shard: usize) -> Result<(), AdaptError> {
-        self.split_shard(shard)
+        self.recut_at(|_| Some(shard), Plan::Split)
     }
 
     /// Folds shards `left` and `left + 1` into one cell of `left`'s kind.
     pub fn force_merge(&self, left: usize) -> Result<(), AdaptError> {
-        self.merge_shards(left)
+        self.recut_at(|_| Some(left), Plan::Merge)
     }
 
     /// Rebuilds the shard at position `shard` under registered kind `to`
     /// and cuts over atomically. No-op `Ok` if already that kind.
     pub fn force_swap(&self, shard: usize, to: KindId) -> Result<(), AdaptError> {
-        self.swap_kind(shard, to)
+        self.recut_at(|_| Some(shard), Plan::Swap(to))
     }
 
-    /// Resolves position `s` to its cell and range under the table read
-    /// lock, without holding any lock afterwards.
-    fn cell_at(&self, s: usize) -> Result<Arc<ShardCell>, AdaptError> {
-        let t = self.table.read();
-        match t.cells.get(s) {
-            Some(c) => Ok(Arc::clone(c)),
-            None => Err(AdaptError::Stale),
-        }
-    }
-
-    /// Phase 1 of a cutover: opens the side log on `cell` under its
-    /// write lock. From here until commit (or [`Sharded::cancel_side`]),
-    /// every write to the cell is applied to the live index *and*
-    /// logged, and the native fast path stands down.
-    fn open_side(cell: &ShardCell, cap: usize) -> Result<(), AdaptError> {
-        let mut g = cell.lock.write();
-        if g.side.is_some() {
-            return Err(AdaptError::Busy);
-        }
-        g.side = Some(SideLog::new(cap));
-        Ok(())
-    }
-
-    /// Abandons an in-flight cutover: drops the log. Safe because logged
-    /// writes were also applied to the live index.
-    fn cancel_side(cell: &ShardCell) {
-        cell.lock.write().side = None;
-    }
-
-    /// Phase 2: snapshots the cell's full contents under its read lock.
-    /// Concurrent readers proceed; concurrent writers serialize behind
-    /// the write lock and land in the side log.
-    fn snapshot(cell: &ShardCell) -> Vec<KeyValue> {
-        cell.lock.read().index.range_vec(0, Key::MAX)
-    }
-
-    /// Phase 3 helper: builds a replacement index under registered kind
-    /// `kind`, threading through the recorder and deferred-retrain mode.
-    fn build_kind(
+    /// Resolves the plan's old cells — the first located by `first`, all
+    /// under one table read lock — and runs the cutover on them by
+    /// identity, holding no lock in between.
+    fn recut_at(
         &self,
-        adapt: &AdaptState,
-        kind: KindId,
-        data: &[KeyValue],
-    ) -> Result<BoxShard, AdaptError> {
-        let Some(spec) = adapt.kinds.get(kind as usize) else { return Err(AdaptError::Stale) };
-        let mut idx = (spec.build)(data);
-        idx.set_recorder(self.recorder.clone());
-        if self.defer_retrains.load(Ordering::Acquire) {
-            idx.set_defer_retrains(true);
-        }
-        Ok(idx)
-    }
-
-    fn swap_kind(&self, s: usize, to: KindId) -> Result<(), AdaptError> {
-        let Some(adapt) = self.adapt.as_ref() else { return Err(AdaptError::NotAdaptive) };
-        if adapt.kinds.get(to as usize).is_none() {
-            return Err(AdaptError::Stale);
-        }
-        let cell = self.cell_at(s)?;
-        if cell.kind == to {
-            return Ok(());
-        }
-        Self::open_side(&cell, adapt.side_cap)?;
-        let snap = Self::snapshot(&cell);
-        let new_index = match self.build_kind(adapt, to, &snap) {
-            Ok(i) => i,
-            Err(e) => {
-                Self::cancel_side(&cell);
-                return Err(e);
-            }
-        };
-        self.commit_swap(&cell, to, new_index)
-    }
-
-    /// Phase 4 for a kind swap: under the table write lock (the epoch
-    /// barrier — granted only once no op holds the table read side) and
-    /// the cell write lock, replay the side log into the replacement and
-    /// publish a fresh cell. Any early return leaves the live index
-    /// intact with every write applied.
-    fn commit_swap(
-        &self,
-        cell: &ShardCell,
-        to: KindId,
-        mut new_index: BoxShard,
+        first: impl FnOnce(&Table) -> Option<usize>,
+        plan: Plan,
     ) -> Result<(), AdaptError> {
-        let mut t = self.table.write();
-        let mut g = cell.lock.write();
-        let Some(side) = g.side.take() else { return Err(AdaptError::Busy) };
-        if side.overflowed {
-            return Err(AdaptError::SideOverflow);
-        }
-        for op in &side.ops {
-            match *op {
-                SideOp::Put(k, v) => {
-                    new_index.insert(k, v);
-                }
-                SideOp::Del(k) => {
-                    new_index.remove(k);
-                }
-            }
-        }
-        let Some(pos) = t.pos_of(cell.id) else { return Err(AdaptError::Stale) };
-        drop(g);
-        t.cells[pos] = ShardCell::create(self.next_id(), to, new_index);
-        self.recorder.event(Event::KindSwap);
-        Ok(())
-    }
-
-    fn split_shard(&self, s: usize) -> Result<(), AdaptError> {
         let Some(adapt) = self.adapt.as_ref() else { return Err(AdaptError::NotAdaptive) };
-        let cell = self.cell_at(s)?;
-        Self::open_side(&cell, adapt.side_cap)?;
-        let snap = Self::snapshot(&cell);
-        let mid = snap.len() / 2;
-        if mid == 0 {
-            Self::cancel_side(&cell);
-            return Err(AdaptError::CannotSplit);
-        }
-        let b = snap[mid].0;
-        let left = match self.build_kind(adapt, cell.kind, &snap[..mid]) {
-            Ok(i) => i,
-            Err(e) => {
-                Self::cancel_side(&cell);
-                return Err(e);
-            }
-        };
-        let right = match self.build_kind(adapt, cell.kind, &snap[mid..]) {
-            Ok(i) => i,
-            Err(e) => {
-                Self::cancel_side(&cell);
-                return Err(e);
-            }
-        };
-        self.commit_split(&cell, b, left, right)
-    }
-
-    fn commit_split(
-        &self,
-        cell: &ShardCell,
-        b: Key,
-        mut left: BoxShard,
-        mut right: BoxShard,
-    ) -> Result<(), AdaptError> {
-        let mut t = self.table.write();
-        let mut g = cell.lock.write();
-        let Some(side) = g.side.take() else { return Err(AdaptError::Busy) };
-        if side.overflowed {
-            return Err(AdaptError::SideOverflow);
-        }
-        if t.cells.len() >= MAX_SHARDS {
-            return Err(AdaptError::Limit);
-        }
-        let Some(pos) = t.pos_of(cell.id) else { return Err(AdaptError::Stale) };
-        // The new boundary must cut strictly inside the cell's range or
-        // routing would break; a cell whose keys collapsed onto its lower
-        // bound since the snapshot cannot be split.
-        if b <= t.lower[pos] {
-            return Err(AdaptError::CannotSplit);
-        }
-        if let Some(&hi) = t.lower.get(pos + 1) {
-            if b >= hi {
-                return Err(AdaptError::Stale);
-            }
-        }
-        for op in &side.ops {
-            match *op {
-                SideOp::Put(k, v) => {
-                    if k < b {
-                        left.insert(k, v);
-                    } else {
-                        right.insert(k, v);
-                    }
-                }
-                SideOp::Del(k) => {
-                    if k < b {
-                        left.remove(k);
-                    } else {
-                        right.remove(k);
-                    }
-                }
-            }
-        }
-        drop(g);
-        let kind = cell.kind;
-        t.lower.insert(pos + 1, b);
-        t.cells[pos] = ShardCell::create(self.next_id(), kind, left);
-        t.cells.insert(pos + 1, ShardCell::create(self.next_id(), kind, right));
-        self.recorder.event(Event::ShardSplit);
-        Ok(())
-    }
-
-    fn merge_shards(&self, s: usize) -> Result<(), AdaptError> {
-        let Some(adapt) = self.adapt.as_ref() else { return Err(AdaptError::NotAdaptive) };
-        let (c1, c2) = {
+        let old = {
             let t = self.table.read();
-            if t.cells.len() < 2 {
+            if t.cells.len() < plan.old_cells() {
                 return Err(AdaptError::Limit);
             }
-            let Some(c1) = t.cells.get(s) else { return Err(AdaptError::Stale) };
-            let Some(c2) = t.cells.get(s + 1) else { return Err(AdaptError::Stale) };
-            (Arc::clone(c1), Arc::clone(c2))
+            let cells = first(&t)
+                .and_then(|pos| t.cells.get(pos..))
+                .and_then(|from| from.get(..plan.old_cells()));
+            let Some(cells) = cells else { return Err(AdaptError::Stale) };
+            cells.to_vec()
         };
-        // Open both side logs left-to-right (commit locks in the same
-        // order; op writers only ever hold one cell lock).
-        Self::open_side(&c1, adapt.side_cap)?;
-        if let Err(e) = Self::open_side(&c2, adapt.side_cap) {
-            Self::cancel_side(&c1);
-            return Err(e);
-        }
-        let mut snap = Self::snapshot(&c1);
-        snap.extend(Self::snapshot(&c2));
-        let merged = match self.build_kind(adapt, c1.kind, &snap) {
-            Ok(i) => i,
-            Err(e) => {
-                Self::cancel_side(&c1);
-                Self::cancel_side(&c2);
-                return Err(e);
+        if let Plan::Swap(to) = plan {
+            if adapt.kinds.get(to as usize).is_none() {
+                return Err(AdaptError::Stale);
             }
-        };
-        self.commit_merge(&c1, &c2, merged)
+            if old[0].kind == to {
+                return Ok(());
+            }
+        }
+        self.recut(adapt, &old, plan)
     }
 
-    fn commit_merge(
+    /// The one cutover. Opens a side log on every old cell left-to-right
+    /// (commit locks in the same order; op writers only ever hold one
+    /// cell lock), snapshots and builds the replacement pieces without
+    /// blocking readers, then commits. Any `Err` leaves no log open and
+    /// the live cells intact with every write applied.
+    fn recut(
         &self,
-        c1: &ShardCell,
-        c2: &ShardCell,
-        mut merged: BoxShard,
+        adapt: &AdaptState,
+        old: &[Arc<ShardCell>],
+        plan: Plan,
+    ) -> Result<(), AdaptError> {
+        let opened = old.iter().take_while(|c| Self::open_side(c, adapt.side_cap)).count();
+        let built = if opened == old.len() {
+            self.build_pieces(adapt, old, plan)
+        } else {
+            // Another rebuild owns the next cell's log; ours close below.
+            Err(AdaptError::Busy)
+        };
+        match built {
+            // Commit takes every log before its first check.
+            Ok((cuts, pieces)) => self.commit(old, plan, &cuts, pieces),
+            Err(e) => {
+                for c in &old[..opened] {
+                    // Safe to drop: logged writes also hit the live index.
+                    c.lock.write().side = None;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Phase 1: opens the side log on `cell` under its write lock;
+    /// `false` when another rebuild already owns it. From here until the
+    /// log is taken (commit) or dropped (abort), every write to the cell
+    /// is applied to the live index *and* logged, and the native fast
+    /// path stands down.
+    fn open_side(cell: &ShardCell, cap: usize) -> bool {
+        let mut g = cell.lock.write();
+        if g.side.is_some() {
+            return false;
+        }
+        g.side = Some(SideLog::new(cap));
+        true
+    }
+
+    /// Phases 2–3: snapshots the old cells' contents under their read
+    /// locks (concurrent readers proceed; writers serialize behind the
+    /// write lock and land in the side log), picks the plan's cuts, and
+    /// builds one replacement index per piece, lock-free.
+    fn build_pieces(
+        &self,
+        adapt: &AdaptState,
+        old: &[Arc<ShardCell>],
+        plan: Plan,
+    ) -> Result<(Vec<Key>, Vec<BoxShard>), AdaptError> {
+        let mut snap = Vec::new();
+        for c in old {
+            c.lock.read().index.range(0, Key::MAX, &mut snap);
+        }
+        let mids = match plan {
+            Plan::Swap(_) | Plan::Merge => Vec::new(),
+            Plan::Split if snap.len() < 2 => return Err(AdaptError::CannotSplit),
+            Plan::Split => vec![snap.len() / 2],
+        };
+        let Some(spec) = adapt.kinds.get(plan.kind(old) as usize) else {
+            return Err(AdaptError::Stale);
+        };
+        let mut pieces = Vec::with_capacity(mids.len() + 1);
+        let mut start = 0;
+        for end in mids.iter().copied().chain([snap.len()]) {
+            let mut idx = (spec.build)(&snap[start..end]);
+            idx.set_recorder(self.recorder.clone());
+            if self.defer_retrains.load(Ordering::Acquire) {
+                idx.set_defer_retrains(true);
+            }
+            pieces.push(idx);
+            start = end;
+        }
+        Ok((mids.iter().map(|&m| snap[m].0).collect(), pieces))
+    }
+
+    /// Phase 4: under the table write lock (the epoch barrier — granted
+    /// only once no op holds the table read side) and the old cells'
+    /// write locks, replay the side logs into the pieces and splice
+    /// fresh cells over the old ones. `pieces[i]` serves keys in
+    /// `[cuts[i-1], cuts[i])` of the old cells' combined range.
+    fn commit(
+        &self,
+        old: &[Arc<ShardCell>],
+        plan: Plan,
+        cuts: &[Key],
+        mut pieces: Vec<BoxShard>,
     ) -> Result<(), AdaptError> {
         let mut t = self.table.write();
-        let mut g1 = c1.lock.write();
-        let mut g2 = c2.lock.write();
-        let (Some(s1), Some(s2)) = (g1.side.take(), g2.side.take()) else {
+        let mut guards: Vec<_> = old.iter().map(|c| c.lock.write()).collect();
+        // Every log is taken before the first early return, so no `Err`
+        // below leaves one open.
+        let logs: Vec<Option<SideLog>> = guards.iter_mut().map(|g| g.side.take()).collect();
+        let Some(logs) = logs.into_iter().collect::<Option<Vec<SideLog>>>() else {
             return Err(AdaptError::Busy);
         };
-        if s1.overflowed || s2.overflowed {
+        if logs.iter().any(|l| l.overflowed) {
             return Err(AdaptError::SideOverflow);
         }
-        let Some(pos) = t.pos_of(c1.id) else { return Err(AdaptError::Stale) };
-        match t.cells.get(pos + 1) {
-            Some(c) if c.id == c2.id => {}
-            _ => return Err(AdaptError::Stale),
+        if t.cells.len() + pieces.len() > MAX_SHARDS + old.len() {
+            return Err(AdaptError::Limit);
         }
-        // The two logs cover disjoint key ranges, so relative order
-        // between them is irrelevant; within each, log order is applied.
-        for op in s1.ops.iter().chain(s2.ops.iter()) {
+        // The old cells must still be live and adjacent, in this order.
+        let Some(pos) = t.pos_of(old[0].id) else { return Err(AdaptError::Stale) };
+        let end = pos + old.len();
+        let live = t.cells.get(pos..end);
+        if !live.is_some_and(|live| live.iter().zip(old).all(|(a, b)| a.id == b.id)) {
+            return Err(AdaptError::Stale);
+        }
+        // Each cut must fall strictly inside the old range or routing
+        // would break; a cell whose keys collapsed onto its lower bound
+        // since the snapshot cannot be split.
+        if cuts.iter().any(|&b| b <= t.lower[pos]) {
+            return Err(AdaptError::CannotSplit);
+        }
+        if t.lower.get(end).is_some_and(|&hi| cuts.iter().any(|&b| b >= hi)) {
+            return Err(AdaptError::Stale);
+        }
+        // The logs cover disjoint key ranges, so relative order between
+        // them is irrelevant; within each, log order is applied.
+        for op in logs.iter().flat_map(|l| &l.ops) {
             match *op {
                 SideOp::Put(k, v) => {
-                    merged.insert(k, v);
+                    pieces[cuts.partition_point(|&b| b <= k)].insert(k, v);
                 }
                 SideOp::Del(k) => {
-                    merged.remove(k);
+                    pieces[cuts.partition_point(|&b| b <= k)].remove(k);
                 }
             }
         }
-        drop(g2);
-        drop(g1);
-        let kind = c1.kind;
-        t.lower.remove(pos + 1);
-        t.cells[pos] = ShardCell::create(self.next_id(), kind, merged);
-        t.cells.remove(pos + 1);
-        self.recorder.event(Event::ShardMerge);
+        drop(guards);
+        let kind = plan.kind(old);
+        t.lower.splice(pos + 1..end, cuts.iter().copied());
+        let fresh = pieces.into_iter().map(|p| ShardCell::create(self.next_id(), kind, p));
+        t.cells.splice(pos..end, fresh);
+        self.recorder.event(plan.event());
         Ok(())
     }
 }
@@ -1011,7 +925,7 @@ impl Index for Sharded {
 
     /// Keeps the recorder for routing/lock-wait metrics and forwards a
     /// clone into every live shard; indexes built by later adaptation
-    /// inherit it via [`Sharded::build_kind`].
+    /// inherit it via `Sharded::build_pieces`.
     fn set_recorder(&mut self, recorder: Recorder) {
         {
             let t = self.table.read();
@@ -1053,14 +967,12 @@ impl ConcurrentIndex for Sharded {
     fn insert(&self, key: Key, value: Value) -> Option<Value> {
         let t = self.table.read();
         let s = t.shard_of(key);
-        let _admit = self.admit(s);
         self.apply(&t, s, key, WriteOp::Put(value))
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
         let t = self.table.read();
         let s = t.shard_of(key);
-        let _admit = self.admit(s);
         self.apply(&t, s, key, WriteOp::Del)
     }
 
@@ -1114,75 +1026,6 @@ impl ConcurrentIndex for Sharded {
     /// correctness never depends on them.
     fn shard_hint(&self, key: Key) -> usize {
         self.table.read().shard_of(key)
-    }
-}
-
-/// Lock-free bridge for natively write-concurrent indexes (XIndex): the
-/// same trait surface [`Sharded`] provides, with every call passed straight
-/// through — no router, no locks.
-pub struct Native<C>(pub C);
-
-impl<C> Native<C> {
-    pub fn into_inner(self) -> C {
-        self.0
-    }
-}
-
-impl<C> core::ops::Deref for Native<C> {
-    type Target = C;
-    fn deref(&self) -> &C {
-        &self.0
-    }
-}
-
-impl<C: Index> Index for Native<C> {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn get(&self, key: Key) -> Option<Value> {
-        self.0.get(key)
-    }
-    fn index_size_bytes(&self) -> usize {
-        self.0.index_size_bytes()
-    }
-    fn data_size_bytes(&self) -> usize {
-        self.0.data_size_bytes()
-    }
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.0.set_recorder(recorder);
-    }
-}
-
-impl<C: OrderedIndex> OrderedIndex for Native<C> {
-    fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-        self.0.range(lo, hi, out);
-    }
-}
-
-impl<C: ConcurrentIndex> ConcurrentIndex for Native<C> {
-    fn get(&self, key: Key) -> Option<Value> {
-        ConcurrentIndex::get(&self.0, key)
-    }
-    fn insert(&self, key: Key, value: Value) -> Option<Value> {
-        ConcurrentIndex::insert(&self.0, key, value)
-    }
-    fn remove(&self, key: Key) -> Option<Value> {
-        ConcurrentIndex::remove(&self.0, key)
-    }
-    fn len(&self) -> usize {
-        ConcurrentIndex::len(&self.0)
-    }
-    fn set_defer_retrains(&self, on: bool) -> bool {
-        self.0.set_defer_retrains(on)
-    }
-    fn pending_retrains(&self) -> usize {
-        self.0.pending_retrains()
-    }
-    fn run_pending_retrains(&self, budget: usize) -> usize {
-        self.0.run_pending_retrains(budget)
     }
 }
 
@@ -1380,32 +1223,31 @@ mod tests {
 
     #[test]
     fn admission_caps_in_flight_writers() {
-        let gate = Arc::new(Admission::new(1, 2));
-        let g1 = gate.try_enter(0).unwrap();
-        let _g2 = gate.try_enter(0).unwrap();
-        assert!(gate.try_enter(0).is_none(), "third entrant must be rejected");
-        assert_eq!(gate.enter(0, Duration::from_millis(1)).err(), Some(Saturated));
-        assert_eq!(gate.in_flight(0), 2);
+        let gate = Admission::new(2);
+        let g1 = gate.try_enter().unwrap();
+        let _g2 = gate.try_enter().unwrap();
+        assert!(gate.try_enter().is_none(), "third entrant must be rejected");
+        assert_eq!(gate.enter(Duration::from_millis(1)).err(), Some(Saturated));
+        assert_eq!(gate.in_flight(), 2);
         drop(g1);
-        assert!(gate.try_enter(0).is_some(), "slot frees on guard drop");
+        assert!(gate.try_enter().is_some(), "slot frees on guard drop");
 
         // Concurrent hammering never observes more than `limit` inside.
-        let gate = Arc::new(Admission::new(4, 3));
+        let gate = Arc::new(Admission::new(3));
         let peak = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..8)
-            .map(|t| {
+            .map(|_| {
                 let gate = Arc::clone(&gate);
                 let peak = Arc::clone(&peak);
                 li_sync::thread::spawn(move || {
-                    for i in 0..500usize {
-                        let lane = (t + i) % 4;
+                    for _ in 0..500usize {
                         let _g = loop {
-                            if let Some(g) = gate.try_enter(lane) {
+                            if let Some(g) = gate.try_enter() {
                                 break g;
                             }
                             li_sync::thread::yield_now();
                         };
-                        peak.fetch_max(gate.in_flight(lane), Ordering::Relaxed);
+                        peak.fetch_max(gate.in_flight(), Ordering::Relaxed);
                     }
                 })
             })
@@ -1414,25 +1256,7 @@ mod tests {
             h.join().unwrap();
         }
         assert!(peak.load(Ordering::Relaxed) <= 3, "admission bound violated");
-        for lane in 0..4 {
-            assert_eq!(gate.in_flight(lane), 0, "all slots released");
-        }
-    }
-
-    #[test]
-    fn sharded_insert_respects_admission_and_try_insert_rejects() {
-        let data: Vec<KeyValue> = (0..1_000u64).map(|i| (i * 8, i)).collect();
-        let mut idx = Sharded::build::<MapIndex>(4, &data);
-        idx.set_admission(1, Duration::from_millis(1));
-        // Uncontended: the gate is invisible.
-        assert_eq!(ConcurrentIndex::insert(&idx, 3, 30), None);
-        assert_eq!(idx.try_insert(3, 31).unwrap(), Some(30));
-        // Saturate the lane by hand: try_insert must reject, not queue.
-        let lane = idx.shard_of(3);
-        let gate = idx.admission.as_ref().unwrap();
-        let _hold = gate.try_enter(lane).unwrap();
-        assert_eq!(idx.try_insert(3, 32), Err(Saturated));
-        assert_eq!(Index::get(&idx, 3), Some(31), "rejected write must not apply");
+        assert_eq!(gate.in_flight(), 0, "all slots released");
     }
 
     #[test]
@@ -1461,31 +1285,6 @@ mod tests {
         for (&k, &v) in model.iter().step_by(37) {
             assert_eq!(ConcurrentIndex::get(&idx, k), Some(v));
         }
-    }
-
-    #[test]
-    fn native_bridge_passes_through() {
-        #[derive(Default)]
-        struct CountingMap(li_sync::sync::Mutex<BTreeMap<Key, Value>>);
-        impl ConcurrentIndex for CountingMap {
-            fn get(&self, key: Key) -> Option<Value> {
-                self.0.lock().get(&key).copied()
-            }
-            fn insert(&self, key: Key, value: Value) -> Option<Value> {
-                self.0.lock().insert(key, value)
-            }
-            fn remove(&self, key: Key) -> Option<Value> {
-                self.0.lock().remove(&key)
-            }
-            fn len(&self) -> usize {
-                self.0.lock().len()
-            }
-        }
-        let n = Native(CountingMap::default());
-        assert_eq!(ConcurrentIndex::insert(&n, 1, 10), None);
-        assert_eq!(ConcurrentIndex::get(&n, 1), Some(10));
-        assert_eq!(ConcurrentIndex::remove(&n, 1), Some(10));
-        assert_eq!(ConcurrentIndex::len(&n), 0);
     }
 
     #[test]
@@ -1564,13 +1363,13 @@ mod tests {
             let t = idx.table.read();
             Arc::clone(&t.cells[0])
         };
-        Sharded::open_side(&cell, 16).unwrap();
+        assert!(Sharded::open_side(&cell, 16));
         assert_eq!(ConcurrentIndex::insert(&idx, 202, 3), None);
         assert_eq!(native_calls.load(Ordering::Relaxed), 2, "native path must stand down");
         assert_eq!(cell.lock.read().side.as_ref().unwrap().ops.len(), 1);
-        Sharded::cancel_side(&cell);
+        cell.lock.write().side = None;
         assert_eq!(ConcurrentIndex::insert(&idx, 203, 4), None);
-        assert_eq!(native_calls.load(Ordering::Relaxed), 3, "native path resumes after cancel");
+        assert_eq!(native_calls.load(Ordering::Relaxed), 3, "native path resumes after abort");
         assert_eq!(ConcurrentIndex::get(&idx, 202), Some(3));
     }
 
@@ -1630,47 +1429,175 @@ mod tests {
         assert_eq!(idx.force_split(5), Err(AdaptError::Stale), "out-of-range position");
     }
 
+    /// The hand-driven build window, for every plan through the one
+    /// `commit`: open the side logs, snapshot and build, write through
+    /// the public surface on both sides of where the cut lands, commit.
     #[test]
     fn writes_during_cutover_drain_through_the_side_log() {
-        let data: Vec<KeyValue> = (0..2_000u64).map(|i| (i * 2, i)).collect();
-        let idx = Sharded::build_adaptive(2, &data, AdaptiveConfig::new(two_kinds(), 0));
-        let cell = {
-            let t = idx.table.read();
-            Arc::clone(&t.cells[0])
+        // Three cells over even keys 0..6000, lower bounds [0, 2000, 4000];
+        // every plan works on the middle cell (plus its right neighbour
+        // for merge), so both neighbours can be checked for bystander
+        // damage.
+        let data: Vec<KeyValue> = (0..3_000u64).map(|i| (i * 2, i)).collect();
+        let build = || Sharded::build_adaptive(3, &data, AdaptiveConfig::new(two_kinds(), 0));
+        let old_cells = |idx: &Sharded, plan: Plan| -> Vec<Arc<ShardCell>> {
+            idx.table.read().cells[1..=plan.old_cells()].to_vec()
         };
-        // Simulate the build window by hand: open the side log, write
-        // through the public surface, then run the commit path.
-        Sharded::open_side(&cell, 1 << 10).unwrap();
-        let snap = Sharded::snapshot(&cell);
-        assert_eq!(ConcurrentIndex::insert(&idx, 1, 111), None); // fresh key, logged
-        assert_eq!(ConcurrentIndex::remove(&idx, 0), Some(0)); // bulk key, logged
-        let adapt = idx.adapt.as_ref().unwrap();
-        let rebuilt = idx.build_kind(adapt, 1, &snap).unwrap();
-        idx.commit_swap(&cell, 1, rebuilt).unwrap();
-        // The replayed log made the new index current.
-        assert_eq!(ConcurrentIndex::get(&idx, 1), Some(111));
-        assert_eq!(ConcurrentIndex::get(&idx, 0), None);
-        assert_eq!(idx.shard_kinds()[0], 1);
+        // Fresh odd keys low and high in the middle cell (the split cut
+        // lands at 3000) and one in the last cell; one bulk key deleted.
+        let writes = |idx: &Sharded| {
+            for k in [2_001, 3_999, 4_001] {
+                assert_eq!(ConcurrentIndex::insert(idx, k, 7), None);
+            }
+            assert_eq!(ConcurrentIndex::remove(idx, 2_000), Some(1_000));
+        };
 
-        // Overflow aborts: the live index keeps every write.
-        let cell = {
-            let t = idx.table.read();
-            Arc::clone(&t.cells[1])
+        for plan in [Plan::Swap(1), Plan::Split, Plan::Merge] {
+            // Commit replays both sides of the cut into the right piece.
+            let idx = build();
+            let adapt = idx.adapt.as_ref().unwrap();
+            let old = old_cells(&idx, plan);
+            assert!(old.iter().all(|c| Sharded::open_side(c, 1 << 10)));
+            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            writes(&idx);
+            idx.commit(&old, plan, &cuts, pieces).unwrap();
+            let (lower, kinds) = match plan {
+                Plan::Swap(_) => (vec![0, 2_000, 4_000], vec![0, 1, 0]),
+                Plan::Split => (vec![0, 2_000, 3_000, 4_000], vec![0, 0, 0, 0]),
+                Plan::Merge => (vec![0, 2_000], vec![0, 0]),
+            };
+            assert_eq!(idx.boundaries(), lower, "{plan:?}");
+            assert_eq!(idx.shard_kinds(), kinds, "{plan:?}");
+            for k in [2_001, 3_999, 4_001] {
+                assert_eq!(ConcurrentIndex::get(&idx, k), Some(7), "{plan:?} key {k}");
+            }
+            assert_eq!(ConcurrentIndex::get(&idx, 2_000), None, "{plan:?}");
+            assert_eq!(ConcurrentIndex::len(&idx), data.len() + 2, "{plan:?}");
+            // Each piece holds exactly its own range (a misrouted replay
+            // would hide a key from `get` and show up here).
+            assert_eq!(idx.range_vec(0, Key::MAX).len(), data.len() + 2, "{plan:?}");
+
+            // Overflow aborts: contents intact, every log closed, and
+            // the cells reusable.
+            let idx = build();
+            let adapt = idx.adapt.as_ref().unwrap();
+            let old = old_cells(&idx, plan);
+            assert!(old.iter().all(|c| Sharded::open_side(c, 2)));
+            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            writes(&idx);
+            assert_eq!(idx.commit(&old, plan, &cuts, pieces), Err(AdaptError::SideOverflow));
+            assert!(old.iter().all(|c| c.lock.read().side.is_none()), "{plan:?}: log left open");
+            assert_eq!(idx.boundaries(), vec![0, 2_000, 4_000], "{plan:?}");
+            assert_eq!(ConcurrentIndex::get(&idx, 3_999), Some(7), "aborted cutover loses nothing");
+            assert_eq!(ConcurrentIndex::len(&idx), data.len() + 2, "{plan:?}");
+            assert_eq!(idx.recut(adapt, &old, plan), Ok(()), "{plan:?}: cells reusable");
+
+            // A neighbour that moved during the build window: the last
+            // old cell (merge's right neighbour) is replaced under the
+            // builder's feet.
+            let idx = build();
+            let adapt = idx.adapt.as_ref().unwrap();
+            let old = old_cells(&idx, plan);
+            assert!(old.iter().all(|c| Sharded::open_side(c, 1 << 10)));
+            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            let moved = old.len() - 1;
+            old[moved].lock.write().side = None; // the competitor runs its own log
+            idx.force_swap(1 + moved, 1).unwrap();
+            assert!(Sharded::open_side(&old[moved], 1 << 10));
+            assert_eq!(idx.commit(&old, plan, &cuts, pieces), Err(AdaptError::Stale), "{plan:?}");
+            assert!(old.iter().all(|c| c.lock.read().side.is_none()), "{plan:?}: log left open");
+            let mut kinds = vec![0, 0, 0];
+            kinds[1 + moved] = 1;
+            assert_eq!(idx.shard_kinds(), kinds, "{plan:?}: only the competitor landed");
+            assert_eq!(ConcurrentIndex::len(&idx), data.len(), "{plan:?}");
+        }
+    }
+
+    /// `max_actions_per_epoch > 1`: the second action of an epoch must
+    /// land on the cells the tuner judged, not on whatever an earlier
+    /// split shifted into their positions.
+    #[test]
+    fn one_epoch_split_then_merge_acts_on_the_judged_cells() {
+        let data: Vec<KeyValue> = (0..8_000u64).map(|i| (i, i)).collect();
+        let mut cfg = AdaptiveConfig::new(two_kinds(), 0);
+        cfg.tuner.min_dwell_epochs = 1;
+        cfg.tuner.cooldown_epochs = 0;
+        cfg.tuner.max_actions_per_epoch = 2;
+        cfg.tuner.min_epoch_ops = 64;
+        let idx = Sharded::build_adaptive(4, &data, cfg);
+        assert_eq!(idx.boundaries(), vec![0, 2_000, 4_000, 6_000]);
+        let old_ids: Vec<u64> = idx.table.read().cells.iter().map(|c| c.id).collect();
+
+        assert_eq!(idx.run_adaptation(), 0, "first epoch only sets baselines");
+        // Cell 0 hot, cell 1 warm, cells 2 and 3 idle: one epoch yields
+        // Split{cell 0} then Merge{cells 2, 3}.
+        for i in 0..4_000u64 {
+            ConcurrentIndex::get(&idx, i % 2_000);
+        }
+        for i in 0..1_000u64 {
+            ConcurrentIndex::get(&idx, 2_000 + i);
+        }
+        assert_eq!(idx.run_adaptation(), 2, "split and merge both commit");
+        // By position the merge would have hit `left = 2` of the shifted
+        // table — folding warm cell 1 into idle cell 2.
+        assert_eq!(idx.boundaries(), vec![0, 1_000, 2_000, 4_000], "merge must fold cells 2+3");
+        assert_eq!(idx.table.read().cells[2].id, old_ids[1], "the warm cell is untouched");
+        assert_eq!(idx.range_vec(0, Key::MAX), data);
+
+        // Every cell the epoch replaced is gone: acting on it is refused.
+        for a in [
+            TunerAction::Split { cell: old_ids[0] },
+            TunerAction::Swap { cell: old_ids[2], to: 1 },
+            TunerAction::Merge { left: old_ids[2], right: old_ids[3] },
+            // Live left cell, but its judged right neighbour is not next to it.
+            TunerAction::Merge { left: old_ids[1], right: old_ids[2] },
+        ] {
+            assert_eq!(idx.execute(a), Err(AdaptError::Stale), "{a:?}");
+        }
+        assert_eq!(idx.boundaries(), vec![0, 1_000, 2_000, 4_000]);
+    }
+
+    /// Keys `0` and `u64::MAX` live in the first and the last cell;
+    /// every plan on those two cells must keep them reachable by get,
+    /// as range ends, and removable.
+    #[test]
+    fn domain_edge_keys_survive_cutovers_of_the_first_and_last_cell() {
+        let mut data: Vec<KeyValue> = (0..8_000u64).map(|i| (i << 48, i)).collect();
+        data.push((Key::MAX, 77));
+        let idx = Sharded::build_adaptive(8, &data, AdaptiveConfig::new(two_kinds(), 0));
+        assert_eq!(idx.shard_count(), 8);
+        let check = |idx: &Sharded, what: &str| {
+            assert_eq!(ConcurrentIndex::get(idx, 0), Some(0), "{what}");
+            assert_eq!(ConcurrentIndex::get(idx, Key::MAX), Some(77), "{what}");
+            let all = idx.range_vec(0, Key::MAX);
+            assert_eq!(all, data, "{what}");
+            assert_eq!(idx.range_vec(0, 0), vec![(0, 0)], "{what}");
+            assert_eq!(idx.range_vec(Key::MAX, Key::MAX), vec![(Key::MAX, 77)], "{what}");
+            assert_eq!(idx.boundaries()[0], 0, "{what}");
         };
-        Sharded::open_side(&cell, 2).unwrap();
-        let snap = Sharded::snapshot(&cell);
-        let hi_keys: Vec<Key> = (0..5u64).map(|i| 3_900 + i * 2 + 1).collect();
-        for &k in &hi_keys {
-            ConcurrentIndex::insert(&idx, k, 7);
-        }
-        let rebuilt = idx.build_kind(adapt, 1, &snap).unwrap();
-        assert_eq!(idx.commit_swap(&cell, 1, rebuilt), Err(AdaptError::SideOverflow));
-        for &k in &hi_keys {
-            assert_eq!(ConcurrentIndex::get(&idx, k), Some(7), "aborted cutover loses nothing");
-        }
-        // The cell is reusable after the abort.
-        assert_eq!(idx.force_swap(1, 1), Ok(()));
-        assert_eq!(idx.shard_kinds(), vec![1, 1]);
+        check(&idx, "built");
+        idx.force_split(0).unwrap();
+        idx.force_split(idx.shard_count() - 1).unwrap();
+        check(&idx, "split");
+        idx.force_merge(0).unwrap();
+        idx.force_merge(idx.shard_count() - 2).unwrap();
+        check(&idx, "merged");
+        idx.force_swap(0, 1).unwrap();
+        idx.force_swap(idx.shard_count() - 1, 1).unwrap();
+        check(&idx, "swapped");
+        assert_eq!(idx.shard_count(), 8);
+
+        assert_eq!(ConcurrentIndex::remove(&idx, 0), Some(0));
+        assert_eq!(ConcurrentIndex::remove(&idx, Key::MAX), Some(77));
+        assert_eq!(ConcurrentIndex::get(&idx, 0), None);
+        assert_eq!(ConcurrentIndex::get(&idx, Key::MAX), None);
+        assert_eq!(ConcurrentIndex::insert(&idx, 0, 1), None);
+        assert_eq!(ConcurrentIndex::insert(&idx, Key::MAX, 2), None);
+        idx.force_split(0).unwrap();
+        idx.force_split(idx.shard_count() - 1).unwrap();
+        assert_eq!(ConcurrentIndex::get(&idx, 0), Some(1));
+        assert_eq!(ConcurrentIndex::get(&idx, Key::MAX), Some(2));
+        assert_eq!(ConcurrentIndex::len(&idx), data.len());
     }
 
     #[test]
@@ -1739,7 +1666,9 @@ mod tests {
             let idx2 = Arc::clone(&idx);
             let ready = Arc::new(li_sync::sync::atomic::AtomicBool::new(false));
             let ready2 = Arc::clone(&ready);
-            let writer = idx.with_shard(key, |_shard| {
+            let writer = {
+                let t = idx.table.read();
+                let _held = t.cells[t.shard_of(key)].lock.read();
                 let w = li_sync::thread::spawn(move || {
                     ready2.store(true, li_sync::sync::atomic::Ordering::Release);
                     ConcurrentIndex::insert(&*idx2, key, 9);
@@ -1750,7 +1679,7 @@ mod tests {
                 // Give the writer time to fail try_write and block.
                 li_sync::thread::sleep(std::time::Duration::from_millis(10));
                 w
-            });
+            };
             writer.join().unwrap();
             if rec.event_count(Event::ShardLockWait) >= 1 {
                 break;

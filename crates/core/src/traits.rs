@@ -4,6 +4,7 @@
 //! through these traits, which is what makes the paper's "same environment,
 //! fair comparison" (§III) possible.
 
+use crate::pieces::retrain::RetrainStats;
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::Recorder;
 
@@ -36,8 +37,8 @@ pub trait Index: Send + Sync {
     /// Attaches a telemetry [`Recorder`]. The default implementation drops
     /// it, so instrumentation is strictly opt-in per index: uninstrumented
     /// indexes keep compiling and simply emit nothing. Wrappers
-    /// (`Sharded`, `Native`, `AnyIndex`, `ViperStore`) forward the
-    /// recorder to whatever they contain.
+    /// (`Sharded`, `AnyIndex`, `ViperStore`) forward the recorder to
+    /// whatever they contain.
     fn set_recorder(&mut self, _recorder: Recorder) {}
 
     /// Serializes the index's *model parameters* — segment boundaries,
@@ -55,9 +56,18 @@ pub trait Index: Send + Sync {
     /// fine-grained internal locking), so a router holding only a *read*
     /// lock on the cell may write through it. `None` (the default) routes
     /// writes through the router's exclusive lock. This lives on `Index`
-    /// rather than a blanket impl so wrappers (`AnyIndex`) can forward it
-    /// per variant without coherence conflicts.
+    /// so a type-erased handle (`Box<dyn ShardIndex>`, `AnyIndex`) can
+    /// answer it without knowing the concrete kind.
     fn native_writer(&self) -> Option<&dyn NativeWriter> {
+        None
+    }
+
+    /// Probes for structural statistics (Table II depth, Fig. 17 leaf
+    /// count, Fig. 18 retrain counters). `Some(self)` for indexes that
+    /// implement [`DepthStats`]; `None` (the default) for those without
+    /// the notion (hash, skip list, radix tree). Same shape as
+    /// [`Index::native_writer`], for the same reason.
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
         None
     }
 }
@@ -180,6 +190,10 @@ pub trait DepthStats {
     /// Number of leaf nodes / segments produced by the approximation
     /// algorithm (Fig. 17 (b)).
     fn leaf_count(&self) -> usize;
+    /// Retrain counters where the index keeps them (Fig. 18).
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        None
+    }
 }
 
 /// Two-phase lookup used by Fig. 17 (d) to time the inner-structure phase

@@ -95,9 +95,6 @@ pub struct ShardObs {
     /// Stable cell identity — survives epochs, changes on every
     /// split/merge/swap (which is what restarts the dwell clock).
     pub cell: u64,
-    /// Position in the boundary table *this epoch* (actions address
-    /// positions; they are validated against the live table at commit).
-    pub position: usize,
     pub kind: KindId,
     /// Live keys in the shard.
     pub len: usize,
@@ -111,15 +108,18 @@ pub struct ShardObs {
     pub pending_retrains: usize,
 }
 
-/// A structural change the router should attempt.
+/// A structural change the router should attempt. Cells are named by
+/// [`ShardObs::cell`] id, never by table position: the actions of one
+/// epoch execute one after another, and a committed split or merge
+/// shifts every later position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunerAction {
-    /// Cut shard `shard` at its median key into two cells.
-    Split { shard: usize },
-    /// Combine shards `left` and `left + 1` into one cell.
-    Merge { left: usize },
-    /// Rebuild shard `shard` under registered kind `to`.
-    Swap { shard: usize, to: KindId },
+    /// Cut `cell` at its median key into two cells.
+    Split { cell: u64 },
+    /// Combine `left` and its right neighbour `right` into one cell.
+    Merge { left: u64, right: u64 },
+    /// Rebuild `cell` under registered kind `to`.
+    Swap { cell: u64, to: KindId },
 }
 
 /// Per-cell history the hysteresis rules need.
@@ -163,8 +163,9 @@ impl Tuner {
         self.quiet_until = self.epoch + self.cfg.cooldown_epochs;
     }
 
-    /// Feeds one epoch of per-cell counters; returns the actions to
-    /// attempt this epoch (possibly none), already hysteresis-filtered.
+    /// Feeds one epoch of per-cell counters, in boundary order (adjacent
+    /// entries are adjacent shards); returns the actions to attempt this
+    /// epoch (possibly none), already hysteresis-filtered.
     pub fn observe(&mut self, obs: &[ShardObs]) -> Vec<TunerAction> {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -229,7 +230,7 @@ impl Tuner {
             };
             if let Some(to) = want {
                 if to != o.kind {
-                    push(TunerAction::Swap { shard: o.position, to }, &mut actions);
+                    push(TunerAction::Swap { cell: o.cell, to }, &mut actions);
                 }
             }
         }
@@ -252,7 +253,7 @@ impl Tuner {
                 #[allow(clippy::cast_precision_loss)]
                 let ops = (dr + dw) as f64;
                 if obs.len() > 1 && ops > self.cfg.split_skew * mean_ops {
-                    push(TunerAction::Split { shard: obs[i].position }, &mut actions);
+                    push(TunerAction::Split { cell: obs[i].cell }, &mut actions);
                 }
             }
         }
@@ -274,9 +275,8 @@ impl Tuner {
                     && l.len + r.len <= self.cfg.max_merge_len
                     && dwell_ok(l)
                     && dwell_ok(r)
-                    && r.position == l.position + 1
                 {
-                    push(TunerAction::Merge { left: l.position }, &mut actions);
+                    push(TunerAction::Merge { left: l.cell, right: r.cell }, &mut actions);
                     break;
                 }
             }
@@ -293,17 +293,8 @@ impl Tuner {
 mod tests {
     use super::*;
 
-    fn obs(position: usize, cell: u64, reads: u64, writes: u64) -> ShardObs {
-        ShardObs {
-            cell,
-            position,
-            kind: 0,
-            len: 10_000,
-            reads,
-            writes,
-            lock_wait_ns: 0,
-            pending_retrains: 0,
-        }
+    fn obs(cell: u64, reads: u64, writes: u64) -> ShardObs {
+        ShardObs { cell, kind: 0, len: 10_000, reads, writes, lock_wait_ns: 0, pending_retrains: 0 }
     }
 
     fn cfg() -> TunerConfig {
@@ -327,7 +318,7 @@ mod tests {
             let frame: Vec<ShardObs> = per_epoch
                 .iter()
                 .enumerate()
-                .map(|(p, &(r, w))| obs(p, p as u64, r * e, w * e))
+                .map(|(p, &(r, w))| obs(p as u64, r * e, w * e))
                 .collect();
             out.extend(t.observe(&frame));
         }
@@ -345,12 +336,12 @@ mod tests {
     fn min_dwell_delays_the_first_action() {
         let mut t = Tuner::new(cfg());
         // Write-heavy shard 0 from the start; dwell is 2 epochs.
-        let a1 = t.observe(&[obs(0, 0, 10, 990)]);
+        let a1 = t.observe(&[obs(0, 10, 990)]);
         assert!(a1.is_empty(), "epoch 1 is inside the dwell window");
-        let a2 = t.observe(&[obs(0, 0, 20, 1980)]);
+        let a2 = t.observe(&[obs(0, 20, 1980)]);
         assert!(a2.is_empty(), "epoch 2 is the first eligible epoch only if dwell elapsed");
-        let a3 = t.observe(&[obs(0, 0, 30, 2970)]);
-        assert_eq!(a3, vec![TunerAction::Swap { shard: 0, to: 1 }]);
+        let a3 = t.observe(&[obs(0, 30, 2970)]);
+        assert_eq!(a3, vec![TunerAction::Swap { cell: 0, to: 1 }]);
     }
 
     #[test]
@@ -361,17 +352,17 @@ mod tests {
         // at most one action per 2 epochs once eligible.
         assert!(!acts.is_empty());
         assert!(acts.len() <= 3, "cooldown must space actions: {acts:?}");
-        assert!(acts.iter().all(|a| *a == TunerAction::Swap { shard: 0, to: 1 }));
+        assert!(acts.iter().all(|a| *a == TunerAction::Swap { cell: 0, to: 1 }));
     }
 
     #[test]
     fn swap_targets_follow_the_mix() {
         let mut t = Tuner::new(cfg());
         let acts = drive(&mut t, &[(990, 10)], 4);
-        assert_eq!(acts.first(), Some(&TunerAction::Swap { shard: 0, to: 2 }));
+        assert_eq!(acts.first(), Some(&TunerAction::Swap { cell: 0, to: 2 }));
         // A shard already on the right kind is left alone.
         let mut t = Tuner::new(cfg());
-        let mut frame = obs(0, 7, 0, 0);
+        let mut frame = obs(7, 0, 0);
         frame.kind = 2;
         for e in 1..=6 {
             frame.reads = 990 * e;
@@ -384,13 +375,13 @@ mod tests {
     fn skewed_hot_shard_splits_and_cold_pair_merges() {
         let mut t = Tuner::new(cfg());
         let acts = drive(&mut t, &[(4000, 4000), (50, 50), (40, 40), (3000, 3000)], 3);
-        assert_eq!(acts.first(), Some(&TunerAction::Split { shard: 0 }));
+        assert_eq!(acts.first(), Some(&TunerAction::Split { cell: 0 }));
 
         let mut t = Tuner::new(cfg());
         // Balanced-mix shards (no swap rule) with equal warm ends (below
         // the split-skew threshold) and a nearly idle adjacent pair.
         let acts = drive(&mut t, &[(500, 500), (2, 2), (3, 3), (500, 500)], 3);
-        assert_eq!(acts.first(), Some(&TunerAction::Merge { left: 1 }));
+        assert_eq!(acts.first(), Some(&TunerAction::Merge { left: 1, right: 2 }));
     }
 
     #[test]
@@ -409,7 +400,7 @@ mod tests {
         // The router reports the cutover aborted; the next epochs stay
         // quiet for a full cooldown again.
         t.penalize();
-        let a = t.observe(&[obs(0, 0, 40, 3960)]);
+        let a = t.observe(&[obs(0, 40, 3960)]);
         assert!(a.is_empty(), "penalized epoch must stay quiet");
     }
 
@@ -423,7 +414,7 @@ mod tests {
         // cooldown expires.
         let mut out = Vec::new();
         for e in 1..=2u64 {
-            out.extend(t.observe(&[obs(0, 99, 10 * e, 990 * e)]));
+            out.extend(t.observe(&[obs(99, 10 * e, 990 * e)]));
         }
         assert!(out.is_empty(), "fresh cell acted on inside dwell: {out:?}");
     }

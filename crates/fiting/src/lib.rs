@@ -146,6 +146,10 @@ impl Index for FitingTree {
         self.inner.data_size_bytes()
     }
 
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
+
     fn set_recorder(&mut self, recorder: li_core::telemetry::Recorder) {
         self.inner.set_recorder(recorder);
     }
@@ -192,6 +196,10 @@ impl DepthStats for FitingTree {
 
     fn leaf_count(&self) -> usize {
         self.inner.leaf_count()
+    }
+
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        Some(self.stats())
     }
 }
 

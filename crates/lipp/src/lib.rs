@@ -322,6 +322,10 @@ impl Index for Lipp {
     fn data_size_bytes(&self) -> usize {
         0
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl UpdatableIndex for Lipp {
@@ -386,6 +390,10 @@ impl DepthStats for Lipp {
                 .sum::<usize>()
         }
         nodes(&self.root)
+    }
+
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        Some(self.stats())
     }
 }
 

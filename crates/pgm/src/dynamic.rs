@@ -214,6 +214,10 @@ impl Index for DynamicPgm {
             .sum()
     }
 
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
+
     fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -294,6 +298,10 @@ impl DepthStats for DynamicPgm {
 
     fn leaf_count(&self) -> usize {
         self.levels.iter().flatten().map(|l| l.pgm.segment_count()).sum()
+    }
+
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        Some(self.stats())
     }
 }
 

@@ -179,6 +179,10 @@ impl Index for StaticPgm {
         self.data.len() * core::mem::size_of::<KeyValue>()
             + self.keys.len() * core::mem::size_of::<Key>()
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl OrderedIndex for StaticPgm {

@@ -204,6 +204,10 @@ impl Index for Rmi {
     fn data_size_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<KeyValue>()
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl OrderedIndex for Rmi {

@@ -216,6 +216,10 @@ impl Index for BPlusTree {
     fn data_size_bytes(&self) -> usize {
         self.len * core::mem::size_of::<KeyValue>()
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl UpdatableIndex for BPlusTree {

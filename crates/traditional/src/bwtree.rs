@@ -338,6 +338,10 @@ impl Index for BwTree {
     fn data_size_bytes(&self) -> usize {
         0 // pairs live inside the pages counted above
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl UpdatableIndex for BwTree {

@@ -166,6 +166,10 @@ impl Index for Wormhole {
     fn data_size_bytes(&self) -> usize {
         self.leaves.iter().map(|l| l.capacity() * core::mem::size_of::<KeyValue>()).sum()
     }
+
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
 }
 
 impl UpdatableIndex for Wormhole {

@@ -367,7 +367,7 @@ fn shed_check<'a>(
         }
     }
     match admission {
-        Some(gate) => match gate.enter(0, max_wait) {
+        Some(gate) => match gate.enter(max_wait) {
             Ok(g) => Ok(Some(g)),
             Err(_) => Err(ViperError::Backpressure),
         },
@@ -553,7 +553,7 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     /// reclaim space and are the pressure-relief valve. Pass `limit = 0`
     /// to remove the gate.
     pub fn set_admission_limit(&mut self, limit: usize, max_wait: Duration) {
-        self.admission = (limit > 0).then(|| Admission::new(1, limit));
+        self.admission = (limit > 0).then(|| Admission::new(limit));
         self.admission_wait = max_wait;
     }
 
@@ -580,7 +580,7 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
             }
         }
         if let Some(gate) = &self.admission {
-            let in_flight = gate.in_flight(0);
+            let in_flight = gate.in_flight();
             if in_flight >= gate.limit() {
                 return OverloadState::Gated { in_flight, limit: gate.limit() };
             }

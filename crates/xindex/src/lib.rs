@@ -419,6 +419,10 @@ impl Index for XIndex {
             .sum()
     }
 
+    fn depth_stats(&self) -> Option<&dyn DepthStats> {
+        Some(self)
+    }
+
     fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -523,6 +527,10 @@ impl DepthStats for XIndex {
 
     fn leaf_count(&self) -> usize {
         self.group_count()
+    }
+
+    fn retrain_stats(&self) -> Option<RetrainStats> {
+        Some(self.stats())
     }
 }
 

@@ -1,12 +1,22 @@
 //! Runtime-selected index wrappers used by the end-to-end harness.
+//!
+//! Everything above the index crates reaches an index one way: through
+//! the object-safe [`li_core::ShardIndex`] face, boxed by
+//! [`IndexKind::build`] — the only place that names the concrete types.
+//! [`AnyIndex`] owns one such box for the single-writer store; the
+//! concurrent router's cells own theirs directly.
 
 use li_core::pieces::retrain::RetrainStats;
 use li_core::traits::{
-    BulkBuildIndex, Capabilities, ConcurrentIndex, DepthStats, Index, OrderedIndex, UpdatableIndex,
+    BulkBuildIndex, Capabilities, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex,
+    UpdatableIndex,
 };
-use li_core::{Key, KeyValue, Value};
+use li_core::{BoxShard, Key, KeyValue, Value};
 
 /// Every index the paper evaluates (§III-A1), selectable at runtime.
+///
+/// Adding a kind means: a variant here, its `ROWS` entry (same
+/// position), and its arm in [`IndexKind::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     // Traditional
@@ -29,343 +39,345 @@ pub enum IndexKind {
     Lipp,
 }
 
+/// The static facts about one [`IndexKind`].
+struct KindRow {
+    kind: IndexKind,
+    name: &'static str,
+    /// Accepts inserts/removes (everything but RMI and RS).
+    updatable: bool,
+    /// Supports range scans (everything but the hash index).
+    ordered: bool,
+    /// The paper's Table I row — present exactly for the learned kinds.
+    table1: Option<Capabilities>,
+}
+
+/// A traditional, fully-faced kind: updatable, ordered, no Table I row.
+/// The rows below spell out only where a kind differs from this.
+const fn plain(kind: IndexKind, name: &'static str) -> KindRow {
+    KindRow { kind, name, updatable: true, ordered: true, table1: None }
+}
+
+/// One row per kind, in declaration order ([`IndexKind::row`] indexes by
+/// discriminant; the order is asserted at compile time below).
+const ROWS: [KindRow; 14] = [
+    plain(IndexKind::BTree, "BTree"),
+    plain(IndexKind::SkipList, "SkipList"),
+    KindRow { ordered: false, ..plain(IndexKind::Cceh, "CCEH") },
+    plain(IndexKind::Art, "ART"),
+    plain(IndexKind::Wormhole, "Wormhole"),
+    plain(IndexKind::BwTree, "BwTree"),
+    KindRow {
+        updatable: false,
+        table1: Some(Capabilities {
+            name: "RMI",
+            inner_node: "Linear models",
+            leaf_node: "Linear",
+            bounded_error: false,
+            approx_algorithm: "Machine learning (two-stage models)",
+            insertion: "-",
+            retraining: "-",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::Rmi, "RMI")
+    },
+    KindRow {
+        updatable: false,
+        table1: Some(Capabilities {
+            name: "RS",
+            inner_node: "Radix tab.",
+            leaf_node: "Spline",
+            bounded_error: false,
+            approx_algorithm: "One-pass spline",
+            insertion: "-",
+            retraining: "-",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::Rs, "RS")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "FITing-tree (inp)",
+            inner_node: "B+tree",
+            leaf_node: "Linear",
+            bounded_error: true,
+            approx_algorithm: "Opt-PLA (paper's substitution for greedy)",
+            insertion: "Inplace",
+            retraining: "Retrain one node",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::FitingInp, "FITing-tree-inp")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "FITing-tree (buf)",
+            inner_node: "B+tree",
+            leaf_node: "Linear",
+            bounded_error: true,
+            approx_algorithm: "Opt-PLA (paper's substitution for greedy)",
+            insertion: "Offsite",
+            retraining: "Retrain one node",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::FitingBuf, "FITing-tree-buf")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "PGM-Index",
+            inner_node: "Recursive",
+            leaf_node: "Linear",
+            bounded_error: true,
+            approx_algorithm: "Optimal-PLA",
+            insertion: "Offsite",
+            retraining: "LSM-Tree",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::Pgm, "PGM")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "ALEX",
+            inner_node: "Asymmetric",
+            leaf_node: "Linear",
+            bounded_error: false,
+            approx_algorithm: "LSA+gap",
+            insertion: "Inplace (gapped)",
+            retraining: "Expand + retrain",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::Alex, "ALEX")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "XIndex",
+            inner_node: "RMI",
+            leaf_node: "Linear",
+            bounded_error: false,
+            approx_algorithm: "LSA",
+            insertion: "Offsite",
+            retraining: "Retrain one node",
+            concurrent_writes: true,
+        }),
+        ..plain(IndexKind::XIndex, "XIndex")
+    },
+    KindRow {
+        table1: Some(Capabilities {
+            name: "LIPP (bonus)",
+            inner_node: "Precise models",
+            leaf_node: "Precise",
+            bounded_error: true,
+            approx_algorithm: "Model-based precise placement (no search)",
+            insertion: "Inplace (precise)",
+            retraining: "Subtree adjust",
+            concurrent_writes: false,
+        }),
+        ..plain(IndexKind::Lipp, "LIPP")
+    },
+];
+
+/// The kinds whose row satisfies a column, in declaration order; `N` is
+/// checked against the table at compile time.
+const fn kinds_where<const N: usize>(learned: bool, updatable: bool) -> [IndexKind; N] {
+    let mut out = [IndexKind::BTree; N];
+    let (mut i, mut n) = (0, 0);
+    while i < ROWS.len() {
+        assert!(ROWS[i].kind as usize == i, "ROWS must follow IndexKind's declaration order");
+        if (!learned || ROWS[i].table1.is_some()) && (!updatable || ROWS[i].updatable) {
+            out[n] = ROWS[i].kind;
+            n += 1;
+        }
+        i += 1;
+    }
+    assert!(n == N, "lineup length disagrees with ROWS");
+    out
+}
+
 impl IndexKind {
-    pub const ALL: [IndexKind; 14] = [
-        IndexKind::BTree,
-        IndexKind::SkipList,
-        IndexKind::Cceh,
-        IndexKind::Art,
-        IndexKind::Wormhole,
-        IndexKind::BwTree,
-        IndexKind::Rmi,
-        IndexKind::Rs,
-        IndexKind::FitingInp,
-        IndexKind::FitingBuf,
-        IndexKind::Pgm,
-        IndexKind::Alex,
-        IndexKind::XIndex,
-        IndexKind::Lipp,
-    ];
+    pub const ALL: [IndexKind; 14] = kinds_where(false, false);
 
     /// The learned indexes only.
-    pub const LEARNED: [IndexKind; 8] = [
-        IndexKind::Rmi,
-        IndexKind::Rs,
-        IndexKind::FitingInp,
-        IndexKind::FitingBuf,
-        IndexKind::Pgm,
-        IndexKind::Alex,
-        IndexKind::XIndex,
-        IndexKind::Lipp,
-    ];
+    pub const LEARNED: [IndexKind; 8] = kinds_where(true, false);
 
     /// Indexes that accept inserts (write-capable lineup of Fig. 13/15).
-    pub const UPDATABLE: [IndexKind; 12] = [
-        IndexKind::BTree,
-        IndexKind::SkipList,
-        IndexKind::Cceh,
-        IndexKind::Art,
-        IndexKind::Wormhole,
-        IndexKind::BwTree,
-        IndexKind::FitingInp,
-        IndexKind::FitingBuf,
-        IndexKind::Pgm,
-        IndexKind::Alex,
-        IndexKind::XIndex,
-        IndexKind::Lipp,
-    ];
+    pub const UPDATABLE: [IndexKind; 12] = kinds_where(false, true);
+
+    fn row(self) -> &'static KindRow {
+        &ROWS[self as usize]
+    }
 
     pub fn name(&self) -> &'static str {
-        match self {
-            IndexKind::BTree => "BTree",
-            IndexKind::SkipList => "SkipList",
-            IndexKind::Cceh => "CCEH",
-            IndexKind::Art => "ART",
-            IndexKind::Wormhole => "Wormhole",
-            IndexKind::BwTree => "BwTree",
-            IndexKind::Rmi => "RMI",
-            IndexKind::Rs => "RS",
-            IndexKind::FitingInp => "FITing-tree-inp",
-            IndexKind::FitingBuf => "FITing-tree-buf",
-            IndexKind::Pgm => "PGM",
-            IndexKind::Alex => "ALEX",
-            IndexKind::XIndex => "XIndex",
-            IndexKind::Lipp => "LIPP",
-        }
+        self.row().name
     }
 
     pub fn is_learned(&self) -> bool {
-        IndexKind::LEARNED.contains(self)
+        self.row().table1.is_some()
     }
 
     pub fn supports_insert(&self) -> bool {
-        IndexKind::UPDATABLE.contains(self)
+        self.row().updatable
     }
 
     pub fn supports_range(&self) -> bool {
-        !matches!(self, IndexKind::Cceh)
+        self.row().ordered
     }
 
     /// Whether the index takes concurrent writes natively (`&self`
     /// mutation, Table I's "concurrent writes" column) rather than needing
     /// the range-sharding lift.
     pub fn concurrent_native(&self) -> bool {
-        matches!(self, IndexKind::XIndex)
+        self.row().table1.is_some_and(|c| c.concurrent_writes)
     }
 
     /// The paper's Table I row for this index (learned indexes only).
     pub fn capabilities(&self) -> Option<Capabilities> {
-        let cap = match self {
-            IndexKind::Rmi => Capabilities {
-                name: "RMI",
-                inner_node: "Linear models",
-                leaf_node: "Linear",
-                bounded_error: false,
-                approx_algorithm: "Machine learning (two-stage models)",
-                insertion: "-",
-                retraining: "-",
-                concurrent_writes: false,
-            },
-            IndexKind::Rs => Capabilities {
-                name: "RS",
-                inner_node: "Radix tab.",
-                leaf_node: "Spline",
-                bounded_error: false,
-                approx_algorithm: "One-pass spline",
-                insertion: "-",
-                retraining: "-",
-                concurrent_writes: false,
-            },
-            IndexKind::FitingInp => Capabilities {
-                name: "FITing-tree (inp)",
-                inner_node: "B+tree",
-                leaf_node: "Linear",
-                bounded_error: true,
-                approx_algorithm: "Opt-PLA (paper's substitution for greedy)",
-                insertion: "Inplace",
-                retraining: "Retrain one node",
-                concurrent_writes: false,
-            },
-            IndexKind::FitingBuf => Capabilities {
-                name: "FITing-tree (buf)",
-                inner_node: "B+tree",
-                leaf_node: "Linear",
-                bounded_error: true,
-                approx_algorithm: "Opt-PLA (paper's substitution for greedy)",
-                insertion: "Offsite",
-                retraining: "Retrain one node",
-                concurrent_writes: false,
-            },
-            IndexKind::Pgm => Capabilities {
-                name: "PGM-Index",
-                inner_node: "Recursive",
-                leaf_node: "Linear",
-                bounded_error: true,
-                approx_algorithm: "Optimal-PLA",
-                insertion: "Offsite",
-                retraining: "LSM-Tree",
-                concurrent_writes: false,
-            },
-            IndexKind::Alex => Capabilities {
-                name: "ALEX",
-                inner_node: "Asymmetric",
-                leaf_node: "Linear",
-                bounded_error: false,
-                approx_algorithm: "LSA+gap",
-                insertion: "Inplace (gapped)",
-                retraining: "Expand + retrain",
-                concurrent_writes: false,
-            },
-            IndexKind::Lipp => Capabilities {
-                name: "LIPP (bonus)",
-                inner_node: "Precise models",
-                leaf_node: "Precise",
-                bounded_error: true,
-                approx_algorithm: "Model-based precise placement (no search)",
-                insertion: "Inplace (precise)",
-                retraining: "Subtree adjust",
-                concurrent_writes: false,
-            },
-            IndexKind::XIndex => Capabilities {
-                name: "XIndex",
-                inner_node: "RMI",
-                leaf_node: "Linear",
-                bounded_error: false,
-                approx_algorithm: "LSA",
-                insertion: "Offsite",
-                retraining: "Retrain one node",
-                concurrent_writes: true,
-            },
-            _ => return None,
-        };
-        Some(cap)
+        self.row().table1
+    }
+
+    /// Bulk-builds this kind over sorted pairs behind the one index
+    /// handle. The two kinds that lack a face of [`li_core::ShardIndex`]
+    /// get it from a private adapter: `ReadOnly` (RMI, RS) panics on
+    /// mutation, `Unordered` (CCEH) scans nothing.
+    pub fn build(self, data: &[KeyValue]) -> BoxShard {
+        match self {
+            IndexKind::BTree => Box::new(li_traditional::BPlusTree::build(data)),
+            IndexKind::SkipList => Box::new(li_traditional::SkipList::build(data)),
+            IndexKind::Cceh => Box::new(Unordered(li_traditional::Cceh::build(data))),
+            IndexKind::Art => Box::new(li_traditional::Art::build(data)),
+            IndexKind::Wormhole => Box::new(li_traditional::Wormhole::build(data)),
+            IndexKind::BwTree => Box::new(li_traditional::BwTree::build(data)),
+            IndexKind::Rmi => Box::new(ReadOnly(li_rmi::Rmi::build(data))),
+            IndexKind::Rs => Box::new(ReadOnly(li_rs::RadixSpline::build(data))),
+            IndexKind::FitingInp => Box::new(li_fiting::FitingTree::new_inplace(data)),
+            IndexKind::FitingBuf => Box::new(li_fiting::FitingTree::new_buffered(data)),
+            IndexKind::Pgm => Box::new(li_pgm::DynamicPgm::build(data)),
+            IndexKind::Alex => Box::new(li_alex::Alex::build(data)),
+            IndexKind::XIndex => Box::new(li_xindex::XIndex::build(data)),
+            IndexKind::Lipp => Box::new(li_lipp::Lipp::build(data)),
+        }
     }
 }
 
-/// A runtime-selected index instance.
-///
-/// Variant sizes differ widely by design — one instance exists per store,
-/// so boxing the large variants would only add a pointer chase.
-#[allow(clippy::large_enum_variant)]
-pub enum AnyIndex {
-    BTree(li_traditional::BPlusTree),
-    SkipList(li_traditional::SkipList),
-    Cceh(li_traditional::Cceh),
-    Art(li_traditional::Art),
-    Wormhole(li_traditional::Wormhole),
-    BwTree(li_traditional::BwTree),
-    Rmi(li_rmi::Rmi),
-    Rs(li_rs::RadixSpline),
-    Fiting(li_fiting::FitingTree),
-    Pgm(li_pgm::DynamicPgm),
-    Alex(li_alex::Alex),
-    XIndex(li_xindex::XIndex),
-    Lipp(li_lipp::Lipp),
-}
-
-macro_rules! dispatch {
-    ($self:ident, $i:ident => $body:expr) => {
-        match $self {
-            AnyIndex::BTree($i) => $body,
-            AnyIndex::SkipList($i) => $body,
-            AnyIndex::Cceh($i) => $body,
-            AnyIndex::Art($i) => $body,
-            AnyIndex::Wormhole($i) => $body,
-            AnyIndex::BwTree($i) => $body,
-            AnyIndex::Rmi($i) => $body,
-            AnyIndex::Rs($i) => $body,
-            AnyIndex::Fiting($i) => $body,
-            AnyIndex::Pgm($i) => $body,
-            AnyIndex::Alex($i) => $body,
-            AnyIndex::XIndex($i) => $body,
-            AnyIndex::Lipp($i) => $body,
+/// `impl Index` for a newtype, forwarding every method the handle is
+/// asked through — the defaulted hooks included — to field `0`.
+macro_rules! forward_index {
+    ($($header:tt)+) => {
+        $($header)+ {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn get(&self, key: Key) -> Option<Value> {
+                self.0.get(key)
+            }
+            fn index_size_bytes(&self) -> usize {
+                self.0.index_size_bytes()
+            }
+            fn data_size_bytes(&self) -> usize {
+                self.0.data_size_bytes()
+            }
+            fn set_recorder(&mut self, recorder: li_core::telemetry::Recorder) {
+                self.0.set_recorder(recorder);
+            }
+            fn native_writer(&self) -> Option<&dyn NativeWriter> {
+                self.0.native_writer()
+            }
+            fn depth_stats(&self) -> Option<&dyn DepthStats> {
+                self.0.depth_stats()
+            }
         }
     };
 }
 
+/// Gives a read-only learned index (RMI, RS) the mutation face the handle
+/// requires: writes panic — gate on [`IndexKind::supports_insert`] — and
+/// the retrain hooks keep their "nothing to defer" defaults.
+struct ReadOnly<I>(I);
+
+forward_index!(impl<I: Index> Index for ReadOnly<I>);
+
+impl<I: OrderedIndex> OrderedIndex for ReadOnly<I> {
+    fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
+        self.0.range(lo, hi, out);
+    }
+}
+
+impl<I: Index> UpdatableIndex for ReadOnly<I> {
+    fn insert(&mut self, _key: Key, _value: Value) -> Option<Value> {
+        panic!("{} is read-only (paper Table I)", self.0.name())
+    }
+
+    fn remove(&mut self, _key: Key) -> Option<Value> {
+        panic!("{} is read-only (paper Table I)", self.0.name())
+    }
+}
+
+/// Gives the hash index (CCEH) the scan face the handle requires: a scan
+/// yields nothing — gate on [`IndexKind::supports_range`].
+struct Unordered<I>(I);
+
+forward_index!(impl<I: Index> Index for Unordered<I>);
+
+impl<I: Index> OrderedIndex for Unordered<I> {
+    fn range(&self, _lo: Key, _hi: Key, _out: &mut Vec<KeyValue>) {}
+}
+
+impl<I: UpdatableIndex> UpdatableIndex for Unordered<I> {
+    fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
+        self.0.insert(key, value)
+    }
+
+    fn remove(&mut self, key: Key) -> Option<Value> {
+        self.0.remove(key)
+    }
+
+    fn set_defer_retrains(&mut self, on: bool) -> bool {
+        self.0.set_defer_retrains(on)
+    }
+
+    fn pending_retrains(&self) -> usize {
+        self.0.pending_retrains()
+    }
+
+    fn run_pending_retrains(&mut self, budget: usize) -> usize {
+        self.0.run_pending_retrains(budget)
+    }
+}
+
+/// A runtime-selected index instance: the one handle ([`BoxShard`]) with
+/// a by-kind constructor, for the single-writer store.
+pub struct AnyIndex(BoxShard);
+
 impl AnyIndex {
     /// Bulk-builds an index of the given kind over sorted pairs.
     pub fn build(kind: IndexKind, data: &[KeyValue]) -> Self {
-        match kind {
-            IndexKind::BTree => AnyIndex::BTree(li_traditional::BPlusTree::build(data)),
-            IndexKind::SkipList => AnyIndex::SkipList(li_traditional::SkipList::build(data)),
-            IndexKind::Cceh => AnyIndex::Cceh(li_traditional::Cceh::build(data)),
-            IndexKind::Art => AnyIndex::Art(li_traditional::Art::build(data)),
-            IndexKind::Wormhole => AnyIndex::Wormhole(li_traditional::Wormhole::build(data)),
-            IndexKind::BwTree => AnyIndex::BwTree(li_traditional::BwTree::build(data)),
-            IndexKind::Rmi => AnyIndex::Rmi(li_rmi::Rmi::build(data)),
-            IndexKind::Rs => AnyIndex::Rs(li_rs::RadixSpline::build(data)),
-            IndexKind::FitingInp => AnyIndex::Fiting(li_fiting::FitingTree::new_inplace(data)),
-            IndexKind::FitingBuf => AnyIndex::Fiting(li_fiting::FitingTree::new_buffered(data)),
-            IndexKind::Pgm => AnyIndex::Pgm(li_pgm::DynamicPgm::build(data)),
-            IndexKind::Alex => AnyIndex::Alex(li_alex::Alex::build(data)),
-            IndexKind::XIndex => AnyIndex::XIndex(li_xindex::XIndex::build(data)),
-            IndexKind::Lipp => AnyIndex::Lipp(li_lipp::Lipp::build(data)),
-        }
+        AnyIndex(kind.build(data))
     }
 
     /// Mean root-to-leaf depth (Table II); None for indexes without the
-    /// notion (hash, skip list).
+    /// notion (hash, skip list, radix tree).
     pub fn avg_depth(&self) -> Option<f64> {
-        match self {
-            AnyIndex::BTree(i) => Some(i.avg_depth()),
-            AnyIndex::Rmi(i) => Some(i.avg_depth()),
-            AnyIndex::Rs(i) => Some(i.avg_depth()),
-            AnyIndex::Fiting(i) => Some(i.avg_depth()),
-            AnyIndex::Pgm(i) => Some(i.avg_depth()),
-            AnyIndex::Alex(i) => Some(i.avg_depth()),
-            AnyIndex::XIndex(i) => Some(i.avg_depth()),
-            AnyIndex::Lipp(i) => Some(i.avg_depth()),
-            _ => None,
-        }
+        self.0.depth_stats().map(DepthStats::avg_depth)
     }
 
     /// Leaf/segment/group count (Table II context).
     pub fn leaf_count(&self) -> Option<usize> {
-        match self {
-            AnyIndex::BTree(i) => Some(i.leaf_count()),
-            AnyIndex::Rmi(i) => Some(i.leaf_count()),
-            AnyIndex::Rs(i) => Some(i.leaf_count()),
-            AnyIndex::Fiting(i) => Some(i.leaf_count()),
-            AnyIndex::Pgm(i) => Some(i.leaf_count()),
-            AnyIndex::Alex(i) => Some(i.leaf_count()),
-            AnyIndex::XIndex(i) => Some(i.leaf_count()),
-            AnyIndex::Lipp(i) => Some(i.leaf_count()),
-            _ => None,
-        }
+        self.0.depth_stats().map(DepthStats::leaf_count)
     }
 
     /// Retrain counters where the index keeps them (Fig. 18).
     pub fn retrain_stats(&self) -> Option<RetrainStats> {
-        match self {
-            AnyIndex::Fiting(i) => Some(i.stats()),
-            AnyIndex::Pgm(i) => Some(i.stats()),
-            AnyIndex::Alex(i) => Some(i.stats()),
-            AnyIndex::XIndex(i) => Some(i.stats()),
-            AnyIndex::Lipp(i) => Some(i.stats()),
-            _ => None,
-        }
+        self.0.depth_stats().and_then(DepthStats::retrain_stats)
     }
 }
 
-impl Index for AnyIndex {
-    fn name(&self) -> &'static str {
-        dispatch!(self, i => i.name())
-    }
-
-    fn len(&self) -> usize {
-        dispatch!(self, i => Index::len(i))
-    }
-
-    fn get(&self, key: Key) -> Option<Value> {
-        dispatch!(self, i => Index::get(i, key))
-    }
-
-    fn index_size_bytes(&self) -> usize {
-        dispatch!(self, i => i.index_size_bytes())
-    }
-
-    fn data_size_bytes(&self) -> usize {
-        dispatch!(self, i => i.data_size_bytes())
-    }
-
-    /// Forwards the recorder to the selected index. Kinds that are not
-    /// instrumented (traditional, read-only learned, LIPP) keep the
-    /// default drop-it behaviour.
-    fn set_recorder(&mut self, recorder: li_core::telemetry::Recorder) {
-        dispatch!(self, i => i.set_recorder(recorder));
-    }
-
-    /// XIndex is the only kind with a shared-reference write surface
-    /// (Table I); for it the sharded router can write under its cell
-    /// *read* lock instead of the exclusive path.
-    fn native_writer(&self) -> Option<&dyn li_core::traits::NativeWriter> {
-        match self {
-            AnyIndex::XIndex(i) => Index::native_writer(i),
-            _ => None,
-        }
-    }
-}
+forward_index!(impl Index for AnyIndex);
 
 impl OrderedIndex for AnyIndex {
     /// Range scan; the hash index (CCEH) cannot scan and yields nothing —
     /// callers should gate on [`IndexKind::supports_range`].
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-        match self {
-            AnyIndex::BTree(i) => i.range(lo, hi, out),
-            AnyIndex::SkipList(i) => i.range(lo, hi, out),
-            AnyIndex::Cceh(_) => {}
-            AnyIndex::Art(i) => i.range(lo, hi, out),
-            AnyIndex::Wormhole(i) => i.range(lo, hi, out),
-            AnyIndex::BwTree(i) => i.range(lo, hi, out),
-            AnyIndex::Rmi(i) => i.range(lo, hi, out),
-            AnyIndex::Rs(i) => i.range(lo, hi, out),
-            AnyIndex::Fiting(i) => i.range(lo, hi, out),
-            AnyIndex::Pgm(i) => i.range(lo, hi, out),
-            AnyIndex::Alex(i) => i.range(lo, hi, out),
-            AnyIndex::XIndex(i) => i.range(lo, hi, out),
-            AnyIndex::Lipp(i) => i.range(lo, hi, out),
-        }
+        self.0.range(lo, hi, out);
     }
 }
 
@@ -373,92 +385,23 @@ impl UpdatableIndex for AnyIndex {
     /// Inserts; panics for the read-only indexes (RMI, RS) — gate on
     /// [`IndexKind::supports_insert`].
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-        match self {
-            AnyIndex::BTree(i) => i.insert(key, value),
-            AnyIndex::SkipList(i) => i.insert(key, value),
-            AnyIndex::Cceh(i) => i.insert(key, value),
-            AnyIndex::Art(i) => i.insert(key, value),
-            AnyIndex::Wormhole(i) => i.insert(key, value),
-            AnyIndex::BwTree(i) => i.insert(key, value),
-            AnyIndex::Rmi(_) => panic!("RMI is read-only (paper Table I)"),
-            AnyIndex::Rs(_) => panic!("RadixSpline is read-only (paper Table I)"),
-            AnyIndex::Fiting(i) => i.insert(key, value),
-            AnyIndex::Pgm(i) => i.insert(key, value),
-            AnyIndex::Alex(i) => i.insert(key, value),
-            AnyIndex::XIndex(i) => UpdatableIndex::insert(i, key, value),
-            AnyIndex::Lipp(i) => i.insert(key, value),
-        }
+        self.0.insert(key, value)
     }
 
     fn remove(&mut self, key: Key) -> Option<Value> {
-        match self {
-            AnyIndex::BTree(i) => i.remove(key),
-            AnyIndex::SkipList(i) => i.remove(key),
-            AnyIndex::Cceh(i) => i.remove(key),
-            AnyIndex::Art(i) => i.remove(key),
-            AnyIndex::Wormhole(i) => i.remove(key),
-            AnyIndex::BwTree(i) => i.remove(key),
-            AnyIndex::Rmi(_) => panic!("RMI is read-only (paper Table I)"),
-            AnyIndex::Rs(_) => panic!("RadixSpline is read-only (paper Table I)"),
-            AnyIndex::Fiting(i) => i.remove(key),
-            AnyIndex::Pgm(i) => i.remove(key),
-            AnyIndex::Alex(i) => i.remove(key),
-            AnyIndex::XIndex(i) => UpdatableIndex::remove(i, key),
-            AnyIndex::Lipp(i) => i.remove(key),
-        }
+        self.0.remove(key)
     }
 
     fn set_defer_retrains(&mut self, on: bool) -> bool {
-        // Read-only kinds have no retraining to defer; everything else
-        // forwards (most inherit the no-op default).
-        match self {
-            AnyIndex::Rmi(_) | AnyIndex::Rs(_) => false,
-            AnyIndex::BTree(i) => i.set_defer_retrains(on),
-            AnyIndex::SkipList(i) => i.set_defer_retrains(on),
-            AnyIndex::Cceh(i) => i.set_defer_retrains(on),
-            AnyIndex::Art(i) => i.set_defer_retrains(on),
-            AnyIndex::Wormhole(i) => i.set_defer_retrains(on),
-            AnyIndex::BwTree(i) => i.set_defer_retrains(on),
-            AnyIndex::Fiting(i) => i.set_defer_retrains(on),
-            AnyIndex::Pgm(i) => i.set_defer_retrains(on),
-            AnyIndex::Alex(i) => i.set_defer_retrains(on),
-            AnyIndex::XIndex(i) => UpdatableIndex::set_defer_retrains(i, on),
-            AnyIndex::Lipp(i) => i.set_defer_retrains(on),
-        }
+        self.0.set_defer_retrains(on)
     }
 
     fn pending_retrains(&self) -> usize {
-        match self {
-            AnyIndex::Rmi(_) | AnyIndex::Rs(_) => 0,
-            AnyIndex::BTree(i) => i.pending_retrains(),
-            AnyIndex::SkipList(i) => i.pending_retrains(),
-            AnyIndex::Cceh(i) => i.pending_retrains(),
-            AnyIndex::Art(i) => i.pending_retrains(),
-            AnyIndex::Wormhole(i) => i.pending_retrains(),
-            AnyIndex::BwTree(i) => i.pending_retrains(),
-            AnyIndex::Fiting(i) => i.pending_retrains(),
-            AnyIndex::Pgm(i) => i.pending_retrains(),
-            AnyIndex::Alex(i) => i.pending_retrains(),
-            AnyIndex::XIndex(i) => UpdatableIndex::pending_retrains(i),
-            AnyIndex::Lipp(i) => i.pending_retrains(),
-        }
+        self.0.pending_retrains()
     }
 
     fn run_pending_retrains(&mut self, budget: usize) -> usize {
-        match self {
-            AnyIndex::Rmi(_) | AnyIndex::Rs(_) => 0,
-            AnyIndex::BTree(i) => i.run_pending_retrains(budget),
-            AnyIndex::SkipList(i) => i.run_pending_retrains(budget),
-            AnyIndex::Cceh(i) => i.run_pending_retrains(budget),
-            AnyIndex::Art(i) => i.run_pending_retrains(budget),
-            AnyIndex::Wormhole(i) => i.run_pending_retrains(budget),
-            AnyIndex::BwTree(i) => i.run_pending_retrains(budget),
-            AnyIndex::Fiting(i) => i.run_pending_retrains(budget),
-            AnyIndex::Pgm(i) => i.run_pending_retrains(budget),
-            AnyIndex::Alex(i) => i.run_pending_retrains(budget),
-            AnyIndex::XIndex(i) => UpdatableIndex::run_pending_retrains(i, budget),
-            AnyIndex::Lipp(i) => i.run_pending_retrains(budget),
-        }
+        self.0.run_pending_retrains(budget)
     }
 }
 
@@ -555,7 +498,8 @@ impl Default for AdaptivePolicy {
 }
 
 /// A runtime-selected write-concurrent index: the heterogeneous
-/// [`li_core::Sharded`] router specialised to [`AnyIndex`] shards.
+/// [`li_core::Sharded`] router with [`IndexKind::build`] as its shard
+/// builder, so each cell owns the kind's own object.
 ///
 /// All three of the paper's concurrency routes collapse onto the one
 /// router: the native route (XIndex) is a single shard with the
@@ -580,7 +524,7 @@ impl AnyConcurrentIndex {
             ConcurrentVia::Sharded => shards,
         };
         let mut inner =
-            li_core::Sharded::build_with(shards, data, |chunk| AnyIndex::build(kind.index, chunk));
+            li_core::Sharded::build_boxed(shards, data, |chunk| kind.index.build(chunk));
         if kind.via == ConcurrentVia::Native {
             debug_assert_eq!(kind.index, IndexKind::XIndex);
             inner.set_allow_native(true);
@@ -608,9 +552,7 @@ impl AnyConcurrentIndex {
         tuner.read_mostly_kind = Some(id_of(read_mostly, &mut lineup));
         let kinds = lineup
             .into_iter()
-            .map(|k| {
-                li_core::KindSpec::new(k.name(), move |chunk| Box::new(AnyIndex::build(k, chunk)))
-            })
+            .map(|k| li_core::KindSpec::new(k.name(), move |chunk| k.build(chunk)))
             .collect();
         let mut cfg = li_core::AdaptiveConfig::new(kinds, initial_id);
         cfg.tuner = tuner;
@@ -662,8 +604,8 @@ impl Index for AnyConcurrentIndex {
 }
 
 impl OrderedIndex for AnyConcurrentIndex {
-    /// Range scan; a sharded CCEH still cannot scan (the underlying
-    /// [`AnyIndex`] yields nothing) — gate on [`IndexKind::supports_range`].
+    /// Range scan; a sharded CCEH still cannot scan (its cells yield
+    /// nothing) — gate on [`IndexKind::supports_range`].
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
         self.0.range(lo, hi, out);
     }
@@ -763,13 +705,75 @@ mod tests {
         }
     }
 
+    /// Exactly which kinds answer the `depth_stats` hook, and which of
+    /// those keep retrain counters.
     #[test]
     fn learned_have_depth_stats() {
         let d = data(50_000);
-        for kind in IndexKind::LEARNED {
+        for kind in IndexKind::ALL {
             let idx = AnyIndex::build(kind, &d);
-            assert!(idx.avg_depth().unwrap() >= 1.0, "{}", kind.name());
-            assert!(idx.leaf_count().unwrap() >= 1, "{}", kind.name());
+            // Everything with leaves/segments/groups; not the hash
+            // index, the skip list or the radix tree.
+            let has_depth = !matches!(kind, IndexKind::SkipList | IndexKind::Cceh | IndexKind::Art);
+            assert_eq!(idx.avg_depth().is_some(), has_depth, "{}", kind.name());
+            assert_eq!(idx.leaf_count().is_some(), has_depth, "{}", kind.name());
+            if has_depth {
+                assert!(idx.avg_depth().unwrap() >= 1.0, "{}", kind.name());
+                assert!(idx.leaf_count().unwrap() >= 1, "{}", kind.name());
+            }
+            let retrains = matches!(
+                kind,
+                IndexKind::FitingInp
+                    | IndexKind::FitingBuf
+                    | IndexKind::Pgm
+                    | IndexKind::Alex
+                    | IndexKind::XIndex
+                    | IndexKind::Lipp
+            );
+            assert_eq!(idx.retrain_stats().is_some(), retrains, "{}", kind.name());
+        }
+    }
+
+    /// The domain's edge keys through every kind: bulk-built and
+    /// inserted, as point lookups, as range ends, and removed.
+    #[test]
+    fn domain_edge_keys_through_every_kind() {
+        let mut bulk: Vec<KeyValue> = (0..4_000u64).map(|i| (i << 50, i)).collect();
+        bulk.push((Key::MAX, 77));
+        let inner: Vec<KeyValue> = bulk[1..bulk.len() - 1].to_vec();
+        for kind in IndexKind::ALL {
+            let name = kind.name();
+            let mut idx = AnyIndex::build(kind, &bulk);
+            assert_eq!(idx.get(0), Some(0), "{name}");
+            assert_eq!(idx.get(Key::MAX), Some(77), "{name}");
+            assert_eq!(idx.get(Key::MAX - 1), None, "{name}");
+            if kind.supports_range() {
+                assert_eq!(idx.range_vec(0, Key::MAX), bulk, "{name}");
+                assert_eq!(idx.range_vec(0, 0), vec![(0, 0)], "{name}");
+                assert_eq!(idx.range_vec(Key::MAX, Key::MAX), vec![(Key::MAX, 77)], "{name}");
+            }
+            if !kind.supports_insert() {
+                continue;
+            }
+            assert_eq!(idx.remove(0), Some(0), "{name}");
+            assert_eq!(idx.remove(Key::MAX), Some(77), "{name}");
+            assert_eq!(idx.get(0), None, "{name}");
+            assert_eq!(idx.get(Key::MAX), None, "{name}");
+
+            // Inserted rather than bulk-built.
+            let mut idx = AnyIndex::build(kind, &inner);
+            assert_eq!(idx.insert(Key::MAX, 77), None, "{name}");
+            assert_eq!(idx.insert(0, 0), None, "{name}");
+            assert_eq!(idx.len(), bulk.len(), "{name}");
+            assert_eq!(idx.get(0), Some(0), "{name}");
+            assert_eq!(idx.get(Key::MAX), Some(77), "{name}");
+            if kind.supports_range() {
+                assert_eq!(idx.range_vec(0, Key::MAX), bulk, "{name}");
+                assert_eq!(idx.range_vec(Key::MAX, Key::MAX), vec![(Key::MAX, 77)], "{name}");
+            }
+            assert_eq!(idx.remove(Key::MAX), Some(77), "{name}");
+            assert_eq!(idx.remove(0), Some(0), "{name}");
+            assert_eq!(idx.len(), inner.len(), "{name}");
         }
     }
 

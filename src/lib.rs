@@ -4,9 +4,11 @@
 //! Inquiry into Updatable Learned Indexes"* (Ge et al., ICDE 2023).
 //!
 //! This facade re-exports every crate in the workspace and provides
-//! [`AnyIndex`] / [`AnyConcurrentIndex`], runtime-selected wrappers over
-//! all eleven evaluated indexes, so the end-to-end harness (and your own
-//! experiments) can iterate over the whole lineup with one loop:
+//! [`IndexKind`] — the lineup of fourteen indexes, each built behind one
+//! trait-object handle — plus [`AnyIndex`] / [`AnyConcurrentIndex`], the
+//! single-writer and write-concurrent wrappers over that handle, so the
+//! end-to-end harness (and your own experiments) can iterate over the
+//! whole lineup with one loop:
 //!
 //! ```
 //! use lip::{AnyIndex, IndexKind};

@@ -191,7 +191,7 @@ impl Driver {
                 layout,
                 opts,
                 recorder,
-                |pairs| Sharded::build_with(shards, pairs, |chunk| AnyIndex::build(kind, chunk)),
+                |pairs| Sharded::build_boxed(shards, pairs, |chunk| kind.build(chunk)),
             );
             (Driver::Sharded(store), report)
         }

@@ -33,7 +33,7 @@ use lip::viper::{
     BreakerConfig, CircuitBreaker, ConcurrentViperStore, MaintenanceConfig, MaintenanceWorker,
     RecoverOptions, RetryPolicy, StoreConfig,
 };
-use lip::{AnyIndex, IndexKind};
+use lip::IndexKind;
 
 /// Runs `f` on a helper thread and panics if it exceeds `limit` — the
 /// suite's deadlock watchdog.
@@ -86,7 +86,7 @@ fn value_of(key: u64, version: u64, buf: &mut [u8]) {
 }
 
 fn sharded_btree(shards: usize) -> impl FnOnce(&[(u64, u64)]) -> Sharded {
-    move |pairs| Sharded::build_with(shards, pairs, |c| AnyIndex::build(IndexKind::BTree, c))
+    move |pairs| Sharded::build_boxed(shards, pairs, |c| IndexKind::BTree.build(c))
 }
 
 #[test]
@@ -203,8 +203,8 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
 fn adaptive_sharded(shards: usize) -> impl FnOnce(&[(u64, u64)]) -> Sharded {
     move |pairs| {
         let kinds = vec![
-            KindSpec::new("btree", |c| Box::new(AnyIndex::build(IndexKind::BTree, c)) as _),
-            KindSpec::new("alex", |c| Box::new(AnyIndex::build(IndexKind::Alex, c)) as _),
+            KindSpec::new("btree", |c| IndexKind::BTree.build(c)),
+            KindSpec::new("alex", |c| IndexKind::Alex.build(c)),
         ];
         let mut cfg = AdaptiveConfig::new(kinds, 0);
         cfg.tuner.write_heavy_kind = Some(1);
@@ -486,7 +486,7 @@ fn circuit_breaker_trips_under_backlog_and_recovers() {
             cfg,
             &initial,
             |k, buf| value_of(k, 1, buf),
-            |pairs| Sharded::build_with(8, pairs, |c| AnyIndex::build(IndexKind::FitingBuf, c)),
+            |pairs| Sharded::build_boxed(8, pairs, |c| IndexKind::FitingBuf.build(c)),
         );
         let rec = Recorder::enabled();
         store.set_recorder(rec.clone());
@@ -567,7 +567,7 @@ fn maintenance_worker_clean_shutdown_smoke() {
             cfg,
             &initial,
             |k, buf| value_of(k, 1, buf),
-            |pairs| Sharded::build_with(4, pairs, |c| AnyIndex::build(IndexKind::FitingBuf, c)),
+            |pairs| Sharded::build_boxed(4, pairs, |c| IndexKind::FitingBuf.build(c)),
         );
         store.set_recorder(Recorder::enabled());
         let store = Arc::new(store);

@@ -182,15 +182,15 @@ fn breaker_open_close_vs_shedding() {
 
 /// Model 5 — admission gate never over-admits.
 ///
-/// Two writers contend on a single lane with `limit = 1`; an occupancy
+/// Two writers contend on a gate with `limit = 1`; an occupancy
 /// counter checked inside the critical region proves mutual exclusion in
-/// every schedule, and the lane must drain to zero at quiescence.
+/// every schedule, and the gate must drain to zero at quiescence.
 #[test]
 fn admission_gate_never_over_admits() {
     use li_core::Admission;
 
     loom::model(|| {
-        let gate = Arc::new(Admission::new(1, 1));
+        let gate = Arc::new(Admission::new(1));
         let inside = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..2)
             .map(|_| {
@@ -200,9 +200,9 @@ fn admission_gate_never_over_admits() {
                     // Bounded retry instead of the timed `enter` (model
                     // time is fake); the yield deprioritizes the loser.
                     loop {
-                        if let Some(_g) = gate.try_enter(0) {
+                        if let Some(_g) = gate.try_enter() {
                             let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                            assert!(now <= 1, "{now} callers inside a limit-1 lane");
+                            assert!(now <= 1, "{now} callers inside a limit-1 gate");
                             inside.fetch_sub(1, Ordering::SeqCst);
                             break;
                         }
@@ -214,7 +214,7 @@ fn admission_gate_never_over_admits() {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(gate.in_flight(0), 0, "lane must drain at quiescence");
+        assert_eq!(gate.in_flight(), 0, "gate must drain at quiescence");
     });
 }
 

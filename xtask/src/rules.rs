@@ -138,9 +138,7 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "range",
             "apply",
             "write_cell",
-            "commit_swap",
-            "commit_split",
-            "commit_merge",
+            "commit",
             "run_adaptation",
         ])
     } else if f.ends_with("core/src/tuner.rs") {
@@ -503,9 +501,9 @@ mod tests {
 
     #[test]
     fn r4_covers_shard_cutover_and_tuner_paths() {
-        // The cutover commits are hot: a panic there poisons the boundary
+        // The cutover commit is hot: a panic there poisons the boundary
         // table for every thread.
-        let src = "impl Sharded {\n    fn commit_swap(&self) { side.take().unwrap(); }\n}\n";
+        let src = "impl Sharded {\n    fn commit(&self) { side.take().unwrap(); }\n}\n";
         let v = lint("crates/core/src/shard.rs", src, "");
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "hot-path-panics");
