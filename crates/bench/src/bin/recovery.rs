@@ -5,13 +5,14 @@
 //! long a learned-index store is offline after a crash when recovery must
 //! rescan every NVM page and retrain the model from scratch. This binary
 //! quantifies what the WAL + model-checkpoint subsystem buys back: for
-//! each key count, one durable store is loaded, mutated past its last
+//! each key count, one durable store is loaded, checkpointed once more so
+//! that a delta segment follows its base image, mutated past that
 //! checkpoint, and crashed — then recovered twice from the same image:
 //!
-//! * **checkpoint_replay** — deserialize the newest checkpoint (live
-//!   entries + serialized model parameters), replay the WAL tail, and
-//!   validate checkpointed entries against their slots. No page scan, no
-//!   retraining.
+//! * **checkpoint_replay** — deserialize the newest checkpoint (base
+//!   entries + serialized model parameters, delta chain merged in), replay
+//!   the WAL tail, and validate checkpointed entries against their slots.
+//!   No page scan, no retraining.
 //! * **full_rescan** — the pre-durability path: scan every heap page,
 //!   CRC-verify every slot, rebuild the model from scratch.
 //!
@@ -36,6 +37,7 @@ use li_core::pieces::retrain::RetrainPolicy;
 use li_core::pieces::structure::StructureKind;
 use li_core::telemetry::Recorder;
 use li_nvm::{DurabilityTracking, LatencyModel, NvmConfig};
+use li_viper::checkpoint::{newest_manifest, Geometry};
 use li_viper::{DurabilityConfig, RecordLayout, RecoverOptions, StoreConfig, ViperStore};
 use li_workloads::{generate_keys, Dataset};
 
@@ -100,16 +102,32 @@ struct Row {
     rescan_ms: f64,
 }
 
-/// Re-arms the WAL tail: `tail` updates past whatever checkpoint the store
-/// last wrote, plus `tail / 10` deletes (no-ops after the first arming —
-/// the keys are already gone — so the live count is stable across trials).
+/// Re-arms what the crash will find. First a delta chain: `tail / 10`
+/// keys from the middle of the set are deleted and put back (their
+/// mappings change, the live set does not) and one checkpoint appends
+/// them as a delta segment after the base image the store last wrote.
+/// Then the WAL tail: `tail` updates past that checkpoint, plus
+/// `tail / 10` deletes (no-ops after the first arming — the keys are
+/// already gone — so the live count is stable across trials).
 fn arm_tail(
     store: &mut ViperStore<PiecewiseIndex>,
     keys: &[u64],
     tail: usize,
     layout: &RecordLayout,
+    geom: &Geometry,
 ) {
     let mut val = vec![0u8; layout.value_size];
+    let moved = &keys[keys.len() / 2..][..tail / 10];
+    for &k in moved {
+        store.delete(k).expect("chain delete");
+    }
+    for &k in moved {
+        value_of(k, &mut val);
+        store.put(k, &val).expect("chain re-insert");
+    }
+    store.checkpoint_now().expect("chain checkpoint");
+    let named = newest_manifest(store.heap().device(), geom);
+    assert!(named.delta_len >= moved.len() * 16, "no delta chain at crash time: {named:?}");
     for &k in keys.iter().take(tail) {
         value_of(k ^ 0x5a, &mut val);
         store.put(k, &val).expect("tail update");
@@ -196,10 +214,12 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
 
     eprintln!("[{n} keys] loading (checkpoint generation 1 at load)...");
     let cfg = pieces_cfg();
+    let geom = Geometry::compute(config.nvm.capacity, layout.page_size, &durability)
+        .expect("with_durability grew the device to fit");
     let mut store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
         PiecewiseIndex::build_with(cfg, pairs)
     });
-    arm_tail(&mut store, &keys, tail, &layout);
+    arm_tail(&mut store, &keys, tail, &layout, &geom);
     let live = store.len();
     let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };
     let rescan_opts = RecoverOptions { use_checkpoint: false, ..opts };
@@ -207,7 +227,7 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
     eprintln!("[{n} keys] warmup recovery (untimed)...");
     let (warm, _, _) = recover_fast(store, layout, opts, cfg, live);
     store = warm;
-    arm_tail(&mut store, &keys, tail, &layout);
+    arm_tail(&mut store, &keys, tail, &layout, &geom);
 
     let mut fast_ms = f64::INFINITY;
     let mut rescan_ms = f64::INFINITY;
@@ -220,14 +240,14 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
             fast_ms = ms;
             replayed = rep;
         }
-        arm_tail(&mut store, &keys, tail, &layout);
+        arm_tail(&mut store, &keys, tail, &layout, &geom);
         assert_eq!(store.len(), live, "re-arming the tail must not change the live set");
 
         eprintln!("[{n} keys] crash + full_rescan recovery (trial {})...", trial + 1);
         let (s, ms) = recover_rescan(store, layout, rescan_opts, cfg, live);
         store = s;
         rescan_ms = rescan_ms.min(ms);
-        arm_tail(&mut store, &keys, tail, &layout);
+        arm_tail(&mut store, &keys, tail, &layout, &geom);
         assert_eq!(store.len(), live, "re-arming the tail must not change the live set");
     }
 

@@ -1,28 +1,34 @@
-//! Model-checkpointed recovery: periodic snapshots of the live key →
-//! heap-offset map plus the learned index's *model parameters*, written
-//! behind a double-buffered, versioned manifest on the same `li-nvm`
-//! device as the heap and WAL.
+//! Model-checkpointed recovery: snapshots of the live key → heap-offset
+//! map plus the learned index's *model parameters*, written behind a
+//! versioned manifest on the same `li-nvm` device as the heap and WAL.
+//! A checkpoint costs what changed since the previous one: the map is a
+//! **base image** plus a chain of **delta segments** appended after it.
 //!
 //! Layout (top of the device, below the heap — see [`Geometry`]):
 //!
 //! ```text
 //! | heap pages … | WAL ring | blob A | blob B | manifest A | manifest B |
+//! blob slot: | base image | delta 1 | delta 2 | …            (append-only)
 //! ```
 //!
-//! A checkpoint is written in two fenced steps (the classic atomic
-//! pointer swap):
+//! Every checkpoint is two fenced steps (the classic atomic pointer swap):
 //!
-//! 1. serialize the blob into the slot for `generation % 2`, flush, fence;
-//! 2. write the 64-byte manifest for that generation (carrying the blob's
-//!    length and CRC32) into *its* slot for `generation % 2`, flush, fence.
+//! 1. write image bytes, flush, fence — either one delta segment appended
+//!    *past* what the newest manifest names ([`append_delta`]), or, when
+//!    that segment no longer fits the slot, a whole new base image in the
+//!    *other* slot ([`write_base`], a fold);
+//! 2. write the 64-byte manifest of generation `g` into manifest slot
+//!    `g % 2` (replacing generation `g - 2`), flush, fence.
 //!
-//! A crash between the steps leaves the previous manifest intact; a crash
-//! (or lying flush) that corrupts the new blob is caught by the CRC in
-//! the manifest and recovery falls back to the previous generation, or to
-//! a full heap rescan as the last resort. Nothing is ever updated in
-//! place across generations, so there is no torn-manifest window.
+//! Neither step touches a byte the newest manifest names: a delta only
+//! appends, so the older manifest — which names a prefix of the same chain
+//! — stays valid too; a fold writes the slot the newest manifest does not
+//! name. A crash between the steps therefore leaves the previous
+//! generation intact, and corruption is caught by the CRCs in the
+//! manifest: recovery falls back to the previous generation, or to a full
+//! heap rescan as the last resort.
 //!
-//! Blob format (little-endian):
+//! Base image (little-endian; bulk load, recovery and folds write one):
 //!
 //! ```text
 //! magic(8) ‖ watermark(8) ‖ next_seq(8) ‖ pages_hwm(8)
@@ -31,9 +37,17 @@
 //!          ‖ model bytes
 //! ```
 //!
+//! Delta segment (one per steady-state checkpoint):
+//!
+//! ```text
+//! magic(8) ‖ watermark(8) ‖ next_seq(8) ‖ pages_hwm(8) ‖ entry_count(8)
+//!          ‖ entries: entry_count × (key(8) ‖ offset(8) | TOMBSTONE)
+//! ```
+//!
 //! Entries are sorted by key so recovery can hand them straight to an
-//! index builder. The blob has no internal CRC — the manifest carries it,
-//! so a blob is only ever trusted through a manifest that names it.
+//! index builder. Neither structure carries its own CRC — the manifest
+//! carries one over the base and a running one over the whole chain, so
+//! image bytes are only ever trusted through a manifest that names them.
 
 use li_core::telemetry::{Event, Recorder};
 use li_nvm::NvmDevice;
@@ -42,17 +56,25 @@ use crate::error::ViperError;
 use crate::layout::Crc32;
 use crate::wal::{write_retry, WAL_RECORD};
 
-/// Magic tag opening every checkpoint blob ("LIPCKPT1").
+/// Magic tag opening every base image ("LIPCKPT1").
 const BLOB_MAGIC: u64 = 0x4C49_5043_4B50_5431;
-/// Magic tag opening every manifest slot ("LIPMANI1").
-const MANIFEST_MAGIC: u64 = 0x4C49_504D_414E_4931;
+/// Magic tag opening every delta segment ("LIPDELT1").
+const DELTA_MAGIC: u64 = 0x4C49_5044_454C_5431;
+/// Magic tag opening every manifest slot ("LIPMANI2").
+const MANIFEST_MAGIC: u64 = 0x4C49_504D_414E_4932;
 /// Fixed manifest slot size (two slots live at the very top of the device).
 pub const MANIFEST_SIZE: usize = 64;
-/// Serialized blob header size.
+/// Manifest bytes its own CRC covers.
+const MANIFEST_BODY: usize = 56;
+/// Serialized base-image header size.
 const BLOB_HEADER: usize = 48;
+/// Serialized delta-segment header size.
+const DELTA_HEADER: usize = 40;
 /// Bytes per (key, offset) entry.
 const ENTRY: usize = 16;
-/// Blob bytes are written in chunks of this size, each with bounded retry.
+/// Offset a delta entry carries for a key the index no longer holds.
+pub const TOMBSTONE: u64 = u64::MAX;
+/// Image bytes are written in chunks of this size, each with bounded retry.
 const WRITE_CHUNK: usize = 1 << 16;
 
 /// Sizing knobs for the durability region. `None` durability (the
@@ -64,8 +86,10 @@ pub struct DurabilityConfig {
     /// checkpoint) once this many un-checkpointed records accumulate.
     pub wal_records: u64,
     /// Capacity of each checkpoint blob slot in bytes (two slots are
-    /// reserved). Must cover the live-entry table plus the serialized
-    /// index model at the largest expected population.
+    /// reserved). Must cover the base image — the live-entry table plus
+    /// the serialized index model — at the largest expected population;
+    /// whatever the base leaves free holds delta segments, and the less
+    /// that is, the sooner a checkpoint has to fold.
     pub checkpoint_bytes: usize,
     /// The maintenance worker writes a checkpoint once the WAL lag
     /// reaches this many records.
@@ -135,9 +159,12 @@ impl Geometry {
     }
 }
 
-/// One checkpoint's content: the live map snapshot, the counters recovery
+/// One checkpoint image: the live map snapshot, the counters recovery
 /// needs to resume, and (optionally) the learned index's serialized model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A base image serializes one; a delta segment is one whose `entries` are
+/// the changed keys only (offset [`TOMBSTONE`] = deleted) and whose model
+/// is empty; [`load_image`] returns one with the delta chain merged in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointBlob {
     /// Highest LSN whose effect this snapshot includes; recovery replays
     /// the WAL strictly after it.
@@ -146,11 +173,23 @@ pub struct CheckpointBlob {
     pub next_seq: u64,
     /// Pages allocated at snapshot time (heap high-water mark).
     pub pages_hwm: u64,
-    /// Live `(key, heap slot offset)` pairs, sorted by key.
+    /// `(key, heap slot offset)` pairs, sorted by key.
     pub entries: Vec<(u64, u64)>,
     /// Serialized index model (empty when the index has none to save;
     /// recovery then retrains from the entries).
     pub model: Vec<u8>,
+}
+
+/// Little-endian `u64` at byte `at` of `buf`; `None` past the end.
+fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
+    let bytes = buf.get(at..at.checked_add(8)?)?;
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
+
+/// `count` serialized entries starting at byte `at` of `buf`.
+fn read_entries(buf: &[u8], at: usize, count: usize) -> Option<Vec<(u64, u64)>> {
+    let bytes = buf.get(at..at.checked_add(count.checked_mul(ENTRY)?)?)?;
+    bytes.chunks_exact(ENTRY).map(|e| Some((le_u64(e, 0)?, le_u64(e, 8)?))).collect()
 }
 
 impl CheckpointBlob {
@@ -158,93 +197,182 @@ impl CheckpointBlob {
         BLOB_HEADER + self.entries.len() * ENTRY + self.model.len()
     }
 
-    fn serialize(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.serialized_len());
-        buf.extend_from_slice(&BLOB_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&self.watermark.to_le_bytes());
-        buf.extend_from_slice(&self.next_seq.to_le_bytes());
-        buf.extend_from_slice(&self.pages_hwm.to_le_bytes());
-        buf.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.model.len() as u64).to_le_bytes());
+    /// Bytes of this blob as a delta segment.
+    fn delta_len(&self) -> usize {
+        DELTA_HEADER + self.entries.len() * ENTRY
+    }
+
+    /// `magic ‖ counters ‖ entry_count`, the prefix both formats share.
+    fn put_head(&self, magic: u64, buf: &mut Vec<u8>) {
+        for word in
+            [magic, self.watermark, self.next_seq, self.pages_hwm, self.entries.len() as u64]
+        {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// Reads back what [`CheckpointBlob::put_head`] wrote: the counters
+    /// (entries and model still empty) and the entry count, if `buf`
+    /// opens with `magic`.
+    fn take_head(buf: &[u8], magic: u64) -> Option<(CheckpointBlob, usize)> {
+        if le_u64(buf, 0)? != magic {
+            return None;
+        }
+        let head = CheckpointBlob {
+            watermark: le_u64(buf, 8)?,
+            next_seq: le_u64(buf, 16)?,
+            pages_hwm: le_u64(buf, 24)?,
+            ..CheckpointBlob::default()
+        };
+        Some((head, usize::try_from(le_u64(buf, 32)?).ok()?))
+    }
+
+    fn put_entries(&self, buf: &mut Vec<u8>) {
         for &(key, offset) in &self.entries {
             buf.extend_from_slice(&key.to_le_bytes());
             buf.extend_from_slice(&offset.to_le_bytes());
         }
+    }
+
+    fn serialize(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.serialized_len());
+        self.put_head(BLOB_MAGIC, &mut buf);
+        buf.extend_from_slice(&(self.model.len() as u64).to_le_bytes());
+        self.put_entries(&mut buf);
         buf.extend_from_slice(&self.model);
         buf
     }
 
     fn deserialize(buf: &[u8]) -> Option<CheckpointBlob> {
-        if buf.len() < BLOB_HEADER {
+        let (mut blob, entry_count) = Self::take_head(buf, BLOB_MAGIC)?;
+        let model_len = usize::try_from(le_u64(buf, 40)?).ok()?;
+        let model_at = BLOB_HEADER.checked_add(entry_count.checked_mul(ENTRY)?)?;
+        if buf.len() != model_at.checked_add(model_len)? {
             return None;
         }
-        let word = |i: usize| u64::from_le_bytes(buf[i * 8..i * 8 + 8].try_into().unwrap());
-        if word(0) != BLOB_MAGIC {
-            return None;
-        }
-        let entry_count = word(4) as usize;
-        let model_len = word(5) as usize;
-        let need =
-            BLOB_HEADER.checked_add(entry_count.checked_mul(ENTRY)?)?.checked_add(model_len)?;
-        if buf.len() != need {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(entry_count);
-        let mut at = BLOB_HEADER;
-        for _ in 0..entry_count {
-            let key = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-            let offset = u64::from_le_bytes(buf[at + 8..at + 16].try_into().unwrap());
-            entries.push((key, offset));
-            at += ENTRY;
-        }
-        Some(CheckpointBlob {
-            watermark: word(1),
-            next_seq: word(2),
-            pages_hwm: word(3),
-            entries,
-            model: buf[at..].to_vec(),
-        })
+        blob.entries = read_entries(buf, BLOB_HEADER, entry_count)?;
+        blob.model = buf.get(model_at..)?.to_vec();
+        Some(blob)
+    }
+
+    /// This blob as one delta segment (the model is not part of it).
+    fn serialize_delta(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.delta_len());
+        self.put_head(DELTA_MAGIC, &mut buf);
+        self.put_entries(&mut buf);
+        buf
+    }
+
+    /// Decodes the delta segment opening `chain` (which may go on past it:
+    /// the next one starts [`CheckpointBlob::delta_len`] bytes in).
+    fn decode_delta(chain: &[u8]) -> Option<CheckpointBlob> {
+        let (mut delta, entry_count) = Self::take_head(chain, DELTA_MAGIC)?;
+        delta.entries = read_entries(chain, DELTA_HEADER, entry_count)?;
+        Some(delta)
     }
 }
 
-/// The 64-byte versioned pointer to a blob. Recovery trusts the
-/// highest-generation manifest whose own CRC *and* blob CRC both verify.
+/// `base` with `overlay` applied: the one merge behind every image this
+/// module or recovery assembles (base ⊕ delta chain, image ⊕ WAL tail,
+/// image ⊕ change list). Both inputs are sorted by key with no repeats;
+/// an overlay entry replaces the base entry of its key, `None` removes it.
+pub fn merge_overlay(
+    base: &[(u64, u64)],
+    overlay: impl IntoIterator<Item = (u64, Option<u64>)>,
+) -> Vec<(u64, u64)> {
+    let mut ov = overlay.into_iter().peekable();
+    let mut out = Vec::with_capacity(base.len() + ov.size_hint().0);
+    for &(key, offset) in base {
+        // Overlay-only keys sorting before this base key slot in here.
+        while let Some(&(ok, oslot)) = ov.peek() {
+            if ok >= key {
+                break;
+            }
+            ov.next();
+            out.extend(oslot.map(|off| (ok, off)));
+        }
+        match ov.peek() {
+            Some(&(ok, oslot)) if ok == key => {
+                ov.next();
+                out.extend(oslot.map(|off| (key, off)));
+            }
+            _ => out.push((key, offset)),
+        }
+    }
+    out.extend(ov.filter_map(|(ok, oslot)| oslot.map(|off| (ok, off))));
+    out
+}
+
+/// Delta entries as [`merge_overlay`] takes them: a tombstone removes.
+pub fn delta_overlay(entries: &[(u64, u64)]) -> impl Iterator<Item = (u64, Option<u64>)> + '_ {
+    entries.iter().map(|&(key, offset)| (key, (offset != TOMBSTONE).then_some(offset)))
+}
+
+/// The 64-byte versioned pointer to an image: a base of `base_len` bytes
+/// at the start of blob slot `slot`, followed by `delta_len` bytes of
+/// delta segments. Recovery trusts the highest-generation manifest whose
+/// own CRC *and* both image CRCs verify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Manifest {
     pub generation: u64,
-    pub blob_slot: u64,
-    pub blob_len: u64,
-    pub blob_crc: u32,
+    /// Watermark of the image's last segment (the base's when no delta
+    /// follows it).
+    pub watermark: u64,
+    pub slot: usize,
+    pub base_len: usize,
+    pub base_crc: u32,
+    pub delta_len: usize,
+    /// CRC over all `delta_len` chain bytes. [`Crc32::resume`] continues
+    /// it, so naming one more segment costs that segment's bytes only.
+    pub delta_crc: u32,
 }
 
 impl Manifest {
+    /// What a device with no checkpoint names: generation 0, the empty
+    /// image. Its slot is 1, so the first base image goes to slot 0.
+    pub const NONE: Manifest = Manifest {
+        generation: 0,
+        watermark: 0,
+        slot: 1,
+        base_len: 0,
+        base_crc: 0,
+        delta_len: 0,
+        delta_crc: 0,
+    };
+
     fn encode(&self) -> [u8; MANIFEST_SIZE] {
         let mut buf = [0u8; MANIFEST_SIZE];
-        buf[..8].copy_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.generation.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.blob_slot.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.blob_len.to_le_bytes());
-        buf[32..36].copy_from_slice(&self.blob_crc.to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&buf[..36]);
-        buf[36..40].copy_from_slice(&crc.finish().to_le_bytes());
+        let words = [
+            MANIFEST_MAGIC,
+            self.generation,
+            self.watermark,
+            self.slot as u64,
+            self.base_len as u64,
+            self.delta_len as u64,
+        ];
+        for (i, word) in words.iter().enumerate() {
+            buf[i * 8..i * 8 + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        buf[48..52].copy_from_slice(&self.base_crc.to_le_bytes());
+        buf[52..MANIFEST_BODY].copy_from_slice(&self.delta_crc.to_le_bytes());
+        let crc = crc_of(&buf[..MANIFEST_BODY]);
+        buf[MANIFEST_BODY..MANIFEST_BODY + 4].copy_from_slice(&crc.to_le_bytes());
         buf
     }
 
     fn decode(buf: &[u8; MANIFEST_SIZE]) -> Option<Manifest> {
-        if u64::from_le_bytes(buf[..8].try_into().unwrap()) != MANIFEST_MAGIC {
-            return None;
-        }
-        let mut crc = Crc32::new();
-        crc.update(&buf[..36]);
-        if crc.finish() != u32::from_le_bytes(buf[36..40].try_into().unwrap()) {
+        let le_u32 = |at: usize| Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?));
+        if le_u64(buf, 0)? != MANIFEST_MAGIC || crc_of(&buf[..MANIFEST_BODY]) != le_u32(56)? {
             return None;
         }
         Some(Manifest {
-            generation: u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-            blob_slot: u64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            blob_len: u64::from_le_bytes(buf[24..32].try_into().unwrap()),
-            blob_crc: u32::from_le_bytes(buf[32..36].try_into().unwrap()),
+            generation: le_u64(buf, 8)?,
+            watermark: le_u64(buf, 16)?,
+            slot: (le_u64(buf, 24)? % 2) as usize,
+            base_len: usize::try_from(le_u64(buf, 32)?).ok()?,
+            delta_len: usize::try_from(le_u64(buf, 40)?).ok()?,
+            base_crc: le_u32(48)?,
+            delta_crc: le_u32(52)?,
         })
     }
 }
@@ -255,68 +383,184 @@ fn crc_of(data: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Writes `blob` as checkpoint `generation` (blob, flush, fence, then
-/// manifest, flush, fence). Returns [`ViperError::DeviceFull`] when the
-/// serialized blob outgrows its slot — the caller should treat the
-/// checkpoint as skipped, not the store as broken.
-pub fn write_checkpoint(
+/// Step 1 of a checkpoint: image bytes at device offset `at`, durable.
+fn write_image(
+    dev: &NvmDevice,
+    recorder: &Recorder,
+    at: usize,
+    bytes: &[u8],
+) -> Result<(), ViperError> {
+    for (i, chunk) in bytes.chunks(WRITE_CHUNK).enumerate() {
+        write_retry(dev, recorder, at + i * WRITE_CHUNK, chunk)?;
+    }
+    dev.try_flush(at, bytes.len())?;
+    dev.try_fence()?;
+    Ok(())
+}
+
+/// Step 2 of a checkpoint: names the image, durably, in the manifest
+/// slot of the older generation.
+fn write_manifest(
     dev: &NvmDevice,
     recorder: &Recorder,
     geom: &Geometry,
-    generation: u64,
-    blob: &CheckpointBlob,
+    manifest: &Manifest,
 ) -> Result<(), ViperError> {
-    let bytes = blob.serialize();
-    if bytes.len() > geom.blob_capacity {
-        return Err(ViperError::DeviceFull);
-    }
-    let slot = (generation % 2) as usize;
-    let base = geom.blob_base[slot];
-    for (i, chunk) in bytes.chunks(WRITE_CHUNK).enumerate() {
-        write_retry(dev, recorder, base + i * WRITE_CHUNK, chunk)?;
-    }
-    dev.try_flush(base, bytes.len())?;
-    dev.try_fence()?;
-    let manifest = Manifest {
-        generation,
-        blob_slot: slot as u64,
-        blob_len: bytes.len() as u64,
-        blob_crc: crc_of(&bytes),
-    };
-    write_retry(dev, recorder, geom.manifest_base[slot], &manifest.encode())?;
-    dev.try_flush(geom.manifest_base[slot], MANIFEST_SIZE)?;
+    let at = geom.manifest_base[(manifest.generation % 2) as usize];
+    write_retry(dev, recorder, at, &manifest.encode())?;
+    dev.try_flush(at, MANIFEST_SIZE)?;
     dev.try_fence()?;
     recorder.event(Event::CheckpointWritten);
     Ok(())
 }
 
+/// Writes `blob` as a whole new base image — into the blob slot `newest`
+/// does not name — and names it as the generation after `newest`. Returns
+/// [`ViperError::DeviceFull`] when the serialized blob outgrows its slot:
+/// the caller should treat the checkpoint as skipped, not the store as
+/// broken.
+pub fn write_base(
+    dev: &NvmDevice,
+    recorder: &Recorder,
+    geom: &Geometry,
+    newest: &Manifest,
+    blob: &CheckpointBlob,
+) -> Result<Manifest, ViperError> {
+    let bytes = blob.serialize();
+    if bytes.len() > geom.blob_capacity {
+        return Err(ViperError::DeviceFull);
+    }
+    let slot = 1 - newest.slot;
+    write_image(dev, recorder, geom.blob_base[slot], &bytes)?;
+    let manifest = Manifest {
+        generation: newest.generation + 1,
+        watermark: blob.watermark,
+        slot,
+        base_len: bytes.len(),
+        base_crc: crc_of(&bytes),
+        ..Manifest::NONE
+    };
+    write_manifest(dev, recorder, geom, &manifest)?;
+    Ok(manifest)
+}
+
+/// Appends `delta` as one segment after the image `newest` names and
+/// names the longer chain as the next generation. `Ok(None)`, with
+/// nothing written, when the segment does not fit what the slot has left:
+/// the caller folds instead.
+pub fn append_delta(
+    dev: &NvmDevice,
+    recorder: &Recorder,
+    geom: &Geometry,
+    newest: &Manifest,
+    delta: &CheckpointBlob,
+) -> Result<Option<Manifest>, ViperError> {
+    let used = newest.base_len + newest.delta_len;
+    if used + delta.delta_len() > geom.blob_capacity {
+        return Ok(None);
+    }
+    let bytes = delta.serialize_delta();
+    write_image(dev, recorder, geom.blob_base[newest.slot] + used, &bytes)?;
+    let mut crc = Crc32::resume(newest.delta_crc);
+    crc.update(&bytes);
+    let manifest = Manifest {
+        generation: newest.generation + 1,
+        watermark: delta.watermark,
+        delta_len: newest.delta_len + bytes.len(),
+        delta_crc: crc.finish(),
+        ..*newest
+    };
+    write_manifest(dev, recorder, geom, &manifest)?;
+    Ok(Some(manifest))
+}
+
+/// Reads the image `manifest` names back from the device and merges its
+/// delta chain into its base: the map as of `manifest.watermark`, with
+/// the last segment's counters and the base's model. `None` when a CRC or
+/// a decode fails anywhere in it.
+pub fn load_image(dev: &NvmDevice, geom: &Geometry, manifest: &Manifest) -> Option<CheckpointBlob> {
+    if manifest.base_len.checked_add(manifest.delta_len)? > geom.blob_capacity {
+        return None;
+    }
+    let mut bytes = vec![0u8; manifest.base_len + manifest.delta_len];
+    dev.read_into(geom.blob_base[manifest.slot], &mut bytes);
+    let (base, mut chain) = bytes.split_at(manifest.base_len);
+    if crc_of(base) != manifest.base_crc || crc_of(chain) != manifest.delta_crc {
+        return None;
+    }
+    // A store that has not written a base yet checkpoints onto the empty
+    // image.
+    let mut image = if base.is_empty() {
+        CheckpointBlob::default()
+    } else {
+        CheckpointBlob::deserialize(base)?
+    };
+    // The entry table is key-sorted by construction; one that somehow
+    // isn't is sorted here rather than trusted.
+    if !image.entries.is_sorted_by_key(|e| e.0) {
+        image.entries.sort_unstable_by_key(|e| e.0);
+        image.entries.dedup_by_key(|e| e.0);
+    }
+    let mut changes: Vec<(u64, u64)> = Vec::new();
+    while !chain.is_empty() {
+        let delta = CheckpointBlob::decode_delta(chain)?;
+        chain = chain.get(delta.delta_len()..)?;
+        image.watermark = delta.watermark;
+        image.next_seq = delta.next_seq;
+        image.pages_hwm = delta.pages_hwm;
+        changes.extend(delta.entries);
+    }
+    if image.watermark != manifest.watermark {
+        return None;
+    }
+    if !changes.is_empty() {
+        // Segments are sorted runs in chain order, so a stable sort keeps
+        // a key's entries oldest to newest; the newest one decides
+        // (`dedup` keeps the first of a run, hence the reversals).
+        changes.sort_by_key(|e| e.0);
+        changes.reverse();
+        changes.dedup_by_key(|e| e.0);
+        changes.reverse();
+        image.entries = merge_overlay(&image.entries, delta_overlay(&changes));
+    }
+    Some(image)
+}
+
+/// Both manifest slots, CRC-valid ones decoded and newest first, plus how
+/// many slots looked written at all.
+fn read_manifests(dev: &NvmDevice, geom: &Geometry) -> (Vec<Manifest>, usize) {
+    let mut manifests: Vec<Manifest> = Vec::with_capacity(2);
+    let mut raw_written = 0usize;
+    for at in geom.manifest_base {
+        let mut buf = [0u8; MANIFEST_SIZE];
+        dev.read_into(at, &mut buf);
+        raw_written += usize::from(buf.iter().any(|&b| b != 0));
+        manifests.extend(Manifest::decode(&buf));
+    }
+    manifests.sort_by_key(|m| std::cmp::Reverse(m.generation));
+    (manifests, raw_written)
+}
+
+/// The highest-generation CRC-valid manifest, without validating its
+/// image ([`Manifest::NONE`] when neither slot decodes). A recovery that
+/// bypasses the checkpoint (forced rescan) must still number its fresh
+/// checkpoint above every existing manifest, or the next recovery would
+/// prefer the stale one — and must not write it over the image this
+/// manifest names.
+pub fn newest_manifest(dev: &NvmDevice, geom: &Geometry) -> Manifest {
+    read_manifests(dev, geom).0.first().copied().unwrap_or(Manifest::NONE)
+}
+
 /// A checkpoint recovered from the device, plus how many newer-or-equal
-/// manifest generations had to be rejected (CRC or blob validation
+/// manifest generations had to be rejected (CRC or image validation
 /// failure) before this one verified.
 #[derive(Debug)]
 pub struct LoadedCheckpoint {
-    pub generation: u64,
+    pub manifest: Manifest,
     pub blob: CheckpointBlob,
     /// Manifest slots that looked written but failed validation; each is
     /// surfaced as a quarantine-style telemetry event by the caller.
     pub rejected: usize,
-}
-
-/// Highest generation named by any CRC-valid manifest slot, without
-/// validating the blobs (0 when neither slot decodes). A recovery that
-/// bypasses the checkpoint (forced rescan) must still number its fresh
-/// checkpoint above every existing manifest, or the next recovery would
-/// prefer the stale one.
-pub fn latest_generation(dev: &NvmDevice, geom: &Geometry) -> u64 {
-    let mut max = 0u64;
-    for slot in 0..2 {
-        let mut buf = [0u8; MANIFEST_SIZE];
-        dev.read_into(geom.manifest_base[slot], &mut buf);
-        if let Some(m) = Manifest::decode(&buf) {
-            max = max.max(m.generation);
-        }
-    }
-    max
 }
 
 /// Reads both manifest slots and returns the newest fully-verified
@@ -324,37 +568,11 @@ pub fn latest_generation(dev: &NvmDevice, geom: &Geometry) -> u64 {
 /// corrupt. `None` means no usable checkpoint exists (fresh device, or
 /// both generations corrupt) and the caller must rescan the heap.
 pub fn load_latest(dev: &NvmDevice, geom: &Geometry) -> Option<LoadedCheckpoint> {
-    let mut candidates: Vec<Manifest> = Vec::with_capacity(2);
-    let mut raw_written = 0usize;
-    for slot in 0..2 {
-        let mut buf = [0u8; MANIFEST_SIZE];
-        dev.read_into(geom.manifest_base[slot], &mut buf);
-        if buf.iter().any(|&b| b != 0) {
-            raw_written += 1;
-        }
-        if let Some(m) = Manifest::decode(&buf) {
-            candidates.push(m);
-        }
-    }
-    candidates.sort_by_key(|m| std::cmp::Reverse(m.generation));
-    let mut rejected = raw_written.saturating_sub(candidates.len());
-    for m in candidates {
-        let slot = (m.blob_slot % 2) as usize;
-        let len = m.blob_len as usize;
-        if len > geom.blob_capacity {
-            rejected += 1;
-            continue;
-        }
-        let mut bytes = vec![0u8; len];
-        dev.read_into(geom.blob_base[slot], &mut bytes);
-        if crc_of(&bytes) != m.blob_crc {
-            rejected += 1;
-            continue;
-        }
-        match CheckpointBlob::deserialize(&bytes) {
-            Some(blob) => {
-                return Some(LoadedCheckpoint { generation: m.generation, blob, rejected })
-            }
+    let (manifests, raw_written) = read_manifests(dev, geom);
+    let mut rejected = raw_written - manifests.len();
+    for manifest in manifests {
+        match load_image(dev, geom, &manifest) {
+            Some(blob) => return Some(LoadedCheckpoint { manifest, blob, rejected }),
             None => rejected += 1,
         }
     }
@@ -404,6 +622,27 @@ mod tests {
         assert!(Geometry::compute(cfg.region_bytes() + 100, 4096, &cfg).is_none());
     }
 
+    /// A delta of `keys` (key → key * 7; `TOMBSTONE` for the odd ones).
+    fn sample_delta(watermark: u64, keys: &[u64]) -> CheckpointBlob {
+        CheckpointBlob {
+            watermark,
+            next_seq: 100 + watermark,
+            pages_hwm: 4,
+            entries: keys
+                .iter()
+                .map(|&k| (k, if k % 2 == 1 { TOMBSTONE } else { k * 7 }))
+                .collect(),
+            model: Vec::new(),
+        }
+    }
+
+    fn flip_byte(dev: &NvmDevice, off: usize) {
+        let mut b = [0u8; 1];
+        dev.read_into(off, &mut b);
+        dev.write(off, &[b[0] ^ 0xFF]);
+        dev.persist(off, 1);
+    }
+
     #[test]
     fn blob_roundtrip() {
         let blob = sample_blob(17);
@@ -415,33 +654,126 @@ mod tests {
     }
 
     #[test]
-    fn write_then_load_latest() {
-        let (dev, geom) = test_geom();
-        let rec = Recorder::enabled();
-        write_checkpoint(&dev, &rec, &geom, 1, &sample_blob(5)).unwrap();
-        write_checkpoint(&dev, &rec, &geom, 2, &sample_blob(9)).unwrap();
-        let loaded = load_latest(&dev, &geom).expect("checkpoint");
-        assert_eq!(loaded.generation, 2);
-        assert_eq!(loaded.blob.watermark, 9);
-        assert_eq!(loaded.rejected, 0);
-        assert_eq!(rec.snapshot().event(Event::CheckpointWritten), 2);
+    fn delta_roundtrip_and_truncation() {
+        let delta = sample_delta(9, &[1, 4, 6]);
+        let bytes = delta.serialize_delta();
+        assert_eq!(bytes.len(), delta.delta_len());
+        assert_eq!(CheckpointBlob::decode_delta(&bytes), Some(delta));
+        assert_eq!(CheckpointBlob::decode_delta(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(CheckpointBlob::decode_delta(&[]), None);
+        // A count no buffer could hold is refused, not multiplied out.
+        let mut huge = bytes.clone();
+        huge[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(CheckpointBlob::decode_delta(&huge), None);
     }
 
     #[test]
-    fn corrupt_newest_blob_falls_back_a_generation() {
+    fn manifest_roundtrip_and_crc() {
+        let m = Manifest {
+            generation: 7,
+            watermark: 99,
+            slot: 1,
+            base_len: 4_096,
+            base_crc: 0xDEAD_BEEF,
+            delta_len: 80,
+            delta_crc: 0x1234_5678,
+        };
+        let mut buf = m.encode();
+        assert_eq!(Manifest::decode(&buf), Some(m));
+        buf[17] ^= 1;
+        assert_eq!(Manifest::decode(&buf), None);
+        assert_eq!(Manifest::decode(&[0u8; MANIFEST_SIZE]), None);
+    }
+
+    #[test]
+    fn merge_overlay_replaces_removes_and_inserts() {
+        let base = [(2, 20), (4, 40), (6, 60)];
+        let overlay = [(1, Some(11)), (2, None), (4, Some(44)), (5, None), (9, Some(99))];
+        assert_eq!(merge_overlay(&base, overlay), vec![(1, 11), (4, 44), (6, 60), (9, 99)]);
+        assert_eq!(merge_overlay(&base, []), base.to_vec());
+        assert_eq!(merge_overlay(&[], [(3, Some(30)), (4, None)]), vec![(3, 30)]);
+    }
+
+    #[test]
+    fn base_then_deltas_load_as_one_image() {
         let (dev, geom) = test_geom();
         let rec = Recorder::enabled();
-        write_checkpoint(&dev, &rec, &geom, 1, &sample_blob(5)).unwrap();
-        write_checkpoint(&dev, &rec, &geom, 2, &sample_blob(9)).unwrap();
-        // Flip a byte inside generation 2's blob (slot 0).
-        let off = geom.blob_base[0] + 60;
-        let mut b = [0u8; 1];
-        dev.read_into(off, &mut b);
-        dev.write(off, &[b[0] ^ 0xFF]);
-        dev.persist(off, 1);
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        assert_eq!((g1.generation, g1.slot, g1.delta_len), (1, 0, 0));
+        // Key 3 is deleted, 6 re-pointed, 1 000 inserted; then 6 deleted
+        // and 3 re-inserted by a second segment: the newest entry wins.
+        let g2 = append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[3, 6, 1_000]))
+            .unwrap()
+            .expect("fits");
+        let g3 = append_delta(&dev, &rec, &geom, &g2, &sample_delta(12, &[6])).unwrap().unwrap();
+        assert_eq!((g3.generation, g3.slot, g3.base_len), (3, 0, g1.base_len));
+        let loaded = load_latest(&dev, &geom).expect("checkpoint");
+        assert_eq!(loaded.manifest, g3);
+        assert_eq!(loaded.rejected, 0);
+        let image = loaded.blob;
+        assert_eq!((image.watermark, image.next_seq, image.pages_hwm), (12, 112, 4));
+        assert_eq!(image.model, vec![1, 2, 3, 4, 5], "the base's model survives the chain");
+        let mut want: Vec<(u64, u64)> = (0..50u64).map(|k| (k * 3, k * 64)).collect();
+        want.retain(|e| e.0 != 3);
+        want.iter_mut().find(|e| e.0 == 6).unwrap().1 = 42;
+        want.push((1_000, 7_000));
+        assert_eq!(image.entries, want);
+        // Appending never touched what the older manifest names.
+        assert_eq!(load_image(&dev, &geom, &g2).unwrap().watermark, 9);
+        assert_eq!(rec.snapshot().event(Event::CheckpointWritten), 3);
+    }
+
+    #[test]
+    fn deltas_on_the_empty_image_need_no_base() {
+        let (dev, geom) = test_geom();
+        let rec = Recorder::disabled();
+        let g1 = append_delta(&dev, &rec, &geom, &Manifest::NONE, &sample_delta(3, &[2, 5, 8]))
+            .unwrap()
+            .unwrap();
+        assert_eq!((g1.slot, g1.base_len), (1, 0));
+        let image = load_latest(&dev, &geom).unwrap().blob;
+        assert_eq!(image.entries, vec![(2, 14), (8, 56)]);
+        assert_eq!(image.watermark, 3);
+    }
+
+    #[test]
+    fn corrupt_newest_delta_falls_back_a_generation() {
+        let (dev, geom) = test_geom();
+        let rec = Recorder::enabled();
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        let g2 = append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[6])).unwrap().unwrap();
+        let g3 = append_delta(&dev, &rec, &geom, &g2, &sample_delta(12, &[9])).unwrap().unwrap();
+        flip_byte(&dev, geom.blob_base[0] + g3.base_len + g3.delta_len - 1);
         let loaded = load_latest(&dev, &geom).expect("fallback generation");
-        assert_eq!(loaded.generation, 1);
-        assert_eq!(loaded.blob.watermark, 5);
+        assert_eq!(loaded.manifest, g2);
+        assert_eq!(loaded.blob.watermark, 9);
+        assert_eq!(loaded.rejected, 1);
+    }
+
+    #[test]
+    fn corrupt_shared_base_means_rescan() {
+        let (dev, geom) = test_geom();
+        let rec = Recorder::enabled();
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[6])).unwrap().unwrap();
+        flip_byte(&dev, geom.blob_base[0] + 60);
+        assert!(load_latest(&dev, &geom).is_none());
+    }
+
+    #[test]
+    fn fold_goes_to_the_other_slot_and_keeps_the_old_chain() {
+        let (dev, geom) = test_geom();
+        let rec = Recorder::enabled();
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        let g2 = append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[6])).unwrap().unwrap();
+        let g3 = write_base(&dev, &rec, &geom, &g2, &sample_blob(12)).unwrap();
+        assert_eq!((g3.generation, g3.slot), (3, 1));
+        assert_eq!(load_latest(&dev, &geom).unwrap().manifest, g3);
+        // The fold in slot 1 is shredded: generation 2's chain in slot 0
+        // is still whole.
+        flip_byte(&dev, geom.blob_base[1] + 60);
+        let loaded = load_latest(&dev, &geom).expect("fallback generation");
+        assert_eq!(loaded.manifest, g2);
         assert_eq!(loaded.rejected, 1);
     }
 
@@ -449,42 +781,51 @@ mod tests {
     fn truncated_manifest_falls_back_a_generation() {
         let (dev, geom) = test_geom();
         let rec = Recorder::enabled();
-        write_checkpoint(&dev, &rec, &geom, 1, &sample_blob(5)).unwrap();
-        write_checkpoint(&dev, &rec, &geom, 2, &sample_blob(9)).unwrap();
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[6])).unwrap().unwrap();
         // Zero the tail of generation 2's manifest (slot 0): the CRC no
         // longer verifies, exactly like a torn manifest write.
         let base = geom.manifest_base[0];
         dev.write(base + 20, &[0u8; MANIFEST_SIZE - 20]);
         dev.persist(base, MANIFEST_SIZE);
         let loaded = load_latest(&dev, &geom).expect("fallback generation");
-        assert_eq!(loaded.generation, 1);
+        assert_eq!(loaded.manifest, g1);
         assert_eq!(loaded.rejected, 1);
+        assert_eq!(newest_manifest(&dev, &geom), g1);
     }
 
     #[test]
     fn both_generations_corrupt_means_rescan() {
         let (dev, geom) = test_geom();
         let rec = Recorder::enabled();
-        write_checkpoint(&dev, &rec, &geom, 1, &sample_blob(5)).unwrap();
-        write_checkpoint(&dev, &rec, &geom, 2, &sample_blob(9)).unwrap();
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &[6])).unwrap().unwrap();
         for slot in 0..2 {
             dev.write(geom.manifest_base[slot] + 8, &[0xEE; 8]);
             dev.persist(geom.manifest_base[slot], MANIFEST_SIZE);
         }
         assert!(load_latest(&dev, &geom).is_none());
+        assert_eq!(newest_manifest(&dev, &geom), Manifest::NONE);
     }
 
     #[test]
-    fn oversized_blob_is_refused_not_written() {
+    fn oversized_base_is_refused_and_a_delta_past_the_slot_asks_for_a_fold() {
         let (dev, geom) = test_geom();
         let rec = Recorder::enabled();
         let mut blob = sample_blob(1);
         blob.entries = (0..2048u64).map(|k| (k, k)).collect();
         assert!(blob.serialized_len() > geom.blob_capacity);
         assert!(matches!(
-            write_checkpoint(&dev, &rec, &geom, 1, &blob),
+            write_base(&dev, &rec, &geom, &Manifest::NONE, &blob),
             Err(ViperError::DeviceFull)
         ));
         assert!(load_latest(&dev, &geom).is_none());
+
+        let g1 = write_base(&dev, &rec, &geom, &Manifest::NONE, &sample_blob(5)).unwrap();
+        let writes = dev.stats_snapshot().writes;
+        let keys: Vec<u64> = (0..1_024u64).collect();
+        assert_eq!(append_delta(&dev, &rec, &geom, &g1, &sample_delta(9, &keys)).unwrap(), None);
+        assert_eq!(dev.stats_snapshot().writes, writes, "a refused delta writes nothing");
+        assert_eq!(load_latest(&dev, &geom).unwrap().manifest, g1);
     }
 }

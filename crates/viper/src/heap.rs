@@ -571,8 +571,9 @@ impl RecordHeap {
     }
 
     /// Snapshot of every live, checksum-valid record as sorted
-    /// `(key, offset)` pairs — the entry table of a checkpoint blob.
-    /// Duplicate live records of one key (a swallowed retirement) resolve
+    /// `(key, offset)` pairs — the entry table of a base image when the
+    /// store has no verified image left to fold (checkpoints otherwise
+    /// never read the heap). Duplicate live records of one key (a swallowed retirement) resolve
     /// to the highest sequence, exactly as recovery would; slots parked on
     /// the stale list are excluded (a WAL-logged delete whose retirement
     /// faulted leaves its victim live on the device — snapshotting it

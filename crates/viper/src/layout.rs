@@ -43,8 +43,11 @@ pub const SLOT_DEAD: u8 = 2;
 
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight input bytes fold into the state with eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -53,13 +56,30 @@ const fn crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ CRC_POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// One input byte folded into the running state: the reference loop
+/// ([`Crc32::update_bytewise`]) and the tail of the sliced one.
+#[inline]
+fn crc_step(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xff) as usize]
+}
 
 /// Streaming CRC-32 (IEEE 802.3) — dependency-free, table-driven.
 #[derive(Debug, Clone, Copy)]
@@ -70,13 +90,40 @@ impl Crc32 {
         Crc32(0xffff_ffff)
     }
 
+    /// Continues a stream whose bytes so far finished as `finished`:
+    /// feeding the rest and finishing again gives the CRC of the whole.
+    pub fn resume(finished: u32) -> Self {
+        Crc32(!finished)
+    }
+
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
         let mut crc = self.0;
-        for &b in data {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            crc = crc_step(crc, b);
         }
         self.0 = crc;
+    }
+
+    /// One table lookup per byte: what [`Crc32::update`] must equal.
+    #[cfg(test)]
+    fn update_bytewise(&mut self, data: &[u8]) {
+        for &b in data {
+            self.0 = crc_step(self.0, b);
+        }
     }
 
     #[inline]
@@ -219,6 +266,32 @@ mod tests {
         crc.update(b"1234");
         crc.update(b"56789");
         assert_eq!(crc.finish(), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        /// Slice-by-8 equals the bytewise reference at every length,
+        /// alignment and split of the stream.
+        #[test]
+        fn sliced_crc_equals_bytewise(
+            data in proptest::collection::vec(0u8..=255, 0..4_104),
+            start in 0usize..8,
+            split in 0usize..4_097,
+        ) {
+            let data = &data[start.min(data.len())..];
+            let (head, tail) = data.split_at(split.min(data.len()));
+            let mut reference = Crc32::new();
+            reference.update_bytewise(data);
+            let mut sliced = Crc32::new();
+            sliced.update(head);
+            sliced.update(tail);
+            proptest::prop_assert_eq!(sliced.finish(), reference.finish());
+            // A finished stream can be picked up where it stopped.
+            let mut first = Crc32::new();
+            first.update(head);
+            let mut resumed = Crc32::resume(first.finish());
+            resumed.update(tail);
+            proptest::prop_assert_eq!(resumed.finish(), reference.finish());
+        }
     }
 
     #[test]

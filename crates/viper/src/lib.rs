@@ -25,10 +25,10 @@
 //!   watchdog) and the overload [`CircuitBreaker`].
 //! * [`wal`] — the write-ahead log: CRC-framed ring of LSN-addressed
 //!   records with group commit (one fence per batch of appenders).
-//! * [`checkpoint`] — model checkpoints behind a double-buffered,
-//!   versioned manifest; recovery deserializes the last checkpoint and
-//!   replays only the WAL tail instead of rescanning pages and
-//!   retraining.
+//! * [`checkpoint`] — incremental model checkpoints (a base image plus
+//!   appended delta segments) behind a versioned manifest; recovery
+//!   deserializes the last checkpoint and replays only the WAL tail
+//!   instead of rescanning pages and retraining.
 
 pub mod checkpoint;
 pub mod error;

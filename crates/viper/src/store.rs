@@ -17,7 +17,7 @@
 //! DRAM index (`&mut I` via [`UpdatableIndex`] versus `&I` via
 //! [`ConcurrentIndex`]) and in whether a key-stripe lock is taken.
 
-use li_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use li_sync::sync::atomic::{AtomicBool, Ordering};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +27,7 @@ use li_core::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, Upda
 use li_core::{Admission, AdmissionGuard, Key, KeyValue};
 use li_nvm::{NvmConfig, NvmDevice};
 
-use crate::checkpoint::{self, CheckpointBlob, DurabilityConfig, Geometry};
+use crate::checkpoint::{self, CheckpointBlob, DurabilityConfig, Geometry, Manifest, TOMBSTONE};
 use crate::error::ViperError;
 use crate::heap::{RecordHeap, RecoverOptions, RecoveryReport};
 use crate::layout::{RecordLayout, SLOT_LIVE};
@@ -48,7 +48,7 @@ pub struct StoreConfig {
     /// the value mid-write.
     pub crash_safe_updates: bool,
     /// When set, a slice at the top of the device is carved into a WAL
-    /// ring plus double-buffered checkpoints; every put/delete is logged
+    /// ring plus two checkpoint slots; every put/delete is logged
     /// before it is acknowledged and recovery prefers checkpoint + log
     /// replay over the full page rescan. `None` (the default) keeps the
     /// pre-durability behaviour exactly.
@@ -168,6 +168,10 @@ impl KeyStripes {
 
 /// Uniform index-mutation surface over the two write models (internal —
 /// this is what lets [`put_core`]/[`delete_core`] exist exactly once).
+/// `publish` and `unpublish` are the only ways a key → offset mapping
+/// changes, so they are also where a durable store notes the key for its
+/// next checkpoint ([`Durability::note_change`]); an in-place update calls
+/// neither.
 trait WriteAccess {
     fn lookup(&self, key: Key) -> Option<u64>;
     fn publish(&mut self, key: Key, offset: u64) -> Option<u64>;
@@ -175,31 +179,35 @@ trait WriteAccess {
 }
 
 /// Exclusive access: `&mut I` through [`UpdatableIndex`].
-struct Excl<'a, I>(&'a mut I);
+struct Excl<'a, I>(&'a mut I, Option<&'a Durability>);
 
 impl<I: Index + UpdatableIndex> WriteAccess for Excl<'_, I> {
     fn lookup(&self, key: Key) -> Option<u64> {
         Index::get(self.0, key)
     }
     fn publish(&mut self, key: Key, offset: u64) -> Option<u64> {
+        Durability::note_change(self.1, key);
         UpdatableIndex::insert(self.0, key, offset)
     }
     fn unpublish(&mut self, key: Key) -> Option<u64> {
+        Durability::note_change(self.1, key);
         UpdatableIndex::remove(self.0, key)
     }
 }
 
 /// Shared access: `&I` through [`ConcurrentIndex`].
-struct Shared<'a, I>(&'a I);
+struct Shared<'a, I>(&'a I, Option<&'a Durability>);
 
 impl<I: ConcurrentIndex> WriteAccess for Shared<'_, I> {
     fn lookup(&self, key: Key) -> Option<u64> {
         ConcurrentIndex::get(self.0, key)
     }
     fn publish(&mut self, key: Key, offset: u64) -> Option<u64> {
+        Durability::note_change(self.1, key);
         ConcurrentIndex::insert(self.0, key, offset)
     }
     fn unpublish(&mut self, key: Key) -> Option<u64> {
+        Durability::note_change(self.1, key);
         ConcurrentIndex::remove(self.0, key)
     }
 }
@@ -233,7 +241,7 @@ fn logged_append(heap: &RecordHeap, wal: &Wal, key: Key, value: &[u8]) -> Result
 /// Retires the record a logged mutation superseded. A *transient* fault
 /// here must not fail the operation: the mutation is already logged and
 /// acknowledged-to-be, and replay will apply it — so the victim slot is
-/// parked stale (excluded from checkpoints, retired by the sweep) instead
+/// parked stale (retired by the sweep; no index entry points at it) instead
 /// of rolled back.
 fn retire_logged(heap: &RecordHeap, offset: u64) -> Result<(), ViperError> {
     match heap.mark_dead(offset) {
@@ -405,15 +413,55 @@ pub struct RepairOutcome {
 }
 
 /// Per-store durability machinery: the WAL ring, the carved device
-/// geometry, and the generation counter of the last checkpoint written.
+/// geometry, and what the next checkpoint extends.
 struct Durability {
     wal: Wal,
     geom: Geometry,
     config: DurabilityConfig,
-    /// Generation of the last successfully written checkpoint (0 = none
-    /// yet); the next checkpoint takes `generation + 1` and so alternates
-    /// blob/manifest slots.
-    generation: AtomicU64,
+    ckpt: li_sync::sync::Mutex<CheckpointState>,
+}
+
+/// What the next checkpoint builds on. Writers only ever push a key;
+/// everything else changes under the checkpoint's writer quiescence.
+struct CheckpointState {
+    /// Keys whose key → offset mapping changed since `newest` was named,
+    /// in change order, repeats included. Every entry has a WAL record
+    /// past `newest.watermark`, so the ring bounds the list; it is
+    /// cleared only once a checkpoint covering it is durably named.
+    changed: Vec<Key>,
+    /// The newest manifest on the device ([`Manifest::NONE`] before the
+    /// first): the next delta appends after the image it names, the next
+    /// base goes to the slot it does not name, and either takes
+    /// `generation + 1`.
+    newest: Manifest,
+    /// Whether that image with `changed` applied is the index. False only
+    /// from a recovery until its own checkpoint is named (the recovered
+    /// index already holds the WAL tail, the image does not), which makes
+    /// the next checkpoint rebuild the whole image instead.
+    extendable: bool,
+}
+
+impl Durability {
+    fn new(
+        wal: Wal,
+        geom: Geometry,
+        config: DurabilityConfig,
+        newest: Manifest,
+        extendable: bool,
+    ) -> Self {
+        let state = CheckpointState { changed: Vec::new(), newest, extendable };
+        let ckpt = li_sync::sync::Mutex::with_class(li_sync::lock_class!("viper-ckpt"), state);
+        Durability { wal, geom, config, ckpt }
+    }
+
+    /// Notes that `key`'s mapping is about to change (no-op for a store
+    /// without durability).
+    #[inline]
+    fn note_change(this: Option<&Durability>, key: Key) {
+        if let Some(d) = this {
+            d.ckpt.lock().changed.push(key);
+        }
+    }
 }
 
 /// Viper: fixed-size record pages on (simulated) NVM plus a volatile,
@@ -657,9 +705,9 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
                 let heap =
                     RecordHeap::with_capacity(Arc::clone(dev), config.layout, geom.heap_capacity);
                 let wal = Wal::new(Arc::clone(dev), geom.wal_base, geom.wal_records, 1);
-                let durability =
-                    Durability { wal, geom, config: dcfg, generation: AtomicU64::new(0) };
-                Ok((heap, Some(durability)))
+                // A fresh device: the empty image plus every change from
+                // here on is the index.
+                Ok((heap, Some(Durability::new(wal, geom, dcfg, Manifest::NONE, true))))
             }
         }
     }
@@ -678,50 +726,91 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
 
     /// Generation of the newest checkpoint this store wrote (0 = none).
     pub fn checkpoint_generation(&self) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.generation.load(Ordering::Relaxed))
+        self.durability.as_ref().map_or(0, |d| d.ckpt.lock().newest.generation)
     }
 
-    /// Writes a checkpoint from a caller-provided entry table (assumed
-    /// complete and key-sorted — recovery passes the validated live set it
-    /// just built instead of re-scanning the pages it worked to avoid).
-    /// Callers must guarantee writer quiescence; the public
-    /// `checkpoint_now` entry points provide it per write model.
-    fn checkpoint_with_entries(&self, entries: Vec<(u64, u64)>) -> Result<bool, ViperError> {
+    /// The counters every image segment carries, read with writers
+    /// quiescent: every logged op at or below this watermark has already
+    /// taken its index effect (or lost it to a budgeted fault), so an image
+    /// of the index covers the whole log prefix it retires.
+    fn image_head(&self, d: &Durability) -> CheckpointBlob {
+        CheckpointBlob {
+            watermark: d.wal.next_lsn() - 1,
+            next_seq: self.heap.next_seq(),
+            pages_hwm: self.heap.pages_allocated() as u64,
+            ..CheckpointBlob::default()
+        }
+    }
+
+    /// A checkpoint is durably named: the changes it covers leave the
+    /// list and the log span it covers reopens for appends.
+    fn checkpoint_named(d: &Durability, manifest: Manifest) {
+        {
+            let mut state = d.ckpt.lock();
+            state.changed.clear();
+            state.newest = manifest;
+            state.extendable = true;
+        }
+        d.wal.advance_start(manifest.watermark);
+    }
+
+    /// Writes a whole base image from a caller-provided entry table
+    /// (assumed complete and key-sorted: bulk load's pairs, recovery's
+    /// validated live set, a fold's merged image) plus the index's model.
+    /// Callers must guarantee writer quiescence.
+    fn checkpoint_base(&self, d: &Durability, entries: Vec<(u64, u64)>) -> Result<(), ViperError> {
+        let blob = CheckpointBlob {
+            entries,
+            model: self.index.model_save().unwrap_or_default(),
+            ..self.image_head(d)
+        };
+        let newest = d.ckpt.lock().newest;
+        let manifest =
+            checkpoint::write_base(self.heap.device(), &self.recorder, &d.geom, &newest, &blob)?;
+        Self::checkpoint_named(d, manifest);
+        Ok(())
+    }
+
+    /// Writes a checkpoint (no-op without durability) whose cost follows
+    /// what changed since the previous one: the changed keys, resolved
+    /// through the index readers see, go out as one delta segment after
+    /// the image the newest manifest names — no heap page is read. Only
+    /// when that segment does not fit the slot's remaining bytes is the
+    /// image folded: base ⊕ deltas are read back, the changes merged in,
+    /// and the result written as a new base in the other slot. Assumes
+    /// writer quiescence; the public `checkpoint_now` entry points
+    /// provide it per write model.
+    fn checkpoint_inner(&self) -> Result<bool, ViperError> {
         let Some(d) = &self.durability else {
             return Ok(false);
         };
-        // With writers quiescent, every logged op at or below this LSN has
-        // already taken its heap effect (or lost it to a budgeted fault),
-        // so the snapshot below covers the whole log prefix it retires.
-        let watermark = d.wal.next_lsn() - 1;
-        let blob = CheckpointBlob {
-            watermark,
-            next_seq: self.heap.next_seq(),
-            pages_hwm: self.heap.pages_allocated() as u64,
-            entries,
-            model: self.index.model_save().unwrap_or_default(),
+        // A copy: the list itself stays as it is until the checkpoint is
+        // named, so a faulted write loses nothing.
+        let (mut keys, newest, extendable) = {
+            let state = d.ckpt.lock();
+            (state.changed.clone(), state.newest, state.extendable)
         };
-        let generation = d.generation.load(Ordering::Relaxed) + 1;
-        checkpoint::write_checkpoint(
-            self.heap.device(),
-            &self.recorder,
-            &d.geom,
-            generation,
-            &blob,
-        )?;
-        d.generation.store(generation, Ordering::Relaxed);
-        d.wal.advance_start(watermark);
-        Ok(true)
-    }
-
-    /// Snapshots the heap and writes a checkpoint (no-op without
-    /// durability). Assumes writer quiescence — see
-    /// [`ViperStore::checkpoint_with_entries`].
-    fn checkpoint_inner(&self) -> Result<bool, ViperError> {
-        if self.durability.is_none() {
-            return Ok(false);
+        keys.sort_unstable();
+        keys.dedup();
+        let changes: Vec<(u64, u64)> =
+            keys.into_iter().map(|k| (k, self.index.get(k).unwrap_or(TOMBSTONE))).collect();
+        let dev = self.heap.device();
+        let delta = CheckpointBlob { entries: changes, ..self.image_head(d) };
+        if extendable {
+            let named = checkpoint::append_delta(dev, &self.recorder, &d.geom, &newest, &delta)?;
+            if let Some(manifest) = named {
+                Self::checkpoint_named(d, manifest);
+                return Ok(true);
+            }
         }
-        self.checkpoint_with_entries(self.heap.scan_live())
+        // Fold. With no image to extend (a recovery whose own checkpoint
+        // faulted), or one that no longer verifies, the device is the
+        // last source left.
+        let image = if extendable { checkpoint::load_image(dev, &d.geom, &newest) } else { None };
+        let image = image.map_or_else(|| self.heap.scan_live(), |image| image.entries);
+        let overlay = checkpoint::delta_overlay(&delta.entries);
+        self.checkpoint_base(d, checkpoint::merge_overlay(&image, overlay))?;
+        Ok(true)
     }
 
     /// The one bulk-load implementation both write models construct through.
@@ -747,8 +836,8 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         // Bulk-loaded records are not WAL-logged; the initial checkpoint
         // is what makes them reachable by the fast recovery path. (A crash
         // before it completes simply falls back to the page rescan.)
-        if store.durability.is_some() {
-            store.checkpoint_with_entries(pairs)?;
+        if let Some(d) = &store.durability {
+            store.checkpoint_base(d, pairs)?;
         }
         Ok(store)
     }
@@ -781,26 +870,24 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         recorder.event_n(Event::QuarantineSlot, report.quarantined as u64);
         let mut store = Self::with_parts(heap, index, false);
         if let (Some(dcfg), Some(r)) = (opts.durability, resume) {
-            store.durability = Some(Durability {
-                wal: Wal::resume(
-                    Arc::clone(&dev),
-                    r.geom.wal_base,
-                    r.geom.wal_records,
-                    r.start_lsn,
-                    r.next_lsn,
-                ),
-                geom: r.geom,
-                config: dcfg,
-                generation: AtomicU64::new(r.generation),
-            });
+            let wal = Wal::resume(
+                Arc::clone(&dev),
+                r.geom.wal_base,
+                r.geom.wal_records,
+                r.start_lsn,
+                r.next_lsn,
+            );
+            store.durability = Some(Durability::new(wal, r.geom, dcfg, r.newest, false));
         }
         store.set_recorder(recorder.clone());
-        // Fold what was just recovered into a fresh checkpoint: the next
+        // Fold what was just recovered into a fresh base image: the next
         // crash then recovers from here instead of re-replaying this tail
         // (or re-paying this rescan), and the retired WAL span reopens for
         // appends. A faulted checkpoint write is survivable — the store
         // works, the lag just stays — so it must not fail recovery.
-        let _ = store.checkpoint_with_entries(live);
+        if let Some(d) = &store.durability {
+            let _ = store.checkpoint_base(d, live);
+        }
         recorder.finish(OpKind::Recovery, t);
         (store, report)
     }
@@ -827,9 +914,10 @@ struct WalResume {
     /// checkpoint retires it.
     start_lsn: u64,
     next_lsn: u64,
-    /// Highest checkpoint generation on the device (0 = none); the fresh
-    /// post-recovery checkpoint numbers itself above it.
-    generation: u64,
+    /// Newest manifest on the device ([`Manifest::NONE`] = none); the
+    /// fresh post-recovery checkpoint numbers itself above it and leaves
+    /// the image it names alone.
+    newest: Manifest,
 }
 
 /// Everything recovery produced short of the index build.
@@ -919,23 +1007,16 @@ fn try_checkpoint_recovery(
         quarantined: loaded.rejected + replay.holes,
         ..RecoveryReport::default()
     };
-    // Checkpoint entries with the log tail applied on top, in LSN order.
-    // The entry table is key-sorted by construction (bulk load appends
-    // ascending keys, `scan_live` sorts, recovery re-checkpoints its
-    // sorted live set), so the tail folds in as a small sorted overlay
-    // merged over the base — no per-entry map rebuild, which at 10M+
-    // entries costs more than the page scan this path avoids. A blob that
-    // somehow isn't sorted is sorted here rather than trusted.
-    let mut blob = blob;
-    let mut base = std::mem::take(&mut blob.entries);
-    if !base.is_sorted_by_key(|e| e.0) {
-        base.sort_unstable_by_key(|e| e.0);
-        base.dedup_by_key(|e| e.0);
-    }
+    // The image (base ⊕ deltas, key-sorted) with the log tail applied on
+    // top, in LSN order. The tail folds in as a small sorted overlay
+    // merged over the image — no per-entry map rebuild, which at 10M+
+    // entries costs more than the page scan this path avoids.
+    //
     // Final tail effect per key (`None` = deleted). Slots a replayed
     // delete leaves live on the device (its retirement faulted before the
     // crash) are parked stale below so neither a later checkpoint nor a
     // later rescan resurrects the acknowledged delete.
+    let base = &blob.entries;
     let mut overlay: BTreeMap<Key, Option<u64>> = BTreeMap::new();
     let mut delete_victims: Vec<u64> = Vec::new();
     for rec in &replay.records {
@@ -952,35 +1033,7 @@ fn try_checkpoint_recovery(
             overlay.insert(rec.key, Some(rec.offset));
         }
     }
-    let mut entries: Vec<KeyValue> = Vec::with_capacity(base.len() + overlay.len());
-    let mut ov = overlay.into_iter().peekable();
-    for &(key, offset) in &base {
-        // Overlay-only keys (fresh inserts in the tail) sorting before
-        // this base key slot in here.
-        while let Some(&(ok, oslot)) = ov.peek() {
-            if ok >= key {
-                break;
-            }
-            ov.next();
-            if let Some(off) = oslot {
-                entries.push((ok, off));
-            }
-        }
-        match ov.peek() {
-            Some(&(ok, oslot)) if ok == key => {
-                ov.next();
-                if let Some(off) = oslot {
-                    entries.push((key, off));
-                }
-            }
-            _ => entries.push((key, offset)),
-        }
-    }
-    for (ok, oslot) in ov {
-        if let Some(off) = oslot {
-            entries.push((ok, off));
-        }
-    }
+    let entries: Vec<KeyValue> = checkpoint::merge_overlay(base, overlay);
     // Validate every surviving mapping against its slot: replay holes and
     // ops that faulted after logging leave mappings the device does not
     // back, and the index must not point at garbage. Mappings are visited
@@ -1050,7 +1103,7 @@ fn try_checkpoint_recovery(
             geom: *geom,
             start_lsn: blob.watermark + 1,
             next_lsn: replay.next_lsn,
-            generation: loaded.generation,
+            newest: loaded.manifest,
         }),
     })
 }
@@ -1092,7 +1145,7 @@ fn rescan_with_replay(
     for off in delete_victims {
         heap.park_stale(off);
     }
-    let generation = checkpoint::latest_generation(dev, geom);
+    let newest = checkpoint::newest_manifest(dev, geom);
     RecoveredState {
         heap,
         live,
@@ -1102,7 +1155,7 @@ fn rescan_with_replay(
             geom: *geom,
             start_lsn: watermark + 1,
             next_lsn: replay.next_lsn,
-            generation,
+            newest,
         }),
     }
 }
@@ -1280,10 +1333,11 @@ impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
             durability,
             ..
         } = self;
-        let wal = durability.as_ref().map(|d| &d.wal);
+        let durability = durability.as_ref();
+        let wal = durability.map(|d| &d.wal);
         let _gate = shed_check(breaker.as_ref(), admission.as_ref(), *admission_wait)?;
         with_retry(retry, key, recorder, heap.device(), || {
-            put_core(heap, crash_safe, read_only, Excl(&mut *index), wal, key, value)
+            put_core(heap, crash_safe, read_only, Excl(&mut *index, durability), wal, key, value)
         })
     }
 
@@ -1302,9 +1356,10 @@ impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
 
     fn delete_attempt(&mut self, key: Key) -> Result<bool, ViperError> {
         let ViperStore { heap, index, read_only, recorder, retry, durability, .. } = self;
-        let wal = durability.as_ref().map(|d| &d.wal);
+        let durability = durability.as_ref();
+        let wal = durability.map(|d| &d.wal);
         with_retry(retry, key, recorder, heap.device(), || {
-            delete_core(heap, read_only, Excl(&mut *index), wal, key)
+            delete_core(heap, read_only, Excl(&mut *index, durability), wal, key)
         })
     }
 
@@ -1404,7 +1459,8 @@ impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
     }
 
     fn put_attempt(&self, key: Key, value: &[u8]) -> Result<(), ViperError> {
-        let wal = self.durability.as_ref().map(|d| &d.wal);
+        let durability = self.durability.as_ref();
+        let wal = durability.map(|d| &d.wal);
         let _gate =
             shed_check(self.breaker.as_ref(), self.admission.as_ref(), self.admission_wait)?;
         with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
@@ -1413,7 +1469,7 @@ impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
                 &self.heap,
                 self.crash_safe_updates,
                 &self.read_only,
-                Shared(&self.index),
+                Shared(&self.index, durability),
                 wal,
                 key,
                 value,
@@ -1435,10 +1491,11 @@ impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
     }
 
     fn delete_attempt(&self, key: Key) -> Result<bool, ViperError> {
-        let wal = self.durability.as_ref().map(|d| &d.wal);
+        let durability = self.durability.as_ref();
+        let wal = durability.map(|d| &d.wal);
         with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
             let _guard = self.key_locks.lock(key);
-            delete_core(&self.heap, &self.read_only, Shared(&self.index), wal, key)
+            delete_core(&self.heap, &self.read_only, Shared(&self.index, durability), wal, key)
         })
     }
 
@@ -1802,7 +1859,7 @@ pub(crate) mod tests {
 
     /// Concurrent index built on a lock-wrapped map (reference impl).
     #[derive(Default)]
-    pub(crate) struct LockedMap(li_sync::sync::RwLock<BTreeMap<Key, u64>>);
+    pub(crate) struct LockedMap(pub(crate) li_sync::sync::RwLock<BTreeMap<Key, u64>>);
 
     impl Index for LockedMap {
         fn name(&self) -> &'static str {
@@ -2050,6 +2107,85 @@ pub(crate) mod tests {
         let snap = store.recorder().snapshot();
         assert_eq!(snap.event(Event::WalAppend), 50);
         assert!(snap.event(Event::CheckpointWritten) >= 5);
+    }
+
+    /// What one `checkpoint_now` did to the device.
+    fn checkpoint_traffic(store: &mut ViperStore<MapIndex>) -> (u64, u64) {
+        let before = store.heap().device().stats_snapshot();
+        assert!(store.checkpoint_now().unwrap());
+        let after = store.heap().device().stats_snapshot();
+        (after.bytes_read - before.bytes_read, after.bytes_written - before.bytes_written)
+    }
+
+    #[test]
+    fn steady_state_checkpoint_reads_no_heap_page_at_any_store_size() {
+        let mut traffic = Vec::new();
+        for n in [10_000usize, 100_000] {
+            let keys: Vec<Key> = (0..n as u64).map(|i| i * 2).collect();
+            let mut store: ViperStore<MapIndex> =
+                ViperStore::bulk_load(durable_cfg(n, 1_024), &keys, value_for);
+            let vs = store.heap().layout().value_size;
+            for k in 0..50u64 {
+                store.put(k * 2 + 1, &vec![3u8; vs]).unwrap(); // 50 inserts
+                store.put(k * 2, &vec![4u8; vs]).unwrap(); // 50 in-place updates
+            }
+            for k in 0..10u64 {
+                assert!(store.delete(k * 2).unwrap());
+            }
+            let (read, written) = checkpoint_traffic(&mut store);
+            // One segment of the 60 changed keys plus one manifest went
+            // out; nothing came in, heap page or otherwise.
+            assert_eq!(written, (40 + 60 * 16 + checkpoint::MANIFEST_SIZE) as u64, "{n} keys");
+            assert!(read <= written, "{n} keys: a delta checkpoint read {read} device bytes");
+            traffic.push((read, written));
+            // And with nothing changed, a checkpoint is an empty segment.
+            assert_eq!(checkpoint_traffic(&mut store).1, (40 + checkpoint::MANIFEST_SIZE) as u64);
+        }
+        assert_eq!(traffic[0], traffic[1], "checkpoint cost must not follow the live-key count");
+    }
+
+    #[test]
+    fn full_slot_folds_into_the_other_and_restart_matches() {
+        // Slots with room for the base of 64 keys and little else: the
+        // inserts below outgrow them again and again.
+        let dcfg =
+            DurabilityConfig { wal_records: 256, checkpoint_bytes: 1_536, checkpoint_lag: 64 };
+        let cfg = StoreConfig::test(1_000).with_durability(dcfg);
+        let keys: Vec<Key> = (0..32u64).collect();
+        let mut store: ViperStore<MapIndex> = ViperStore::bulk_load(cfg, &keys, value_for);
+        let vs = cfg.layout.value_size;
+        let newest = |s: &ViperStore<MapIndex>| s.durability.as_ref().unwrap().ckpt.lock().newest;
+        let (mut folds, mut deltas) = (0, 0);
+        for round in 0..40u64 {
+            for k in 0..4u64 {
+                let key = 32 + (round * 4 + k) % 32;
+                if round % 3 == 2 {
+                    store.delete(key).unwrap();
+                } else {
+                    store.put(key, &vec![round as u8; vs]).unwrap();
+                }
+            }
+            let before = newest(&store);
+            assert!(store.checkpoint_now().unwrap());
+            let after = newest(&store);
+            assert_eq!(after.generation, before.generation + 1);
+            if after.slot == before.slot {
+                deltas += 1;
+                assert_eq!(after.base_len, before.base_len);
+                assert!(after.delta_len > before.delta_len);
+            } else {
+                folds += 1;
+                assert_eq!(after.delta_len, 0);
+            }
+        }
+        assert!(folds >= 3 && deltas >= 3, "{folds} folds, {deltas} deltas");
+        let (expect_len, dev) = (store.len(), store.into_device());
+        let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
+        let (recovered, report) =
+            ViperStore::<MapIndex>::recover_with_options(dev, cfg.layout, opts, MapIndex::build);
+        assert!(report.from_checkpoint);
+        assert_eq!((report.replayed, report.quarantined), (0, 0));
+        assert_eq!(recovered.len(), expect_len);
     }
 
     #[test]
@@ -2345,6 +2481,119 @@ mod proptests {
             }
             prop_assert_eq!(store.len(), oracle.len());
             let _ = value_for;
+        }
+    }
+
+    use crate::store::tests::{LockedMap, MapIndex};
+    use std::collections::BTreeMap;
+
+    /// The two write models behind one face, for properties that must
+    /// hold for both.
+    enum Either {
+        Single(ViperStore<MapIndex>),
+        Shared(ConcurrentViperStore<LockedMap>),
+    }
+
+    fn locked_map(pairs: &[KeyValue]) -> LockedMap {
+        LockedMap(li_sync::sync::RwLock::new(pairs.iter().copied().collect()))
+    }
+
+    /// `$body` with `$s` bound to whichever store `$either` holds.
+    macro_rules! either {
+        ($either:expr, $s:ident => $body:expr) => {
+            match $either {
+                Either::Single($s) => $body,
+                Either::Shared($s) => $body,
+            }
+        };
+    }
+
+    impl Either {
+        fn put(&mut self, key: Key, value: &[u8]) -> Result<(), ViperError> {
+            either!(self, s => s.put(key, value))
+        }
+        fn delete(&mut self, key: Key) -> Result<bool, ViperError> {
+            either!(self, s => s.delete(key))
+        }
+        fn checkpoint_now(&mut self) -> Result<bool, ViperError> {
+            either!(self, s => s.checkpoint_now())
+        }
+        fn get(&self, key: Key, buf: &mut [u8]) -> bool {
+            either!(self, s => s.get(key, buf))
+        }
+        fn len(&self) -> usize {
+            either!(self, s => s.len())
+        }
+        /// Clean shutdown and restart from the device.
+        fn restart(self, layout: RecordLayout, opts: RecoverOptions) -> (Self, RecoveryReport) {
+            match self {
+                Either::Single(s) => {
+                    let dev = s.into_device();
+                    let (s, report) =
+                        ViperStore::recover_with_options(dev, layout, opts, MapIndex::build);
+                    (Either::Single(s), report)
+                }
+                Either::Shared(s) => {
+                    let dev = s.into_device();
+                    let (s, report) = ConcurrentViperStore::recover_shared_with_options(
+                        dev, layout, opts, locked_map,
+                    );
+                    (Either::Shared(s), report)
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The checkpoint image is the index image: whatever mix of
+        /// inserts, updates (in place or crash-safe) and deletes ran, and
+        /// however many deltas and folds the checkpoints between them
+        /// took, a clean restart after a last checkpoint needs no replay,
+        /// quarantines nothing, and equals the oracle.
+        #[test]
+        fn restart_after_checkpoint_equals_oracle(
+            ops in proptest::collection::vec((0u64..96, 0u8..4), 1..400),
+            every in 1usize..24,
+            shared in proptest::bool::ANY,
+            crash_safe in proptest::bool::ANY,
+        ) {
+            // The base of all 96 keys fits a slot, a long chain does not.
+            let dcfg =
+                DurabilityConfig { wal_records: 48, checkpoint_bytes: 2_048, checkpoint_lag: 16 };
+            let cfg = StoreConfig::test(1_000)
+                .with_crash_safe_updates(crash_safe)
+                .with_durability(dcfg);
+            let mut store = if shared {
+                Either::Shared(ConcurrentViperStore::new(cfg, LockedMap::default()))
+            } else {
+                Either::Single(ViperStore::<MapIndex>::new(cfg, MapIndex::default()))
+            };
+            let vs = cfg.layout.value_size;
+            let mut oracle: BTreeMap<u64, u8> = BTreeMap::new();
+            for (i, &(k, op)) in ops.iter().enumerate() {
+                if op == 0 {
+                    prop_assert_eq!(store.delete(k).unwrap(), oracle.remove(&k).is_some());
+                } else {
+                    let b = (i % 251) as u8;
+                    prop_assert!(store.put(k, &vec![b; vs]).is_ok());
+                    oracle.insert(k, b);
+                }
+                if i % every == 0 {
+                    prop_assert!(store.checkpoint_now().unwrap());
+                }
+            }
+            prop_assert!(store.checkpoint_now().unwrap());
+            let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
+            let (restarted, report) = store.restart(cfg.layout, opts);
+            prop_assert!(report.from_checkpoint);
+            prop_assert_eq!((report.replayed, report.quarantined), (0, 0));
+            prop_assert_eq!(restarted.len(), oracle.len());
+            let mut buf = vec![0u8; vs];
+            for (&k, &b) in &oracle {
+                prop_assert!(restarted.get(k, &mut buf), "key {} lost", k);
+                prop_assert!(buf.iter().all(|&x| x == b), "key {} came back stale", k);
+            }
         }
     }
 }

@@ -251,37 +251,49 @@ fn sharded_durable_store_survives_torture() {
 }
 
 /// Exhaustive directed crash points for the durability tentpole: a
-/// rehearsal run (no faults) measures the device-op windows of one WAL
-/// append + group-commit flush, one explicit checkpoint write, and the
-/// post-checkpoint log tail; the script is then replayed once per device
-/// op in those windows with a crash pinned to exactly that op. Every
-/// replay must recover all acked writes byte-exactly (crash-only plans
-/// have a zero lying-fault budget) and the in-flight op must be
-/// either-or.
+/// rehearsal run (no faults) measures the device-op window that holds one
+/// WAL append + group-commit flush and three checkpoints of every shape —
+/// a delta segment appended after the base (segment + manifest write), a
+/// fold into the other slot once the next segment no longer fits, and the
+/// first delta after that fold, while the two manifests still name
+/// different slots — each followed by a log tail. The script is then
+/// replayed once per device op in the window with a crash pinned to
+/// exactly that op. Every replay must recover all acked writes
+/// byte-exactly (crash-only plans have a zero lying-fault budget) and the
+/// in-flight op must be either-or.
 #[test]
 fn every_crash_point_in_wal_append_group_commit_and_checkpoint_recovers() {
     use lip::core::traits::BulkBuildIndex;
     use lip::nvm::NvmError;
     use lip::torture::{decode_version, value_pattern};
     use lip::traditional::BPlusTree;
+    use lip::viper::checkpoint::{newest_manifest, Geometry, Manifest};
     use lip::viper::{DurabilityConfig, ViperError, ViperStore};
     use std::collections::BTreeMap;
 
     let layout = RecordLayout::small();
-    let durability = DurabilityConfig::sized_for(256, 64);
+    // Slots of 300 bytes: the empty base (48) and the first delta of nine
+    // keys (184) fit one; the next delta of three (88) does not, so that
+    // checkpoint folds twelve keys into a base of 240; a delta of one key
+    // (56) still fits behind it.
+    let durability =
+        DurabilityConfig { wal_records: 64, checkpoint_bytes: 300, checkpoint_lag: 32 };
     let capacity = 32 * layout.page_size
         + durability.region_bytes().div_ceil(layout.page_size) * layout.page_size
         + layout.page_size;
+    let geom = Geometry::compute(capacity, layout.page_size, &durability).expect("device fits");
     let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };
 
     // Runs the deterministic script against `plan`; returns the acked
-    // (key -> version) map, the op the script crashed on (if any), the
-    // in-flight key, and window marks (taken with `FaultPlan::none`).
+    // (key -> version) map, the in-flight key (if the script crashed in a
+    // put), window marks (taken with `FaultPlan::none`) and the manifest
+    // each completed checkpoint named.
     struct Run {
         acked: BTreeMap<u64, u64>,
         in_flight: Option<u64>,
         dev: Arc<NvmDevice>,
         marks: [u64; 2],
+        named: Vec<Manifest>,
     }
     let script = |plan: &FaultPlan| -> Run {
         let dev = Arc::new(NvmDevice::with_faults(NvmConfig::fast_with_crash(capacity), plan));
@@ -296,9 +308,12 @@ fn every_crash_point_in_wal_append_group_commit_and_checkpoint_recovers() {
         let mut in_flight = None;
         let mut value = vec![0u8; layout.value_size];
         let mut marks = [0u64; 2];
-        // Setup writes, then the probe put (WAL append + group commit),
-        // then a checkpoint, then a replayed tail — all distinct keys.
-        let phases: [&[u64]; 3] = [&[1, 2, 3, 4, 5, 6, 7, 8], &[100], &[200, 201, 202]];
+        let mut named = Vec::new();
+        // Setup writes, then the probe put (WAL append + group commit);
+        // every phase from the probe on ends in a checkpoint, the last in
+        // a replayed tail — all distinct keys.
+        let phases: [&[u64]; 5] =
+            [&[1, 2, 3, 4, 5, 6, 7, 8], &[100], &[200, 201, 202], &[300], &[400, 401]];
         'outer: for (i, keys) in phases.iter().enumerate() {
             if i == 1 {
                 marks[0] = ops(&dev);
@@ -316,11 +331,9 @@ fn every_crash_point_in_wal_append_group_commit_and_checkpoint_recovers() {
                     Err(e) => panic!("unexpected error on key {key}: {e}"),
                 }
             }
-            if i == 1 {
-                // The explicit checkpoint sits between probe and tail so
-                // the sweep crosses blob + manifest writes too.
+            if (1..=3).contains(&i) {
                 match store.checkpoint_now() {
-                    Ok(_) => {}
+                    Ok(_) => named.push(newest_manifest(&dev, &geom)),
                     Err(ViperError::Nvm(NvmError::Crashed)) => break 'outer,
                     Err(e) => panic!("unexpected checkpoint error: {e}"),
                 }
@@ -328,14 +341,19 @@ fn every_crash_point_in_wal_append_group_commit_and_checkpoint_recovers() {
         }
         marks[1] = ops(&dev);
         drop(store);
-        Run { acked, in_flight, dev, marks }
+        Run { acked, in_flight, dev, marks, named }
     };
 
     let rehearsal = script(&FaultPlan::none());
     assert!(rehearsal.in_flight.is_none(), "rehearsal must not crash");
-    assert_eq!(rehearsal.acked.len(), 12);
+    assert_eq!(rehearsal.acked.len(), 15);
+    // Recovery of the empty device named generation 1 (slot 0); the
+    // window's checkpoints are a delta, a fold, and a delta on the fold.
+    let shape: Vec<_> =
+        rehearsal.named.iter().map(|m| (m.generation, m.slot, m.delta_len)).collect();
+    assert_eq!(shape, [(2, 0, 184), (3, 1, 0), (4, 1, 56)]);
     let [probe_start, end] = rehearsal.marks;
-    assert!(end > probe_start + 8, "window too small to be the real append+checkpoint path");
+    assert!(end > probe_start + 40, "window too small to hold the append and three checkpoints");
 
     let mut value = vec![0u8; layout.value_size];
     for op in probe_start..end {

@@ -113,7 +113,11 @@ pub fn check_file(
 /// fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
 /// table for every thread, and the tuner runs on the maintenance thread
-/// where a panic silently kills adaptation. The li-proto frame decoder
+/// where a panic silently kills adaptation. The checkpoint decoders and
+/// the image merge parse device bytes — on recovery, and on every fold of
+/// a running store — so a corrupt manifest, base or delta segment must
+/// come back as `None` (previous generation, then the rescan floor), never
+/// as a panic that leaves the store unable to restart. The li-proto frame decoder
 /// parses untrusted network bytes on every connection's reader thread;
 /// a panic there hands any client a remote crash primitive, so corrupt
 /// input must surface as `ProtoError`, never a panic. The li-server
@@ -130,6 +134,20 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
         Some(&["put", "get", "delete"])
     } else if f.ends_with("viper/src/wal.rs") {
         Some(&["append", "commit_through", "flush_batch", "replay", "max_lsn"])
+    } else if f.ends_with("viper/src/checkpoint.rs") {
+        Some(&[
+            "le_u64",
+            "read_entries",
+            "take_head",
+            "deserialize",
+            "decode_delta",
+            "decode",
+            "merge_overlay",
+            "load_image",
+            "read_manifests",
+            "newest_manifest",
+            "load_latest",
+        ])
     } else if f.ends_with("core/src/shard.rs") {
         Some(&[
             "get",
@@ -330,12 +348,19 @@ pub fn hot_path_panics(
         if !hot.contains(&name.as_str()) {
             continue;
         }
-        // Body = next `{` before any `;` (a `;` first means a trait decl).
-        let sig = &code[fn_at..];
-        let Some(open_rel) = sig.find('{') else { continue };
-        if sig.find(';').is_some_and(|s| s < open_rel) {
-            continue;
-        }
+        // Body = next `{` before any `;` (a `;` first means a trait
+        // decl) — outside brackets, so that an array type in the
+        // signature (`buf: &[u8; 64]`) does not read as one.
+        let mut depth = 0usize;
+        let body_or_decl = code[fn_at..].char_indices().find(|&(_, c)| {
+            match c {
+                '(' | '[' => depth += 1,
+                ')' | ']' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            depth == 0 && (c == '{' || c == ';')
+        });
+        let Some((open_rel, '{')) = body_or_decl else { continue };
         let open = fn_at + open_rel;
         let Some(close) = match_brace(code, open) else { continue };
         for banned in BANNED {
@@ -497,6 +522,25 @@ mod tests {
         let v = lint("crates/viper/src/wal.rs", src, "");
         assert_eq!(v.len(), 1, "non-hot helpers are not checked: {v:?}");
         assert_eq!(v[0].line, 2);
+    }
+
+    #[test]
+    fn r4_covers_checkpoint_decoders_and_fold_merge() {
+        // Manifest, base and delta decoders parse device bytes.
+        let src = "impl Manifest {\n    fn decode(buf: &[u8; 64]) -> Option<Manifest> {\n        u64::from_le_bytes(buf[..8].try_into().unwrap());\n    }\n}\n";
+        let v = lint("crates/viper/src/checkpoint.rs", src, "");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "hot-path-panics");
+        let src = "pub fn load_image(dev: &NvmDevice) -> Option<CheckpointBlob> {\n    let delta = CheckpointBlob::decode_delta(chain).expect(\"segment\");\n}\n";
+        let v = lint("crates/viper/src/checkpoint.rs", src, "");
+        assert_eq!(v.len(), 1, "{v:?}");
+        let src =
+            "pub fn merge_overlay(base: &[E]) -> Vec<E> {\n    unreachable!(\"unsorted\");\n}\n";
+        assert_eq!(lint("crates/viper/src/checkpoint.rs", src, "").len(), 1);
+        // Encoders serialize in-process state and are not held to the bar.
+        let src =
+            "impl Manifest {\n    fn encode(&self) -> [u8; 64] { x.try_into().unwrap() }\n}\n";
+        assert!(lint("crates/viper/src/checkpoint.rs", src, "").is_empty());
     }
 
     #[test]
