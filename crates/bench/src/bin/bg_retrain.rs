@@ -65,7 +65,7 @@ fn parse_args(default_inserts: usize) -> Args {
 
 fn build(loaded: &[Key], shards: usize) -> ConcurrentViperStore<Sharded> {
     let config = StoreConfig::paper(loaded.len() * 4 + 1024);
-    ConcurrentViperStore::bulk_load_shared(config, loaded, harness::value_of, |pairs| {
+    ConcurrentViperStore::bulk_load_with(config, loaded, harness::value_of, |pairs| {
         Sharded::build_boxed(shards, pairs, |chunk| IndexKind::FitingBuf.build(chunk))
     })
 }

@@ -148,7 +148,7 @@ fn recover_fast(
     let mut dev = Arc::try_unwrap(store.into_device()).ok().expect("unique device");
     dev.crash();
     let t0 = Instant::now();
-    let (store, report) = ViperStore::recover_with_model(
+    let (store, report) = ViperStore::<PiecewiseIndex>::recover_with_model(
         Arc::new(dev),
         layout,
         opts,
@@ -176,9 +176,10 @@ fn recover_rescan(
     let mut dev = Arc::try_unwrap(store.into_device()).ok().expect("unique device");
     dev.crash();
     let t0 = Instant::now();
-    let (store, report) = ViperStore::recover_with_options(Arc::new(dev), layout, opts, |pairs| {
-        PiecewiseIndex::build_with(cfg, pairs)
-    });
+    let (store, report) =
+        ViperStore::<PiecewiseIndex>::recover_with_options(Arc::new(dev), layout, opts, |pairs| {
+            PiecewiseIndex::build_with(cfg, pairs)
+        });
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     assert!(!report.from_checkpoint);
     assert_eq!(store.len(), live, "full_rescan lost acked writes");
@@ -216,9 +217,10 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
     let cfg = pieces_cfg();
     let geom = Geometry::compute(config.nvm.capacity, layout.page_size, &durability)
         .expect("with_durability grew the device to fit");
-    let mut store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
-        PiecewiseIndex::build_with(cfg, pairs)
-    });
+    let mut store =
+        ViperStore::<PiecewiseIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
+            PiecewiseIndex::build_with(cfg, pairs)
+        });
     arm_tail(&mut store, &keys, tail, &layout, &geom);
     let live = store.len();
     let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };

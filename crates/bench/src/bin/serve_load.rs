@@ -296,7 +296,7 @@ fn storm(seed: u64) -> StormOutcome {
     // well below BURSTS_AT), then re-recover: the heap scan hands the
     // live pairs to an 8-shard build with real boundaries.
     {
-        let (pre, _) = ConcurrentViperStore::<Sharded>::recover_shared_with_options(
+        let (pre, _) = ConcurrentViperStore::<Sharded>::recover_with_options(
             Arc::clone(&dev),
             store_cfg.layout,
             RecoverOptions::default(),
@@ -316,7 +316,7 @@ fn storm(seed: u64) -> StormOutcome {
         dev.try_flush(0, 64).expect("padding flush");
     }
 
-    let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_shared_with_options(
+    let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_with_options(
         Arc::clone(&dev),
         store_cfg.layout,
         RecoverOptions::default(),

@@ -238,9 +238,10 @@ fn nvm_drag(cfg: &BenchConfig) {
                 crash_safe_updates: false,
                 durability: None,
             };
-            let mut store = ViperStore::bulk_load_with(config, &keys, harness::value_of, |p| {
-                AnyIndex::build(kind, p)
-            });
+            let mut store =
+                ViperStore::<AnyIndex>::bulk_load_with(config, &keys, harness::value_of, |p| {
+                    AnyIndex::build(kind, p)
+                });
             let m = harness::run_ops(kind.name(), &mut store, &ops);
             mops.push(m.mops());
         }

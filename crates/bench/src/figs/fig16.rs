@@ -36,7 +36,7 @@ pub fn run(cfg: &BenchConfig) {
     let layout = store.heap().layout();
     let dev = store.into_device();
     let t0 = Instant::now();
-    let recovered = li_viper::ViperStore::recover_with(dev, layout, |pairs| {
+    let recovered = li_viper::ViperStore::<AnyIndex>::recover_with(dev, layout, |pairs| {
         AnyIndex::build(IndexKind::Alex, pairs)
     });
     println!(

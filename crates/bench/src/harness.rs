@@ -156,7 +156,7 @@ pub fn build_concurrent_store_sharded(
     keys: &[Key],
 ) -> ConcurrentViperStore<AnyConcurrentIndex> {
     let config = StoreConfig::paper(keys.len() * 2 + 1024);
-    ConcurrentViperStore::bulk_load_shared(config, keys, value_of, |pairs| {
+    ConcurrentViperStore::bulk_load_with(config, keys, value_of, |pairs| {
         AnyConcurrentIndex::build_with_shards(kind, shards, pairs)
     })
 }

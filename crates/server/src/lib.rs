@@ -91,7 +91,7 @@ pub mod testutil {
         let keys: Vec<Key> = (0..n as Key).map(|i| i * 7 + 1).collect();
         let store_cfg = StoreConfig::test(2 * n + 1024)
             .with_durability(DurabilityConfig::sized_for(2 * n + 1024, 4096));
-        let mut store = ConcurrentViperStore::bulk_load_shared(
+        let mut store = ConcurrentViperStore::bulk_load_with(
             store_cfg,
             &keys,
             |key, buf| {

@@ -194,7 +194,7 @@ mod tests {
     fn test_store(n: usize) -> Store {
         use li_core::BulkBuildIndex;
         let keys: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
-        Store::bulk_load_shared(
+        Store::bulk_load_with(
             StoreConfig::test(n + 64),
             &keys,
             |key, buf| {

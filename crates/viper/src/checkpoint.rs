@@ -50,11 +50,13 @@
 //! image bytes are only ever trusted through a manifest that names them.
 
 use li_core::telemetry::{Event, Recorder};
+use li_core::Key;
 use li_nvm::NvmDevice;
+use li_sync::sync::Mutex;
 
 use crate::error::ViperError;
 use crate::layout::Crc32;
-use crate::wal::{write_retry, WAL_RECORD};
+use crate::wal::{write_retry, Wal, WAL_RECORD};
 
 /// Magic tag opening every base image ("LIPCKPT1").
 const BLOB_MAGIC: u64 = 0x4C49_5043_4B50_5431;
@@ -577,6 +579,67 @@ pub fn load_latest(dev: &NvmDevice, geom: &Geometry) -> Option<LoadedCheckpoint>
         }
     }
     None
+}
+
+/// Per-store durability machinery: the WAL ring, the carved device
+/// geometry, and what the next checkpoint extends.
+pub(crate) struct Durability {
+    pub(crate) wal: Wal,
+    pub(crate) geom: Geometry,
+    pub(crate) config: DurabilityConfig,
+    pub(crate) ckpt: Mutex<CheckpointState>,
+}
+
+/// What the next checkpoint builds on. Writers only ever push a key;
+/// everything else changes under the checkpoint's writer quiescence.
+pub(crate) struct CheckpointState {
+    /// Keys whose key → offset mapping changed since `newest` was named,
+    /// in change order, repeats included. Every entry has a WAL record
+    /// past `newest.watermark`, so the ring bounds the list; it is
+    /// cleared only once a checkpoint covering it is durably named.
+    pub(crate) changed: Vec<Key>,
+    /// The newest manifest on the device ([`Manifest::NONE`] before the
+    /// first): the next delta appends after the image it names, the next
+    /// base goes to the slot it does not name, and either takes
+    /// `generation + 1`.
+    pub(crate) newest: Manifest,
+    /// Whether that image with `changed` applied is the index. False only
+    /// from a recovery until its own checkpoint is named (the recovered
+    /// index already holds the WAL tail, the image does not), which makes
+    /// the next checkpoint rebuild the whole image instead.
+    pub(crate) extendable: bool,
+}
+
+impl Durability {
+    pub(crate) fn new(
+        wal: Wal,
+        geom: Geometry,
+        config: DurabilityConfig,
+        newest: Manifest,
+        extendable: bool,
+    ) -> Self {
+        let state = CheckpointState { changed: Vec::new(), newest, extendable };
+        let ckpt = Mutex::with_class(li_sync::lock_class!("viper-ckpt"), state);
+        Durability { wal, geom, config, ckpt }
+    }
+
+    /// Notes that `key`'s mapping is about to change.
+    #[inline]
+    pub(crate) fn note_change(&self, key: Key) {
+        self.ckpt.lock().changed.push(key);
+    }
+
+    /// A checkpoint is durably named: the changes it covers leave the
+    /// list and the log span it covers reopens for appends.
+    pub(crate) fn checkpoint_named(&self, manifest: Manifest) {
+        {
+            let mut state = self.ckpt.lock();
+            state.changed.clear();
+            state.newest = manifest;
+            state.extendable = true;
+        }
+        self.wal.advance_start(manifest.watermark);
+    }
 }
 
 #[cfg(test)]

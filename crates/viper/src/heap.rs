@@ -62,20 +62,11 @@ pub struct RecoverOptions {
     /// fast path before falling back to the full heap rescan. Disable to
     /// force the rescan (the recovery benchmark compares the two).
     pub use_checkpoint: bool,
-    /// Upper bound on WAL records replayed from a checkpoint before
-    /// recovery gives up on the fast path and rescans instead. `0` means
-    /// unlimited (the ring size already bounds the tail).
-    pub replay_limit: usize,
 }
 
 impl Default for RecoverOptions {
     fn default() -> Self {
-        RecoverOptions {
-            verify_checksums: true,
-            durability: None,
-            use_checkpoint: true,
-            replay_limit: 0,
-        }
+        RecoverOptions { verify_checksums: true, durability: None, use_checkpoint: true }
     }
 }
 

@@ -11,11 +11,14 @@
 //!   its invariants.
 //! * [`heap`] — the record heap: slot allocation, persistence protocol
 //!   (write → flush → fence → publish), checksum-verifying recovery scan.
-//! * [`store`] — [`store::ViperStore`], one store type generic over its
-//!   [`store::WriteModel`]: single-writer (`&mut self` mutation, the
-//!   default) or shared-writer (`&self` mutation for XIndex and any index
-//!   lifted by `li_core::shard::Sharded`;
-//!   [`store::ConcurrentViperStore`] is the alias).
+//! * [`store`] — [`ViperStore`], one store type generic over its
+//!   [`WriteModel`]: single-writer (`&mut self` mutation, the default) or
+//!   shared-writer (`&self` mutation for XIndex and any index lifted by
+//!   `li_core::shard::Sharded`; [`ConcurrentViperStore`] is the alias).
+//!   The struct, reads, checkpoints, construction and the maintenance
+//!   pass; [`config`] holds [`StoreConfig`], `write` the write models
+//!   and the one put/delete path both share, `recovery` the device-side
+//!   half of a restart (checkpoint + WAL tail, or the page rescan).
 //! * [`error`] — [`ViperError`]: every mutating path is fallible; device
 //!   exhaustion degrades stores to read-only instead of panicking.
 //! * [`retry`] — bounded, seeded-backoff retry of transient faults (the
@@ -31,15 +34,19 @@
 //!   instead of rescanning pages and retraining.
 
 pub mod checkpoint;
+pub mod config;
 pub mod error;
 pub mod heap;
 pub mod layout;
 pub mod maintenance;
+mod recovery;
 pub mod retry;
 pub mod store;
 pub mod wal;
+mod write;
 
 pub use checkpoint::DurabilityConfig;
+pub use config::StoreConfig;
 pub use error::ViperError;
 pub use heap::{RecordHeap, RecoverOptions, RecoveryReport};
 pub use layout::{RecordLayout, PAGE_MAGIC};
@@ -48,8 +55,6 @@ pub use maintenance::{
     MaintenanceWorker,
 };
 pub use retry::RetryPolicy;
-pub use store::{
-    ConcurrentViperStore, OverloadState, RepairOutcome, SharedWriter, SingleWriter, StoreConfig,
-    ViperStore, WriteModel,
-};
+pub use store::{ConcurrentViperStore, OverloadState, RepairOutcome, ViperStore};
 pub use wal::{Wal, WalFull};
+pub use write::{SharedWriter, SingleWriter, WriteModel};

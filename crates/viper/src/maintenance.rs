@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 use li_core::telemetry::{Event, OpKind, Recorder};
 use li_core::traits::{ConcurrentIndex, Index};
 
-use crate::store::{RepairOutcome, SharedWriter, ViperStore};
+use crate::store::{RepairOutcome, ViperStore};
+use crate::write::SharedWriter;
 
 /// What one `run_maintenance` pass accomplished.
 #[derive(Debug, Clone, Default)]
@@ -380,7 +381,8 @@ fn sleep_interruptible(total: Duration, stop: &AtomicBool) {
 mod tests {
     use super::*;
     use crate::store::tests::{value_for_test, LockedMap, MapIndex};
-    use crate::store::{ConcurrentViperStore, StoreConfig};
+    use crate::store::ConcurrentViperStore;
+    use crate::StoreConfig;
     use li_core::telemetry::Recorder;
     use li_nvm::{Fault, FaultPlan, NvmDevice};
 
@@ -491,7 +493,7 @@ mod tests {
         // Recovery of an empty device consumes no device ops, so the
         // window is still fully ahead when the store comes up.
         let store =
-            Arc::new(ConcurrentViperStore::<LockedMap>::recover_shared(dev, cfg.layout, |_| {
+            Arc::new(ConcurrentViperStore::<LockedMap>::recover_with(dev, cfg.layout, |_| {
                 LockedMap::default()
             }));
         let vs = cfg.layout.value_size;

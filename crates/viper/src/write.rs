@@ -1,0 +1,412 @@
+//! The one write path, for both write models.
+//!
+//! A [`WriteModel`] decides two things and nothing else: how a write
+//! reaches the DRAM index ([`Excl`]: `&mut I` through [`UpdatableIndex`];
+//! [`Shared`]: `&I` through [`ConcurrentIndex`]) and whether a key stripe
+//! is taken around it ([`WriteModel::KeyLocks`]). Everything else a put or
+//! delete does is written once here, generic over the access — static
+//! dispatch, and no lock at all in the single-writer instantiation.
+
+use li_sync::sync::atomic::Ordering;
+use li_sync::sync::{Mutex, MutexGuard};
+use std::sync::Arc;
+use std::time::Duration;
+
+use li_core::telemetry::OpKind;
+use li_core::traits::{ConcurrentIndex, Index, UpdatableIndex};
+use li_core::{Admission, AdmissionGuard, Key};
+
+use crate::error::ViperError;
+use crate::heap::RecordHeap;
+use crate::maintenance::CircuitBreaker;
+use crate::retry::with_retry;
+use crate::store::Engine;
+use crate::wal::{Wal, WalFull, WAL_OP_DELETE, WAL_OP_PUT};
+
+/// How writers reach the store: exclusively (`&mut self`) or shared
+/// (`&self`). Implemented by [`SingleWriter`] and [`SharedWriter`] only
+/// (the bound on [`WriteModel::KeyLocks`] cannot be named outside this
+/// crate).
+pub trait WriteModel {
+    /// Per-key write serialisation state; empty for the single-writer
+    /// model, a striped lock table for the shared-writer model.
+    type KeyLocks: KeyLocks;
+    /// Whether writers run concurrently with readers (`&self` mutation),
+    /// in which case a read may find its record relocated under it.
+    const SHARED: bool;
+}
+
+/// Exclusive mutation through [`UpdatableIndex`] — every index kind.
+pub enum SingleWriter {}
+
+impl WriteModel for SingleWriter {
+    type KeyLocks = ();
+    const SHARED: bool = false;
+}
+
+/// Shared mutation through [`ConcurrentIndex`] — natively concurrent
+/// indexes (XIndex) and anything lifted via `li_core::shard::Sharded`.
+pub enum SharedWriter {}
+
+impl WriteModel for SharedWriter {
+    type KeyLocks = KeyStripes;
+    const SHARED: bool = true;
+}
+
+/// Same-key write serialisation as the operation bodies see it.
+pub trait KeyLocks: Default + Send + Sync {
+    /// Serialises with every other writer of `key` while the guard lives.
+    fn lock(&self, key: Key) -> Option<MutexGuard<'_, ()>>;
+    /// Excludes every writer while the guards live. Callers must not hold
+    /// a key guard themselves.
+    fn quiesce(&self) -> Vec<MutexGuard<'_, ()>>;
+}
+
+/// The single-writer model: `&mut self` already excludes other writers.
+impl KeyLocks for () {
+    #[inline]
+    fn lock(&self, _key: Key) -> Option<MutexGuard<'_, ()>> {
+        None
+    }
+    #[inline]
+    fn quiesce(&self) -> Vec<MutexGuard<'_, ()>> {
+        Vec::new()
+    }
+}
+
+/// Striped same-key write locks, Viper's fine-grained-locking discipline.
+/// Without them, two racing inserters of one key could leave a stale
+/// record offset alive while its slot is recycled for another key.
+pub struct KeyStripes(Vec<Mutex<()>>);
+
+const KEY_STRIPES: usize = 1024;
+
+impl Default for KeyStripes {
+    fn default() -> Self {
+        // `ordered`: `quiesce` holds every stripe at once, always in
+        // index order.
+        let class = li_sync::lock_class!("viper-stripe", ordered);
+        KeyStripes((0..KEY_STRIPES).map(|_| Mutex::with_class(class, ())).collect())
+    }
+}
+
+impl KeyLocks for KeyStripes {
+    #[inline]
+    fn lock(&self, key: Key) -> Option<MutexGuard<'_, ()>> {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Some(self.0[(h >> 54) as usize % KEY_STRIPES].lock())
+    }
+    fn quiesce(&self) -> Vec<MutexGuard<'_, ()>> {
+        self.0.iter().map(|m| m.lock()).collect()
+    }
+}
+
+/// How the operation bodies reach the DRAM index under either write model
+/// (internal — this is what lets every body exist exactly once).
+pub(crate) trait WriteAccess {
+    type Index: Index;
+    /// The index as readers see it (checkpoint images, repair probes).
+    fn index(&self) -> &Self::Index;
+    fn lookup(&self, key: Key) -> Option<u64>;
+    fn publish(&mut self, key: Key, offset: u64) -> Option<u64>;
+    fn unpublish(&mut self, key: Key) -> Option<u64>;
+    /// Drains up to `budget` deferred leaf retrains.
+    fn run_pending_retrains(&mut self, budget: usize) -> usize;
+    /// Lets an adaptive index split, merge or swap shards.
+    fn run_adaptation(&mut self) -> usize;
+}
+
+/// Exclusive access: `&mut I` through [`UpdatableIndex`].
+pub(crate) struct Excl<'a, I>(pub(crate) &'a mut I);
+
+impl<I: Index + UpdatableIndex> WriteAccess for Excl<'_, I> {
+    type Index = I;
+    fn index(&self) -> &I {
+        self.0
+    }
+    fn lookup(&self, key: Key) -> Option<u64> {
+        Index::get(self.0, key)
+    }
+    fn publish(&mut self, key: Key, offset: u64) -> Option<u64> {
+        UpdatableIndex::insert(self.0, key, offset)
+    }
+    fn unpublish(&mut self, key: Key) -> Option<u64> {
+        UpdatableIndex::remove(self.0, key)
+    }
+    fn run_pending_retrains(&mut self, budget: usize) -> usize {
+        UpdatableIndex::run_pending_retrains(self.0, budget)
+    }
+    fn run_adaptation(&mut self) -> usize {
+        // Online shard adaptation needs a concurrent router; an index
+        // behind `&mut` has none to adapt.
+        0
+    }
+}
+
+/// Shared access: `&I` through [`ConcurrentIndex`].
+pub(crate) struct Shared<'a, I>(pub(crate) &'a I);
+
+impl<I: Index + ConcurrentIndex> WriteAccess for Shared<'_, I> {
+    type Index = I;
+    fn index(&self) -> &I {
+        self.0
+    }
+    fn lookup(&self, key: Key) -> Option<u64> {
+        ConcurrentIndex::get(self.0, key)
+    }
+    fn publish(&mut self, key: Key, offset: u64) -> Option<u64> {
+        ConcurrentIndex::insert(self.0, key, offset)
+    }
+    fn unpublish(&mut self, key: Key) -> Option<u64> {
+        ConcurrentIndex::remove(self.0, key)
+    }
+    fn run_pending_retrains(&mut self, budget: usize) -> usize {
+        ConcurrentIndex::run_pending_retrains(self.0, budget)
+    }
+    fn run_adaptation(&mut self) -> usize {
+        ConcurrentIndex::run_adaptation(self.0)
+    }
+}
+
+/// Appends one record to the WAL, folding the ring-full refusal into the
+/// error domain. [`ViperError::WalFull`] is not retryable —
+/// [`Engine::absorbing_wal_full`] intercepts it, writes a checkpoint
+/// inline, and runs the attempt once more.
+fn wal_append(wal: &Wal, key: Key, offset: u64, op: u8) -> Result<(), ViperError> {
+    match wal.append(key, offset, op)? {
+        Ok(_lsn) => Ok(()),
+        Err(WalFull) => Err(ViperError::WalFull),
+    }
+}
+
+/// Stage + log + commit: the durable flavour of an append. The payload is
+/// staged first (durable but not live), the WAL record covering it is
+/// group-committed, and only then does the slot flip live — a crash at
+/// any point leaves either no visible record or a logged one whose replay
+/// re-publishes it.
+fn logged_append(heap: &RecordHeap, wal: &Wal, key: Key, value: &[u8]) -> Result<u64, ViperError> {
+    let offset = heap.stage_append(key, value)?;
+    if let Err(e) = wal_append(wal, key, offset, WAL_OP_PUT) {
+        heap.recycle_slot(offset);
+        return Err(e);
+    }
+    heap.commit_append(offset)?;
+    Ok(offset)
+}
+
+/// Retires the record a logged mutation superseded. A *transient* fault
+/// here must not fail the operation: the mutation is already logged and
+/// acknowledged-to-be, and replay will apply it — so the victim slot is
+/// parked stale (retired by the sweep; no index entry points at it) instead
+/// of rolled back.
+fn retire_logged(heap: &RecordHeap, offset: u64) -> Result<(), ViperError> {
+    match heap.mark_dead(offset) {
+        Ok(()) => Ok(()),
+        Err(e) if e.is_transient() => {
+            heap.park_stale(offset);
+            Ok(())
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// The overload ladder's front door: an open circuit breaker sheds the
+/// write outright; a saturated admission gate sheds it after a bounded
+/// spin-wait. Both surface as the `WouldBlock`-style
+/// [`ViperError::Backpressure`] — the store is healthy, the caller should
+/// back off and retry.
+fn shed_check<'a>(
+    breaker: Option<&Arc<CircuitBreaker>>,
+    admission: Option<&'a Admission>,
+    max_wait: Duration,
+) -> Result<Option<AdmissionGuard<'a>>, ViperError> {
+    if let Some(b) = breaker {
+        if b.is_open() {
+            return Err(ViperError::Backpressure);
+        }
+    }
+    match admission {
+        Some(gate) => match gate.enter(max_wait) {
+            Ok(g) => Ok(Some(g)),
+            Err(_) => Err(ViperError::Backpressure),
+        },
+        None => Ok(None),
+    }
+}
+
+impl<M: WriteModel> Engine<M> {
+    /// The put both write models forward to (contract: see
+    /// [`crate::ViperStore::put`]): shed → retry → stripe →
+    /// [`Engine::put_core`], absorbing a full WAL ring and flipping
+    /// read-only once the retry budget is spent on exhaustion. The stripe
+    /// is taken per attempt, so it is released during each backoff.
+    pub(crate) fn put<A: WriteAccess>(
+        &self,
+        index: &mut A,
+        key: Key,
+        value: &[u8],
+    ) -> Result<(), ViperError> {
+        let t = self.recorder.start();
+        let r = self.absorbing_wal_full(index, |index| {
+            let _gate =
+                shed_check(self.breaker.as_ref(), self.admission.as_ref(), self.admission_wait)?;
+            with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
+                let _stripe = self.key_locks.lock(key);
+                self.put_core(index, key, value)
+            })
+        });
+        if r == Err(ViperError::DeviceFull) {
+            self.read_only.store(true, Ordering::Release);
+        }
+        self.recorder.finish(OpKind::Put, t);
+        r
+    }
+
+    /// The delete both write models forward to. Never gated or shed —
+    /// deletes reclaim space and are the way out of degradation.
+    pub(crate) fn delete<A: WriteAccess>(
+        &self,
+        index: &mut A,
+        key: Key,
+    ) -> Result<bool, ViperError> {
+        let t = self.recorder.start();
+        let r = self.absorbing_wal_full(index, |index| {
+            with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
+                let _stripe = self.key_locks.lock(key);
+                self.delete_core(index, key)
+            })
+        });
+        self.recorder.finish(OpKind::Delete, t);
+        r
+    }
+
+    /// Runs `attempt`; if the WAL ring refused it, writes a checkpoint
+    /// inline (which reopens the ring) and runs it once more before
+    /// [`ViperError::WalFull`] can surface. The checkpoint quiesces every
+    /// stripe, so it must run here — after the attempt, its stripe guard
+    /// and its admission slot have fully unwound — and not inside it.
+    fn absorbing_wal_full<A: WriteAccess, T>(
+        &self,
+        index: &mut A,
+        mut attempt: impl FnMut(&mut A) -> Result<T, ViperError>,
+    ) -> Result<T, ViperError> {
+        match attempt(index) {
+            Err(ViperError::WalFull) => {
+                self.checkpoint(index.index())?;
+                attempt(index)
+            }
+            r => r,
+        }
+    }
+
+    /// `key`'s mapping is about to change (`publish` and `unpublish` are the
+    /// only ways it does; an in-place update calls neither): a durable
+    /// store notes the key for its next checkpoint's delta.
+    fn note_change(&self, key: Key) {
+        if let Some(d) = &self.durability {
+            d.note_change(key);
+        }
+    }
+
+    /// The one implementation of insert-or-update. Fails fast with
+    /// [`ViperError::ReadOnly`] while degraded; surfaces device faults
+    /// unchanged. The read-only *transition* on exhaustion lives in
+    /// [`Engine::put`] — a single attempt must stay retryable as
+    /// `DeviceFull` (transient: the window may pass during backoff),
+    /// whereas flipping the flag here would turn the next attempt into the
+    /// permanent `ReadOnly` and defeat the retry.
+    fn put_core(
+        &self,
+        index: &mut impl WriteAccess,
+        key: Key,
+        value: &[u8],
+    ) -> Result<(), ViperError> {
+        if self.read_only.load(Ordering::Acquire) {
+            return Err(ViperError::ReadOnly);
+        }
+        let heap = &self.heap;
+        let wal = self.durability.as_ref().map(|d| &d.wal);
+        match index.lookup(key) {
+            Some(offset) => {
+                if self.crash_safe_updates {
+                    let new_offset = match wal {
+                        Some(w) => {
+                            let new_offset = logged_append(heap, w, key, value)?;
+                            retire_logged(heap, offset)?;
+                            new_offset
+                        }
+                        None => heap.replace(offset, key, value)?,
+                    };
+                    self.note_change(key);
+                    index.publish(key, new_offset);
+                    Ok(())
+                } else {
+                    // An in-place update keeps the key → offset mapping, so
+                    // the log record is informationally redundant (replay
+                    // re-points the index at the same slot) — but logging it
+                    // keeps the WAL a complete mutation history and the
+                    // group-commit ack honest about ordering.
+                    if let Some(w) = wal {
+                        wal_append(w, key, offset, WAL_OP_PUT)?;
+                    }
+                    heap.update_in_place(offset, value)
+                }
+            }
+            None => {
+                let offset = match wal {
+                    Some(w) => logged_append(heap, w, key, value)?,
+                    None => heap.append(key, value)?,
+                };
+                self.note_change(key);
+                let prev = index.publish(key, offset);
+                debug_assert!(prev.is_none(), "same-key put raced despite serialisation");
+                Ok(())
+            }
+        }
+    }
+
+    /// The one implementation of delete. Accepted even in read-only
+    /// degradation — reclaiming space lifts it.
+    ///
+    /// On a retirement failure the key is re-published into the DRAM index
+    /// before the error surfaces: the record is still durably live on the
+    /// device, and leaving the index diverged would make a "failed" delete
+    /// look applied until a restart resurrected the record — exactly the
+    /// half-state the torture oracle flags. The rollback is pure DRAM, so it
+    /// cannot itself fault.
+    fn delete_core(&self, index: &mut impl WriteAccess, key: Key) -> Result<bool, ViperError> {
+        let heap = &self.heap;
+        if let Some(d) = &self.durability {
+            // Durable ordering: log the delete *before* touching the device,
+            // so a crash after the ack always finds it in the log. Once
+            // logged, a transient retirement fault is swallowed (the slot is
+            // parked stale and the delete acknowledged): rolling back would
+            // contradict the log, whose replay applies the delete anyway.
+            let Some(offset) = index.lookup(key) else {
+                return Ok(false);
+            };
+            wal_append(&d.wal, key, offset, WAL_OP_DELETE)?;
+            if heap.mark_dead(offset).is_ok() {
+                self.read_only.store(false, Ordering::Release);
+            } else {
+                heap.park_stale(offset);
+            }
+            d.note_change(key);
+            index.unpublish(key);
+            return Ok(true);
+        }
+        match index.unpublish(key) {
+            Some(offset) => match heap.mark_dead(offset) {
+                Ok(()) => {
+                    self.read_only.store(false, Ordering::Release);
+                    Ok(true)
+                }
+                Err(e) => {
+                    index.publish(key, offset);
+                    Err(e)
+                }
+            },
+            None => Ok(false),
+        }
+    }
+}

@@ -26,9 +26,10 @@ fn main() {
 
     for kind in IndexKind::ALL {
         let config = StoreConfig::paper(keys.len());
-        let mut store = ViperStore::bulk_load_with(config, &loaded, value_of, |pairs| {
-            AnyIndex::build(kind, pairs)
-        });
+        let mut store =
+            ViperStore::<AnyIndex>::bulk_load_with(config, &loaded, value_of, |pairs| {
+                AnyIndex::build(kind, pairs)
+            });
         let vs = store.heap().layout().value_size;
         let mut buf = vec![0u8; vs];
 

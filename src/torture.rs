@@ -186,13 +186,10 @@ impl Driver {
             (Driver::Single(store), report)
         } else {
             let shards = cfg.shards;
-            let (store, report) = ConcurrentViperStore::recover_shared_recorded(
-                dev,
-                layout,
-                opts,
-                recorder,
-                |pairs| Sharded::build_boxed(shards, pairs, |chunk| kind.build(chunk)),
-            );
+            let (store, report) =
+                ConcurrentViperStore::recover_recorded(dev, layout, opts, recorder, |pairs| {
+                    Sharded::build_boxed(shards, pairs, |chunk| kind.build(chunk))
+                });
             (Driver::Sharded(store), report)
         }
     }

@@ -112,7 +112,7 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
 
         let cfg = StoreConfig::test(40_000);
         let dev = Arc::new(NvmDevice::with_faults(cfg.nvm, &plan));
-        let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_shared_with_options(
+        let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_with_options(
             dev,
             cfg.layout,
             RecoverOptions::default(),
@@ -267,7 +267,7 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
         // tuner's evidence floors are met.
         let cfg = StoreConfig::test(300_000);
         let dev = Arc::new(NvmDevice::with_faults(cfg.nvm, &plan));
-        let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_shared_with_options(
+        let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_with_options(
             dev,
             cfg.layout,
             RecoverOptions::default(),
@@ -404,7 +404,7 @@ fn worker_repairs_every_quarantined_slot_after_corrupting_restart() {
     with_deadline(Duration::from_mins(1), || {
         let keys: Vec<u64> = (0..2_000u64).map(|i| i * 5 + 2).collect();
         let cfg = StoreConfig::test(4_000);
-        let store = ConcurrentViperStore::<Sharded>::bulk_load_shared(
+        let store = ConcurrentViperStore::<Sharded>::bulk_load_with(
             cfg,
             &keys,
             |k, buf| value_of(k, 1, buf),
@@ -435,7 +435,7 @@ fn worker_repairs_every_quarantined_slot_after_corrupting_restart() {
         }
 
         let rec = Recorder::enabled();
-        let (store, report) = ConcurrentViperStore::<Sharded>::recover_shared_recorded(
+        let (store, report) = ConcurrentViperStore::<Sharded>::recover_recorded(
             dev,
             cfg.layout,
             RecoverOptions::default(),
@@ -482,7 +482,7 @@ fn circuit_breaker_trips_under_backlog_and_recovers() {
         let initial = lip::workloads::generate_keys(lip::workloads::Dataset::OsmLike, 20_000, 5);
         let (lo, hi) = (initial[0], *initial.last().unwrap());
         let cfg = StoreConfig::test(300_000);
-        let mut store = ConcurrentViperStore::<Sharded>::bulk_load_shared(
+        let mut store = ConcurrentViperStore::<Sharded>::bulk_load_with(
             cfg,
             &initial,
             |k, buf| value_of(k, 1, buf),
@@ -563,7 +563,7 @@ fn maintenance_worker_clean_shutdown_smoke() {
     with_deadline(Duration::from_mins(1), || {
         let initial: Vec<u64> = (0..10_000u64).map(|i| i * 13 + 1).collect();
         let cfg = StoreConfig::test(60_000);
-        let mut store = ConcurrentViperStore::<Sharded>::bulk_load_shared(
+        let mut store = ConcurrentViperStore::<Sharded>::bulk_load_with(
             cfg,
             &initial,
             |k, buf| value_of(k, 1, buf),

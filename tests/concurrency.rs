@@ -18,9 +18,10 @@ fn concurrent_reads_every_index() {
     let keys = generate_keys(Dataset::YcsbNormal, 20_000, 21);
     for kind in IndexKind::ALL {
         let config = StoreConfig::test(keys.len());
-        let store = Arc::new(ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
-            AnyIndex::build(kind, pairs)
-        }));
+        let store =
+            Arc::new(ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
+                AnyIndex::build(kind, pairs)
+            }));
         let vs = store.heap().layout().value_size;
         let mut handles = Vec::new();
         for t in 0..8usize {
@@ -50,7 +51,7 @@ fn concurrent_writes_every_concurrent_kind() {
     for kind in ConcurrentKind::all() {
         let config = StoreConfig::test(initial.len() + 40_000);
         let store =
-            Arc::new(ConcurrentViperStore::bulk_load_shared(config, &initial, value_of, |pairs| {
+            Arc::new(ConcurrentViperStore::bulk_load_with(config, &initial, value_of, |pairs| {
                 AnyConcurrentIndex::build(kind, pairs)
             }));
         let vs = store.heap().layout().value_size;

@@ -33,8 +33,9 @@ fn run_workload(kind: IndexKind, spec: WorkloadSpec, n: usize, dataset: Dataset)
 
     let config = StoreConfig::test(keys.len());
     let vs = config.layout.value_size;
-    let mut store =
-        ViperStore::bulk_load_with(config, &loaded, value_of, |pairs| AnyIndex::build(kind, pairs));
+    let mut store = ViperStore::<AnyIndex>::bulk_load_with(config, &loaded, value_of, |pairs| {
+        AnyIndex::build(kind, pairs)
+    });
 
     // Oracle: key -> Some(latest op value) or None for the loaded default.
     let mut oracle: BTreeMap<u64, Option<u64>> = loaded.iter().map(|&k| (k, None)).collect();
@@ -128,7 +129,7 @@ fn deletes_roundtrip_through_store() {
     for kind in IndexKind::UPDATABLE {
         let config = StoreConfig::test(keys.len());
         let vs = config.layout.value_size;
-        let mut store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
             AnyIndex::build(kind, pairs)
         });
         let mut buf = vec![0u8; vs];

@@ -32,7 +32,7 @@ fn random_crash_points_recover_exact_state() {
     for round in 0..5 {
         let config = crash_config(4_000);
         let layout = config.layout;
-        let mut store = ViperStore::bulk_load_with(
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(
             config,
             &[],
             |_, _| {},
@@ -55,7 +55,7 @@ fn random_crash_points_recover_exact_state() {
         let dev = store.into_device();
         let mut dev = Arc::try_unwrap(dev).ok().expect("unique");
         dev.crash();
-        let recovered = ViperStore::recover_with(Arc::new(dev), layout, |pairs| {
+        let recovered = ViperStore::<AnyIndex>::recover_with(Arc::new(dev), layout, |pairs| {
             AnyIndex::build(IndexKind::BTree, pairs)
         });
         assert_eq!(recovered.len(), oracle.len(), "round {round}");
@@ -75,7 +75,7 @@ fn tampering_without_flush_is_lost() {
     let config = crash_config(1_000);
     let layout = config.layout;
     let keys: Vec<u64> = (0..500).map(|i| i * 7).collect();
-    let store = ViperStore::bulk_load_with(
+    let store = ViperStore::<AnyIndex>::bulk_load_with(
         config,
         &keys,
         |k, buf| buf.fill((k % 251) as u8),
@@ -91,7 +91,9 @@ fn tampering_without_flush_is_lost() {
     dev.read_into(cap - 64, &mut probe);
     assert_eq!(probe, [0u8; 64], "unflushed scribble must be rolled back");
     let recovered: ViperStore<AnyIndex> =
-        ViperStore::recover_with(Arc::new(dev), layout, |p| AnyIndex::build(IndexKind::Alex, p));
+        ViperStore::<AnyIndex>::recover_with(Arc::new(dev), layout, |p| {
+            AnyIndex::build(IndexKind::Alex, p)
+        });
     assert_eq!(recovered.len(), keys.len());
 }
 

@@ -34,11 +34,12 @@ fn recover_after_clean_shutdown_every_kind() {
     for kind in IndexKind::ALL {
         let config = crash_config(keys.len());
         let layout = config.layout;
-        let store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
+        let store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
             AnyIndex::build(kind, pairs)
         });
         let dev = store.into_device();
-        let recovered = ViperStore::recover_with(dev, layout, |pairs| AnyIndex::build(kind, pairs));
+        let recovered =
+            ViperStore::<AnyIndex>::recover_with(dev, layout, |pairs| AnyIndex::build(kind, pairs));
         assert_eq!(recovered.len(), keys.len(), "{}", kind.name());
         let mut buf = vec![0u8; layout.value_size];
         let mut expect = vec![0u8; layout.value_size];
@@ -56,7 +57,7 @@ fn crash_preserves_all_published_records() {
     for kind in [IndexKind::Alex, IndexKind::Pgm, IndexKind::BTree, IndexKind::Cceh] {
         let config = crash_config(keys.len() * 2);
         let layout = config.layout;
-        let mut store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
             AnyIndex::build(kind, pairs)
         });
         // Post-load mutations: updates, deletes, fresh inserts.
@@ -75,8 +76,9 @@ fn crash_preserves_all_published_records() {
         let dev = store.into_device();
         let mut dev = Arc::try_unwrap(dev).ok().expect("unique device");
         dev.crash();
-        let recovered =
-            ViperStore::recover_with(Arc::new(dev), layout, |pairs| AnyIndex::build(kind, pairs));
+        let recovered = ViperStore::<AnyIndex>::recover_with(Arc::new(dev), layout, |pairs| {
+            AnyIndex::build(kind, pairs)
+        });
         assert_eq!(recovered.len(), live, "{}", kind.name());
 
         let mut buf = vec![0u8; layout.value_size];
@@ -139,7 +141,7 @@ mod durable {
         let config = crash_config(keys.len() * 2).with_durability(durability);
         let layout = config.layout;
         let capacity = config.nvm.capacity;
-        let mut store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
             AnyIndex::build(KIND, pairs)
         });
         for &k in keys.iter().take(100) {
@@ -187,10 +189,13 @@ mod durable {
     ) -> (lip::viper::RecoveryReport, Recorder, u64) {
         let recorder = Recorder::enabled();
         let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };
-        let (store, report) =
-            ViperStore::recover_recorded(Arc::new(dev), layout, opts, recorder.clone(), |pairs| {
-                AnyIndex::build(KIND, pairs)
-            });
+        let (store, report) = ViperStore::<AnyIndex>::recover_recorded(
+            Arc::new(dev),
+            layout,
+            opts,
+            recorder.clone(),
+            |pairs| AnyIndex::build(KIND, pairs),
+        );
         assert_eq!(store.len(), expected, "acked writes lost");
         let mut buf = vec![0u8; layout.value_size];
         assert!(store.get(keys[0], &mut buf));
@@ -294,7 +299,7 @@ mod durable {
         let config = crash_config(1_000).with_durability(durability);
         let geom = Geometry::compute(config.nvm.capacity, config.layout.page_size, &durability)
             .expect("the config grew the device to fit");
-        let store = ViperStore::bulk_load_with(config, &keys, value_of, |pairs| {
+        let store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, |pairs| {
             AnyIndex::build(KIND, pairs)
         });
         let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };
@@ -319,10 +324,12 @@ mod durable {
         assert_eq!((newest.generation, newest.slot, newest.delta_len), (2, 1, 0));
 
         let expected = store.len();
-        let (recovered, report) =
-            ViperStore::recover_with_options(store.into_device(), layout, opts, |pairs| {
-                AnyIndex::build(KIND, pairs)
-            });
+        let (recovered, report) = ViperStore::<AnyIndex>::recover_with_options(
+            store.into_device(),
+            layout,
+            opts,
+            |pairs| AnyIndex::build(KIND, pairs),
+        );
         assert!(report.from_checkpoint, "the rebuilt base must be the next restart's start");
         assert_eq!((report.replayed, report.quarantined), (0, 0));
         assert_eq!(recovered.len(), expected);
@@ -349,10 +356,12 @@ mod durable {
                 durability: DurabilityTracking::Shadow,
             };
             let dev = Arc::new(NvmDevice::with_faults(config, plan));
-            let (mut store, _) =
-                ViperStore::recover_with_options(Arc::clone(&dev), layout, opts, |pairs| {
-                    AnyIndex::build(KIND, pairs)
-                });
+            let (mut store, _) = ViperStore::<AnyIndex>::recover_with_options(
+                Arc::clone(&dev),
+                layout,
+                opts,
+                |pairs| AnyIndex::build(KIND, pairs),
+            );
             for k in 0..10u64 {
                 store.put(k, &vec![1u8; layout.value_size]).unwrap();
             }
@@ -377,10 +386,12 @@ mod durable {
         assert_eq!(store.checkpoint_now(), Ok(true));
         assert_eq!((store.checkpoint_generation(), store.wal_lag()), (2, 0));
 
-        let (recovered, report) =
-            ViperStore::recover_with_options(store.into_device(), layout, opts, |pairs| {
-                AnyIndex::build(KIND, pairs)
-            });
+        let (recovered, report) = ViperStore::<AnyIndex>::recover_with_options(
+            store.into_device(),
+            layout,
+            opts,
+            |pairs| AnyIndex::build(KIND, pairs),
+        );
         assert!(report.from_checkpoint);
         assert_eq!((report.replayed, report.quarantined), (0, 0));
         assert_eq!(recovered.len(), 20, "the failed checkpoint's ten keys must be in the image");
@@ -399,7 +410,7 @@ mod durable {
         let config = crash_config(2_000).with_durability(durability);
         let layout = config.layout;
         let build = |pairs: &[(u64, u64)]| AnyIndex::build(IndexKind::Cceh, pairs);
-        let mut store = ViperStore::bulk_load_with(config, &keys, value_of, build);
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(config, &keys, value_of, build);
         let mut oracle: std::collections::BTreeMap<u64, u8> =
             keys.iter().map(|&k| (k, (k % 251) as u8)).collect();
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
@@ -422,7 +433,7 @@ mod durable {
         assert!(store.checkpoint_generation() > 80);
         let opts = RecoverOptions { durability: Some(durability), ..RecoverOptions::default() };
         let (recovered, report) =
-            ViperStore::recover_with_options(store.into_device(), layout, opts, build);
+            ViperStore::<AnyIndex>::recover_with_options(store.into_device(), layout, opts, build);
         assert!(report.from_checkpoint);
         assert_eq!((report.replayed, report.quarantined), (0, 0));
         assert_eq!(recovered.len(), oracle.len());

@@ -449,7 +449,7 @@ fn every_repaired_slot_had_a_matching_quarantine() {
 
     let keys: Vec<u64> = (0..200u64).map(|i| i * 3 + 1).collect();
     let cfg = StoreConfig::test(400);
-    let store = ViperStore::bulk_load_with(
+    let store = ViperStore::<AnyIndex>::bulk_load_with(
         cfg,
         &keys,
         |k, buf| buf.fill((k % 251) as u8),
@@ -466,7 +466,7 @@ fn every_repaired_slot_had_a_matching_quarantine() {
     }
 
     let rec = Recorder::enabled();
-    let (store, report) = ViperStore::recover_recorded(
+    let (store, report) = ViperStore::<AnyIndex>::recover_recorded(
         dev,
         cfg.layout,
         RecoverOptions::default(),
@@ -561,7 +561,7 @@ fn wal_events_are_causal_and_only_from_durable_stores() {
             cfg = cfg.with_durability(DurabilityConfig::sized_for(4_000, 256));
         }
         let keys: Vec<u64> = (0..500u64).map(|i| i * 3 + 1).collect();
-        let mut store = ViperStore::bulk_load_with(
+        let mut store = ViperStore::<AnyIndex>::bulk_load_with(
             cfg,
             &keys,
             |k, buf| buf.fill((k % 251) as u8),
@@ -603,9 +603,10 @@ fn wal_events_are_causal_and_only_from_durable_stores() {
         durability: Some(DurabilityConfig::sized_for(4_000, 256)),
         ..RecoverOptions::default()
     };
-    let (_, report) = ViperStore::recover_recorded(dev, cfg.layout, opts, rec.clone(), |pairs| {
-        AnyIndex::build(IndexKind::BTree, pairs)
-    });
+    let (_, report) =
+        ViperStore::<AnyIndex>::recover_recorded(dev, cfg.layout, opts, rec.clone(), |pairs| {
+            AnyIndex::build(IndexKind::BTree, pairs)
+        });
     assert!(report.from_checkpoint);
     assert_eq!(rec.snapshot().event(Event::LogReplay), report.replayed as u64);
 }

@@ -1,5 +1,5 @@
 //! Fixture: panicking hot path — rule R4 must flag the unwrap/expect
-//! inside `put`/`get`/`delete` (linted under the Viper store path).
+//! inside `put`/`get`/`delete` (linted under the Viper write-path file).
 
 pub struct Store;
 

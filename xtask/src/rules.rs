@@ -108,9 +108,10 @@ pub fn check_file(
 }
 
 /// Per-file list of hot-path functions R4 holds panic-free. The store's
-/// user-facing ops and the WAL's append/replay paths sit on every durable
-/// put/delete and on recovery; a panic there turns an injectable device
-/// fault into an outage. The shard router's op and cutover paths are held
+/// read path, the one put/delete body both write models forward to (with
+/// every helper of it that touches the device) and the WAL's append/replay
+/// paths sit on every durable put/delete and on recovery; a panic there
+/// turns an injectable device fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
 /// table for every thread, and the tuner runs on the maintenance thread
 /// where a panic silently kills adaptation. The checkpoint decoders and
@@ -132,6 +133,18 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
     let f = file.to_string_lossy().replace('\\', "/");
     if f.ends_with("viper/src/store.rs") {
         Some(&["put", "get", "delete"])
+    } else if f.ends_with("viper/src/write.rs") {
+        Some(&[
+            "put",
+            "delete",
+            "absorbing_wal_full",
+            "put_core",
+            "delete_core",
+            "logged_append",
+            "retire_logged",
+            "wal_append",
+            "shed_check",
+        ])
     } else if f.ends_with("viper/src/wal.rs") {
         Some(&["append", "commit_through", "flush_batch", "replay", "max_lsn"])
     } else if f.ends_with("viper/src/checkpoint.rs") {
@@ -417,7 +430,7 @@ mod tests {
             // Path-gated rules lint their fixtures as if they were the
             // gating file.
             let rel = if name.contains("hot_path") {
-                PathBuf::from("crates/viper/src/store.rs")
+                PathBuf::from("crates/viper/src/write.rs")
             } else if name.contains("lock_order") {
                 PathBuf::from("crates/fixture/src/locks.rs")
             } else {
@@ -597,10 +610,15 @@ mod tests {
     #[test]
     fn r4_only_hot_fns_in_viper_store_and_skips_tests() {
         let src = "impl S {\n    fn put(&self) { x.unwrap(); }\n    fn helper(&self) { y.unwrap(); }\n}\n";
-        let v = lint("crates/viper/src/store.rs", src, "");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "hot-path-panics");
-        assert_eq!(v[0].line, 2);
+        for file in ["crates/viper/src/store.rs", "crates/viper/src/write.rs"] {
+            let v = lint(file, src, "");
+            assert_eq!(v.len(), 1, "{file}: {v:?}");
+            assert_eq!(v[0].rule, "hot-path-panics");
+            assert_eq!(v[0].line, 2);
+        }
+        // The write path's device-touching helpers are held to the bar too.
+        let src = "fn put_core(&self) { x.unwrap(); }\nfn wal_append() { y.expect(\"z\"); }\n";
+        assert_eq!(lint("crates/viper/src/write.rs", src, "").len(), 2);
         // Same content elsewhere is not checked.
         assert!(lint("crates/other/src/store_like.rs", src, "").is_empty());
         // Test modules are exempt.
