@@ -11,8 +11,9 @@
 //!    requests in flight, latency measured from send to response.
 //! 3. **Ladder storm** — a store on a fault-injected device: write-failure
 //!    bursts are absorbed by the retry policy (rung 1, invisible to
-//!    clients), a 32-client put stampede saturates the admission gate
-//!    (rung 2, typed `RETRY_AFTER`), then the breaker is tripped (rung 3,
+//!    clients), a 32-client pipelined put stampede overruns the server's
+//!    in-flight budget and the store's admission gate (rung 2, typed
+//!    `RETRY_AFTER`), then the breaker is tripped (rung 3,
 //!    typed `OVERLOADED`, shed before the store is touched). Every request
 //!    must resolve — success or typed error, never a hang or a dropped
 //!    connection — and the three rungs must first engage in ladder order.
@@ -29,6 +30,7 @@ use li_core::telemetry::{Event, Recorder};
 use li_core::Sharded;
 use li_nvm::{Fault, FaultPlan, NvmDevice};
 use li_proto::{Body, Command, ErrorKind};
+use li_server::server::ADMISSION_SHED_HINT_US;
 use li_server::{testutil, Client, Server, ServiceConfig};
 use li_sync::sync::atomic::{AtomicBool, Ordering};
 use li_sync::sync::Arc;
@@ -75,6 +77,9 @@ struct ClientTally {
     resolved: u64,
     ok: u64,
     retry_after: u64,
+    /// The `RETRY_AFTER`s that came from the server's in-flight budget
+    /// (they carry its hint), not from the store's admission gate.
+    admission_shed: u64,
     overloaded: u64,
     other_errors: u64,
     first_retry_after: Option<Instant>,
@@ -86,8 +91,9 @@ impl ClientTally {
     fn absorb(&mut self, at: Instant, body: &Body) {
         self.resolved += 1;
         match body {
-            Body::Err { kind: ErrorKind::RetryAfter, .. } => {
+            Body::Err { kind: ErrorKind::RetryAfter, retry_after_us } => {
                 self.retry_after += 1;
+                self.admission_shed += u64::from(*retry_after_us == ADMISSION_SHED_HINT_US);
                 self.first_retry_after.get_or_insert(at);
             }
             Body::Err { kind: ErrorKind::Overloaded, .. } => {
@@ -104,6 +110,7 @@ impl ClientTally {
         self.resolved += other.resolved;
         self.ok += other.ok;
         self.retry_after += other.retry_after;
+        self.admission_shed += other.admission_shed;
         self.overloaded += other.overloaded;
         self.other_errors += other.other_errors;
         self.first_retry_after = earliest(self.first_retry_after, other.first_retry_after);
@@ -250,6 +257,11 @@ fn sweep_point(clients: usize, total_ops: usize, preload: usize, seed: u64) -> (
 struct StormOutcome {
     retries: u64,
     retry_after: u64,
+    /// `RETRY_AFTER`s with the server rung's hint, as clients counted
+    /// them, and the server's own `admission_shed` counter.
+    admission_shed: u64,
+    admission_shed_event: u64,
+    slow_client_drops: u64,
     overloaded: u64,
     sent: u64,
     resolved: u64,
@@ -262,8 +274,7 @@ struct StormOutcome {
 }
 
 /// Keys the storm store serves: 4096 spread keys, so the recovered
-/// `Sharded` index gets real shard boundaries and the server's
-/// shard-affinity routing actually fans requests across workers.
+/// `Sharded` index gets real shard boundaries.
 const STORM_KEYS: u64 = 4096;
 
 fn storm_key(i: u64) -> u64 {
@@ -325,14 +336,13 @@ fn storm(seed: u64) -> StormOutcome {
     store.set_recorder(Recorder::enabled());
     let rec = store.recorder().clone();
 
-    // Ladder wiring: a slim worker pool with shallow queues so a
-    // pipelined stampede saturates dispatch (typed RETRY_AFTER) on any
-    // core count; the store-level admission gate backs it up, and a
-    // hair-trigger breaker the storm trips by hand (in production the
-    // maintenance worker feeds it).
+    // Ladder wiring: an in-flight budget so small that a pipelined
+    // stampede overruns it (typed RETRY_AFTER) on any core count; the
+    // store-level admission gate backs it up, and a hair-trigger breaker
+    // the storm trips by hand (in production the maintenance worker
+    // feeds it).
     let scfg = ServiceConfig {
-        workers: 2,
-        queue_depth: 4,
+        max_in_flight: 8,
         retry: RetryPolicy::standard(seed),
         admission_limit: 1,
         admission_wait: Duration::ZERO,
@@ -389,10 +399,10 @@ fn storm(seed: u64) -> StormOutcome {
     total.merge(&p1);
 
     // Phase 2 — backpressure: 32 clients each pipeline 150 puts without
-    // reading, overwhelming two workers with depth-4 queues; dispatch
-    // sheds the overflow as typed RETRY_AFTER (and on multicore hosts the
-    // single-entrant admission gate sheds more). Every frame still gets
-    // an answer.
+    // reading. A read delivers many frames at once and only 8 may be in
+    // flight server-wide; the overflow is shed as typed RETRY_AFTER (and
+    // on multicore hosts the single-entrant admission gate sheds more).
+    // Every frame still gets an answer.
     let p2 = fan_out(32, move |i| {
         let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
         let mut tally = ClientTally::default();
@@ -453,6 +463,7 @@ fn storm(seed: u64) -> StormOutcome {
     total.merge(&p4);
 
     let report = server.shutdown();
+    let events = rec.snapshot();
 
     // Ladder order: the first retry strictly precedes the first typed
     // RETRY_AFTER, which strictly precedes the first typed OVERLOADED.
@@ -464,6 +475,9 @@ fn storm(seed: u64) -> StormOutcome {
     StormOutcome {
         retries,
         retry_after: total.retry_after,
+        admission_shed: total.admission_shed,
+        admission_shed_event: events.event(Event::AdmissionShed),
+        slow_client_drops: events.event(Event::SlowClientDrop),
         overloaded: total.overloaded,
         sent: total.sent,
         resolved: total.resolved,
@@ -518,8 +532,8 @@ fn main() {
     println!("\n-- overload storm (seeded ladder) --");
     let s = storm(cfg.seed);
     println!(
-        "rung 1 retry: {} absorbed | rung 2 backpressure: {} RETRY_AFTER | rung 3 breaker: {} OVERLOADED ({} open)",
-        s.retries, s.retry_after, s.overloaded, s.breaker_opens
+        "rung 1 retry: {} absorbed | rung 2 backpressure: {} RETRY_AFTER ({} from the server's budget) | rung 3 breaker: {} OVERLOADED ({} open)",
+        s.retries, s.retry_after, s.admission_shed, s.overloaded, s.breaker_opens
     );
     println!(
         "sent {} resolved {} (other errors {}) | shed-path p999 {:.1} us | ladder order {} | recovered {} | drained clean {}",
@@ -535,7 +549,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"serve_load\",\"preload\":{},\"ops\":{},\"seed\":{},\
          \"sweep\":[{}],\"open_loop\":{{\"clients\":16,\"window\":16,{}}},\
-         \"storm\":{{\"retries\":{},\"retry_after\":{},\"overloaded\":{},\
+         \"storm\":{{\"retries\":{},\"retry_after\":{},\"admission_shed\":{},\"overloaded\":{},\
          \"sent\":{},\"resolved\":{},\"other_errors\":{},\"ladder_ok\":{},\
          \"shed_p999_us\":{:.3},\"breaker_opens\":{},\"drained_clean\":{},\"recovered\":{}}}}}\n",
         preload,
@@ -545,6 +559,7 @@ fn main() {
         &latency_json(&open_tally, open_secs)[1..],
         s.retries,
         s.retry_after,
+        s.admission_shed,
         s.overloaded,
         s.sent,
         s.resolved,
@@ -570,6 +585,12 @@ fn main() {
         }
         if s.retry_after == 0 {
             failures.push("rung 2 never engaged (no RETRY_AFTER responses)");
+        }
+        if s.admission_shed == 0 || s.admission_shed != s.admission_shed_event {
+            failures.push("admission_shed is not the count of RETRY_AFTERs the budget sent");
+        }
+        if s.slow_client_drops != 0 {
+            failures.push("a client was dropped as slow instead of being shed typed errors");
         }
         if s.overloaded == 0 {
             failures.push("rung 3 never engaged (no OVERLOADED responses)");

@@ -15,11 +15,20 @@ use li_proto::{
     decode_response, encode_request, split_frame, Body, Command, ProtoError, Request, Response,
 };
 
+/// Bytes asked of the stream in one read.
+const READ_CHUNK: usize = 4096;
+
 /// Blocking protocol client over any `Read + Write` stream.
 pub struct Client<S> {
     stream: S,
     next_id: u64,
+    /// The request frame being sent, encoded here call after call.
+    frame: Vec<u8>,
+    /// Bytes read off the wire; responses before `parsed` are handed out.
     acc: Vec<u8>,
+    parsed: usize,
+    /// What one `read` fills, before it is appended to `acc`.
+    chunk: Vec<u8>,
     /// Responses read while waiting for a different id.
     parked: HashMap<u64, Body>,
 }
@@ -38,7 +47,15 @@ impl Client<TcpStream> {
 impl<S: Read + Write> Client<S> {
     /// Wraps an already-connected stream (e.g. a `FaultyTransport`).
     pub fn over(stream: S) -> Self {
-        Client { stream, next_id: 1, acc: Vec::with_capacity(4096), parked: HashMap::new() }
+        Client {
+            stream,
+            next_id: 1,
+            frame: Vec::with_capacity(64),
+            acc: Vec::with_capacity(READ_CHUNK),
+            parsed: 0,
+            chunk: vec![0u8; READ_CHUNK],
+            parked: HashMap::new(),
+        }
     }
 
     pub fn get_ref(&self) -> &S {
@@ -51,39 +68,37 @@ impl<S: Read + Write> Client<S> {
         let id = self.next_id;
         self.next_id += 1;
         let req = Request { id, deadline_us, cmd };
-        let mut frame = Vec::with_capacity(64);
-        encode_request(&req, &mut frame)
+        self.frame.clear();
+        encode_request(&req, &mut self.frame)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.stream.write_all(&frame)?;
+        self.stream.write_all(&self.frame)?;
         Ok(id)
     }
 
     /// Reads the next response frame off the wire (any id).
     pub fn recv(&mut self) -> io::Result<Response> {
+        let invalid = |e: ProtoError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         loop {
-            match split_frame(&self.acc) {
-                Ok(Some((range, consumed))) => {
-                    let resp = decode_response(&self.acc[range])
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    self.acc.drain(..consumed);
-                    return Ok(resp);
+            match split_frame(&self.acc[self.parsed..]).map_err(invalid)? {
+                Some((range, consumed)) => {
+                    let body = &self.acc[self.parsed + range.start..self.parsed + range.end];
+                    self.parsed += consumed;
+                    return decode_response(body).map_err(invalid);
                 }
-                Ok(None) => {
-                    let mut chunk = [0u8; 4096];
-                    match self.stream.read(&mut chunk)? {
+                None => {
+                    // One compaction per read, not one per response.
+                    self.acc.drain(..self.parsed);
+                    self.parsed = 0;
+                    match self.stream.read(&mut self.chunk)? {
                         0 => {
                             return Err(io::Error::new(
                                 io::ErrorKind::UnexpectedEof,
                                 "server closed the connection",
                             ));
                         }
-                        n => self.acc.extend_from_slice(&chunk[..n]),
+                        n => self.acc.extend_from_slice(&self.chunk[..n]),
                     }
                 }
-                Err(e @ ProtoError::Oversized { .. }) => {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-                }
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
             }
         }
     }

@@ -1,11 +1,12 @@
 //! [`ServiceConfig`]: one knob surface for the whole degradation ladder.
 //!
-//! PR 4 grew the ladder's pieces — [`RetryPolicy`], the admission gate,
-//! [`BreakerConfig`] — as individual constructor arguments. A server
-//! needs them operable: every threshold is settable from the
-//! environment (`LI_SERVER_*`) or from `--key=value` flags, and one
-//! [`ServiceConfig::install`] call wires the lot into a store before it
-//! is shared.
+//! The store's ladder pieces — [`RetryPolicy`], the admission gate,
+//! [`BreakerConfig`] — are constructor arguments; a server needs them
+//! operable. The fourteen [`KEYS`] (the server's own in-flight budget
+//! and three timeouts, then the ladder's thresholds) are each settable
+//! from the environment (`LI_SERVER_*`) or from `--key=value` flags, and
+//! one [`ServiceConfig::install`] call wires the ladder into a store
+//! before it is shared.
 
 use std::time::Duration;
 
@@ -13,20 +14,17 @@ use li_sync::sync::Arc;
 use li_viper::{BreakerConfig, CircuitBreaker, ConcurrentViperStore, RetryPolicy};
 
 /// Everything the server front-end and the store's overload ladder can
-/// be tuned with. Defaults are sized for tests: small queues so
-/// backpressure is reachable, timeouts short enough for CI.
+/// be tuned with. Defaults are sized for tests: a budget small enough
+/// that backpressure is reachable, timeouts short enough for CI.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads executing requests against the store.
-    pub workers: usize,
-    /// Jobs queued per worker before dispatch sheds with `RETRY_AFTER`.
-    pub queue_depth: usize,
-    /// Encoded response frames buffered per connection before the client
-    /// is declared slow and dropped.
-    pub write_queue_frames: usize,
-    /// A connection with no complete frame for this long is closed.
+    /// Server-wide budget of requests read off a socket whose response
+    /// is not yet written; a frame past it is shed with `RETRY_AFTER`.
+    pub max_in_flight: usize,
+    /// A connection with no bytes from its client for this long is closed.
     pub idle_timeout: Duration,
-    /// A writer blocked on one frame for this long drops the client.
+    /// A response write that makes no progress for this long drops the
+    /// client.
     pub stall_timeout: Duration,
     /// How long shutdown waits for in-flight requests before answering
     /// the remainder with typed `CANCELLED`.
@@ -44,9 +42,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 4,
-            queue_depth: 256,
-            write_queue_frames: 256,
+            max_in_flight: 1024,
             idle_timeout: Duration::from_secs(30),
             stall_timeout: Duration::from_secs(2),
             drain_timeout: Duration::from_secs(5),
@@ -81,9 +77,7 @@ impl ServiceConfig {
             val.parse().map_err(|_| format!("invalid number {val:?}"))
         }
         match key {
-            "workers" => self.workers = num::<usize>(val)?.max(1),
-            "queue_depth" => self.queue_depth = num::<usize>(val)?.max(1),
-            "write_queue_frames" => self.write_queue_frames = num::<usize>(val)?.max(1),
+            "max_in_flight" => self.max_in_flight = num::<usize>(val)?.max(1),
             "idle_timeout_us" => self.idle_timeout = Duration::from_micros(num(val)?),
             "stall_timeout_us" => self.stall_timeout = Duration::from_micros(num(val)?),
             "drain_timeout_us" => self.drain_timeout = Duration::from_micros(num(val)?),
@@ -130,9 +124,7 @@ impl ServiceConfig {
 /// All settable keys, in `set` spelling (used by `from_env` and `--help`
 /// text in the bench binary).
 pub const KEYS: &[&str] = &[
-    "workers",
-    "queue_depth",
-    "write_queue_frames",
+    "max_in_flight",
     "idle_timeout_us",
     "stall_timeout_us",
     "drain_timeout_us",
@@ -155,10 +147,8 @@ mod tests {
     #[test]
     fn set_parses_every_key() {
         let mut cfg = ServiceConfig::default();
-        for (key, val) in [
-            ("workers", "8"),
-            ("queue_depth", "32"),
-            ("write_queue_frames", "16"),
+        let pairs = [
+            ("max_in_flight", "8"),
             ("idle_timeout_us", "1000"),
             ("stall_timeout_us", "2000"),
             ("drain_timeout_us", "3000"),
@@ -172,10 +162,12 @@ mod tests {
             ("breaker_depth_close", "8"),
             ("breaker_sustain", "2"),
             ("breaker_p999_ns", "90000"),
-        ] {
+        ];
+        assert_eq!(&pairs.map(|(key, _)| key)[..], KEYS, "the test covers KEYS, in order");
+        for (key, val) in pairs {
             cfg.set(key, val).unwrap_or_else(|e| panic!("{key}: {e}"));
         }
-        assert_eq!(cfg.workers, 8);
+        assert_eq!(cfg.max_in_flight, 8);
         assert_eq!(cfg.retry.max_retries, 5);
         assert_eq!(cfg.retry.base_backoff, Duration::from_micros(10));
         assert_eq!(cfg.admission_limit, 7);
@@ -187,19 +179,17 @@ mod tests {
     #[test]
     fn unknown_key_and_bad_value_are_errors() {
         let mut cfg = ServiceConfig::default();
-        assert!(cfg.set("wrokers", "8").is_err());
-        assert!(cfg.set("workers", "lots").is_err());
+        assert!(cfg.set("max_in_flihgt", "8").is_err());
+        assert!(cfg.set("max_in_flight", "lots").is_err());
         assert_eq!(cfg, ServiceConfig::default());
     }
 
     #[test]
     fn zero_floors_are_clamped() {
         let mut cfg = ServiceConfig::default();
-        cfg.set("workers", "0").expect("parse");
-        cfg.set("queue_depth", "0").expect("parse");
+        cfg.set("max_in_flight", "0").expect("parse");
         cfg.set("breaker_sustain", "0").expect("parse");
-        assert_eq!(cfg.workers, 1);
-        assert_eq!(cfg.queue_depth, 1);
+        assert_eq!(cfg.max_in_flight, 1);
         assert_eq!(cfg.breaker.expect("breaker").sustain_ticks, 1);
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! This crate is where the degradation ladder built in the store layers
 //! (retry → admission gate → circuit breaker) meets real request
-//! traffic: pipelined `li-proto` frames served by a shard-aware worker
-//! pool, with per-request deadlines, typed overload errors instead of
-//! connection drops, slow-client protection, and graceful drain. See
-//! `DESIGN.md` § "Service front-end" for the full state machine and
-//! `tests/server_chaos.rs` for the properties under seeded network
-//! faults.
+//! traffic: pipelined `li-proto` frames, each run to completion on its
+//! connection's thread, with per-request deadlines, typed overload errors
+//! instead of connection drops, slow-client protection, and graceful
+//! drain. See `DESIGN.md` § "Service front-end" for the full state
+//! machine and `tests/server_chaos.rs` for the properties under seeded
+//! network faults.
 //!
 //! Layout:
 //! - [`config`]: [`ServiceConfig`] — every ladder/server knob, env/flag
 //!   parseable.
 //! - [`service`]: command execution + `ViperError` → protocol mapping.
-//! - [`server`]: acceptor / connection / worker-pool threading and
-//!   [`Server::shutdown`] drain.
+//! - [`server`]: acceptor, one run-to-completion thread per connection,
+//!   and the [`Server::shutdown`] drain.
 //! - [`client`]: a blocking test/bench client, generic over the stream.
 //! - [`transport`]: [`FaultyTransport`], seeded socket-fault injection.
 

@@ -1,44 +1,41 @@
-//! The TCP front-end: acceptor, per-connection reader/writer threads,
-//! and a shard-aware worker pool over one [`ConcurrentViperStore`].
-//!
-//! Thread anatomy (N workers, one reader + one writer per connection):
+//! The TCP front-end: an acceptor and one thread per connection that
+//! runs every request to completion on one [`ConcurrentViperStore`].
 //!
 //! ```text
-//! acceptor ─┬─> conn reader ──(route by shard_hint % N)──> worker queues
-//!           │        ^                                        │ execute
-//!           │        │ bounded write queue (slow-client cap)  v
-//!           │   conn writer <────────── encoded response frames
+//! acceptor ──> conn thread: read ─> for each complete frame:
+//!                  ^                  decode, admit, deadline, execute,
+//!                  │                  encode into the output buffer
+//!                  └── one write_all per read batch <──┘
 //! ```
 //!
-//! Robustness properties, each tested by `tests/server_chaos.rs`:
+//! The store is safe for concurrent callers (key stripes), so parallelism
+//! comes from connections; within one, BATCH is the amortiser. Robustness
+//! properties, tested by `tests/e2e.rs` and `tests/server_chaos.rs`:
 //!
-//! - **Deadline propagation**: the frame header's relative deadline is
-//!   resolved to an `Instant` at decode time and checked again at worker
-//!   pop — expired work is shed with `DEADLINE_EXCEEDED` *before*
-//!   touching the store.
-//! - **Typed overload**: store backpressure surfaces as
-//!   `RETRY_AFTER`/`OVERLOADED` responses (see `service::map_store_error`);
-//!   a full worker queue sheds at dispatch with `RETRY_AFTER`. The
-//!   connection stays up in every case.
-//! - **Slow-client protection**: per-connection write queues are bounded
-//!   (`write_queue_frames`); a client that stops reading long enough to
-//!   fill one, or stalls a writer past `stall_timeout`, is dropped —
-//!   protecting workers, which never block on a socket.
-//! - **Graceful drain**: shutdown stops accepting, answers new frames
-//!   with `CANCELLED`, lets in-flight work finish (bounded by
-//!   `drain_timeout`, after which the remainder is cancelled), flushes
-//!   write queues, then checkpoints the store.
+//! - **Deadline propagation**: the frame header's relative deadline runs
+//!   from the read that delivered the frame and is checked immediately
+//!   before execution — expired work is shed with `DEADLINE_EXCEEDED`
+//!   *before* touching the store.
+//! - **Typed overload**: a frame counts against `max_in_flight` from the
+//!   read that delivered it until its response bytes are written; a
+//!   frame past the budget is shed with `RETRY_AFTER`. Store backpressure
+//!   surfaces as `RETRY_AFTER`/`OVERLOADED` (see
+//!   `service::map_store_error`). The connection stays up in every case.
+//! - **Slow-client protection**: a client that does not read its
+//!   responses stops being read from (TCP backpressure); if a response
+//!   write makes no progress for `stall_timeout` it is dropped. Only its
+//!   own thread ever waits on its socket.
+//! - **Graceful drain**: shutdown stops accepting, answers frames read
+//!   from then on with `CANCELLED`, lets in-flight work finish (bounded
+//!   by `drain_timeout`, after which the remainder is cancelled), then
+//!   checkpoints the store.
 
-use li_sync::sync::mpsc::{self, ClassedReceiver, ClassedSyncSender, TrySendError};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use li_core::{ConcurrentIndex, OrderedIndex};
-use li_proto::{
-    decode_request, encode_response, split_frame, Body, Command, ErrorKind, Request, Response,
-    LEN_PREFIX,
-};
+use li_proto::{decode_request, encode_response, split_frame, Body, ErrorKind, Request, Response};
 use li_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use li_sync::sync::{Arc, Mutex};
 use li_telemetry::{Event, OpKind};
@@ -47,13 +44,18 @@ use li_viper::ConcurrentViperStore;
 use crate::config::ServiceConfig;
 use crate::service;
 
-/// Reader poll tick: how often blocked reads wake to check stop flags
-/// and idle timers.
+/// Read poll tick: how often a blocked read wakes to check the idle
+/// timer.
 const READ_TICK: Duration = Duration::from_millis(20);
 /// Acceptor poll tick.
 const ACCEPT_TICK: Duration = Duration::from_millis(2);
-/// Retry hint attached to dispatch-level (worker-queue-full) shedding.
-const QUEUE_SHED_HINT_US: u32 = 500;
+/// Retry hint attached to a frame shed by the `max_in_flight` budget.
+pub const ADMISSION_SHED_HINT_US: u32 = 500;
+/// Bytes asked of the socket in one read; bounds the frames of a batch.
+const READ_CHUNK: usize = 16 * 1024;
+/// Responses are written out mid-batch once this many bytes are
+/// buffered, so a large SCAN does not pin memory.
+const FLUSH_AT: usize = 64 * 1024;
 
 /// Index bound the server needs from the store.
 pub trait ServeIndex: ConcurrentIndex + OrderedIndex + Send + Sync + 'static {}
@@ -74,35 +76,30 @@ pub struct DrainReport {
     pub checkpointed: bool,
 }
 
-/// One queued unit of work.
-struct Job {
-    id: u64,
-    cmd: Command,
-    deadline: Option<Instant>,
-    enqueued: Instant,
-    reply: ClassedSyncSender<Vec<u8>>,
-    conn_alive: Arc<AtomicBool>,
-}
-
 struct Shared<I> {
     store: Arc<ConcurrentViperStore<I>>,
     cfg: ServiceConfig,
-    /// Stop accepting + refuse new frames with `CANCELLED`.
+    /// Stop accepting + answer frames read from now on with `CANCELLED`.
     stopping: AtomicBool,
-    /// Drain timeout elapsed: workers cancel instead of executing.
+    /// Drain timeout elapsed: admitted requests are cancelled instead of
+    /// executed.
     aborting: AtomicBool,
-    /// Dispatched but not yet replied-to requests.
+    /// Requests read off a socket whose response is not yet written.
     in_flight: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
 }
 
-impl<I> Shared<I> {
-    fn event(&self, e: Event)
-    where
-        I: ServeIndex,
-    {
+impl<I: ServeIndex> Shared<I> {
+    fn event(&self, e: Event) {
         self.store.recorder().event(e);
+    }
+
+    /// Counts one request refused for the drain; its response body.
+    fn cancel(&self) -> Body {
+        self.event(Event::RequestCancelled);
+        self.cancelled.fetch_add(1, Ordering::AcqRel);
+        Body::Err { kind: ErrorKind::Cancelled, retry_after_us: 0 }
     }
 }
 
@@ -113,15 +110,12 @@ pub struct Server<I: ServeIndex> {
     shared: Arc<Shared<I>>,
     local_addr: SocketAddr,
     acceptor: Option<li_sync::thread::JoinHandle<()>>,
-    workers: Vec<li_sync::thread::JoinHandle<()>>,
-    worker_txs: Vec<ClassedSyncSender<Job>>,
     conns: Arc<Mutex<Vec<ConnSlot>>>,
 }
 
 struct ConnSlot {
     stream: TcpStream,
-    reader: li_sync::thread::JoinHandle<()>,
-    writer: li_sync::thread::JoinHandle<()>,
+    thread: li_sync::thread::JoinHandle<()>,
 }
 
 impl<I: ServeIndex> Server<I> {
@@ -144,37 +138,18 @@ impl<I: ServeIndex> Server<I> {
             completed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
         });
-
-        let mut worker_txs = Vec::with_capacity(shared.cfg.workers);
-        let mut workers = Vec::with_capacity(shared.cfg.workers);
-        for w in 0..shared.cfg.workers {
-            let (tx, rx) = mpsc::classed_sync_channel::<Job>(
-                li_sync::lock_class!("server-worker-queue"),
-                shared.cfg.queue_depth,
-            );
-            worker_txs.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(
-                li_sync::thread::Builder::new()
-                    .name(format!("li-server-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn worker"),
-            );
-        }
-
         let conns: Arc<Mutex<Vec<ConnSlot>>> =
             Arc::new(Mutex::with_class(li_sync::lock_class!("server-conns"), Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
-            let txs = worker_txs.clone();
             li_sync::thread::Builder::new()
                 .name("li-server-acceptor".into())
-                .spawn(move || accept_loop(&shared, &listener, &conns, &txs))
+                .spawn(move || accept_loop(&shared, &listener, &conns))
                 .expect("spawn acceptor")
         };
 
-        Ok(Server { shared, local_addr, acceptor: Some(acceptor), workers, worker_txs, conns })
+        Ok(Server { shared, local_addr, acceptor: Some(acceptor), conns })
     }
 
     /// The bound address (useful with port 0).
@@ -187,15 +162,16 @@ impl<I: ServeIndex> Server<I> {
         self.shared.completed.load(Ordering::Acquire)
     }
 
-    /// Graceful drain: stop accepting, refuse new frames with typed
-    /// `CANCELLED`, let in-flight work finish (bounded by
-    /// `drain_timeout`), flush per-connection write queues, checkpoint
-    /// the store, and join every thread.
+    /// Graceful drain: stop accepting, answer frames read from now on
+    /// with typed `CANCELLED`, let in-flight work finish (bounded by
+    /// `drain_timeout`), checkpoint the store, and join every thread.
     pub fn shutdown(mut self) -> DrainReport {
         let shared = &self.shared;
         shared.stopping.store(true, Ordering::Release);
 
-        // Phase 1: bounded wait for dispatched work to finish.
+        // Bounded wait for in-flight work. Connections stay readable
+        // meanwhile, so a frame that arrives mid-drain still gets its
+        // typed `CANCELLED`.
         let t0 = Instant::now();
         let mut drained_clean = true;
         while shared.in_flight.load(Ordering::Acquire) > 0 {
@@ -206,10 +182,11 @@ impl<I: ServeIndex> Server<I> {
             li_sync::thread::sleep(Duration::from_millis(1));
         }
 
-        // Phase 2: stop the acceptor, then unblock and join the readers
-        // (cutting only the read direction, so queued responses still
-        // flush). Acceptor and readers hold worker-sender clones, so
-        // they must exit before the workers can see disconnect.
+        // Join order: the acceptor first, so the registry is final; then
+        // the connection threads, unblocked by cutting only the read
+        // direction of their sockets — a batch read just before the stop
+        // flag still runs and writes its responses before its thread
+        // sees end of stream. Last, the store's final checkpoint.
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -217,23 +194,8 @@ impl<I: ServeIndex> Server<I> {
         for slot in &slots {
             let _ = slot.stream.shutdown(Shutdown::Read);
         }
-        let mut writers = Vec::with_capacity(slots.len());
         for slot in slots {
-            let _ = slot.reader.join();
-            writers.push(slot.writer);
-        }
-
-        // Phase 3: retire the workers (queues are empty, senders gone).
-        self.worker_txs.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-
-        // Phase 4: writers exit once every reply sender is dropped —
-        // after draining whatever frames were still queued — then the
-        // store takes its final checkpoint.
-        for w in writers {
-            let _ = w.join();
+            let _ = slot.thread.join();
         }
         let checkpointed = shared.store.drain().unwrap_or(false);
 
@@ -249,19 +211,15 @@ impl<I: ServeIndex> Server<I> {
 fn accept_loop<I: ServeIndex>(
     shared: &Arc<Shared<I>>,
     listener: &TcpListener,
-    conns: &Arc<Mutex<Vec<ConnSlot>>>,
-    worker_txs: &[ClassedSyncSender<Job>],
+    conns: &Mutex<Vec<ConnSlot>>,
 ) {
     while !shared.stopping.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.event(Event::ConnOpen);
-                if let Ok(slot) = spawn_conn(shared, stream, worker_txs) {
+                if let Ok(slot) = spawn_conn(shared, stream) {
                     conns.lock().push(slot);
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                li_sync::thread::sleep(ACCEPT_TICK);
             }
             Err(_) => li_sync::thread::sleep(ACCEPT_TICK),
         }
@@ -272,106 +230,46 @@ fn accept_loop<I: ServeIndex>(
 
 fn spawn_conn<I: ServeIndex>(
     shared: &Arc<Shared<I>>,
-    stream: TcpStream,
-    worker_txs: &[ClassedSyncSender<Job>],
+    mut stream: TcpStream,
 ) -> io::Result<ConnSlot> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK))?;
-    let write_half = stream.try_clone()?;
-    write_half.set_write_timeout(Some(shared.cfg.stall_timeout))?;
-
-    let (tx, rx) = mpsc::classed_sync_channel::<Vec<u8>>(
-        li_sync::lock_class!("server-write-queue"),
-        shared.cfg.write_queue_frames,
-    );
-    let conn_alive = Arc::new(AtomicBool::new(true));
-
-    let writer = {
-        let shared = Arc::clone(shared);
-        let alive = Arc::clone(&conn_alive);
-        li_sync::thread::Builder::new()
-            .name("li-server-conn-writer".into())
-            .spawn(move || writer_loop(&shared, write_half, &rx, &alive))
-            .expect("spawn conn writer")
-    };
-    let reader = {
-        let shared = Arc::clone(shared);
-        let alive = Arc::clone(&conn_alive);
-        let txs = worker_txs.to_vec();
-        let stream = stream.try_clone()?;
-        li_sync::thread::Builder::new()
-            .name("li-server-conn-reader".into())
-            .spawn(move || {
-                reader_loop(&shared, stream, &txs, &tx, &alive);
-                shared.event(Event::ConnClose);
-            })
-            .expect("spawn conn reader")
-    };
-    Ok(ConnSlot { stream, reader, writer })
+    stream.set_write_timeout(Some(shared.cfg.stall_timeout))?;
+    let registered = stream.try_clone()?;
+    let shared = Arc::clone(shared);
+    let thread =
+        li_sync::thread::Builder::new().name("li-server-conn".into()).spawn(move || {
+            conn_loop(&shared, &mut stream);
+            // The registry holds a clone of the socket, so returning
+            // would not close it: cut it for the peer to see.
+            let _ = stream.shutdown(Shutdown::Both);
+            shared.event(Event::ConnClose);
+        })?;
+    Ok(ConnSlot { stream: registered, thread })
 }
 
-/// Queues one encoded response; a full queue means the client is not
-/// keeping up → slow-client drop.
-fn queue_reply<I: ServeIndex>(
-    shared: &Shared<I>,
-    reply: &ClassedSyncSender<Vec<u8>>,
-    conn_alive: &AtomicBool,
-    resp: &Response,
-) {
-    let mut frame = Vec::with_capacity(64);
-    if encode_response(resp, &mut frame).is_err() {
-        // Response too large for one frame (e.g. an enormous scan).
-        // Substitute a typed error so the request still resolves.
-        frame.clear();
-        let err = Response {
-            id: resp.id,
-            body: Body::Err { kind: ErrorKind::BadRequest, retry_after_us: 0 },
-        };
-        encode_response(&err, &mut frame).expect("error response always fits");
-    }
-    match reply.try_send(frame) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            shared.event(Event::SlowClientDrop);
-            conn_alive.store(false, Ordering::Release);
-        }
-        Err(TrySendError::Disconnected(_)) => {}
-    }
-}
-
-fn reader_loop<I: ServeIndex>(
-    shared: &Arc<Shared<I>>,
-    mut stream: TcpStream,
-    worker_txs: &[ClassedSyncSender<Job>],
-    reply: &ClassedSyncSender<Vec<u8>>,
-    conn_alive: &Arc<AtomicBool>,
-) {
-    let mut acc: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
+/// One connection, start to end: read, run the batch, write, repeat.
+/// Returns when the client hung up, idled out, stalled, or lost frame
+/// sync.
+fn conn_loop<I: ServeIndex>(shared: &Shared<I>, stream: &mut TcpStream) {
+    let mut acc: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let mut out: Vec<u8> = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = vec![0u8; READ_CHUNK];
     let mut last_activity = Instant::now();
     loop {
-        if !conn_alive.load(Ordering::Acquire) {
-            // Writer stalled out or the write queue overflowed: cut the
-            // socket so the peer sees the drop promptly.
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
-                last_activity = Instant::now();
+                let read_at = Instant::now();
+                last_activity = read_at;
                 acc.extend_from_slice(&chunk[..n]);
-                if !drain_frames(shared, &mut acc, worker_txs, reply, conn_alive) {
-                    let _ = stream.shutdown(Shutdown::Both);
+                if !serve_batch(shared, stream, &mut acc, &mut out, read_at) {
                     return;
                 }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
                 if last_activity.elapsed() > shared.cfg.idle_timeout {
                     shared.event(Event::SlowClientDrop);
-                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
             }
@@ -380,45 +278,125 @@ fn reader_loop<I: ServeIndex>(
     }
 }
 
-/// Splits and dispatches every complete frame in `acc`. Returns false
-/// when the stream is unrecoverable (corrupt length prefix).
-fn drain_frames<I: ServeIndex>(
-    shared: &Arc<Shared<I>>,
+/// Runs every complete frame in `acc` to completion, in order, and
+/// writes their responses with one `write_all` (more only past
+/// [`FLUSH_AT`]). Returns false when the connection is beyond use:
+/// frame sync lost, or the client gone or stalled.
+fn serve_batch<I: ServeIndex>(
+    shared: &Shared<I>,
+    stream: &mut TcpStream,
     acc: &mut Vec<u8>,
-    worker_txs: &[ClassedSyncSender<Job>],
-    reply: &ClassedSyncSender<Vec<u8>>,
-    conn_alive: &Arc<AtomicBool>,
+    out: &mut Vec<u8>,
+    read_at: Instant,
 ) -> bool {
-    loop {
-        match split_frame(acc) {
-            Ok(None) => return true,
+    // Sampled once per read: a request is accepted when it is read.
+    let stopping = shared.stopping.load(Ordering::Acquire);
+    // Frames of this batch that count against the budget, until written.
+    let mut admitted = 0u64;
+    let mut at = 0;
+    let mut usable = true;
+    while usable {
+        let (body, consumed) = match split_frame(&acc[at..]) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => break,
             Err(_) => {
                 // Corrupt length prefix: frame sync is lost; nothing
                 // more can be parsed from this stream.
                 shared.event(Event::FrameReject);
-                return false;
+                usable = false;
+                break;
             }
-            Ok(Some((range, consumed))) => {
-                match decode_request(&acc[range]) {
-                    Ok(req) => dispatch(shared, req, worker_txs, reply, conn_alive),
-                    Err(_) => {
-                        // Body-level corruption: the frame boundary held,
-                        // so answer typed and keep the connection.
-                        shared.event(Event::FrameReject);
-                        let id = salvage_id(&acc[LEN_PREFIX..consumed]);
-                        queue_reply(
-                            shared,
-                            reply,
-                            conn_alive,
-                            &Response {
-                                id,
-                                body: Body::Err { kind: ErrorKind::BadRequest, retry_after_us: 0 },
-                            },
-                        );
-                    }
-                }
-                acc.drain(..consumed);
+        };
+        let frame = &acc[at + body.start..at + body.end];
+        at += consumed;
+        match decode_request(frame) {
+            Ok(req) => {
+                let body = answer(shared, &req, stopping, read_at, &mut admitted);
+                respond(out, req.id, body);
             }
+            Err(_) => {
+                // Body-level corruption: the frame boundary held, so
+                // answer typed and keep the connection.
+                shared.event(Event::FrameReject);
+                let body = Body::Err { kind: ErrorKind::BadRequest, retry_after_us: 0 };
+                respond(out, salvage_id(frame), body);
+            }
+        }
+        if out.len() >= FLUSH_AT {
+            usable = flush(shared, stream, out);
+        }
+    }
+    acc.drain(..at);
+    let written = flush(shared, stream, out);
+    shared.in_flight.fetch_sub(admitted, Ordering::AcqRel);
+    usable && written
+}
+
+/// The response body for one decoded request: shed by the drain, the
+/// budget or its deadline, or what the store answers.
+fn answer<I: ServeIndex>(
+    shared: &Shared<I>,
+    req: &Request,
+    stopping: bool,
+    read_at: Instant,
+    admitted: &mut u64,
+) -> Body {
+    if stopping {
+        return shared.cancel();
+    }
+    // The server's own admission rung: typed shed, connection lives.
+    if shared.in_flight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_in_flight as u64 {
+        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+        shared.event(Event::AdmissionShed);
+        return Body::Err { kind: ErrorKind::RetryAfter, retry_after_us: ADMISSION_SHED_HINT_US };
+    }
+    *admitted += 1;
+    let started = Instant::now();
+    let waited = started.saturating_duration_since(read_at);
+    shared
+        .store
+        .recorder()
+        .record_ns(OpKind::ServerQueue, waited.as_nanos().min(u128::from(u64::MAX)) as u64);
+    if shared.aborting.load(Ordering::Acquire) {
+        return shared.cancel();
+    }
+    shared.completed.fetch_add(1, Ordering::AcqRel);
+    if req.deadline_us > 0 && waited > Duration::from_micros(u64::from(req.deadline_us)) {
+        // Shed before touching the store: the client has already given
+        // up on this work.
+        shared.event(Event::DeadlineShed);
+        return Body::Err { kind: ErrorKind::DeadlineExceeded, retry_after_us: 0 };
+    }
+    service::execute(&shared.store, &req.cmd)
+}
+
+/// Appends the response frame for `id` to `out`.
+fn respond(out: &mut Vec<u8>, id: u64, body: Body) {
+    if encode_response(&Response { id, body }, out).is_err() {
+        // Too large for one frame (an enormous scan): a typed error in
+        // its place, so the request still resolves.
+        let body = Body::Err { kind: ErrorKind::BadRequest, retry_after_us: 0 };
+        let fits = encode_response(&Response { id, body }, out);
+        debug_assert!(fits.is_ok(), "an error response always fits a frame");
+    }
+}
+
+/// Writes the buffered responses out. False when the client is gone or
+/// took no bytes for `stall_timeout`; that is the slow-client drop.
+fn flush<I: ServeIndex>(shared: &Shared<I>, stream: &mut TcpStream, out: &mut Vec<u8>) -> bool {
+    if out.is_empty() {
+        return true;
+    }
+    let wrote = stream.write_all(out);
+    out.clear();
+    out.shrink_to(FLUSH_AT);
+    match wrote {
+        Ok(()) => true,
+        Err(e) => {
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+                shared.event(Event::SlowClientDrop);
+            }
+            false
         }
     }
 }
@@ -434,117 +412,4 @@ fn salvage_id(body: &[u8]) -> u64 {
         }
         None => 0,
     }
-}
-
-fn dispatch<I: ServeIndex>(
-    shared: &Arc<Shared<I>>,
-    req: Request,
-    worker_txs: &[ClassedSyncSender<Job>],
-    reply: &ClassedSyncSender<Vec<u8>>,
-    conn_alive: &Arc<AtomicBool>,
-) {
-    if shared.stopping.load(Ordering::Acquire) {
-        shared.event(Event::RequestCancelled);
-        shared.cancelled.fetch_add(1, Ordering::AcqRel);
-        let resp = Response {
-            id: req.id,
-            body: Body::Err { kind: ErrorKind::Cancelled, retry_after_us: 0 },
-        };
-        queue_reply(shared, reply, conn_alive, &resp);
-        return;
-    }
-    let deadline = (req.deadline_us > 0)
-        .then(|| Instant::now() + Duration::from_micros(u64::from(req.deadline_us)));
-    let worker = match req.cmd.route_key() {
-        Some(key) => shared.store.index().shard_hint(key) % worker_txs.len(),
-        None => 0,
-    };
-    let job = Job {
-        id: req.id,
-        cmd: req.cmd,
-        deadline,
-        enqueued: Instant::now(),
-        reply: reply.clone(),
-        conn_alive: Arc::clone(conn_alive),
-    };
-    shared.in_flight.fetch_add(1, Ordering::AcqRel);
-    match worker_txs[worker].try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(job)) => {
-            // Dispatch-level backpressure: the worker queue is the
-            // server's own admission gate. Typed shed, connection lives.
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            let resp = Response {
-                id: job.id,
-                body: Body::Err { kind: ErrorKind::RetryAfter, retry_after_us: QUEUE_SHED_HINT_US },
-            };
-            queue_reply(shared, reply, conn_alive, &resp);
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            shared.event(Event::RequestCancelled);
-            shared.cancelled.fetch_add(1, Ordering::AcqRel);
-            let resp = Response {
-                id: job.id,
-                body: Body::Err { kind: ErrorKind::Cancelled, retry_after_us: 0 },
-            };
-            queue_reply(shared, reply, conn_alive, &resp);
-        }
-    }
-}
-
-fn worker_loop<I: ServeIndex>(shared: &Arc<Shared<I>>, rx: &ClassedReceiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let recorder = shared.store.recorder();
-        recorder.record_ns(
-            OpKind::ServerQueue,
-            job.enqueued.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-        );
-        let body = if shared.aborting.load(Ordering::Acquire) {
-            shared.event(Event::RequestCancelled);
-            shared.cancelled.fetch_add(1, Ordering::AcqRel);
-            Body::Err { kind: ErrorKind::Cancelled, retry_after_us: 0 }
-        } else if job.deadline.is_some_and(|d| Instant::now() > d) {
-            // Shed before touching the store: the client has already
-            // given up on this work.
-            shared.event(Event::DeadlineShed);
-            shared.completed.fetch_add(1, Ordering::AcqRel);
-            Body::Err { kind: ErrorKind::DeadlineExceeded, retry_after_us: 0 }
-        } else {
-            shared.completed.fetch_add(1, Ordering::AcqRel);
-            service::execute(&shared.store, &job.cmd)
-        };
-        queue_reply(shared, &job.reply, &job.conn_alive, &Response { id: job.id, body });
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-fn writer_loop<I: ServeIndex>(
-    shared: &Arc<Shared<I>>,
-    mut stream: TcpStream,
-    rx: &ClassedReceiver<Vec<u8>>,
-    conn_alive: &AtomicBool,
-) {
-    // `recv` keeps delivering frames queued before the senders dropped,
-    // which is exactly the drain-flush shutdown needs.
-    while let Ok(frame) = rx.recv() {
-        match stream.write_all(&frame) {
-            Ok(()) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // The peer stalled the write direction past
-                // `stall_timeout` with a frame half-sent: drop them.
-                shared.event(Event::SlowClientDrop);
-                conn_alive.store(false, Ordering::Release);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-            Err(_) => {
-                conn_alive.store(false, Ordering::Release);
-                return;
-            }
-        }
-    }
-    let _ = stream.flush();
 }

@@ -28,7 +28,7 @@ pub fn execute<I>(store: &ConcurrentViperStore<I>, cmd: &Command) -> Body
 where
     I: ConcurrentIndex + OrderedIndex,
 {
-    let recorder = store.recorder().clone();
+    let recorder = store.recorder();
     let timer = recorder.start();
     let (kind, body) = match cmd {
         Command::Get { key } => (OpKind::ServerGet, get(store, *key)),
@@ -75,8 +75,14 @@ where
 {
     let mut buf = vec![0u8; store.heap().layout().value_size];
     if store.get(key, &mut buf) {
-        match unframe_value(&buf) {
-            Some(v) => Body::Value(v.to_vec()),
+        match unframe_value(&buf).map(<[u8]>::len) {
+            // The record's buffer becomes the response's: the value
+            // moves down over the length header.
+            Some(len) => {
+                buf.copy_within(VLEN_HEADER..VLEN_HEADER + len, 0);
+                buf.truncate(len);
+                Body::Value(buf)
+            }
             None => Body::Err { kind: ErrorKind::Internal, retry_after_us: 0 },
         }
     } else {

@@ -4,10 +4,11 @@
 //! this file pins the happy paths and the basic protocol semantics.
 
 use li_sync::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use li_proto::{Body, Command, ErrorKind};
+use li_proto::{encode_request, Body, Command, ErrorKind, Request};
 use li_server::{testutil, Client, Server, ServiceConfig};
+use li_telemetry::Event;
 
 /// Runs `f` under a watchdog so a hung server fails the test instead of
 /// hanging CI (same discipline as tests/chaos_recovery.rs).
@@ -145,22 +146,28 @@ fn stats_returns_telemetry_json() {
 #[test]
 fn expired_deadline_is_shed_with_typed_error() {
     with_deadline(Duration::from_secs(30), || {
-        // One worker with a deep queue: stuff it with slow-ish scans so a
-        // 1µs-deadline request expires while queued.
-        let mut cfg = ServiceConfig::default();
-        cfg.set("workers", "1").expect("cfg");
+        use std::io::Write;
+        let cfg = ServiceConfig::default();
         let store = testutil::served_store(512, &cfg);
         let server = Server::spawn(store, cfg, "127.0.0.1:0").expect("spawn");
         let mut c = client_for(&server);
 
-        let mut ids = Vec::new();
-        for _ in 0..32 {
-            ids.push(c.send(Command::Scan { lo: 0, hi: u64::MAX, limit: 512 }, 0).expect("send"));
+        // One write carries 32 slow-ish scans and then a GET with a 1µs
+        // deadline. The server's read delivers them together, the GET's
+        // deadline runs from that read, and the scans execute first: it
+        // has expired when its turn comes.
+        let mut frames = Vec::new();
+        let scan = Command::Scan { lo: 0, hi: u64::MAX, limit: 512 };
+        for id in 1..=32 {
+            encode_request(&Request { id, deadline_us: 0, cmd: scan.clone() }, &mut frames)
+                .expect("encode");
         }
-        let doomed = c.send(Command::Get { key: 1 }, 1).expect("send");
-        ids.push(doomed);
+        let doomed = Request { id: 33, deadline_us: 1, cmd: Command::Get { key: 1 } };
+        encode_request(&doomed, &mut frames).expect("encode");
+        c.get_ref().try_clone().expect("clone").write_all(&frames).expect("write");
+
         let mut shed = 0;
-        for id in ids {
+        for id in 1..=33 {
             match c.recv_for(id).expect("recv") {
                 Body::Err { kind: ErrorKind::DeadlineExceeded, .. } => shed += 1,
                 Body::Err { kind, .. } => panic!("unexpected error {kind:?}"),
@@ -169,6 +176,106 @@ fn expired_deadline_is_shed_with_typed_error() {
         }
         assert_eq!(shed, 1, "the 1µs request (and only it) must be shed");
         server.shutdown();
+    });
+}
+
+/// A client that sends and never reads is dropped once a response write
+/// has made no progress for `stall_timeout`; only its own connection
+/// thread ever waited on it, so another client is served throughout.
+#[test]
+fn client_that_never_reads_is_dropped_while_others_are_served() {
+    with_deadline(Duration::from_mins(1), || {
+        let mut cfg = ServiceConfig::default();
+        cfg.set("stall_timeout_us", "200000").expect("cfg");
+        let store = testutil::served_store(2048, &cfg);
+        let recorder = store.recorder().clone();
+        let server = Server::spawn(store, cfg, "127.0.0.1:0").expect("spawn");
+        let mut polite = client_for(&server);
+        let mut deaf = client_for(&server);
+
+        // 512 scans answered with 32 KiB each: 16 MiB that nobody reads,
+        // more than the socket buffers between the two ends can hold
+        // (Linux caps them at 4 MiB + 6 MiB).
+        for _ in 0..512 {
+            deaf.send(Command::Scan { lo: 0, hi: u64::MAX, limit: 2048 }, 0).expect("send");
+        }
+        let t0 = Instant::now();
+        let mut served = 0u64;
+        while recorder.event_count(Event::SlowClientDrop) == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(30), "the deaf client was never dropped");
+            let body = polite.call(Command::Get { key: 1 }, 0).expect("polite call");
+            assert_eq!(body, Body::Value(1u32.to_le_bytes().to_vec()));
+            served += 1;
+        }
+        // The deaf client sees what was buffered and then the end of the
+        // stream, not a hang.
+        let err = loop {
+            if let Err(e) = deaf.recv() {
+                break e;
+            }
+        };
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+            ),
+            "unexpected error {err:?}"
+        );
+        assert_eq!(polite.call(Command::Get { key: 2 }, 0).expect("polite call"), Body::NotFound);
+        assert_eq!(recorder.event_count(Event::SlowClientDrop), 1);
+        assert!(server.shutdown().drained_clean);
+        eprintln!("slow client dropped after {:?}; {served} calls served meanwhile", t0.elapsed());
+    });
+}
+
+/// Known cliff #3. A flood on one connection whose receiver starts late
+/// used to overflow that connection's 256-frame write queue, and the
+/// server hung up on the client as "slow". A connection thread that
+/// cannot write stops reading instead, TCP pushes back on the sender,
+/// and every request resolves once the receiver reads.
+#[test]
+fn flood_with_a_late_reader_resolves_every_request() {
+    with_deadline(Duration::from_mins(2), || {
+        use std::io::Write;
+        /// At 21 bytes a GET response, 3.15 MB of them.
+        const REQUESTS: u64 = 150_000;
+        let cfg = ServiceConfig::default();
+        let store = testutil::served_store(1024, &cfg);
+        let recorder = store.recorder().clone();
+        let server = Server::spawn(store, cfg, "127.0.0.1:0").expect("spawn");
+        let mut receiver = client_for(&server);
+        let mut tx = receiver.get_ref().try_clone().expect("clone");
+
+        let sender = li_sync::thread::spawn(move || {
+            let mut frames = Vec::new();
+            for id in 1..=REQUESTS {
+                let cmd = Command::Get { key: (id % 1024) * 7 + 1 };
+                encode_request(&Request { id, deadline_us: 0, cmd }, &mut frames).expect("encode");
+                if id % 1000 == 0 {
+                    tx.write_all(&frames)?;
+                    frames.clear();
+                }
+            }
+            Ok::<(), std::io::Error>(())
+        });
+        li_sync::thread::sleep(Duration::from_millis(50));
+
+        let mut answered = vec![false; REQUESTS as usize];
+        for n in 0..REQUESTS {
+            let resp = receiver.recv().unwrap_or_else(|e| panic!("cut off after {n} replies: {e}"));
+            assert!(
+                matches!(resp.body, Body::Value(_) | Body::Err { kind: ErrorKind::RetryAfter, .. }),
+                "request {} got {:?}",
+                resp.id,
+                resp.body
+            );
+            let slot = &mut answered[(resp.id - 1) as usize];
+            assert!(!*slot, "request {} answered twice", resp.id);
+            *slot = true;
+        }
+        sender.join().expect("sender panicked").expect("the server hung up on the sender");
+        assert_eq!(recorder.event_count(Event::SlowClientDrop), 0);
+        assert!(server.shutdown().drained_clean);
     });
 }
 

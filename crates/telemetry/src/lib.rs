@@ -107,8 +107,8 @@ pub enum Event {
     /// A request's deadline expired before the store was touched; the
     /// work was shed with a typed `DEADLINE_EXCEEDED` response.
     DeadlineShed,
-    /// A connection was dropped for slow-client protection (bounded
-    /// write queue overflowed, or read/write stalled past the timeout).
+    /// A connection was dropped for slow-client protection (a response
+    /// write stalled past the timeout, or the client idled out).
     SlowClientDrop,
     /// An inbound frame failed to decode (corrupt length, bad opcode,
     /// truncated body) and was answered/closed with a typed error.
@@ -116,11 +116,14 @@ pub enum Event {
     /// A request was refused with typed `CANCELLED` because the server
     /// was draining for shutdown.
     RequestCancelled,
+    /// A request was shed with typed `RETRY_AFTER` by the server's own
+    /// in-flight budget, before the store was touched.
+    AdmissionShed,
 }
 
 impl Event {
     /// All variants, in counter-array order.
-    pub const ALL: [Event; 29] = [
+    pub const ALL: [Event; 30] = [
         Event::Retrain,
         Event::SplitNode,
         Event::ExpandNode,
@@ -150,6 +153,7 @@ impl Event {
         Event::SlowClientDrop,
         Event::FrameReject,
         Event::RequestCancelled,
+        Event::AdmissionShed,
     ];
 
     pub const COUNT: usize = Self::ALL.len();
@@ -190,6 +194,7 @@ impl Event {
             Event::SlowClientDrop => "slow_client_drop",
             Event::FrameReject => "frame_reject",
             Event::RequestCancelled => "request_cancelled",
+            Event::AdmissionShed => "admission_shed",
         }
     }
 }
@@ -224,7 +229,8 @@ pub enum OpKind {
     ServerBatch,
     /// End-to-end server STATS.
     ServerStats,
-    /// Time a request waited in a worker queue before executing (ns).
+    /// Time from the socket read that delivered a request to the start
+    /// of its execution (ns); `server_queue` in STATS.
     ServerQueue,
 }
 
@@ -842,6 +848,7 @@ mod tests {
     fn json_is_well_formed_enough() {
         let r = Recorder::enabled();
         r.event(Event::DeltaMerge);
+        r.event_n(Event::AdmissionShed, 3);
         r.record_ns(OpKind::Put, 100);
         r.shard_write(0);
         let mut s = r.snapshot();
@@ -850,6 +857,8 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains("\"delta_merge\":1"));
+        // The last event of the counter array closes the events object.
+        assert!(j.contains("\"admission_shed\":3},\"ops\""));
         assert!(j.contains("\"put\":{\"count\":1"));
         assert!(j.contains("\"writes\":7"));
         // Zero-count histograms are omitted.

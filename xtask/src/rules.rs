@@ -122,13 +122,12 @@ pub fn check_file(
 /// parses untrusted network bytes on every connection's reader thread;
 /// a panic there hands any client a remote crash primitive, so corrupt
 /// input must surface as `ProtoError`, never a panic. The li-server
-/// request path (service execute/dispatch and the per-connection frame
-/// drain / worker loops) is held to the same bar: a panic in a worker
-/// kills that worker thread and silently shrinks the pool, and a panic
-/// in the reader path is again client-triggerable. Thread-spawn and
-/// one-shot reply-encode expects live outside these functions on
-/// purpose — they run at startup or on the writer side with in-process
-/// input.
+/// request path (service execute and everything a connection thread runs
+/// between a read and the write of its batch) is held to the same bar:
+/// it parses client bytes, so a panic there lets any client kill its
+/// connection thread with admitted requests still counted in flight.
+/// The thread-spawn expects live outside these functions on purpose —
+/// they run at startup.
 fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
     let f = file.to_string_lossy().replace('\\', "/");
     if f.ends_with("viper/src/store.rs") {
@@ -196,7 +195,7 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "map_store_error",
         ])
     } else if f.ends_with("server/src/server.rs") {
-        Some(&["dispatch", "worker_loop", "drain_frames", "salvage_id"])
+        Some(&["conn_loop", "serve_batch", "answer", "respond", "flush", "salvage_id"])
     } else {
         None
     }
@@ -593,17 +592,20 @@ mod tests {
 
     #[test]
     fn r4_covers_server_request_path() {
-        // A worker panic silently shrinks the pool; the frame drain
-        // parses client bytes.
-        let src = "fn worker_loop<I>(rx: &R) {\n    rx.recv().unwrap();\n}\n";
-        let v = lint("crates/server/src/server.rs", src, "");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "hot-path-panics");
+        // Everything between a connection's read and its write runs on
+        // client bytes.
+        for name in ["conn_loop", "serve_batch", "answer", "respond", "flush", "salvage_id"] {
+            let src =
+                format!("fn {name}<I>(out: &mut Vec<u8>) {{\n    encode(out).unwrap();\n}}\n");
+            let v = lint("crates/server/src/server.rs", &src, "");
+            assert_eq!(v.len(), 1, "{name}: {v:?}");
+            assert_eq!(v[0].rule, "hot-path-panics");
+        }
         let src = "fn execute_one<I>(s: &S, cmd: &Command) -> Body {\n    s.get(cmd.key).expect(\"present\")\n}\n";
         let v = lint("crates/server/src/service.rs", src, "");
         assert_eq!(v.len(), 1, "{v:?}");
-        // Startup spawns and writer-side encodes stay out of scope.
-        let src = "pub fn spawn(cfg: C) -> S {\n    b.spawn(f).expect(\"spawn worker\")\n}\n";
+        // Startup spawns stay out of scope.
+        let src = "pub fn spawn(cfg: C) -> S {\n    b.spawn(f).expect(\"spawn acceptor\")\n}\n";
         assert!(lint("crates/server/src/server.rs", src, "").is_empty());
     }
 
