@@ -98,10 +98,12 @@ where
     if value.len() + VLEN_HEADER > value_size || value.len() > MAX_VALUE {
         return Body::Err { kind: ErrorKind::BadRequest, retry_after_us: 0 };
     }
-    let mut framed = vec![0u8; value_size];
-    framed[..VLEN_HEADER].copy_from_slice(&(value.len() as u32).to_le_bytes());
-    framed[VLEN_HEADER..VLEN_HEADER + value.len()].copy_from_slice(value);
-    match store.put(key, &framed) {
+    let stored = li_viper::heap::with_scratch(value_size, |framed| {
+        framed[..VLEN_HEADER].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        framed[VLEN_HEADER..VLEN_HEADER + value.len()].copy_from_slice(value);
+        store.put(key, framed)
+    });
+    match stored {
         Ok(()) => Body::Ok,
         Err(e) => map_store_error(&e, store.overload_state(), store.retry_policy().max_backoff),
     }
@@ -274,6 +276,18 @@ mod tests {
         }
     }
 
+    /// A GET whose index entry points at a recycled slot (what a reader
+    /// that lost a race with a delete holds) is a miss on the wire, never
+    /// the slot's new owner's value.
+    #[test]
+    fn get_through_an_entry_for_another_keys_slot_is_not_found() {
+        let store = test_store(4);
+        let slot_of_8 = store.index().get(8).expect("key 8 is loaded");
+        store.index().insert(9, slot_of_8);
+        assert_eq!(execute(&store, &Command::Get { key: 9 }), Body::NotFound);
+        assert!(matches!(execute(&store, &Command::Get { key: 8 }), Body::Value(_)));
+    }
+
     /// Satellite: a zero-retry config must still classify permanent
     /// errors correctly — retrying affects persistence of transients,
     /// not classification.
@@ -285,6 +299,7 @@ mod tests {
             (ViperError::ReadOnly, ErrorKind::ReadOnly),
             (ViperError::Backpressure, ErrorKind::RetryAfter),
             (ViperError::WalFull, ErrorKind::Internal),
+            (ViperError::IndexMismatch, ErrorKind::Internal),
             (ViperError::Nvm(NvmError::Crashed), ErrorKind::Internal),
             (ViperError::DeviceFull, ErrorKind::RetryAfter),
         ];

@@ -1,0 +1,106 @@
+//! What each store operation costs the device, as a table that is asserted.
+//!
+//! On a medium slower than DRAM the unit of cost is the access, not the
+//! byte (`li_nvm` charges per 256-byte block touched, per call). The rows
+//! below are DESIGN.md's "Update paths" table: a path that starts paying
+//! for one more read, write, flush or fence fails here, under both write
+//! models, with and without the WAL, with in-place and crash-safe updates.
+
+use li_nvm::LatencyModel;
+
+use crate::checkpoint::DurabilityConfig;
+use crate::config::StoreConfig;
+use crate::store::tests::Either;
+use crate::wal::WAL_RECORD;
+
+/// `[reads, bytes_read, writes, bytes_written, flushes, fences]`.
+type Traffic = [u64; 6];
+
+fn traffic_of(store: &mut Either, op: impl FnOnce(&mut Either)) -> Traffic {
+    let before = store.nvm_stats();
+    op(store);
+    let after = store.nvm_stats();
+    [
+        after.reads - before.reads,
+        after.bytes_read - before.bytes_read,
+        after.writes - before.writes,
+        after.bytes_written - before.bytes_written,
+        after.flushes - before.flushes,
+        after.fences - before.fences,
+    ]
+}
+
+/// The rows one configuration gets wrong, as text.
+fn off_budget(shared: bool, wal: bool, crash_safe: bool) -> Vec<String> {
+    let mut cfg = StoreConfig::paper(64).with_crash_safe_updates(crash_safe);
+    cfg.nvm.latency = LatencyModel::dram_like();
+    if wal {
+        cfg = cfg.with_durability(DurabilityConfig::sized_for(128, 64));
+    }
+    let slot = cfg.layout.slot_size() as u64;
+    let value = vec![7u8; cfg.layout.value_size];
+    let patch = 4 + value.len() as u64; // crc ‖ value
+    assert_eq!((slot, patch), (221, 204), "DESIGN.md's table is in these numbers");
+    // One logged op is one more write, flush and fence: its WAL record.
+    let (log, log_bytes) = if wal { (1, WAL_RECORD as u64) } else { (0, 0) };
+
+    let mut store = Either::new(shared, cfg);
+    // Keys 1..=6 loaded; the first put also opened the page.
+    for key in 1..=6 {
+        store.put(key, &value).unwrap();
+    }
+    let mut buf = vec![0u8; value.len()];
+    let rows: [(&str, Traffic, Traffic); 6] = [
+        ("get hit", [1, slot, 0, 0, 0, 0], traffic_of(&mut store, |s| assert!(s.get(3, &mut buf)))),
+        ("get miss", [0; 6], traffic_of(&mut store, |s| assert!(!s.get(99, &mut buf)))),
+        (
+            "scan of 5",
+            [5, 5 * slot, 0, 0, 0, 0],
+            traffic_of(&mut store, |s| assert_eq!(s.scan_keys(2, 6), [2, 3, 4, 5, 6])),
+        ),
+        (
+            // Payload with the state byte free, then the state byte.
+            "insert",
+            [0, 0, 2 + log, slot + 1 + log_bytes, 2 + log, 2 + log],
+            traffic_of(&mut store, |s| s.put(7, &value).unwrap()),
+        ),
+        (
+            "update",
+            if crash_safe {
+                // An insert, then the old slot's state byte.
+                [0, 0, 3 + log, slot + 2 + log_bytes, 3 + log, 3 + log]
+            } else {
+                // key ‖ seq back for the checksum, then crc ‖ value.
+                [1, 16, 1 + log, patch + log_bytes, 1 + log, 1 + log]
+            },
+            traffic_of(&mut store, |s| s.put(3, &value).unwrap()),
+        ),
+        (
+            "delete",
+            [0, 0, 1 + log, 1 + log_bytes, 1 + log, 1 + log],
+            traffic_of(&mut store, |s| assert!(s.delete(4).unwrap())),
+        ),
+    ];
+    rows.into_iter()
+        .filter(|(_, budget, spent)| spent != budget)
+        .map(|(op, budget, spent)| {
+            format!(
+                "{op} (shared={shared} wal={wal} crash_safe={crash_safe}): \
+                 spent {spent:?}, budget {budget:?}"
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn every_operation_costs_the_device_what_the_table_says() {
+    let mut wrong = Vec::new();
+    for shared in [false, true] {
+        for wal in [false, true] {
+            for crash_safe in [false, true] {
+                wrong.extend(off_budget(shared, wal, crash_safe));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "off budget:\n{}", wrong.join("\n"));
+}

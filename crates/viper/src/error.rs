@@ -26,6 +26,10 @@ pub enum ViperError {
     /// path intercepts it, writes a checkpoint inline, and retries once
     /// before letting it surface.
     WalFull,
+    /// The index pointed the key at a slot holding another key's record,
+    /// so an in-place update was refused instead of applied to it. Not
+    /// transient: an invariant of the index is broken.
+    IndexMismatch,
     /// The underlying device reported a fault (injected crash point,
     /// unrecovered transient write failure, …).
     Nvm(NvmError),
@@ -41,7 +45,7 @@ impl ViperError {
     pub const fn is_transient(self) -> bool {
         match self {
             ViperError::DeviceFull | ViperError::Backpressure => true,
-            ViperError::ReadOnly | ViperError::WalFull => false,
+            ViperError::ReadOnly | ViperError::WalFull | ViperError::IndexMismatch => false,
             ViperError::Nvm(e) => e.is_transient(),
         }
     }
@@ -54,6 +58,7 @@ impl fmt::Display for ViperError {
             ViperError::ReadOnly => write!(f, "store is read-only (device exhausted)"),
             ViperError::Backpressure => write!(f, "write shed by overload backpressure"),
             ViperError::WalFull => write!(f, "WAL ring full of un-checkpointed records"),
+            ViperError::IndexMismatch => write!(f, "index entry points at another key's record"),
             ViperError::Nvm(e) => write!(f, "NVM fault: {e}"),
         }
     }
@@ -103,5 +108,6 @@ mod tests {
         assert!(!ViperError::ReadOnly.is_transient());
         assert!(!ViperError::WalFull.is_transient(), "retry without checkpoint cannot clear it");
         assert!(!ViperError::Nvm(NvmError::Crashed).is_transient());
+        assert!(!ViperError::IndexMismatch.is_transient(), "the entry stays wrong");
     }
 }

@@ -28,10 +28,66 @@ use li_sync::sync::Mutex;
 
 use crate::checkpoint::{DurabilityConfig, Geometry};
 use crate::error::ViperError;
-use crate::layout::{RecordLayout, PAGE_HEADER, PAGE_MAGIC, SLOT_DEAD, SLOT_FREE, SLOT_LIVE};
+use crate::layout::{
+    record_crc, RecordLayout, SlotHeader, PAGE_HEADER, PAGE_MAGIC, SLOT_DEAD, SLOT_FREE,
+    SLOT_HEADER, SLOT_LIVE,
+};
 
 /// Number of lock stripes guarding in-place record updates.
 const UPDATE_STRIPES: usize = 1024;
+
+/// Scratches up to this many bytes live on the stack (see [`with_scratch`]).
+const STACK_SCRATCH: usize = 512;
+
+/// Runs `f` over a zeroed scratch of `len` bytes: on the stack up to
+/// 512 B — every slot of the paper's layout and of the tests' — and in a
+/// `Vec` only above that. The per-record paths (read, append, in-place
+/// update, the server's value framing) build their bytes here, so none of
+/// them allocates per operation.
+#[inline]
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    let mut stack = [0u8; STACK_SCRATCH];
+    match stack.get_mut(..len) {
+        Some(buf) => f(buf),
+        None => f(&mut vec![0u8; len]),
+    }
+}
+
+/// Heap pages read a device access at a time: a page is fetched whole when
+/// first touched and its slots are sliced out of the copy. Both rescan
+/// passes, the live-set snapshot and the checkpoint validator visit slots
+/// in offset order, so a page costs them one read however many of its
+/// slots they look at. The copy is not refreshed: callers run with writers
+/// quiescent and write at most the page header themselves.
+pub(crate) struct PageReader<'a> {
+    dev: &'a NvmDevice,
+    layout: RecordLayout,
+    buf: Vec<u8>,
+    /// Device offset of the page `buf` holds (`usize::MAX`: none yet).
+    held: usize,
+}
+
+impl<'a> PageReader<'a> {
+    pub(crate) fn new(dev: &'a NvmDevice, layout: RecordLayout) -> Self {
+        PageReader { dev, layout, buf: vec![0u8; layout.page_size], held: usize::MAX }
+    }
+
+    /// The page starting at `page_offset`, header included.
+    pub(crate) fn page(&mut self, page_offset: usize) -> &[u8] {
+        if self.held != page_offset {
+            self.dev.read_into(page_offset, &mut self.buf);
+            self.held = page_offset;
+        }
+        &self.buf
+    }
+
+    /// The slot at device offset `offset`.
+    pub(crate) fn slot(&mut self, offset: usize) -> &[u8] {
+        let in_page = offset % self.layout.page_size;
+        let slot_size = self.layout.slot_size();
+        &self.page(offset - in_page)[in_page..in_page + slot_size]
+    }
+}
 
 /// Injected transient write failures are retried this many times before
 /// the operation gives up and surfaces the fault.
@@ -234,9 +290,10 @@ impl RecordHeap {
     pub fn append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut buf = vec![0u8; self.layout.slot_size()];
-        self.layout.encode_record(key, seq, SLOT_FREE, value, &mut buf);
-        let result = self.publish(off, &buf);
+        let result = with_scratch(self.layout.slot_size(), |buf| {
+            self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
+            self.publish(off, buf)
+        });
         if result.is_err() {
             // The slot holds no published record; recycle it.
             self.free_slots.lock().push(off);
@@ -266,14 +323,13 @@ impl RecordHeap {
     pub fn stage_append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut buf = vec![0u8; self.layout.slot_size()];
-        self.layout.encode_record(key, seq, SLOT_FREE, value, &mut buf);
-        let result = (|| -> Result<(), ViperError> {
-            self.write_retry(off, &buf)?;
+        let result = with_scratch(self.layout.slot_size(), |buf| -> Result<(), ViperError> {
+            self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
+            self.write_retry(off, buf)?;
             self.dev.try_flush(off, buf.len())?;
             self.dev.try_fence()?;
             Ok(())
-        })();
+        });
         if let Err(e) = result {
             self.free_slots.lock().push(off);
             return Err(e);
@@ -305,29 +361,41 @@ impl RecordHeap {
         self.free_slots.lock().push(offset as usize);
     }
 
-    /// Overwrites the value of a live record in place (same-size update),
-    /// recomputing its checksum.
+    /// Overwrites the value of `key`'s live record in place (same-size
+    /// update), recomputing its checksum.
+    ///
+    /// `key ‖ seq` come back from the slot in one 16-byte read, and the
+    /// stored key must be `key`: an index entry pointing at another key's
+    /// record is refused ([`ViperError::IndexMismatch`]) rather than given
+    /// this value under a checksum that would verify.
     ///
     /// The crc+value region is written as one contiguous store, but it is
     /// *not* crash-atomic: a crash mid-update can leave a mismatching
     /// checksum, and recovery will then quarantine the record (old value
     /// lost too). That is the inherent trade-off of in-place updates; use
     /// [`RecordHeap::replace`] for crash-safe out-of-place updates.
-    pub fn update_in_place(&self, offset: u64, value: &[u8]) -> Result<(), ViperError> {
+    pub fn update_in_place(&self, offset: u64, key: Key, value: &[u8]) -> Result<(), ViperError> {
         assert_eq!(value.len(), self.layout.value_size);
         let off = offset as usize;
         let _guard = self.stripe(off).lock();
-        let key = self.dev.read_u64(off);
-        let seq = self.dev.read_u64(self.layout.seq_offset(off));
-        let crc = crate::layout::record_crc(key, seq, value);
-        // crc (4B) is contiguous with the value: one write, one persist.
-        let mut patch = vec![0u8; 4 + value.len()];
-        patch[..4].copy_from_slice(&crc.to_le_bytes());
-        patch[4..].copy_from_slice(value);
+        // Only the 16 bytes ahead of the state byte are fetched; the rest
+        // of the header stays zero and is not looked at.
+        let mut head = [0u8; SLOT_HEADER];
+        self.dev.read_into(off, &mut head[..16]);
+        let stored = RecordLayout::decode_header(&head);
+        if stored.key != key {
+            return Err(ViperError::IndexMismatch);
+        }
+        let crc = record_crc(key, stored.seq, value);
         let coff = self.layout.crc_offset(off);
-        self.write_retry(coff, &patch)?;
-        self.dev.try_persist(coff, patch.len())?;
-        Ok(())
+        // crc (4B) is contiguous with the value: one write, one persist.
+        with_scratch(4 + value.len(), |patch| {
+            patch[..4].copy_from_slice(&crc.to_le_bytes());
+            patch[4..].copy_from_slice(value);
+            self.write_retry(coff, patch)?;
+            self.dev.try_persist(coff, patch.len())?;
+            Ok(())
+        })
     }
 
     /// Crash-safe out-of-place update: appends a fresh record for `key`
@@ -353,17 +421,18 @@ impl RecordHeap {
         Ok(new_off)
     }
 
-    /// Reads the record at `offset` into `value_buf` (must be value-sized);
-    /// returns its key. Debug-asserts the record is live.
-    pub fn read(&self, offset: u64, value_buf: &mut [u8]) -> Key {
+    /// Reads the record at `offset` in one device access: the slot lands
+    /// in a scratch, its value is copied into `value_buf` (must be
+    /// value-sized) and its decoded header returned. What a foreign key or
+    /// a non-live state means is the caller's call — a lock-free reader
+    /// can find the slot recycled under it (see [`SlotHeader::holds`]).
+    pub fn read(&self, offset: u64, value_buf: &mut [u8]) -> SlotHeader {
         assert_eq!(value_buf.len(), self.layout.value_size);
-        let off = offset as usize;
-        let mut head = [0u8; crate::layout::SLOT_HEADER];
-        self.dev.read_into(off, &mut head);
-        let header = RecordLayout::decode_header(&head);
-        debug_assert_eq!(header.state, SLOT_LIVE, "reading non-live record at {offset}");
-        self.dev.read_into(self.layout.value_offset(off), value_buf);
-        header.key
+        with_scratch(self.layout.slot_size(), |slot| {
+            self.dev.read_into(offset as usize, slot);
+            value_buf.copy_from_slice(&slot[SLOT_HEADER..]);
+            RecordLayout::decode_header(slot)
+        })
     }
 
     /// Reads only the key of the record at `offset`.
@@ -417,13 +486,14 @@ impl RecordHeap {
         // key -> (seq, offset) of the best live record seen so far.
         let mut best: HashMap<Key, (u64, u64)> = HashMap::new();
         let total_pages = heap.alloc.total_pages();
-        let mut slot_buf = vec![0u8; layout.slot_size()];
+        let mut pages = PageReader::new(&heap.dev, layout);
         // Pass 1: find the last page with evidence of allocation. Pages are
         // allocated in order, but the header magic alone cannot bound the
         // scan: a dropped header flush leaves an allocated page — possibly
         // full of published records — without its magic. Any slot with a
         // non-free state byte is proof the page was allocated (unallocated
         // pages are all zeros, and slot writes only target allocated pages).
+        // A page with its magic costs this pass eight bytes, not the page.
         let mut last_evidence: Option<usize> = None;
         for page in 0..total_pages {
             let page_offset = heap.alloc.page_offset(page);
@@ -432,9 +502,8 @@ impl RecordHeap {
                 continue;
             }
             for slot in 0..spp {
-                let off = layout.slot_offset(page_offset, slot);
-                heap.dev.read_into(off, &mut slot_buf);
-                if RecordLayout::decode_header(&slot_buf).state != SLOT_FREE {
+                let slot_buf = pages.slot(layout.slot_offset(page_offset, slot));
+                if RecordLayout::decode_header(slot_buf).state != SLOT_FREE {
                     last_evidence = Some(page);
                     break;
                 }
@@ -444,7 +513,7 @@ impl RecordHeap {
         // Pass 2: account every slot of every allocated page.
         for page in 0..pages_allocated {
             let page_offset = heap.alloc.page_offset(page);
-            if heap.dev.read_u64(page_offset) != PAGE_MAGIC {
+            if !pages.page(page_offset).starts_with(&PAGE_MAGIC.to_le_bytes()) {
                 // Salvaged page: re-stamp the header, best effort — if the
                 // write faults, the next recovery simply salvages it again.
                 report.pages_healed += 1;
@@ -456,9 +525,9 @@ impl RecordHeap {
             }
             for slot in 0..spp {
                 let off = layout.slot_offset(page_offset, slot);
-                heap.dev.read_into(off, &mut slot_buf);
-                let header = RecordLayout::decode_header(&slot_buf);
-                let crc_ok = layout.verify_slot(&slot_buf);
+                let slot_buf = pages.slot(off);
+                let header = RecordLayout::decode_header(slot_buf);
+                let crc_ok = layout.verify_slot(slot_buf);
                 if crc_ok && header.state != SLOT_FREE {
                     // Free slots may hold stale or torn bytes; only records
                     // that round-trip their checksum advance the sequence.
@@ -575,7 +644,7 @@ impl RecordHeap {
         let spp = self.layout.slots_per_page();
         let stale: std::collections::HashSet<usize> = self.stale.lock().iter().copied().collect();
         let mut best: HashMap<Key, (u64, u64)> = HashMap::new();
-        let mut slot_buf = vec![0u8; self.layout.slot_size()];
+        let mut pages = PageReader::new(&self.dev, self.layout);
         for page in 0..self.alloc.allocated_pages() {
             let page_offset = self.alloc.page_offset(page);
             for slot in 0..spp {
@@ -583,9 +652,9 @@ impl RecordHeap {
                 if stale.contains(&off) {
                     continue;
                 }
-                self.dev.read_into(off, &mut slot_buf);
-                let header = RecordLayout::decode_header(&slot_buf);
-                if header.state != SLOT_LIVE || !self.layout.verify_slot(&slot_buf) {
+                let slot_buf = pages.slot(off);
+                let header = RecordLayout::decode_header(slot_buf);
+                if header.state != SLOT_LIVE || !self.layout.verify_slot(slot_buf) {
                     continue;
                 }
                 match best.entry(header.key) {
@@ -755,7 +824,7 @@ mod tests {
         let l = h.layout();
         let off = h.append(42, &val(&l, 7)).unwrap();
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h.read(off, &mut buf), 42);
+        assert_eq!(h.read(off, &mut buf).key, 42);
         assert_eq!(buf, val(&l, 7));
         assert_eq!(h.read_key(off), 42);
     }
@@ -765,10 +834,23 @@ mod tests {
         let h = heap(1 << 20);
         let l = h.layout();
         let off = h.append(1, &val(&l, 1)).unwrap();
-        h.update_in_place(off, &val(&l, 9)).unwrap();
+        h.update_in_place(off, 1, &val(&l, 9)).unwrap();
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h.read(off, &mut buf), 1);
+        assert_eq!(h.read(off, &mut buf).key, 1);
         assert_eq!(buf, val(&l, 9));
+    }
+
+    #[test]
+    fn update_in_place_refuses_another_keys_slot() {
+        let h = heap(1 << 20);
+        let l = h.layout();
+        let off = h.append(1, &val(&l, 1)).unwrap();
+        let before = h.device().stats().snapshot();
+        assert_eq!(h.update_in_place(off, 2, &val(&l, 9)), Err(ViperError::IndexMismatch));
+        assert_eq!(h.device().stats().snapshot().writes, before.writes, "nothing written");
+        let mut buf = vec![0u8; l.value_size];
+        assert_eq!(h.read(off, &mut buf).key, 1);
+        assert_eq!(buf, val(&l, 1));
     }
 
     #[test]
@@ -777,7 +859,7 @@ mod tests {
         let l = RecordLayout::small();
         let h = RecordHeap::new(Arc::clone(&dev), l);
         let off = h.append(5, &val(&l, 1)).unwrap();
-        h.update_in_place(off, &val(&l, 200)).unwrap();
+        h.update_in_place(off, 5, &val(&l, 200)).unwrap();
         drop(h);
         let (_, live, report) = RecordHeap::recover_with_report(dev, l, RecoverOptions::default());
         assert_eq!(report.quarantined, 0);
@@ -793,13 +875,13 @@ mod tests {
         let off2 = h.replace(off, 5, &val(&l, 2)).unwrap();
         assert_ne!(off, off2);
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h.read(off2, &mut buf), 5);
+        assert_eq!(h.read(off2, &mut buf).key, 5);
         assert_eq!(buf, val(&l, 2));
         drop(h);
         let (h2, live, report) = RecordHeap::recover_with_report(dev, l, RecoverOptions::default());
         assert_eq!(live, vec![(5, off2)]);
         assert_eq!(report.duplicates_dropped, 0, "old slot was retired");
-        assert_eq!(h2.read(off2, &mut buf), 5);
+        assert_eq!(h2.read(off2, &mut buf).key, 5);
         assert_eq!(buf, val(&l, 2));
     }
 
@@ -827,7 +909,7 @@ mod tests {
         assert_eq!(h2.nvm_bytes_used(), used, "no new page needed");
         // And new sequences continue past the recovered maximum.
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h2.read(off_new, &mut buf), 9);
+        assert_eq!(h2.read(off_new, &mut buf).key, 9);
         assert_eq!(buf, val(&l, 2));
     }
 
@@ -852,7 +934,7 @@ mod tests {
         assert!(h.nvm_bytes_used() >= 4 * l.page_size);
         let mut buf = vec![0u8; l.value_size];
         for (k, &off) in offs.iter().enumerate() {
-            assert_eq!(h.read(off, &mut buf), k as u64);
+            assert_eq!(h.read(off, &mut buf).key, k as u64);
         }
     }
 
@@ -878,9 +960,9 @@ mod tests {
         // Recovered heap keeps appending without clobbering live data.
         let off_new = h2.append(10_000, &val(&l, 0xee)).unwrap();
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h2.read(off_new, &mut buf), 10_000);
+        assert_eq!(h2.read(off_new, &mut buf).key, 10_000);
         for &(k, off) in &expect {
-            assert_eq!(h2.read(off, &mut buf), k, "record {k} clobbered");
+            assert_eq!(h2.read(off, &mut buf).key, k, "record {k} clobbered");
         }
     }
 
@@ -965,7 +1047,7 @@ mod tests {
         // Exhaustion is sticky for appends but reads keep working.
         assert_eq!(h.append(u64::MAX, &val(&l, 0)), Err(ViperError::DeviceFull));
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h.read(offs[0], &mut buf), 0);
+        assert_eq!(h.read(offs[0], &mut buf).key, 0);
         // Deleting makes room again: exhaustion is recoverable, not fatal.
         h.mark_dead(offs[0]).unwrap();
         assert!(h.append(u64::MAX, &val(&l, 1)).is_ok());
@@ -999,7 +1081,7 @@ mod tests {
         assert_eq!(h.stale_count(), 1, "un-retired slot parked for the sweep");
         assert!(dev.fault_counters().failed_writes >= 8, "burst must exhaust the retry budget");
         let mut buf = vec![0u8; l.value_size];
-        assert_eq!(h.read(new, &mut buf), 1);
+        assert_eq!(h.read(new, &mut buf).key, 1);
         assert_eq!(buf, val(&l, 2));
         // The sweep retires the stale slot once the burst has passed. The
         // "index" maps key 1 to the new offset, so the old one is fair game.
@@ -1088,7 +1170,7 @@ mod tests {
         }
         assert_eq!(h.nvm_bytes_used(), used_before, "page was reused, not re-bumped");
         for &off in &offs[spp..] {
-            let k = h.read(off, &mut buf);
+            let k = h.read(off, &mut buf).key;
             assert_eq!(buf, val(&l, 1), "survivor {k} clobbered by page reuse");
         }
     }
@@ -1170,7 +1252,7 @@ mod tests {
         let mut buf = vec![0u8; l.value_size];
         for hd in handles {
             for (k, off) in hd.join().unwrap() {
-                assert_eq!(h.read(off, &mut buf), k);
+                assert_eq!(h.read(off, &mut buf).key, k);
             }
         }
     }

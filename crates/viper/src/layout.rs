@@ -157,6 +157,20 @@ pub struct SlotHeader {
     pub crc: u32,
 }
 
+impl SlotHeader {
+    /// Whether a reader that followed the index to this slot for `key`
+    /// may hand out the value it read alongside. A live record of `key`
+    /// qualifies, and so does one a concurrent writer has just retired
+    /// without yet moving the index on: its bytes are still the record's,
+    /// and the value before the update is a legal answer for a read that
+    /// overlaps it. Another key's record (the slot was recycled) or a free
+    /// slot (recycled and being restaged, not yet published) does not.
+    #[inline]
+    pub fn holds(&self, key: Key) -> bool {
+        self.key == key && self.state != SLOT_FREE
+    }
+}
+
 /// Runtime layout parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordLayout {
@@ -194,12 +208,6 @@ impl RecordLayout {
     pub fn slot_offset(&self, page_offset: usize, slot: usize) -> usize {
         debug_assert!(slot < self.slots_per_page());
         page_offset + PAGE_HEADER + slot * self.slot_size()
-    }
-
-    /// Offset of the sequence number within a slot.
-    #[inline]
-    pub fn seq_offset(&self, slot_offset: usize) -> usize {
-        slot_offset + 8
     }
 
     /// Offset of the state byte within a slot.

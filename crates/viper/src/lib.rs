@@ -35,6 +35,8 @@
 
 pub mod checkpoint;
 pub mod config;
+#[cfg(test)]
+mod device_budget;
 pub mod error;
 pub mod heap;
 pub mod layout;

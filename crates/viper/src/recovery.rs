@@ -11,7 +11,7 @@ use li_core::{Key, KeyValue};
 use li_nvm::NvmDevice;
 
 use crate::checkpoint::{self, Geometry, Manifest};
-use crate::heap::{RecordHeap, RecoverOptions, RecoveryReport};
+use crate::heap::{PageReader, RecordHeap, RecoverOptions, RecoveryReport};
 use crate::layout::{RecordLayout, SLOT_LIVE};
 use crate::wal::{Wal, WalRecord, WAL_OP_DELETE};
 
@@ -154,18 +154,11 @@ fn try_checkpoint_recovery(
     let mut corrupt: Vec<u64> = Vec::new();
     let mut max_seq = blob.next_seq.saturating_sub(1);
     let mut pages_hwm = blob.pages_hwm as usize;
-    let mut page_buf = vec![0u8; layout.page_size];
-    let mut cur_page = usize::MAX;
+    let mut pages = PageReader::new(dev, layout);
     for &i in &order {
         let (key, offset) = entries[i as usize];
         let page = offset as usize / layout.page_size;
-        if page != cur_page {
-            dev.read_into(page * layout.page_size, &mut page_buf);
-            cur_page = page;
-        }
-        let in_page = offset as usize - page * layout.page_size;
-        let slot_buf = &page_buf[in_page..in_page + layout.slot_size()];
-        match check_slot(&layout, opts.verify_checksums, key, slot_buf) {
+        match check_slot(&layout, opts.verify_checksums, key, pages.slot(offset as usize)) {
             SlotCheck::Live { seq } => {
                 max_seq = max_seq.max(seq);
                 pages_hwm = pages_hwm.max(page + 1);

@@ -56,6 +56,10 @@ pub enum OverloadState {
     BreakerOpen,
 }
 
+/// Times a shared-writer `get` probes the index again after finding its
+/// slot recycled, before it answers "not found".
+const GET_REPROBES: usize = 3;
+
 /// What one online repair pass resolved. Every formerly quarantined slot
 /// lands in exactly one bucket, so
 /// `superseded + lost.len() == quarantined` (minus slots a transient
@@ -497,23 +501,30 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         &self.engine.recorder
     }
 
-    /// Point lookup: index probe + one NVM record read.
+    /// Point lookup: index probe + one NVM record read. `value_buf` means
+    /// something only when this returns `true`.
+    ///
+    /// The slot's header arrives with its value, and what it holds is
+    /// checked against `key` ([`SlotHeader::holds`]). Under a shared
+    /// writer a delete or relocation can recycle the slot between probe
+    /// and read; the index is then probed again, a bounded number of
+    /// times, before the answer is "not found" — never another key's
+    /// bytes.
+    ///
+    /// [`SlotHeader::holds`]: crate::layout::SlotHeader::holds
     pub fn get(&self, key: Key, value_buf: &mut [u8]) -> bool {
         let t = self.engine.recorder.start();
-        let found = match self.index.get(key) {
-            Some(offset) => {
-                let stored = self.engine.heap.read(offset, value_buf);
-                // Under a shared writer a racing crash-safe update may
-                // relocate the record between probe and read, so the
-                // stored-key invariant only holds for exclusive writers.
-                if !M::SHARED {
-                    debug_assert_eq!(stored, key, "index pointed at wrong record");
-                }
-                let _ = stored;
-                true
+        let mut found = false;
+        for _ in 0..=GET_REPROBES {
+            let Some(offset) = self.index.get(key) else { break };
+            found = self.engine.heap.read(offset, value_buf).holds(key);
+            if found || !M::SHARED {
+                debug_assert!(found, "index pointed at wrong record");
+                break;
             }
-            None => false,
-        };
+            // The writer that recycled the slot has yet to move the index.
+            li_sync::thread::yield_now();
+        }
         self.engine.recorder.finish(OpKind::Get, t);
         found
     }
@@ -677,8 +688,12 @@ impl<I: OrderedIndex, M: WriteModel> ViperStore<I, M> {
         let mut buf = vec![0u8; self.engine.heap.layout().value_size];
         let mut n = 0;
         for (k, offset) in pairs.into_iter().take(limit) {
-            let stored = self.engine.heap.read(offset, &mut buf);
-            debug_assert_eq!(stored, k);
+            if !self.engine.heap.read(offset, &mut buf).holds(k) {
+                // Recycled between `range` and this read: `k` was deleted
+                // or moved, and the bytes are somebody else's.
+                debug_assert!(M::SHARED, "index pointed at wrong record");
+                continue;
+            }
             sink(k, &buf);
             n += 1;
         }
@@ -1040,6 +1055,12 @@ pub(crate) mod tests {
         }
     }
 
+    impl OrderedIndex for LockedMap {
+        fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
+            out.extend(self.0.read().range(lo..=hi).map(|(&k, &v)| (k, v)));
+        }
+    }
+
     fn locked_map(pairs: &[KeyValue]) -> LockedMap {
         LockedMap(li_sync::sync::RwLock::new(pairs.iter().copied().collect()))
     }
@@ -1108,6 +1129,15 @@ pub(crate) mod tests {
         pub(crate) fn len(&self) -> usize {
             either!(self, s => s.len())
         }
+        /// Keys of `[lo, hi]` in scan order.
+        pub(crate) fn scan_keys(&self, lo: Key, hi: Key) -> Vec<Key> {
+            let mut keys = Vec::new();
+            either!(self, s => s.scan(lo, hi, usize::MAX, &mut |k, _| keys.push(k)));
+            keys
+        }
+        pub(crate) fn nvm_stats(&self) -> li_nvm::NvmStatsSnapshot {
+            either!(self, s => s.heap().device().stats().snapshot())
+        }
     }
 
     #[test]
@@ -1167,6 +1197,50 @@ pub(crate) mod tests {
         // Value must be exactly one thread's value (no torn mix): all bytes
         // equal.
         assert!(buf.iter().all(|&b| b == buf[0]), "torn value {buf:?}");
+    }
+
+    /// An index entry that points at another key's record — what a
+    /// lock-free reader holds after a delete or relocation recycled the
+    /// slot between its probe and its read — must never surface that
+    /// record: not to a get, and not to an in-place update (which would
+    /// re-checksum the foreign bytes into a valid record).
+    #[test]
+    fn entry_pointing_at_another_keys_slot_is_not_served() {
+        let store = ConcurrentViperStore::new(StoreConfig::test(100), LockedMap::default());
+        let vs = store.heap().layout().value_size;
+        let (a, b) = (10, 20);
+        store.put(b, &vec![0xbb; vs]).unwrap();
+        let b_slot = Index::get(store.index(), b).unwrap();
+        ConcurrentIndex::insert(store.index(), a, b_slot);
+
+        let mut buf = vec![0u8; vs];
+        assert!(!store.get(a, &mut buf), "served key {b}'s record as key {a}");
+        assert_eq!(store.put(a, &vec![0xaa; vs]), Err(ViperError::IndexMismatch));
+        assert!(store.get(b, &mut buf));
+        assert_eq!(buf, vec![0xbb; vs], "the refused update reached the record");
+
+        // A retired slot's bytes are still the record's own (the value a
+        // read overlapping the update may return); a restaged one's are not.
+        store.heap().mark_dead(b_slot).unwrap();
+        assert!(store.get(b, &mut buf));
+        assert_eq!(store.heap().stage_append(b, &vec![0xcc; vs]), Ok(b_slot));
+        assert!(!store.get(b, &mut buf), "served a staged, unpublished record");
+    }
+
+    #[test]
+    fn scan_skips_entries_pointing_at_another_keys_slot() {
+        let store: ConcurrentViperStore<li_core::shard::Sharded> =
+            ConcurrentViperStore::bulk_load_with(
+                StoreConfig::test(100),
+                &[10, 20, 30],
+                value_for,
+                |pairs| li_core::shard::Sharded::build::<MapIndex>(2, pairs),
+            );
+        let slot_30 = Index::get(store.index(), 30).unwrap();
+        ConcurrentIndex::insert(store.index(), 15, slot_30);
+        let mut got = Vec::new();
+        assert_eq!(store.scan(0, 100, 10, &mut |k, _| got.push(k)), 3);
+        assert_eq!(got, vec![10, 20, 30]);
     }
 
     #[test]

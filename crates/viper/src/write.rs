@@ -349,7 +349,7 @@ impl<M: WriteModel> Engine<M> {
                     if let Some(w) = wal {
                         wal_append(w, key, offset, WAL_OP_PUT)?;
                     }
-                    heap.update_in_place(offset, value)
+                    heap.update_in_place(offset, key, value)
                 }
             }
             None => {

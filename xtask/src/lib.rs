@@ -23,7 +23,8 @@
 //!   reasonless or stale entries (file gone, or Relaxed-free) fail.
 //! * **R4 hot-path-panics**: no `panic!` / `unwrap` / `expect` /
 //!   `unreachable!` inside hot-path functions — the Viper
-//!   `put`/`get`/`delete`, the WAL append/replay, the shard op/cutover
+//!   `put`/`get`/`delete`, the record heap's per-record paths under
+//!   them, the WAL append/replay, the shard op/cutover
 //!   paths, the proto frame decoder, and the li-server request path —
 //!   excluding `#[cfg(test)]`.
 //! * **R6 lock-order** ([`lockorder`]): every zero-arg

@@ -109,9 +109,10 @@ pub fn check_file(
 
 /// Per-file list of hot-path functions R4 holds panic-free. The store's
 /// read path, the one put/delete body both write models forward to (with
-/// every helper of it that touches the device) and the WAL's append/replay
-/// paths sit on every durable put/delete and on recovery; a panic there
-/// turns an injectable device fault into an outage. The shard router's op and cutover paths are held
+/// every helper of it that touches the device), the record heap's per-record
+/// paths under them (which slice headers out of device bytes) and the WAL's
+/// append/replay paths sit on every get, durable put/delete and recovery; a
+/// panic there turns an injectable device fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
 /// table for every thread, and the tuner runs on the maintenance thread
 /// where a panic silently kills adaptation. The checkpoint decoders and
@@ -143,6 +144,17 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "retire_logged",
             "wal_append",
             "shed_check",
+        ])
+    } else if f.ends_with("viper/src/heap.rs") {
+        Some(&[
+            "read",
+            "update_in_place",
+            "append",
+            "publish",
+            "stage_append",
+            "commit_append",
+            "mark_dead",
+            "write_retry",
         ])
     } else if f.ends_with("viper/src/wal.rs") {
         Some(&["append", "commit_through", "flush_batch", "replay", "max_lsn"])
@@ -428,7 +440,9 @@ mod tests {
             let src = std::fs::read_to_string(&p).unwrap();
             // Path-gated rules lint their fixtures as if they were the
             // gating file.
-            let rel = if name.contains("hot_path") {
+            let rel = if name.contains("hot_path_panics.heap") {
+                PathBuf::from("crates/viper/src/heap.rs")
+            } else if name.contains("hot_path") {
                 PathBuf::from("crates/viper/src/write.rs")
             } else if name.contains("lock_order") {
                 PathBuf::from("crates/fixture/src/locks.rs")
@@ -441,9 +455,9 @@ mod tests {
             } else if name.starts_with("fail_") {
                 assert!(!v.is_empty(), "{name} should fail but passed");
                 // The seeded rule name is embedded in the file name:
-                // fail_<rule-with-underscores>.rs
-                let want =
-                    name.trim_start_matches("fail_").trim_end_matches(".rs").replace('_', "-");
+                // fail_<rule-with-underscores>[.<gating file>].rs
+                let rule = name.trim_start_matches("fail_").split('.').next().unwrap_or_default();
+                let want = rule.replace('_', "-");
                 assert!(
                     v.iter().any(|x| x.rule == want),
                     "{name}: expected rule {want}, got {v:?}"
@@ -534,6 +548,32 @@ mod tests {
         let v = lint("crates/viper/src/wal.rs", src, "");
         assert_eq!(v.len(), 1, "non-hot helpers are not checked: {v:?}");
         assert_eq!(v[0].line, 2);
+    }
+
+    #[test]
+    fn r4_covers_heap_record_paths() {
+        // Header slicing on the per-record paths must stay infallible.
+        let src = "impl RecordHeap {\n    pub fn read(&self, off: u64, buf: &mut [u8]) -> SlotHeader {\n        let key = u64::from_le_bytes(slot[..8].try_into().unwrap());\n    }\n}\n";
+        let v = lint("crates/viper/src/heap.rs", src, "");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "hot-path-panics");
+        assert_eq!(v[0].line, 3);
+        for name in [
+            "update_in_place",
+            "append",
+            "publish",
+            "stage_append",
+            "commit_append",
+            "mark_dead",
+            "write_retry",
+        ] {
+            let src =
+                format!("fn {name}(&self) {{\n    head.try_into().expect(\"16 bytes\");\n}}\n");
+            assert_eq!(lint("crates/viper/src/heap.rs", &src, "").len(), 1, "{name}");
+        }
+        // Recovery and the maintenance sweeps are not per-record paths.
+        let src = "impl RecordHeap {\n    pub fn recover_with_report() { x.unwrap(); }\n}\n";
+        assert!(lint("crates/viper/src/heap.rs", src, "").is_empty());
     }
 
     #[test]
