@@ -5,7 +5,7 @@
 //! and finds no overall winner: gapped in-place designs (ALEX) win
 //! insert-heavy phases, while tighter layouts without model-made gaps
 //! (FITing-tree inplace) scan faster but pay key shifts on every
-//! crowded insert. This binary drives a workload that *drifts* — a
+//! crowded insert. This gate drives a workload that *drifts* — a
 //! hotspot that migrates across the keyspace while the op mix flips
 //! from insert-heavy to scan-mostly mid-run — and asks whether the
 //! telemetry-driven tuner (index-kind hot-swap over a pinned shard
@@ -22,8 +22,8 @@
 //! Phase A is insert-heavy (80% writes) with the hotspot over the low
 //! third of the keyspace; phase B is scan-mostly (10% writes, reads are
 //! short range scans) with the hotspot migrated to the high third.
-//! Per-phase latency histograms are printed and written as one JSON row
-//! under `results/` so CI can gate the headline claim: the adaptive
+//! Per-phase latencies are printed and reported so CI can gate the
+//! headline claim: the adaptive
 //! config's **worst-phase p99** is no worse than the best static
 //! config's worst-phase p99 — i.e. adaptation beats every
 //! pick-one-kind-up-front strategy on tail latency once the workload
@@ -31,18 +31,18 @@
 //!
 //! Flags: `--ops N` (per phase), `--shards N`, `--out PATH`, `--check`
 //! (exit non-zero unless the adaptive row wins). `LIP_BENCH_N` scales
-//! the loaded key set as in every other binary.
+//! the loaded key set as in every other entry.
 
 use std::sync::Arc;
 
 use li_sync::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use li_bench::harness::{self, BenchConfig};
-use li_core::hist::LatencyHistogram;
+use crate::harness::{self, BenchConfig, Flags, Json, Report, Samples};
 use li_core::telemetry::{Event, Recorder};
 use li_core::traits::{ConcurrentIndex, OrderedIndex};
 use li_core::Key;
+use li_nvm::fault::splitmix64;
 use lip::{AdaptivePolicy, AnyConcurrentIndex, ConcurrentKind, IndexKind};
 
 /// Bulk-load stride: loaded keys sit on multiples of 16, so most
@@ -51,34 +51,6 @@ const STRIDE: u64 = 16;
 
 /// Range-scan window for scan reads, in key units (256 loaded keys).
 const SCAN_WINDOW: u64 = 256 * STRIDE;
-
-struct Args {
-    ops: usize,
-    shards: usize,
-    out: String,
-    check: bool,
-}
-
-fn parse_args(default_ops: usize) -> Args {
-    let mut args = Args {
-        ops: default_ops,
-        shards: 8,
-        out: "results/adaptive.json".to_string(),
-        check: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ops" => args.ops = it.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--shards" => args.shards = it.next().and_then(|v| v.parse().ok()).expect("--shards N"),
-            "--out" => args.out = it.next().expect("--out PATH"),
-            "--check" => args.check = true,
-            "--telemetry" => {} // accepted for uniformity with other binaries
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
-}
 
 /// One drift regime: a read/write mix plus a hotspot window over the
 /// keyspace `[0, span)`.
@@ -118,29 +90,14 @@ const PHASE_B: Phase = Phase {
     scan_reads: true,
 };
 
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Drives one phase single-threaded, recording per-op latency. The op
 /// stream is fully determined by `seed`, so every config faces the
 /// identical sequence of keys and op types.
-fn drive(
-    idx: &AnyConcurrentIndex,
-    phase: &Phase,
-    span: u64,
-    ops: usize,
-    seed: u64,
-) -> LatencyHistogram {
+fn drive(idx: &AnyConcurrentIndex, phase: &Phase, span: u64, ops: usize, seed: u64) -> Samples {
     let hot_lo = span / 1000 * phase.hot_lo_per_mille;
     let hot_hi = span / 1000 * phase.hot_hi_per_mille;
     let mut s = seed;
-    let mut hist = LatencyHistogram::new();
+    let mut ns = Vec::with_capacity(ops);
     for i in 0..ops {
         let r = splitmix64(&mut s);
         let key = if r % 1000 < phase.hot_per_mille {
@@ -157,17 +114,17 @@ fn drive(
         } else {
             let _ = ConcurrentIndex::get(idx, key);
         }
-        hist.record(t0.elapsed().as_nanos() as u64);
+        ns.push(t0.elapsed().as_nanos() as u64);
     }
-    hist
+    Samples::new(ns)
 }
 
-/// Per-config result: one histogram per phase plus the shard-kind layout
+/// Per-config result: each phase's latencies plus the shard-kind layout
 /// observed after each phase.
 struct Run {
     name: String,
-    a: LatencyHistogram,
-    b: LatencyHistogram,
+    a: Samples,
+    b: Samples,
     kinds_after_a: String,
     kinds_after_b: String,
 }
@@ -221,43 +178,29 @@ fn run_config(name: &str, idx: AnyConcurrentIndex, span: u64, ops: usize, seed: 
     Run { name: format!("{name} ({committed} adaptations)"), a, b, kinds_after_a, kinds_after_b }
 }
 
-fn print_run(run: &Run) {
-    for (phase, hist) in [(&PHASE_A, &run.a), (&PHASE_B, &run.b)] {
+/// Prints the config's two table rows and returns its JSON cell.
+fn report_run(run: &Run) -> Json {
+    let mut cell = Vec::new();
+    for (key, phase, lat) in [("write_heavy", &PHASE_A, &run.a), ("scan_mostly", &PHASE_B, &run.b)]
+    {
+        let cells = harness::latency_cells(lat);
         harness::row(
             &format!("{} / {}", run.name, phase.name),
-            &[
-                format!("{:.2}", hist.percentile(0.5) as f64 / 1e3),
-                format!("{:.2}", hist.percentile(0.99) as f64 / 1e3),
-                format!("{:.2}", hist.percentile(0.999) as f64 / 1e3),
-            ],
+            &cells.map(|(_, us)| format!("{us:.2}")),
         );
+        cell.push((key, Json::obj(cells)));
     }
+    cell.push(("worst_p99_us", Json::Num(run.worst_p99() as f64 / 1e3)));
+    cell.push(("kinds_after_write_phase", run.kinds_after_a.as_str().into()));
+    cell.push(("kinds_after_read_phase", run.kinds_after_b.as_str().into()));
+    Json::Obj(cell)
 }
 
-fn phase_cell(hist: &LatencyHistogram) -> String {
-    format!(
-        "{{\"p50_us\":{:.3},\"p99_us\":{:.3},\"p999_us\":{:.3}}}",
-        hist.percentile(0.5) as f64 / 1e3,
-        hist.percentile(0.99) as f64 / 1e3,
-        hist.percentile(0.999) as f64 / 1e3,
-    )
-}
-
-fn run_cell(run: &Run) -> String {
-    format!(
-        "{{\"write_heavy\":{},\"scan_mostly\":{},\"worst_p99_us\":{:.3},\
-         \"kinds_after_write_phase\":\"{}\",\"kinds_after_read_phase\":\"{}\"}}",
-        phase_cell(&run.a),
-        phase_cell(&run.b),
-        run.worst_p99() as f64 / 1e3,
-        run.kinds_after_a,
-        run.kinds_after_b,
-    )
-}
-
-fn main() {
-    let cfg = BenchConfig::from_env();
-    let args = parse_args(cfg.ops);
+pub fn run(cfg: &BenchConfig, flags: &mut Flags) -> Result<u8, String> {
+    let ops: usize = flags.get("--ops", cfg.ops);
+    let shards: usize = flags.get("--shards", 8);
+    let mut report = Report::new("adaptive", flags);
+    flags.finish()?;
     println!("== adaptive: self-tuning router vs. static kinds under drift ==\n");
 
     // Loaded keys on a stride leave gaps for the hotspot inserts; the
@@ -267,8 +210,8 @@ fn main() {
     println!(
         "loaded {} keys (span {span}), {} ops/phase x 2 phases, {} shards",
         loaded.len(),
-        args.ops,
-        args.shards
+        ops,
+        shards
     );
     println!(
         "phase A: {}% writes, hotspot low third; phase B: {}% writes, hotspot high third\n",
@@ -276,7 +219,7 @@ fn main() {
         PHASE_B.write_per_mille / 10
     );
 
-    harness::header(&["config / phase", "p50 us", "p99 us", "p999 us"]);
+    harness::header(&["config / phase", "p50 us", "p99 us", "p999 us", "max us"]);
 
     // Adaptive: PGM everywhere, ALEX as the write-heavy rebuild target
     // (the AdaptivePolicy default). The recorder counts its structural
@@ -300,24 +243,21 @@ fn main() {
         // from finer lock granularity, and every extra boundary is one
         // more cell a scan must cross — this bench isolates the
         // kind-swap claim. The oracle and chaos tests cover split/merge.
-        policy.tuner.max_shards = args.shards;
-        policy.tuner.min_shards = args.shards;
-        let mut idx = AnyConcurrentIndex::build_adaptive(args.shards, &loaded, policy);
+        policy.tuner.max_shards = shards;
+        policy.tuner.min_shards = shards;
+        let mut idx = AnyConcurrentIndex::build_adaptive(shards, &loaded, policy);
         li_core::traits::Index::set_recorder(&mut idx, rec.clone());
-        run_config("adaptive", idx, span, args.ops, cfg.seed)
+        run_config("adaptive", idx, span, ops, cfg.seed)
     };
-    print_run(&adaptive);
+    let adaptive_cell = report_run(&adaptive);
 
-    let statics: Vec<Run> = [IndexKind::Alex, IndexKind::FitingInp]
-        .into_iter()
-        .map(|kind| {
+    let statics = [("static_alex", IndexKind::Alex), ("static_fiting_inp", IndexKind::FitingInp)]
+        .map(|(key, kind)| {
             let route = ConcurrentKind::of(kind).expect("sharded route");
-            let idx = AnyConcurrentIndex::build_with_shards(route, args.shards, &loaded);
-            let run = run_config(&format!("static-{}", kind.name()), idx, span, args.ops, cfg.seed);
-            print_run(&run);
-            run
-        })
-        .collect();
+            let idx = AnyConcurrentIndex::build_with_shards(route, shards, &loaded);
+            let run = run_config(&format!("static-{}", kind.name()), idx, span, ops, cfg.seed);
+            (key, report_run(&run), run.worst_p99())
+        });
 
     let snap = rec.snapshot();
     println!(
@@ -335,8 +275,7 @@ fn main() {
     // The drift claim: every static kind has a phase it is wrong for;
     // the adaptive row must match or beat the best static config's
     // worst-phase tail.
-    let static_best_worst =
-        statics.iter().map(Run::worst_p99).min().expect("at least one static config");
+    let static_best_worst = statics.iter().map(|s| s.2).min().expect("two static configs");
     let wins = adaptive.worst_p99() <= static_best_worst;
     println!(
         "\nworst-phase p99: adaptive {:.2} us vs best static {:.2} us — adaptive {}",
@@ -345,34 +284,19 @@ fn main() {
         if wins { "wins" } else { "does NOT win" }
     );
 
-    let json = format!(
-        "{{\"bench\":\"adaptive\",\"loaded\":{},\"ops_per_phase\":{},\"shards\":{},\"seed\":{},\
-         \"adaptive\":{},\"static_alex\":{},\"static_fiting_inp\":{},\
-         \"splits\":{},\"merges\":{},\"kind_swaps\":{},\"tuner_decisions\":{},\
-         \"adaptive_beats_every_static_worst_phase\":{}}}\n",
-        cfg.n,
-        args.ops,
-        args.shards,
-        cfg.seed,
-        run_cell(&adaptive),
-        run_cell(&statics[0]),
-        run_cell(&statics[1]),
-        snap.event(Event::ShardSplit),
-        snap.event(Event::ShardMerge),
-        snap.event(Event::KindSwap),
-        snap.event(Event::TunerDecision),
-        wins
-    );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
+    report.field("loaded", cfg.n);
+    report.field("ops_per_phase", ops);
+    report.field("shards", shards);
+    report.field("seed", cfg.seed);
+    report.field("adaptive", adaptive_cell);
+    for (key, cell, _) in statics {
+        report.field(key, cell);
     }
-    std::fs::write(&args.out, &json).expect("write JSON row");
-    println!("[json] {}", args.out);
-
-    if args.check && !wins {
-        eprintln!("CHECK FAILED: adaptive worst-phase p99 exceeds the best static config's");
-        std::process::exit(1);
-    }
+    report.field("splits", snap.event(Event::ShardSplit));
+    report.field("merges", snap.event(Event::ShardMerge));
+    report.field("kind_swaps", snap.event(Event::KindSwap));
+    report.field("tuner_decisions", snap.event(Event::TunerDecision));
+    report.field("adaptive_beats_every_static_worst_phase", wins);
+    report.check(wins, "adaptive worst-phase p99 exceeds the best static config's");
+    Ok(report.finish())
 }

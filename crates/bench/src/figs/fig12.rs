@@ -8,8 +8,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::harness::{self, BenchConfig, Measurement};
-use li_core::hist::LatencyHistogram;
+use crate::harness::{self, BenchConfig, Measurement, Samples};
 use li_workloads::{Dataset, Op};
 use lip::IndexKind;
 
@@ -31,24 +30,25 @@ pub fn run(cfg: &BenchConfig) {
                 let store = Arc::clone(&store);
                 let slice: Vec<Op> = ops[t * chunk..(t + 1) * chunk].to_vec();
                 handles.push(li_sync::thread::spawn(move || {
-                    let mut hist = LatencyHistogram::new();
+                    let mut ns = Vec::with_capacity(slice.len());
                     let mut buf = vec![0u8; vs];
                     for op in &slice {
                         if let Op::Read(k) = op {
                             let t0 = Instant::now();
                             std::hint::black_box(store.get(*k, &mut buf));
-                            hist.record(t0.elapsed().as_nanos() as u64);
+                            ns.push(t0.elapsed().as_nanos() as u64);
                         }
                     }
-                    hist
+                    ns
                 }));
             }
-            let mut hist = LatencyHistogram::new();
+            let mut ns = Vec::with_capacity(chunk * threads);
             for h in handles {
-                hist.merge(&h.join().expect("reader thread"));
+                ns.extend(h.join().expect("reader thread"));
             }
             let secs = start.elapsed().as_secs_f64();
-            let m = Measurement { name: kind.name().into(), ops: chunk * threads, secs, hist };
+            let lat = Samples::new(ns);
+            let m = Measurement { name: kind.name().into(), ops: chunk * threads, secs, lat };
             harness::row(kind.name(), &[format!("{:.3}", m.mops()), format!("{:.2}", m.p999_us())]);
         }
         println!();

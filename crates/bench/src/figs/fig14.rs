@@ -10,8 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::harness::{self, BenchConfig, Measurement};
-use li_core::hist::LatencyHistogram;
+use crate::harness::{self, BenchConfig, Measurement, Samples};
 use li_viper::ConcurrentViperStore;
 use li_workloads::{split_load_insert, Dataset};
 use lip::{AnyConcurrentIndex, ConcurrentKind};
@@ -33,23 +32,23 @@ pub fn measure(
         let mine: Vec<u64> =
             pool.iter().skip(t).step_by(threads).take(per_thread).copied().collect();
         handles.push(li_sync::thread::spawn(move || {
-            let mut hist = LatencyHistogram::new();
+            let mut ns = Vec::with_capacity(mine.len());
             let mut val = vec![0u8; vs];
             for k in mine {
                 harness::value_of(k, &mut val);
                 let t0 = Instant::now();
                 store.put(k, &val).expect("bench store put failed");
-                hist.record(t0.elapsed().as_nanos() as u64);
+                ns.push(t0.elapsed().as_nanos() as u64);
             }
-            hist
+            ns
         }));
     }
-    let mut hist = LatencyHistogram::new();
+    let mut ns = Vec::with_capacity(per_thread * threads);
     for h in handles {
-        hist.merge(&h.join().expect("writer thread"));
+        ns.extend(h.join().expect("writer thread"));
     }
     let secs = start.elapsed().as_secs_f64();
-    Measurement { name: kind.name(), ops: per_thread * threads, secs, hist }
+    Measurement { name: kind.name(), ops: per_thread * threads, secs, lat: Samples::new(ns) }
 }
 
 pub fn run(cfg: &BenchConfig) {

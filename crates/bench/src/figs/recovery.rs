@@ -3,7 +3,7 @@
 //!
 //! The paper's availability analysis (§III-E2 / Fig. 16) measures how
 //! long a learned-index store is offline after a crash when recovery must
-//! rescan every NVM page and retrain the model from scratch. This binary
+//! rescan every NVM page and retrain the model from scratch. This gate
 //! quantifies what the WAL + model-checkpoint subsystem buys back: for
 //! each key count, one durable store is loaded, checkpointed once more so
 //! that a delta segment follows its base image, mutated past that
@@ -16,9 +16,8 @@
 //! * **full_rescan** — the pre-durability path: scan every heap page,
 //!   CRC-verify every slot, rebuild the model from scratch.
 //!
-//! One JSON document is written under `results/` so CI can assert the
-//! headline claim: checkpoint + replay is strictly faster at every swept
-//! key count.
+//! The report lets CI assert the headline claim: checkpoint + replay is
+//! strictly faster at every swept key count.
 //!
 //! Flags: `--keys N[,N...]` (default `1000000,10000000`), `--tail N`
 //! (mutations past the last checkpoint, default 10000), `--trials N`
@@ -30,6 +29,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::harness::{value_of, BenchConfig, Flags, Json, Report};
 use li_core::approx::ApproxAlgorithm;
 use li_core::pieces::assembled::{PiecewiseConfig, PiecewiseIndex};
 use li_core::pieces::insertion::LeafKind;
@@ -41,46 +41,6 @@ use li_viper::checkpoint::{newest_manifest, Geometry};
 use li_viper::{DurabilityConfig, RecordLayout, RecoverOptions, StoreConfig, ViperStore};
 use li_workloads::{generate_keys, Dataset};
 
-struct Args {
-    keys: Vec<usize>,
-    tail: usize,
-    trials: usize,
-    out: String,
-    check: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        keys: vec![1_000_000, 10_000_000],
-        tail: 10_000,
-        trials: 2,
-        out: "results/recovery.json".to_string(),
-        check: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--keys" => {
-                let spec = it.next().expect("--keys N[,N...]");
-                args.keys = spec
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--keys takes integers"))
-                    .collect();
-            }
-            "--tail" => args.tail = it.next().and_then(|v| v.parse().ok()).expect("--tail N"),
-            "--trials" => {
-                args.trials = it.next().and_then(|v| v.parse().ok()).expect("--trials N");
-                assert!(args.trials >= 1, "--trials must be >= 1");
-            }
-            "--out" => args.out = it.next().expect("--out PATH"),
-            "--check" => args.check = true,
-            "--telemetry" => {} // accepted for uniformity with other binaries
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
-}
-
 fn pieces_cfg() -> PiecewiseConfig {
     PiecewiseConfig {
         algo: ApproxAlgorithm::OptPla { epsilon: 64 },
@@ -88,10 +48,6 @@ fn pieces_cfg() -> PiecewiseConfig {
         leaf: LeafKind::Gapped { density: 0.7, max_density: 0.85 },
         policy: RetrainPolicy::ResegmentLeaf,
     }
-}
-
-fn value_of(key: u64, buf: &mut [u8]) {
-    buf.fill((key % 251) as u8);
 }
 
 struct Row {
@@ -137,8 +93,10 @@ fn arm_tail(
     }
 }
 
-/// Crashes the store and times a checkpoint+replay recovery.
-fn recover_fast(
+/// Crashes the store and times one recovery: checkpoint + replay when
+/// `opts.use_checkpoint`, the forced full rescan otherwise. Returns the
+/// recovered store, the milliseconds and the WAL records replayed.
+fn crash_and_recover(
     store: ViperStore<PiecewiseIndex>,
     layout: RecordLayout,
     opts: RecoverOptions,
@@ -159,31 +117,10 @@ fn recover_fast(
         },
     );
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(report.from_checkpoint, "fast path fell back to a rescan");
-    assert!(report.replayed > 0, "the WAL tail must be replayed");
-    assert_eq!(store.len(), live, "checkpoint_replay lost acked writes");
+    assert_eq!(report.from_checkpoint, opts.use_checkpoint, "wrong recovery path taken");
+    assert!(report.replayed > 0 || !opts.use_checkpoint, "the WAL tail must be replayed");
+    assert_eq!(store.len(), live, "recovery lost acked writes");
     (store, ms, report.replayed)
-}
-
-/// Crashes the store and times a forced full-rescan recovery.
-fn recover_rescan(
-    store: ViperStore<PiecewiseIndex>,
-    layout: RecordLayout,
-    opts: RecoverOptions,
-    cfg: PiecewiseConfig,
-    live: usize,
-) -> (ViperStore<PiecewiseIndex>, f64) {
-    let mut dev = Arc::try_unwrap(store.into_device()).ok().expect("unique device");
-    dev.crash();
-    let t0 = Instant::now();
-    let (store, report) =
-        ViperStore::<PiecewiseIndex>::recover_with_options(Arc::new(dev), layout, opts, |pairs| {
-            PiecewiseIndex::build_with(cfg, pairs)
-        });
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(!report.from_checkpoint);
-    assert_eq!(store.len(), live, "full_rescan lost acked writes");
-    (store, ms)
 }
 
 /// Loads a durable store with `n` keys and a `tail` of un-checkpointed
@@ -227,7 +164,7 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
     let rescan_opts = RecoverOptions { use_checkpoint: false, ..opts };
 
     eprintln!("[{n} keys] warmup recovery (untimed)...");
-    let (warm, _, _) = recover_fast(store, layout, opts, cfg, live);
+    let (warm, _, _) = crash_and_recover(store, layout, opts, cfg, live);
     store = warm;
     arm_tail(&mut store, &keys, tail, &layout, &geom);
 
@@ -236,7 +173,7 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
     let mut replayed = 0;
     for trial in 0..trials {
         eprintln!("[{n} keys] crash + checkpoint_replay recovery (trial {})...", trial + 1);
-        let (s, ms, rep) = recover_fast(store, layout, opts, cfg, live);
+        let (s, ms, rep) = crash_and_recover(store, layout, opts, cfg, live);
         store = s;
         if ms < fast_ms {
             fast_ms = ms;
@@ -246,7 +183,7 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
         assert_eq!(store.len(), live, "re-arming the tail must not change the live set");
 
         eprintln!("[{n} keys] crash + full_rescan recovery (trial {})...", trial + 1);
-        let (s, ms) = recover_rescan(store, layout, rescan_opts, cfg, live);
+        let (s, ms, _) = crash_and_recover(store, layout, rescan_opts, cfg, live);
         store = s;
         rescan_ms = rescan_ms.min(ms);
         arm_tail(&mut store, &keys, tail, &layout, &geom);
@@ -256,8 +193,23 @@ fn run_one(n: usize, tail: usize, trials: usize) -> Row {
     Row { keys: n, live, replayed, fast_ms, rescan_ms }
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(_: &BenchConfig, flags: &mut Flags) -> Result<u8, String> {
+    let keys: Vec<usize> = flags
+        .get("--keys", "1000000,10000000".to_string())
+        .split(',')
+        .map(|s| s.trim().parse())
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|_| {
+            flags.fail("--keys takes integers N[,N...]".to_string());
+            Vec::new()
+        });
+    let tail: usize = flags.get("--tail", 10_000);
+    let trials: usize = flags.get("--trials", 2);
+    if trials == 0 {
+        flags.fail("--trials must be >= 1".to_string());
+    }
+    let mut report = Report::new("recovery", flags);
+    flags.finish()?;
     println!("== recovery: checkpoint+WAL-replay vs full-rescan ==\n");
     println!(
         "{:>12} {:>12} {:>10} {:>16} {:>14} {:>9}",
@@ -265,54 +217,32 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &n in &args.keys {
-        let row = run_one(n, args.tail.min(n / 2), args.trials);
+    let mut fast_wins_all = true;
+    for &n in &keys {
+        let row = run_one(n, tail.min(n / 2), trials);
+        let speedup = row.rescan_ms / row.fast_ms;
         println!(
             "{:>12} {:>12} {:>10} {:>16.1} {:>14.1} {:>8.1}x",
-            row.keys,
-            row.live,
-            row.replayed,
-            row.fast_ms,
-            row.rescan_ms,
-            row.rescan_ms / row.fast_ms
+            row.keys, row.live, row.replayed, row.fast_ms, row.rescan_ms, speedup
         );
-        rows.push(row);
+        fast_wins_all &= row.fast_ms < row.rescan_ms;
+        rows.push(Json::Obj(vec![
+            ("keys", row.keys.into()),
+            ("live", row.live.into()),
+            ("replayed", row.replayed.into()),
+            ("checkpoint_replay_ms", row.fast_ms.into()),
+            ("full_rescan_ms", row.rescan_ms.into()),
+            ("speedup", speedup.into()),
+        ]));
     }
+    println!();
 
-    let fast_wins_all = rows.iter().all(|r| r.fast_ms < r.rescan_ms);
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"keys\":{},\"live\":{},\"replayed\":{},\
-                 \"checkpoint_replay_ms\":{:.2},\"full_rescan_ms\":{:.2},\"speedup\":{:.2}}}",
-                r.keys,
-                r.live,
-                r.replayed,
-                r.fast_ms,
-                r.rescan_ms,
-                r.rescan_ms / r.fast_ms
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"recovery\",\"dataset\":\"YCSB\",\"index\":\"pieces-gapped-optpla\",\
-         \"tail\":{},\"trials\":{},\"rows\":[{}],\"checkpoint_replay_wins_all\":{}}}\n",
-        args.tail,
-        args.trials,
-        cells.join(","),
-        fast_wins_all
-    );
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&args.out, &json).expect("write JSON");
-    println!("\n[json] {}", args.out);
-
-    if args.check && !fast_wins_all {
-        eprintln!("CHECK FAILED: checkpoint+replay is not strictly faster at every key count");
-        std::process::exit(1);
-    }
+    report.field("dataset", "YCSB");
+    report.field("index", "pieces-gapped-optpla");
+    report.field("tail", tail);
+    report.field("trials", trials);
+    report.field("rows", rows);
+    report.field("checkpoint_replay_wins_all", fast_wins_all);
+    report.check(fast_wins_all, "checkpoint+replay is not strictly faster at every key count");
+    Ok(report.finish())
 }

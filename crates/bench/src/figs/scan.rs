@@ -8,8 +8,7 @@
 
 use std::time::Instant;
 
-use crate::harness::{self, BenchConfig};
-use li_core::hist::LatencyHistogram;
+use crate::harness::{self, BenchConfig, Samples};
 use li_workloads::Dataset;
 use lip::IndexKind;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -29,13 +28,13 @@ pub fn run(cfg: &BenchConfig) {
             let mut rng = StdRng::seed_from_u64(cfg.seed + 7);
             let starts: Vec<u64> =
                 (0..scans).map(|_| keys[rng.random_range(0..keys.len())]).collect();
-            let mut hist = LatencyHistogram::new();
+            let mut ns = Vec::with_capacity(scans);
             let mut total = 0usize;
             let t0 = Instant::now();
             for &lo in &starts {
                 let t1 = Instant::now();
                 total += store.scan(lo, u64::MAX, scan_len, &mut |_, _| {});
-                hist.record(t1.elapsed().as_nanos() as u64);
+                ns.push(t1.elapsed().as_nanos() as u64);
             }
             let secs = t0.elapsed().as_secs_f64();
             std::hint::black_box(total);
@@ -43,7 +42,7 @@ pub fn run(cfg: &BenchConfig) {
                 kind.name(),
                 &[
                     format!("{:.0}", scans as f64 / secs),
-                    format!("{:.1}", hist.percentile(0.999) as f64 / 1e3),
+                    format!("{:.1}", Samples::new(ns).us(0.999)),
                 ],
             );
         }

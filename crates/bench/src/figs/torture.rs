@@ -2,7 +2,7 @@
 //! Viper recovery path and reports oracle divergences (exit code 1 if any).
 //!
 //! ```text
-//! cargo run --release -p li-bench --bin torture -- \
+//! cargo run --release -p li-bench -- torture \
 //!     [--seeds N] [--start-seed S] [--ops N] [--kinds btree,pgm,alex] \
 //!     [--shards N] [--in-place] [--no-verify]
 //! ```
@@ -13,79 +13,44 @@
 //! crash-safe out-of-place updates; `--no-verify` disables checksum
 //! quarantine at recovery (expect failures — that is the point of it).
 
-use std::process::ExitCode;
-
+use crate::harness::{BenchConfig, Flags};
 use lip::torture::{torture_run, TortureConfig};
 use lip::IndexKind;
 
-fn parse_kind(name: &str) -> Option<IndexKind> {
-    IndexKind::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(name))
+/// Parses `--kinds`' comma-separated list; every kind must be updatable.
+fn parse_kinds(spec: &str) -> Result<Vec<IndexKind>, String> {
+    spec.split(',')
+        .map(|s| {
+            let name = s.trim();
+            let kind = IndexKind::ALL
+                .into_iter()
+                .find(|k| k.name().eq_ignore_ascii_case(name))
+                .ok_or_else(|| {
+                    let known = IndexKind::UPDATABLE.map(|k| k.name()).join(", ");
+                    format!("unknown kind {name:?}; known: {known}")
+                })?;
+            if kind.supports_insert() {
+                Ok(kind)
+            } else {
+                Err(format!("kind {} is read-only; torture needs an updatable index", kind.name()))
+            }
+        })
+        .collect()
 }
 
-fn main() -> ExitCode {
-    let mut seeds = 200u64;
-    let mut start_seed = 0u64;
-    let mut ops = 400usize;
-    let mut kinds = vec![IndexKind::BTree, IndexKind::Pgm, IndexKind::Alex];
-    let mut crash_safe = true;
-    let mut verify = true;
-    let mut shards = 0usize;
-
-    fn die(msg: String) -> ! {
-        eprintln!("{msg}");
-        eprintln!("usage: torture [--seeds N] [--start-seed S] [--ops N] [--kinds btree,pgm,alex] [--shards N] [--in-place] [--no-verify]");
-        std::process::exit(2);
-    }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| die(format!("{} needs a value", args[*i - 1]))).clone()
-        };
-        match args[i].as_str() {
-            "--seeds" => {
-                seeds =
-                    value(&mut i).parse().unwrap_or_else(|_| die("--seeds needs a number".into()));
-            }
-            "--start-seed" => {
-                start_seed = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--start-seed needs a number".into()));
-            }
-            "--ops" => {
-                ops = value(&mut i).parse().unwrap_or_else(|_| die("--ops needs a number".into()));
-            }
-            "--kinds" => {
-                kinds = value(&mut i)
-                    .split(',')
-                    .map(|s| {
-                        let kind = parse_kind(s.trim()).unwrap_or_else(|| {
-                            die(format!(
-                                "unknown kind {s:?}; known: {}",
-                                IndexKind::UPDATABLE.map(|k| k.name()).join(", ")
-                            ))
-                        });
-                        if !kind.supports_insert() {
-                            die(format!(
-                                "kind {} is read-only; torture needs an updatable index",
-                                kind.name()
-                            ));
-                        }
-                        kind
-                    })
-                    .collect();
-            }
-            "--shards" => {
-                shards =
-                    value(&mut i).parse().unwrap_or_else(|_| die("--shards needs a number".into()));
-            }
-            "--in-place" => crash_safe = false,
-            "--no-verify" => verify = false,
-            other => die(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
+pub fn run(_: &BenchConfig, flags: &mut Flags) -> Result<u8, String> {
+    let seeds: u64 = flags.get("--seeds", 200);
+    let start_seed: u64 = flags.get("--start-seed", 0);
+    let ops: usize = flags.get("--ops", 400);
+    let kinds =
+        parse_kinds(&flags.get("--kinds", "btree,pgm,alex".to_string())).unwrap_or_else(|e| {
+            flags.fail(e);
+            Vec::new()
+        });
+    let shards: usize = flags.get("--shards", 0);
+    let crash_safe = !flags.has("--in-place");
+    let verify = !flags.has("--no-verify");
+    flags.finish()?;
 
     println!(
         "torture: {} seed(s) from {} x {} backend(s), {} ops each, store={}, updates={}, checksums={}",
@@ -147,9 +112,8 @@ fn main() -> ExitCode {
     println!("dup slots dropped {duplicates}");
     if failed == 0 {
         println!("all {runs} runs satisfied the oracle");
-        ExitCode::SUCCESS
     } else {
         println!("{failed}/{runs} runs DIVERGED from the oracle");
-        ExitCode::FAILURE
     }
+    Ok(u8::from(failed != 0))
 }

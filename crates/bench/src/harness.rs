@@ -1,23 +1,25 @@
-//! Shared measurement machinery for the figure/table binaries.
+//! Shared measurement machinery for every `li-bench` entry: scale
+//! knobs, the one flag parser, exact latency samples, store builders,
+//! table printing, and the one JSON report the CI gates write.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 use std::time::Instant;
 
-use li_core::hist::LatencyHistogram;
 use li_core::telemetry::{Recorder, TelemetrySnapshot};
 use li_core::Key;
 use li_viper::{ConcurrentViperStore, StoreConfig, ViperStore};
 use li_workloads::{generate_ops, split_load_insert, Dataset, Op, WorkloadSpec};
 use lip::{AnyConcurrentIndex, AnyIndex, ConcurrentKind, IndexKind};
 
-/// Scale and repetition knobs, read from the environment so every binary
+/// Scale and repetition knobs, read from the environment so every entry
 /// accepts the same controls:
 ///
 /// * `LIP_BENCH_N` — base dataset size (default 200 000; the paper used
 ///   200 000 000).
 /// * `LIP_BENCH_OPS` — operations per measurement (default `N / 2`).
 /// * `LIP_BENCH_THREADS` — max thread count for Figs. 12/14 (default 8).
-/// * `--telemetry` (any binary) or `LIP_BENCH_TELEMETRY=1` — attach an
+/// * `--telemetry` (any entry) or `LIP_BENCH_TELEMETRY=1` — attach an
 ///   always-on recorder per phase and write JSON snapshots under
 ///   `results/telemetry/<fig>/`.
 #[derive(Debug, Clone, Copy)]
@@ -32,12 +34,12 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    pub fn from_env() -> Self {
+    pub fn from_env(flags: &mut Flags) -> Self {
         let n = std::env::var("LIP_BENCH_N").ok().and_then(|v| v.parse().ok()).unwrap_or(200_000);
         let ops = std::env::var("LIP_BENCH_OPS").ok().and_then(|v| v.parse().ok()).unwrap_or(n / 2);
         let max_threads =
             std::env::var("LIP_BENCH_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
-        let telemetry = std::env::args().any(|a| a == "--telemetry")
+        let telemetry = flags.has("--telemetry")
             || std::env::var("LIP_BENCH_TELEMETRY").is_ok_and(|v| v != "0" && !v.is_empty());
         BenchConfig { n, ops, max_threads, seed: 42, telemetry }
     }
@@ -45,6 +47,80 @@ impl BenchConfig {
     /// Thread counts swept by the multi-threaded figures.
     pub fn thread_counts(&self) -> Vec<usize> {
         [1usize, 2, 4, 8, 16, 32].into_iter().filter(|&t| t <= self.max_threads).collect()
+    }
+}
+
+/// The command line after `li-bench <name>`, consumed by typed getters.
+/// Each getter claims its flag and adds it (with its default) to the
+/// usage line; [`Flags::finish`] then rejects whatever nobody claimed.
+/// Errors are sticky, so an entry reads every flag first and checks
+/// once — a bad flag never starts a measurement.
+#[derive(Debug)]
+pub struct Flags {
+    name: String,
+    args: Vec<Option<String>>,
+    usage: String,
+    error: Option<String>,
+}
+
+impl Flags {
+    pub fn new(name: &str, args: impl IntoIterator<Item = String>) -> Self {
+        Flags {
+            name: name.to_string(),
+            args: args.into_iter().map(Some).collect(),
+            usage: String::new(),
+            error: None,
+        }
+    }
+
+    /// The value after `flag`, or `default`; the last occurrence wins.
+    pub fn get<T: FromStr + Display>(&mut self, flag: &str, default: T) -> T {
+        let _ = write!(self.usage, " [{flag} {default}]");
+        let mut value = default;
+        for i in 0..self.args.len() {
+            if self.args[i].as_deref() != Some(flag) {
+                continue;
+            }
+            self.args[i] = None;
+            match self.args.get_mut(i + 1).and_then(Option::take) {
+                Some(raw) => match raw.parse() {
+                    Ok(v) => value = v,
+                    Err(_) => self.fail(format!("{flag}: cannot parse {raw:?}")),
+                },
+                None => self.fail(format!("{flag} needs a value")),
+            }
+        }
+        value
+    }
+
+    /// Whether the boolean `flag` is present.
+    pub fn has(&mut self, flag: &str) -> bool {
+        let _ = write!(self.usage, " [{flag}]");
+        let mut present = false;
+        for arg in self.args.iter_mut().filter(|a| a.as_deref() == Some(flag)) {
+            *arg = None;
+            present = true;
+        }
+        present
+    }
+
+    /// Records a flag error found by the caller (a value that parsed but
+    /// is out of range); the first error is the one reported.
+    pub fn fail(&mut self, msg: String) {
+        self.error.get_or_insert(msg);
+    }
+
+    /// `Err(message + usage)` if any getter failed or an argument was
+    /// left unclaimed; `main` prints it and exits 2.
+    pub fn finish(&mut self) -> Result<(), String> {
+        if let Some(unknown) = self.args.iter().flatten().next() {
+            let msg = format!("unknown flag {unknown}");
+            self.fail(msg);
+        }
+        match &self.error {
+            Some(e) => Err(format!("{e}\nusage: li-bench {}{}", self.name, self.usage)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -109,13 +185,54 @@ impl TelemetrySink {
     }
 }
 
+/// Exact per-op latencies of one measurement, in nanoseconds. Recording
+/// is a `Vec::push` (threads keep their own `Vec` and the caller
+/// `extend`s them together); construction sorts once, so a percentile is
+/// an order statistic with no bucketing error.
+#[derive(Debug, Clone, Default)]
+pub struct Samples(Vec<u64>);
+
+impl Samples {
+    pub fn new(mut ns: Vec<u64>) -> Self {
+        ns.sort_unstable();
+        Samples(ns)
+    }
+
+    pub fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The smallest sample with at least `q` of the samples at or below
+    /// it; 0 when empty.
+    pub fn percentile(&self, q: f64) -> u64 {
+        let rank = (q.clamp(0.0, 1.0) * self.0.len() as f64).ceil() as usize;
+        self.0.get(rank.max(1) - 1).copied().unwrap_or(0)
+    }
+
+    /// [`Samples::percentile`] in microseconds, the unit every table uses.
+    pub fn us(&self, q: f64) -> f64 {
+        self.percentile(q) as f64 / 1e3
+    }
+}
+
+/// The latency columns the gates print and report: p50, p99, p99.9 and
+/// max, in microseconds, keyed by their JSON field names.
+pub fn latency_cells(lat: &Samples) -> [(&'static str, f64); 4] {
+    [
+        ("p50_us", lat.us(0.5)),
+        ("p99_us", lat.us(0.99)),
+        ("p999_us", lat.us(0.999)),
+        ("max_us", lat.us(1.0)),
+    ]
+}
+
 /// One measured cell: throughput + latency distribution.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     pub name: String,
     pub ops: usize,
     pub secs: f64,
-    pub hist: LatencyHistogram,
+    pub lat: Samples,
 }
 
 impl Measurement {
@@ -124,11 +241,11 @@ impl Measurement {
     }
 
     pub fn p999_us(&self) -> f64 {
-        self.hist.percentile(0.999) as f64 / 1e3
+        self.lat.us(0.999)
     }
 
     pub fn p50_us(&self) -> f64 {
-        self.hist.percentile(0.5) as f64 / 1e3
+        self.lat.us(0.5)
     }
 }
 
@@ -149,7 +266,7 @@ pub fn build_concurrent_store(
 }
 
 /// [`build_concurrent_store`] with an explicit shard count (the `scale`
-/// binary's sweep knob).
+/// sweep's knob).
 pub fn build_concurrent_store_sharded(
     kind: ConcurrentKind,
     shards: usize,
@@ -172,7 +289,7 @@ pub fn run_ops(
     let vs = store.heap().layout().value_size;
     let mut buf = vec![0u8; vs];
     let mut val = vec![0u8; vs];
-    let mut hist = LatencyHistogram::new();
+    let mut ns = Vec::with_capacity(ops.len());
     let start = Instant::now();
     for op in ops {
         let t0 = Instant::now();
@@ -193,10 +310,10 @@ pub fn run_ops(
                 store.scan(k, u64::MAX, len, &mut |_, _| {});
             }
         }
-        hist.record(t0.elapsed().as_nanos() as u64);
+        ns.push(t0.elapsed().as_nanos() as u64);
     }
     let secs = start.elapsed().as_secs_f64();
-    Measurement { name: name.into(), ops: ops.len(), secs, hist }
+    Measurement { name: name.into(), ops: ops.len(), secs, lat: Samples::new(ns) }
 }
 
 /// Builds the standard read-only op stream of Fig. 10.
@@ -242,17 +359,235 @@ pub fn row(name: &str, cells: &[String]) {
     println!("{line}");
 }
 
+/// A JSON value — what a [`Report`] field holds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Bool(bool),
+    Int(u64),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<V: Into<Json>>(fields: impl IntoIterator<Item = (&'static str, V)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k, v.into())).collect())
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v)
+    }
+}
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as u64)
+    }
+}
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+impl From<Vec<Json>> for Json {
+    fn from(v: Vec<Json>) -> Json {
+        Json::Arr(v)
+    }
+}
+
+/// The one JSON writer: compact, keys in insertion order, floats to three
+/// decimals (`null` when not finite), strings escaped.
+impl Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Int(n) => write!(f, "{n}"),
+            Json::Num(x) if x.is_finite() => write!(f, "{x:.3}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+                        c => f.write_char(c)?,
+                    }
+                }
+                f.write_char('"')
+            }
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i == 0 { "" } else { "," })?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    write!(f, "{}\"{key}\":{value}", if i == 0 { "" } else { "," })?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// What a gate leaves behind: ordered fields written as one JSON object
+/// to `--out` (default `results/<name>.json`) and, under `--check`, the
+/// failed conditions that turn into exit code 1.
+#[derive(Debug)]
+pub struct Report {
+    out: String,
+    enforce: bool,
+    fields: Vec<(&'static str, Json)>,
+    failures: Vec<String>,
+}
+
+impl Report {
+    pub fn new(name: &str, flags: &mut Flags) -> Self {
+        let out = flags.get("--out", format!("results/{name}.json"));
+        let enforce = flags.has("--check");
+        Report { out, enforce, fields: vec![("bench", name.into())], failures: Vec::new() }
+    }
+
+    pub fn field(&mut self, key: &'static str, value: impl Into<Json>) {
+        self.fields.push((key, value.into()));
+    }
+
+    /// Records one gate condition; a false one fails the run under
+    /// `--check`.
+    pub fn check(&mut self, ok: bool, failure: &str) {
+        if !ok {
+            self.failures.push(failure.to_string());
+        }
+    }
+
+    pub fn to_json(&self) -> String {
+        Json::Obj(self.fields.clone()).to_string()
+    }
+
+    /// Writes the JSON document, prints the `[json]` line and, under
+    /// `--check`, one `CHECK FAILED` line per failed condition. Returns
+    /// the process exit code.
+    pub fn finish(self) -> u8 {
+        let path = std::path::Path::new(&self.out);
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).expect("create the report's directory");
+        }
+        std::fs::write(path, self.to_json() + "\n").expect("write the JSON report");
+        println!("[json] {}", self.out);
+        if !self.enforce {
+            return 0;
+        }
+        for failure in &self.failures {
+            eprintln!("CHECK FAILED: {failure}");
+        }
+        if self.failures.is_empty() {
+            println!("CHECK OK");
+        }
+        u8::from(!self.failures.is_empty())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn flags(args: &[&str]) -> Flags {
+        Flags::new("demo", args.iter().map(ToString::to_string))
+    }
+
     #[test]
     fn config_from_env_defaults() {
         // The env vars may be set by an outer harness; just check sanity.
-        let c = BenchConfig::from_env();
+        let c = BenchConfig::from_env(&mut flags(&[]));
         assert!(c.n > 0);
         assert!(c.ops > 0);
         assert!(c.max_threads >= 1);
+    }
+
+    #[test]
+    fn telemetry_flag_reaches_the_config() {
+        let mut f = flags(&["--telemetry"]);
+        assert!(BenchConfig::from_env(&mut f).telemetry);
+        assert_eq!(f.finish(), Ok(()));
+    }
+
+    #[test]
+    fn flags_typed_get_default_and_last_occurrence() {
+        let mut f = flags(&["--seeds", "7", "--in-place", "--seeds", "9", "--kinds", "a,b"]);
+        assert_eq!(f.get("--seeds", 200u64), 9);
+        assert_eq!(f.get("--ops", 400usize), 400);
+        assert_eq!(f.get("--kinds", "btree".to_string()), "a,b");
+        assert!(f.has("--in-place"));
+        assert!(!f.has("--no-verify"));
+        assert_eq!(f.finish(), Ok(()));
+    }
+
+    #[test]
+    fn flags_reject_unknown_missing_and_unparsable() {
+        let mut f = flags(&["--bogus"]);
+        assert_eq!(f.get("--seeds", 200u64), 200);
+        let usage = f.finish().unwrap_err();
+        assert!(usage.starts_with("unknown flag --bogus\n"), "{usage}");
+        assert!(usage.ends_with("usage: li-bench demo [--seeds 200]"), "{usage}");
+
+        let mut f = flags(&["--seeds"]);
+        f.get("--seeds", 200u64);
+        assert!(f.finish().unwrap_err().starts_with("--seeds needs a value\n"));
+
+        let mut f = flags(&["--seeds", "many"]);
+        assert_eq!(f.get("--seeds", 200u64), 200);
+        assert!(f.finish().unwrap_err().starts_with("--seeds: cannot parse \"many\"\n"));
+
+        // A caller's own range check reports through the same path, and
+        // the first error wins.
+        let mut f = flags(&["--trials", "0", "--bogus"]);
+        f.get("--trials", 2usize);
+        f.fail("--trials must be >= 1".to_string());
+        assert!(f.finish().unwrap_err().starts_with("--trials must be >= 1\n"));
+    }
+
+    #[test]
+    fn report_keeps_field_order_and_escapes_strings() {
+        let mut r = Report::new("demo", &mut flags(&[]));
+        r.field("zeta", 1u64);
+        r.field("alpha", "say \"hi\"\\\n");
+        r.field("ms", 1.23456);
+        r.field("nan", f64::NAN);
+        r.field("rows", vec![Json::obj([("k", 2usize)]), Json::obj([("ok", true)])]);
+        assert_eq!(
+            r.to_json(),
+            r#"{"bench":"demo","zeta":1,"alpha":"say \"hi\"\\\u000a","ms":1.235,"nan":null,"rows":[{"k":2},{"ok":true}]}"#
+        );
+    }
+
+    #[test]
+    fn samples_empty_and_order_statistics() {
+        let empty = Samples::default();
+        assert_eq!((empty.count(), empty.percentile(0.999), empty.us(0.5)), (0, 0, 0.0));
+        let s = Samples::new((1..=1000u64).rev().collect());
+        assert_eq!(s.count(), 1000);
+        assert_eq!(s.percentile(0.0), 1);
+        assert_eq!(s.percentile(0.5), 500);
+        assert_eq!(s.percentile(0.999), 999);
+        assert_eq!(s.percentile(1.0), 1000);
+        assert_eq!(latency_cells(&s).map(|(_, us)| us), [0.5, 0.99, 0.999, 1.0]);
     }
 
     #[test]
@@ -264,7 +599,7 @@ mod tests {
         assert_eq!(m.ops, 2_000);
         assert!(m.secs > 0.0);
         assert!(m.mops() > 0.0);
-        assert!(m.hist.count() == 2_000);
+        assert_eq!(m.lat.count(), 2_000);
     }
 
     #[test]
@@ -288,5 +623,38 @@ mod tests {
         assert!(loaded.len() == 8_000);
         assert!(ops.iter().all(|o| matches!(o, Op::Insert(..))));
         assert_eq!(ops.len(), 2_000);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::Samples;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Ported from the deleted bucketed histogram's suite, tightened
+        /// from "within 1.6 %" to "equal": a percentile is the sorted
+        /// reference's order statistic, monotone in `q`, and merging
+        /// per-thread vectors is concatenation.
+        #[test]
+        fn percentile_is_the_order_statistic(
+            a in proptest::collection::vec(0u64..1_000_000, 1..500),
+            b in proptest::collection::vec(0u64..1_000_000, 0..500),
+        ) {
+            let mut merged = a.clone();
+            merged.extend(&b);
+            let samples = Samples::new(merged.clone());
+            merged.sort_unstable();
+            let mut last = 0u64;
+            for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+                let rank = ((q * merged.len() as f64).ceil() as usize).max(1);
+                let p = samples.percentile(q);
+                prop_assert_eq!(p, merged[rank - 1], "q={}", q);
+                prop_assert!(p >= last, "percentile not monotone at q={}", q);
+                last = p;
+            }
+            prop_assert_eq!(samples.count(), a.len() + b.len());
+            prop_assert_eq!(samples.percentile(1.0), *merged.last().expect("a is non-empty"));
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! # li-bench — the paper's evaluation harness
 //!
 //! One module per table/figure of *"Cutting Learned Index into Pieces"*
-//! (ICDE 2023); each has a `run(&BenchConfig)` entry point, and the
-//! `li-bench <name>|all` binary dispatches over [`figs::FIGS`]. The gate
-//! binaries CI calls (`torture`, `recovery`, `adaptive`, `serve_load`,
-//! `bg_retrain`) live in `src/bin/`.
+//! (ICDE 2023) and per CI gate (`torture`, `recovery`, `adaptive`,
+//! `serve_load`, `bg_retrain`); each has a `run` entry point, and the
+//! crate's one binary, `li-bench <name>|all [flags]`, dispatches over
+//! [`figs::FIGS`]. Flags, latency samples and the gates' JSON report are
+//! [`harness`]'s.
 //!
 //! Dataset sizes are scaled from the paper's 200M–800M down to a default
 //! of 200k–800k (set `LIP_BENCH_N` to change the base size); value size

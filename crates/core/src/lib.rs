@@ -24,11 +24,10 @@
 //! dimensions are orthogonal and can be recombined into brand-new indexes.
 //!
 //! Shared infrastructure lives in [`types`], [`traits`], [`search`],
-//! [`model`], [`cdf`] and [`hist`].
+//! [`model`] and [`cdf`].
 
 pub mod approx;
 pub mod cdf;
-pub mod hist;
 pub mod hot;
 pub mod model;
 pub mod pieces;

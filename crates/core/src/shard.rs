@@ -1019,14 +1019,6 @@ impl ConcurrentIndex for Sharded {
     fn run_adaptation(&self) -> usize {
         Sharded::run_adaptation(self)
     }
-
-    /// The shard this key routes to under the current boundary table.
-    /// Advisory only: adaptation may re-cut boundaries between the hint
-    /// and a later operation, which is fine — hints steer coalescing,
-    /// correctness never depends on them.
-    fn shard_hint(&self, key: Key) -> usize {
-        self.table.read().shard_of(key)
-    }
 }
 
 #[cfg(test)]

@@ -165,14 +165,6 @@ pub trait ConcurrentIndex: Send + Sync {
     fn run_adaptation(&self) -> usize {
         0
     }
-
-    /// Stable routing hint: the shard this key would land in right now.
-    /// Purely advisory — callers (e.g. a server's worker pool) use it to
-    /// coalesce same-shard work; it must be cheap and must not lock.
-    /// Unsharded indexes report one class (0).
-    fn shard_hint(&self, _key: Key) -> usize {
-        0
-    }
 }
 
 /// Indexes constructible from a sorted array in one shot (bulk loading),

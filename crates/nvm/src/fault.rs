@@ -84,10 +84,11 @@ pub enum Fault {
     FullWindow { from: u64, until: u64 },
 }
 
-/// SplitMix64 step — the only PRNG this module needs, kept local so the
-/// crate stays dependency-free.
+/// SplitMix64 step — the workspace's one seeded PRNG (fault plans, retry
+/// jitter, transport faults, every seeded test driver), defined here
+/// because every user already depends on this crate.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -146,17 +146,6 @@ impl Command {
             Command::Stats => "stats",
         }
     }
-
-    /// The key this command routes by, when it has one (`Batch` routes by
-    /// its first routable sub-command; `Stats` by nothing).
-    pub fn route_key(&self) -> Option<u64> {
-        match self {
-            Command::Get { key } | Command::Put { key, .. } | Command::Delete { key } => Some(*key),
-            Command::Scan { lo, .. } => Some(*lo),
-            Command::Batch(cmds) => cmds.iter().find_map(Command::route_key),
-            Command::Stats => None,
-        }
-    }
 }
 
 /// One client request: id echoed on the response, relative deadline in
@@ -803,16 +792,5 @@ mod tests {
         let mut body = buf[LEN_PREFIX..].to_vec();
         body.push(0xAB);
         assert_eq!(decode_request(&body), Err(ProtoError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
-    fn route_key_prefers_first_routable() {
-        assert_eq!(Command::Get { key: 5 }.route_key(), Some(5));
-        assert_eq!(Command::Stats.route_key(), None);
-        let b = Command::Batch(vec![Command::Delete { key: 9 }, Command::Get { key: 4 }]);
-        assert_eq!(b.route_key(), Some(9), "first routable sub-command wins");
-        assert_eq!(Command::Batch(vec![]).route_key(), None);
-        let b = Command::Batch(vec![Command::Scan { lo: 3, hi: 9, limit: 1 }]);
-        assert_eq!(b.route_key(), Some(3));
     }
 }

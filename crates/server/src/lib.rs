@@ -30,7 +30,7 @@ pub use server::{DrainReport, ServeIndex, Server};
 pub use transport::{FaultConfig, FaultyTransport};
 
 /// Test/bench scaffolding shared by this crate's integration tests, the
-/// workspace chaos tests, and `li-bench --bin serve_load`. Not part of
+/// workspace chaos tests, and `li-bench serve_load`. Not part of
 /// the server API.
 #[doc(hidden)]
 pub mod testutil {

@@ -36,15 +36,9 @@ where
         Command::Delete { key } => (OpKind::ServerDelete, delete(store, *key)),
         Command::Scan { lo, hi, limit } => (OpKind::ServerScan, scan(store, *lo, *hi, *limit)),
         Command::Batch(cmds) => {
-            // Shard-aware coalescing: execute sub-commands grouped by
-            // shard (so same-shard work amortizes router reads and lock
-            // locality) but return bodies in submission order.
-            let mut order: Vec<usize> = (0..cmds.len()).collect();
-            order.sort_by_key(|&i| cmds[i].route_key().map(|k| store.index().shard_hint(k)));
-            let mut bodies: Vec<Body> = vec![Body::Ok; cmds.len()];
-            for i in order {
-                bodies[i] = execute_one(store, &cmds[i]);
-            }
+            // Submission order: a SCAN must see the PUTs and DELETEs
+            // that precede it in its own batch.
+            let bodies = cmds.iter().map(|c| execute_one(store, c)).collect();
             (OpKind::ServerBatch, Body::Batch(bodies))
         }
         Command::Stats => (OpKind::ServerStats, stats(store)),

@@ -15,6 +15,8 @@
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use li_nvm::fault::splitmix64;
+
 /// Per-call fault probabilities, in parts per 1024 (so configs stay
 /// integer and seeds stay deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,15 +56,6 @@ impl FaultConfig {
             disconnect: 12,
         }
     }
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A `Read + Write` stream that injects seeded faults around an inner

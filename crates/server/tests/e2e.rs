@@ -97,7 +97,7 @@ fn pipelined_requests_resolve_out_of_order_by_id() {
 }
 
 #[test]
-fn batch_coalesces_and_preserves_order() {
+fn batch_answers_in_submission_order() {
     with_deadline(Duration::from_secs(30), || {
         let cfg = ServiceConfig::default();
         let store = testutil::served_store(64, &cfg);
@@ -119,6 +119,40 @@ fn batch_coalesces_and_preserves_order() {
                 assert_eq!(bodies[2], Body::Value(vec![1]));
                 assert_eq!(bodies[3], Body::Value(vec![2]));
                 assert_eq!(bodies[4], Body::Deleted(true));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        server.shutdown();
+    });
+}
+
+#[test]
+fn batch_scan_sees_earlier_writes_to_a_later_shard() {
+    with_deadline(Duration::from_secs(30), || {
+        let cfg = ServiceConfig::default();
+        // 64 preloaded keys 1, 8, …, 442 over 8 shards: key 442 lives in
+        // the last shard, a scan from 0 starts in the first.
+        let store = testutil::served_store(64, &cfg);
+        let server = Server::spawn(store, cfg, "127.0.0.1:0").expect("spawn");
+        let mut c = client_for(&server);
+
+        let scan = Command::Scan { lo: 0, hi: 442, limit: 100 };
+        let cmds = vec![
+            Command::Put { key: 442, value: vec![9, 9] },
+            scan.clone(),
+            Command::Delete { key: 442 },
+            scan,
+        ];
+        match c.call(Command::Batch(cmds), 0).expect("batch") {
+            Body::Batch(bodies) => {
+                assert_eq!(bodies[0], Body::Ok);
+                let Body::Entries(after_put) = &bodies[1] else { panic!("{:?}", bodies[1]) };
+                assert_eq!(after_put.len(), 64);
+                assert_eq!(after_put.last(), Some(&(442, vec![9, 9])), "scan ran before the put");
+                assert_eq!(bodies[2], Body::Deleted(true));
+                let Body::Entries(after_delete) = &bodies[3] else { panic!("{:?}", bodies[3]) };
+                assert_eq!(after_delete.len(), 63, "scan ran before the delete");
+                assert_eq!(after_delete.last().map(|e| e.0), Some(435));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -17,19 +17,10 @@
 use std::time::Duration;
 
 use li_core::telemetry::{Event, OpKind, Recorder};
+use li_nvm::fault::splitmix64;
 use li_nvm::NvmDevice;
 
 use crate::error::ViperError;
-
-/// SplitMix64 step, same generator the fault plans use.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Retry budget and backoff shape for transient store faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -643,10 +643,6 @@ impl ConcurrentIndex for AnyConcurrentIndex {
     fn run_adaptation(&self) -> usize {
         ConcurrentIndex::run_adaptation(&self.0)
     }
-
-    fn shard_hint(&self, key: Key) -> usize {
-        ConcurrentIndex::shard_hint(&self.0, key)
-    }
 }
 
 #[cfg(test)]

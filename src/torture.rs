@@ -37,6 +37,7 @@ use std::sync::Arc;
 
 use li_core::telemetry::{Recorder, TelemetrySnapshot};
 use li_core::Sharded;
+use li_nvm::fault::splitmix64;
 use li_nvm::{FaultCountersSnapshot, FaultPlan, NvmConfig, NvmDevice, NvmError};
 use li_viper::{
     ConcurrentViperStore, DurabilityConfig, RecordLayout, RecoverOptions, RecoveryReport,
@@ -44,15 +45,6 @@ use li_viper::{
 };
 
 use crate::{AnyIndex, IndexKind};
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 const VALUE_SALT: u64 = 0x7e57_da7a_0dd5_eed5;
 

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use lip::core::telemetry::{Event, Recorder};
 use lip::core::traits::ConcurrentIndex;
 use lip::core::{AdaptiveConfig, KindSpec, Sharded};
+use lip::nvm::fault::splitmix64;
 use lip::nvm::{Fault, FaultPlan, NvmDevice};
 use lip::viper::{
     BreakerConfig, CircuitBreaker, ConcurrentViperStore, MaintenanceConfig, MaintenanceWorker,
@@ -67,15 +68,6 @@ fn eventually(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
         li_sync::thread::sleep(Duration::from_millis(5));
     }
     cond()
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Self-describing value: the version in the first 8 bytes, a key byte

@@ -4,7 +4,7 @@
 //! per-record CRC is load-bearing (disabling quarantine surfaces a record
 //! the workload never wrote).
 //!
-//! Larger sweeps: `cargo run --release -p li-bench --bin torture -- --seeds 1000`.
+//! Larger sweeps: `cargo run --release -p li-bench -- torture --seeds 1000`.
 
 use std::sync::Arc;
 

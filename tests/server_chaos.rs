@@ -20,6 +20,7 @@ use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use li_nvm::fault::splitmix64;
 use li_proto::{Body, Command, ErrorKind};
 use li_server::{testutil, Client, FaultConfig, FaultyTransport, Server, ServiceConfig};
 use li_sync::sync::Arc;
@@ -44,15 +45,6 @@ fn with_deadline<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Sen
             panic!("test exceeded {limit:?} deadline — server hang?")
         }
     }
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A client whose socket is wrapped in a seeded fault-injecting

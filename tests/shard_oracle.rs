@@ -14,19 +14,11 @@ use std::sync::Arc;
 use li_sync::sync::atomic::{AtomicBool, Ordering};
 
 use lip::core::traits::{ConcurrentIndex, OrderedIndex};
+use lip::nvm::fault::splitmix64;
 use lip::{AdaptivePolicy, AnyConcurrentIndex, ConcurrentKind, IndexKind};
 
 const THREADS: u64 = 8;
 const OPS_PER_THREAD: usize = 4_000;
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Runs one seeded concurrent session against `kind` and checks the final
 /// state against the merged per-thread oracles.
