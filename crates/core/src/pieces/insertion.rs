@@ -14,7 +14,7 @@
 
 use crate::approx::lsa_gap::GappedLayout;
 use crate::model::LinearModel;
-use crate::search::lower_bound_kv;
+use crate::search::{lower_bound_kv, widening_last_le};
 use crate::types::{Key, KeyValue, Value};
 
 /// Result of a leaf insert.
@@ -178,31 +178,10 @@ impl InplaceLeaf {
     /// Model-guided position of the last live key `<= key`, or None when
     /// `key` precedes all live keys. Returns indexes into `live()`.
     fn last_le(&self, key: Key) -> Option<usize> {
-        let live = self.live();
-        if live.is_empty() || key < live[0].0 {
-            return None;
-        }
-        let p = self.model.predict_clamped(key, self.len.max(1));
-        // Widen the window until it brackets (the model was trained on the
-        // build-time layout; shifts and foreign keys grow the error).
-        let mut err = self.err + 1;
-        loop {
-            let lo = p.saturating_sub(err);
-            let hi = (p + err).min(self.len - 1);
-            let lo_ok = lo == 0 || live[lo].0 <= key;
-            let hi_ok = hi == self.len - 1 || live[hi].0 > key;
-            if lo_ok && hi_ok {
-                let whi = (p + err + 1).min(self.len);
-                let window = &live[lo..whi];
-                let ub = window.partition_point(|kv| kv.0 <= key);
-                return Some((lo + ub).saturating_sub(1));
-            }
-            err = err.saturating_mul(2).max(2);
-            if err >= self.len {
-                let ub = live.partition_point(|kv| kv.0 <= key);
-                return if ub == 0 { None } else { Some(ub - 1) };
-            }
-        }
+        // The model was trained on the build-time layout; shifts and
+        // foreign keys grow the error, hence the widening search.
+        let p = self.model.predict_clamped(key, self.len);
+        widening_last_le(self.live(), |kv| kv.0, key, p, self.err + 1)
     }
 }
 
@@ -339,29 +318,9 @@ impl BufferLeaf {
     }
 
     fn main_pos(&self, key: Key) -> Option<usize> {
-        if self.main.is_empty() {
-            return None;
-        }
-        let keys_len = self.main.len();
-        let p = self.model.predict_clamped(key, keys_len);
-        let mut err = self.err + 1;
-        loop {
-            let lo = p.saturating_sub(err);
-            let hi = (p + err).min(keys_len - 1);
-            let lo_ok = lo == 0 || self.main[lo].0 <= key;
-            let hi_ok = hi == keys_len - 1 || self.main[hi].0 > key;
-            if lo_ok && hi_ok {
-                let whi = (p + err + 1).min(keys_len);
-                let window = &self.main[lo..whi];
-                let ub = window.partition_point(|kv| kv.0 <= key);
-                let idx = (lo + ub).checked_sub(1)?;
-                return (self.main[idx].0 == key).then_some(idx);
-            }
-            err = err.saturating_mul(2).max(2);
-            if err >= keys_len {
-                return self.main.binary_search_by_key(&key, |kv| kv.0).ok();
-            }
-        }
+        let p = self.model.predict_clamped(key, self.main.len());
+        widening_last_le(&self.main, |kv| kv.0, key, p, self.err + 1)
+            .filter(|&i| self.main[i].0 == key)
     }
 
     fn is_dead(&self, key: Key) -> bool {

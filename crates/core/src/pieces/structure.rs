@@ -17,7 +17,7 @@
 
 use crate::approx::optpla::segment_opt_pla;
 use crate::model::LinearModel;
-use crate::search::bounded_last_le;
+use crate::search::{bounded_last_le, widening_last_le};
 use crate::types::Key;
 
 /// Common interface of all inner structures.
@@ -197,30 +197,13 @@ impl InnerStructure for RmiInner {
     }
 
     fn locate(&self, key: Key) -> usize {
-        let n = self.first_keys.len();
-        if n == 0 {
-            return 0;
-        }
         let b = self.root.predict_clamped(key, self.second.len());
         let sm = &self.second[b];
-        let p = sm.model.predict_clamped(key, n);
+        let p = sm.model.predict_clamped(key, self.first_keys.len());
         // Bounded search cannot rely on the per-model error alone for keys
         // that fall outside the model's training set (arbitrary query
         // keys), so widen until the window brackets the key.
-        let mut err = sm.err + 1;
-        loop {
-            let lo = p.saturating_sub(err);
-            let hi = (p + err).min(n - 1);
-            let lo_ok = lo == 0 || self.first_keys[lo] <= key;
-            let hi_ok = hi == n - 1 || self.first_keys[hi] > key;
-            if lo_ok && hi_ok {
-                return bounded_last_le(&self.first_keys, key, p, err);
-            }
-            err = err.saturating_mul(2).max(2);
-            if err >= n {
-                return last_le(&self.first_keys, key);
-            }
-        }
+        widening_last_le(&self.first_keys, |&k| k, key, p, sm.err + 1).unwrap_or(0)
     }
 
     fn size_bytes(&self) -> usize {
@@ -243,115 +226,152 @@ impl InnerStructure for RmiInner {
 // ---------------------------------------------------------------------------
 
 /// Linear recursive structure (PGM-Index, §II-B2): Opt-PLA segments over
-/// the leaf keys, then Opt-PLA over *those* segments' first keys, repeated
-/// until a single segment remains. Lookup descends with one bounded binary
-/// search per level.
+/// a sorted key column, then Opt-PLA over *those* segments' first keys,
+/// repeated until a single segment remains. Lookup descends with one
+/// bounded binary search per level. This is the workspace's one
+/// recursive-PLA router: Fig. 17 (c) measures it over leaf first-keys
+/// (`build`, ε 4/4) and every `li-pgm` level is this structure over the
+/// level's own keys (`from_keys`, ε 64/4) beside one payload column.
 pub struct LrsInner {
-    /// `levels[0]`: segments over the leaf first-keys; deeper levels index
-    /// the level below. Stored bottom-up.
+    /// Bottom-up: `levels[0]` segments `keys`; deeper levels segment the
+    /// previous level's first keys; the last level has one segment.
     levels: Vec<LrsLevel>,
-    first_keys: Vec<Key>,
+    keys: Vec<Key>,
 }
 
 struct LrsLevel {
     /// First key of each segment at this level.
     seg_keys: Vec<Key>,
-    /// Per-segment routing info predicting positions in the level below
-    /// (for level 0: positions in `first_keys`).
-    models: Vec<LrsSeg>,
+    segs: Vec<LrsSeg>,
 }
 
 #[derive(Clone, Copy)]
 struct LrsSeg {
     model: LinearModel,
-    err: usize,
+    err: u32,
     /// Position range `[start, start + len)` this segment covers in the
     /// level below; predictions are clamped into it, as PGM does, so that
     /// query keys falling in the gap after a segment's last covered key
     /// cannot push the search window out of the segment.
-    start: usize,
-    len: usize,
+    start: u32,
+    len: u32,
+}
+
+impl LrsLevel {
+    fn segment(keys: &[Key], epsilon: u64) -> Self {
+        let pieces = segment_opt_pla(keys, epsilon);
+        LrsLevel {
+            seg_keys: pieces.iter().map(|s| s.first_key).collect(),
+            segs: pieces
+                .iter()
+                .map(|s| LrsSeg {
+                    model: s.model,
+                    err: s.max_error as u32,
+                    start: s.start as u32,
+                    len: s.len as u32,
+                })
+                .collect(),
+        }
+    }
+
+    /// Position of the last element `<= key` in the level below (0 when
+    /// none is), searching only segment `seg`'s clamped window.
+    #[inline]
+    fn last_le_below(&self, seg: usize, key: Key, below_keys: &[Key]) -> usize {
+        let s = self.segs[seg];
+        // The answer lies in the segment's covered positions because the
+        // next segment's first key exceeds `key`. The slack of 2 covers the
+        // model's monotone step to the next key plus the float-to-slot
+        // truncation, which `err` (measured on the covered keys) does not.
+        let p = s
+            .model
+            .predict_clamped(key, below_keys.len())
+            .clamp(s.start as usize, (s.start + s.len - 1) as usize);
+        bounded_last_le(below_keys, key, p, s.err as usize + 2)
+    }
 }
 
 impl LrsInner {
-    /// PGM's inner epsilon; small to keep inner searches cheap.
-    const EPSILON: u64 = 4;
+    /// Builds over an owned sorted, distinct key column: `epsilon` bounds
+    /// the error of the segments over `keys`, `epsilon_recursive` that of
+    /// every level above.
+    pub fn from_keys(keys: Vec<Key>, epsilon: u64, epsilon_recursive: u64) -> Self {
+        assert!(u32::try_from(keys.len()).is_ok(), "segment positions are stored as u32");
+        let mut levels = Vec::new();
+        if !keys.is_empty() {
+            let mut level = LrsLevel::segment(&keys, epsilon);
+            while level.segs.len() > 1 {
+                let above = LrsLevel::segment(&level.seg_keys, epsilon_recursive);
+                levels.push(level);
+                level = above;
+            }
+            levels.push(level);
+        }
+        LrsInner { levels, keys }
+    }
 
-    fn build_level(keys: &[Key]) -> LrsLevel {
-        let segs = segment_opt_pla(keys, Self::EPSILON);
-        let seg_keys: Vec<Key> = segs.iter().map(|s| s.first_key).collect();
-        let models: Vec<LrsSeg> = segs
+    /// The key column the structure was built over.
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// Number of levels, the one segmenting `keys` included.
+    pub fn height(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// Number of segments over `keys`.
+    pub fn segment_count(&self) -> usize {
+        self.levels.first().map_or(0, |l| l.segs.len())
+    }
+
+    /// Positions of `keys` covered by bottom-level segment `seg`.
+    pub fn segment_range(&self, seg: usize) -> Option<core::ops::Range<usize>> {
+        let s = self.levels.first()?.segs.get(seg)?;
+        Some(s.start as usize..(s.start + s.len) as usize)
+    }
+
+    /// Bottom-level segment holding the last key `<= key` (segment 0 when
+    /// `key` precedes every key): the descent without the final search.
+    pub fn route(&self, key: Key) -> usize {
+        let mut seg = 0;
+        for depth in (1..self.levels.len()).rev() {
+            seg = self.levels[depth].last_le_below(seg, key, &self.levels[depth - 1].seg_keys);
+        }
+        seg
+    }
+
+    /// Bytes of the segments alone, without the key column they index.
+    pub fn model_bytes(&self) -> usize {
+        self.levels
             .iter()
-            .map(|s| LrsSeg {
-                model: s.model,
-                err: s.max_error as usize,
-                start: s.start,
-                len: s.len,
+            .map(|l| {
+                l.seg_keys.len() * core::mem::size_of::<Key>()
+                    + l.segs.len() * core::mem::size_of::<LrsSeg>()
             })
-            .collect();
-        LrsLevel { seg_keys, models }
+            .sum()
     }
 }
 
 impl InnerStructure for LrsInner {
     fn build(first_keys: &[Key]) -> Self {
-        let mut levels = Vec::new();
-        if first_keys.is_empty() {
-            return LrsInner { levels, first_keys: Vec::new() };
-        }
-        let mut current = first_keys.to_vec();
-        loop {
-            let level = Self::build_level(&current);
-            let next: Vec<Key> = level.seg_keys.clone();
-            let done = next.len() <= 1;
-            levels.push(level);
-            if done {
-                break;
-            }
-            current = next;
-        }
-        LrsInner { levels, first_keys: first_keys.to_vec() }
+        // PGM's inner epsilon on every level; small to keep searches cheap.
+        Self::from_keys(first_keys.to_vec(), 4, 4)
     }
 
     fn locate(&self, key: Key) -> usize {
-        if self.first_keys.is_empty() || key <= self.first_keys[0] {
-            return 0;
+        match self.levels.first() {
+            Some(bottom) => bottom.last_le_below(self.route(key), key, &self.keys),
+            None => 0,
         }
-        // Descend from the topmost (coarsest) level.
-        let top = self.levels.len() - 1;
-        let mut seg = 0usize; // segment index within the current level
-        for depth in (0..=top).rev() {
-            let level = &self.levels[depth];
-            let s = level.models[seg];
-            let below_keys: &[Key] =
-                if depth == 0 { &self.first_keys } else { &self.levels[depth - 1].seg_keys };
-            // Clamp the prediction into the segment's covered positions
-            // (the answer lies there because the next segment's first key
-            // exceeds `key`), then search a window of err + slack.
-            let p =
-                s.model.predict_clamped(key, below_keys.len()).clamp(s.start, s.start + s.len - 1);
-            let pos = bounded_last_le(below_keys, key, p, s.err + 4);
-            if depth == 0 {
-                return pos;
-            }
-            seg = pos;
-        }
-        0
     }
 
     fn size_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| {
-                l.seg_keys.len() * core::mem::size_of::<Key>()
-                    + l.models.len() * core::mem::size_of::<LrsSeg>()
-            })
-            .sum::<usize>()
-            + self.first_keys.len() * core::mem::size_of::<Key>()
+        self.model_bytes() + self.keys.len() * core::mem::size_of::<Key>()
     }
 
     fn avg_depth(&self) -> f64 {
-        self.levels.len() as f64
+        self.height() as f64
     }
 
     fn name(&self) -> &'static str {
@@ -508,8 +528,7 @@ mod tests {
         keys
     }
 
-    fn check_structure<S: InnerStructure>(first_keys: &[Key]) {
-        let s = S::build(first_keys);
+    fn check_structure(s: &impl InnerStructure, first_keys: &[Key]) {
         let mut rng = StdRng::seed_from_u64(42);
         // Probe the exact keys, neighbours, and random keys.
         for &k in first_keys {
@@ -528,28 +547,56 @@ mod tests {
         assert!(s.avg_depth() >= 1.0);
     }
 
+    fn check<S: InnerStructure>(first_keys: &[Key]) {
+        check_structure(&S::build(first_keys), first_keys);
+    }
+
+    /// Both LRS configurations in use (Fig. 17's 4/4, PGM's 64/4), plus the
+    /// seam `locate` is cut at: the routed segment covers the located key.
+    fn check_lrs(keys: &[Key]) {
+        for (eps, eps_rec) in [(4, 4), (64, 4)] {
+            let s = LrsInner::from_keys(keys.to_vec(), eps, eps_rec);
+            check_structure(&s, keys);
+            assert_eq!(s.keys(), keys);
+            let mut covered = 0;
+            for seg in 0..s.segment_count() {
+                let range = s.segment_range(seg).unwrap();
+                assert_eq!(range.start, covered, "segments tile the keys");
+                covered = range.end;
+            }
+            assert_eq!(covered, keys.len());
+            assert!(s.segment_range(s.segment_count()).is_none());
+            for &k in keys {
+                for probe in [k.saturating_sub(1), k, k.saturating_add(1)] {
+                    let range = s.segment_range(s.route(probe)).unwrap();
+                    assert!(range.contains(&s.locate(probe)), "eps {eps} probe {probe}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn btree_locate_correct() {
-        check_structure::<BTreeInner>(&random_keys(5_000, 1, 1));
-        check_structure::<BTreeInner>(&random_keys(10, 2, 1));
+        check::<BTreeInner>(&random_keys(5_000, 1, 1));
+        check::<BTreeInner>(&random_keys(10, 2, 1));
     }
 
     #[test]
     fn rmi_locate_correct() {
-        check_structure::<RmiInner>(&random_keys(5_000, 3, 1));
-        check_structure::<RmiInner>(&random_keys(17, 4, 1));
+        check::<RmiInner>(&random_keys(5_000, 3, 1));
+        check::<RmiInner>(&random_keys(17, 4, 1));
     }
 
     #[test]
     fn lrs_locate_correct() {
-        check_structure::<LrsInner>(&random_keys(5_000, 5, 1));
-        check_structure::<LrsInner>(&random_keys(3, 6, 1));
+        check_lrs(&random_keys(5_000, 5, 1));
+        check_lrs(&random_keys(3, 6, 1));
     }
 
     #[test]
     fn ats_locate_correct() {
-        check_structure::<AtsInner>(&random_keys(5_000, 7, 1));
-        check_structure::<AtsInner>(&random_keys(9, 8, 1));
+        check::<AtsInner>(&random_keys(5_000, 7, 1));
+        check::<AtsInner>(&random_keys(9, 8, 1));
     }
 
     #[test]
@@ -559,10 +606,10 @@ mod tests {
         keys.extend((0..100u64).map(|i| u64::MAX - 10_000 + i * 100));
         keys.sort_unstable();
         keys.dedup();
-        check_structure::<BTreeInner>(&keys);
-        check_structure::<RmiInner>(&keys);
-        check_structure::<LrsInner>(&keys);
-        check_structure::<AtsInner>(&keys);
+        check::<BTreeInner>(&keys);
+        check::<RmiInner>(&keys);
+        check_lrs(&keys);
+        check::<AtsInner>(&keys);
     }
 
     #[test]
@@ -584,7 +631,7 @@ mod tests {
         keys.sort_unstable();
         let s = AtsInner::build(&keys);
         assert!(s.avg_depth() > 1.0);
-        check_structure::<AtsInner>(&keys);
+        check::<AtsInner>(&keys);
     }
 
     #[test]

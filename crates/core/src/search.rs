@@ -72,6 +72,33 @@ pub fn bounded_last_le(keys: &[Key], key: Key, predicted: usize, err: usize) -> 
     (lo + ub).saturating_sub(1)
 }
 
+/// Widening "last element `<= key`" search for a model whose error bound
+/// does not cover the probed key (foreign query keys, leaves shifted since
+/// training): checks that `predicted ± err` brackets `key`, doubling `err`
+/// until it does, with one full search once the window spans the run.
+/// Generic over how an element yields its key, so key arrays and pair
+/// arrays share it. `None` when `key` precedes the whole run.
+#[inline]
+pub fn widening_last_le<T>(
+    run: &[T],
+    key_of: impl Fn(&T) -> Key,
+    key: Key,
+    predicted: usize,
+    mut err: usize,
+) -> Option<usize> {
+    let n = run.len();
+    let le = |t: &T| key_of(t) <= key;
+    while err < n {
+        let hi = predicted.saturating_add(err).min(n - 1);
+        let lo = predicted.saturating_sub(err).min(hi);
+        if (lo == 0 || le(&run[lo])) && (hi == n - 1 || !le(&run[hi])) {
+            return (lo + run[lo..=hi].partition_point(le)).checked_sub(1);
+        }
+        err = err.saturating_mul(2).max(2);
+    }
+    run.partition_point(le).checked_sub(1)
+}
+
 /// Exponential (galloping) search outward from `predicted`, used by ALEX
 /// whose approximation has no max-error guarantee (§II-B3). Works on a
 /// sorted slice; returns lower-bound position.
@@ -263,6 +290,14 @@ mod proptests {
             let expect = keys.partition_point(|&k| k < probe);
             prop_assert_eq!(lower_bound(&keys, probe), expect);
             prop_assert_eq!(interpolation_lower_bound(&keys, probe), expect);
+            // Any prediction and any starting error, including 0 and windows
+            // that miss the key entirely, over both element shapes.
+            let le = keys.partition_point(|&k| k <= probe).checked_sub(1);
+            let pairs: Vec<KeyValue> = keys.iter().map(|&k| (k, k)).collect();
+            for err in [0, 1, 2, 7, 64, keys.len()] {
+                prop_assert_eq!(widening_last_le(&keys, |&k| k, probe, pred, err), le);
+                prop_assert_eq!(widening_last_le(&pairs, |kv| kv.0, probe, pred, err), le);
+            }
             if !keys.is_empty() {
                 prop_assert_eq!(exponential_lower_bound(&keys, probe, pred % keys.len()), expect);
                 // Full-window bounded searches are always bracketed.

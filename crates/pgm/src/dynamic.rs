@@ -1,12 +1,12 @@
 //! Dynamic PGM-Index: the logarithmic method (Overmars; §II-B2).
 //!
 //! Levels `S_0, S_1, …` hold `0` or up to `BASE·2^i` pairs, each level an
-//! independent [`StaticPgm`]. An insert finds the first level whose
-//! capacity can absorb all smaller levels plus the new pair, merges them
-//! (newest version wins, like an LSM compaction) and rebuilds that one
-//! level — PGM's "retrain" operation, counted in [`DynamicPgm::stats`].
-//! Deletes insert tombstones that are dropped when they reach the top
-//! occupied level.
+//! independent [`StaticPgm`] whose payload is `Option<Value>` (`None` = a
+//! tombstone). An insert finds the first level whose capacity can absorb
+//! all smaller levels plus the new pair, merges them (newest version wins,
+//! like an LSM compaction) and rebuilds that one level — PGM's "retrain"
+//! operation, counted in [`DynamicPgm::stats`]. Deletes insert tombstones
+//! that are dropped when they reach the top occupied level.
 
 use std::time::Instant;
 
@@ -20,31 +20,14 @@ use crate::statik::{PgmConfig, StaticPgm};
 /// Capacity of level 0.
 const BASE: usize = 128;
 
-/// An entry: live value or tombstone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Entry {
-    Live(Value),
-    Dead,
-}
-
-struct DynLevel {
-    pgm: StaticPgm,
-    /// Parallel to the level's data: live/tombstone markers.
-    entries: Vec<Entry>,
-}
-
-impl DynLevel {
-    fn lookup(&self, key: Key) -> Option<Entry> {
-        // The static PGM stores positions as values.
-        let pos = self.pgm.get(key)?;
-        Some(self.entries[pos as usize])
-    }
-}
+/// A level's payload: the live value, or `None` for a tombstone.
+type Entry = Option<Value>;
+type Level = StaticPgm<Entry>;
 
 /// The updatable PGM-Index.
 pub struct DynamicPgm {
     /// levels[i] holds up to BASE << i pairs; None = empty.
-    levels: Vec<Option<DynLevel>>,
+    levels: Vec<Option<Level>>,
     config: PgmConfig,
     len: usize,
     stats: RetrainStats,
@@ -81,18 +64,10 @@ impl DynamicPgm {
         BASE << i
     }
 
-    fn build_level(&self, pairs: Vec<(Key, Entry)>) -> DynLevel {
-        let keyed: Vec<KeyValue> =
-            pairs.iter().enumerate().map(|(i, &(k, _))| (k, i as u64)).collect();
-        let entries: Vec<Entry> = pairs.iter().map(|&(_, e)| e).collect();
-        DynLevel { pgm: StaticPgm::build_with(self.config, &keyed), entries }
-    }
-
     /// Inserts an entry (live or tombstone) via the logarithmic method.
     fn push_entry(&mut self, key: Key, entry: Entry) {
         let t0 = Instant::now();
         // Gather levels 0..j (inclusive of the first level that fits).
-        let mut carry: Vec<(Key, Entry)> = vec![(key, entry)];
         let mut total = 1usize;
         let mut target = 0usize;
         loop {
@@ -105,32 +80,29 @@ impl DynamicPgm {
                     target += 1;
                 }
                 Some(level) => {
-                    total += level.entries.len();
+                    total += level.router().keys().len();
                     target += 1;
                 }
             }
         }
-        // Merge levels 0..target (newest = lowest level wins) with carry
-        // (the brand-new entry, newest of all).
-        let mut merged: Vec<(Key, Entry)> = std::mem::take(&mut carry);
-        let mut keys_retrained = 1u64;
+        // Merge levels 0..target (newest = lowest level wins) under the
+        // brand-new entry, newest of all.
+        let mut merged: Vec<(Key, Entry)> = vec![(key, entry)];
         for i in 0..target {
             if let Some(level) = self.levels[i].take() {
-                keys_retrained += level.entries.len() as u64;
-                let older: Vec<(Key, Entry)> =
-                    level.pgm.iter().map(|(k, pos)| (k, level.entries[pos as usize])).collect();
-                merged = merge_newest_wins(&merged, &older);
+                merged = merge_newest_wins(merged.into_iter(), level.iter());
             }
         }
-        // At the top occupied level, tombstones can be dropped iff nothing
-        // older remains below... here "older" means deeper levels; drop
-        // tombstones only when no deeper occupied level exists.
-        let deepest_occupied = self.levels[target + 1..].iter().any(std::option::Option::is_some);
-        if !deepest_occupied {
-            merged.retain(|&(_, e)| e != Entry::Dead);
+        let keys_retrained = total as u64;
+        // Tombstones can be dropped only when nothing older remains below,
+        // i.e. when no deeper level is occupied.
+        let deeper_occupied = self.levels[target + 1..].iter().any(Option::is_some);
+        if !deeper_occupied {
+            merged.retain(|&(_, e)| e.is_some());
         }
         if !merged.is_empty() {
-            self.levels[target] = Some(self.build_level(merged));
+            let (keys, payload) = merged.into_iter().unzip();
+            self.levels[target] = Some(StaticPgm::from_columns(self.config, keys, payload));
         }
         let elapsed = t0.elapsed();
         self.stats.record_retrain(elapsed, keys_retrained);
@@ -143,46 +115,29 @@ impl DynamicPgm {
         }
     }
 
+    /// The newest level's entry for `key`, tombstones included.
     fn lookup_entry(&self, key: Key) -> Option<Entry> {
-        for level in self.levels.iter().flatten() {
-            if let Some(e) = level.lookup(key) {
-                return Some(e);
-            }
-        }
-        None
+        self.levels.iter().flatten().find_map(|l| l.find(key))
     }
 }
 
-/// Merges two sorted runs; on duplicate keys `newer` wins.
-fn merge_newest_wins(newer: &[(Key, Entry)], older: &[(Key, Entry)]) -> Vec<(Key, Entry)> {
-    let mut out = Vec::with_capacity(newer.len() + older.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < newer.len() || j < older.len() {
-        match (newer.get(i), older.get(j)) {
-            (Some(&(nk, ne)), Some(&(ok, _))) if nk < ok => {
-                out.push((nk, ne));
-                i += 1;
-            }
-            (Some(&(nk, ne)), Some(&(ok, _))) if nk == ok => {
-                out.push((nk, ne));
-                i += 1;
-                j += 1;
-            }
-            (Some(_), Some(&(ok, oe))) => {
-                out.push((ok, oe));
-                j += 1;
-            }
-            (Some(&(nk, ne)), None) => {
-                out.push((nk, ne));
-                i += 1;
-            }
-            (None, Some(&(ok, oe))) => {
-                out.push((ok, oe));
-                j += 1;
-            }
-            (None, None) => unreachable!(),
+/// Merges two key-sorted runs; on equal keys `newer` wins.
+fn merge_newest_wins(
+    newer: impl Iterator<Item = (Key, Entry)>,
+    older: impl Iterator<Item = (Key, Entry)>,
+) -> Vec<(Key, Entry)> {
+    let (mut newer, mut older) = (newer.peekable(), older.peekable());
+    let mut out = Vec::with_capacity(newer.size_hint().0 + older.size_hint().0);
+    while let Some(&(nk, _)) = newer.peek() {
+        // Older keys below the next newer one go first; an equal older key
+        // is shadowed.
+        while let Some(o) = older.next_if(|o| o.0 < nk) {
+            out.push(o);
         }
+        older.next_if(|o| o.0 == nk);
+        out.extend(newer.next());
     }
+    out.extend(older);
     out
 }
 
@@ -196,22 +151,15 @@ impl Index for DynamicPgm {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        match self.lookup_entry(key)? {
-            Entry::Live(v) => Some(v),
-            Entry::Dead => None,
-        }
+        self.lookup_entry(key)?
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.levels.iter().flatten().map(|l| l.pgm.index_size_bytes()).sum()
+        self.levels.iter().flatten().map(|l| l.router().model_bytes()).sum()
     }
 
     fn data_size_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .flatten()
-            .map(|l| l.pgm.data_size_bytes() + l.entries.len() * core::mem::size_of::<Entry>())
-            .sum()
+        self.levels.iter().flatten().map(StaticPgm::column_bytes).sum()
     }
 
     fn depth_stats(&self) -> Option<&dyn DepthStats> {
@@ -227,7 +175,7 @@ impl UpdatableIndex for DynamicPgm {
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
         self.stats.inserts += 1;
         let old = self.get(key);
-        self.push_entry(key, Entry::Live(value));
+        self.push_entry(key, Some(value));
         if old.is_none() {
             self.len += 1;
         }
@@ -236,7 +184,7 @@ impl UpdatableIndex for DynamicPgm {
 
     fn remove(&mut self, key: Key) -> Option<Value> {
         let old = self.get(key)?;
-        self.push_entry(key, Entry::Dead);
+        self.push_entry(key, None);
         self.len -= 1;
         Some(old)
     }
@@ -250,18 +198,9 @@ impl OrderedIndex for DynamicPgm {
         // Merge all levels, newest wins, tombstones suppressed.
         let mut merged: Vec<(Key, Entry)> = Vec::new();
         for level in self.levels.iter().flatten() {
-            let mut older = Vec::new();
-            let mut pairs = Vec::new();
-            level.pgm.range(lo, hi, &mut pairs);
-            for (k, pos) in pairs {
-                older.push((k, level.entries[pos as usize]));
-            }
-            merged = merge_newest_wins(&merged, &older);
+            merged = merge_newest_wins(merged.into_iter(), level.range_iter(lo, hi));
         }
-        out.extend(merged.into_iter().filter_map(|(k, e)| match e {
-            Entry::Live(v) => Some((k, v)),
-            Entry::Dead => None,
-        }));
+        out.extend(merged.into_iter().filter_map(|(k, e)| Some((k, e?))));
     }
 }
 
@@ -277,8 +216,8 @@ impl BulkBuildIndex for DynamicPgm {
             target += 1;
         }
         d.levels.resize_with(target + 1, || None);
-        let pairs: Vec<(Key, Entry)> = data.iter().map(|&(k, v)| (k, Entry::Live(v))).collect();
-        d.levels[target] = Some(d.build_level(pairs));
+        let (keys, payload) = data.iter().map(|&(k, v)| (k, Some(v))).unzip();
+        d.levels[target] = Some(StaticPgm::from_columns(d.config, keys, payload));
         d.len = data.len();
         d
     }
@@ -286,18 +225,22 @@ impl BulkBuildIndex for DynamicPgm {
 
 impl DepthStats for DynamicPgm {
     fn avg_depth(&self) -> f64 {
-        let occupied: Vec<&DynLevel> = self.levels.iter().flatten().collect();
-        if occupied.is_empty() {
-            return 0.0;
-        }
         // Weighted by level size: expected PGM height consulted.
-        let total: usize = occupied.iter().map(|l| l.entries.len()).sum();
-        occupied.iter().map(|l| l.pgm.height() as f64 * l.entries.len() as f64).sum::<f64>()
-            / total as f64
+        let (mut total, mut weighted) = (0usize, 0.0);
+        for level in self.levels.iter().flatten() {
+            let n = level.router().keys().len();
+            total += n;
+            weighted += level.height() as f64 * n as f64;
+        }
+        if total == 0 {
+            0.0
+        } else {
+            weighted / total as f64
+        }
     }
 
     fn leaf_count(&self) -> usize {
-        self.levels.iter().flatten().map(|l| l.pgm.segment_count()).sum()
+        self.levels.iter().flatten().map(StaticPgm::segment_count).sum()
     }
 
     fn retrain_stats(&self) -> Option<RetrainStats> {
@@ -431,6 +374,53 @@ mod tests {
             "keys retrained {} suggests quadratic behaviour",
             s.keys_retrained
         );
+    }
+
+    #[test]
+    fn level_schedule_is_pinned() {
+        // Values measured before the levels were rebuilt on the shared LRS:
+        // level capacities, target-level choice and the tombstone-drop rule
+        // decide every one of them.
+        let data: Vec<KeyValue> = (0..10_000u64).map(|i| (i * 16, i)).collect();
+        let mut d = DynamicPgm::build(&data);
+        for i in 0..5_000u64 {
+            d.insert(i * 48 + 7, i);
+        }
+        for i in (0..5_000u64).step_by(5) {
+            assert_eq!(d.remove(i * 48 + 7), Some(i));
+        }
+        let s = d.stats();
+        assert_eq!((s.count, s.keys_retrained, s.inserts), (6_000, 88_688, 5_000));
+        assert_eq!(d.len(), 14_000);
+        assert_eq!(d.leaf_count(), 10);
+    }
+
+    #[test]
+    fn every_key_stored_once() {
+        let data: Vec<KeyValue> = (0..100_000u64).map(|i| (i * 9 + (i % 7), i)).collect();
+        let per_key = |idx: &dyn Index| {
+            (idx.index_size_bytes() + idx.data_size_bytes()) as f64 / idx.len() as f64
+        };
+        // 8 B key + 8 B value; a level's tombstone-capable payload is 16 B.
+        assert!(per_key(&StaticPgm::build(&data)) <= 16.1);
+        assert!(per_key(&DynamicPgm::build(&data)) <= 24.1);
+    }
+
+    #[test]
+    fn merge_newest_wins_cases() {
+        fn run(pairs: &[(Key, Entry)]) -> impl Iterator<Item = (Key, Entry)> + '_ {
+            pairs.iter().copied()
+        }
+        let newer = [(2, Some(20)), (4, None), (9, Some(90))];
+        let older = [(1, Some(1)), (2, Some(2)), (4, Some(4)), (5, None)];
+        assert_eq!(
+            merge_newest_wins(run(&newer), run(&older)),
+            vec![(1, Some(1)), (2, Some(20)), (4, None), (5, None), (9, Some(90))],
+            "newer value wins, newer tombstone shadows the older live entry"
+        );
+        assert_eq!(merge_newest_wins(run(&newer), run(&[])), newer);
+        assert_eq!(merge_newest_wins(run(&[]), run(&older)), older);
+        assert!(merge_newest_wins(run(&[]), run(&[])).is_empty());
     }
 
     proptest::proptest! {

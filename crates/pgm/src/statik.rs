@@ -1,9 +1,10 @@
-//! The static PGM-Index.
+//! The static PGM-Index: the linear recursive structure piece
+//! ([`LrsInner`], which owns the sorted key column) beside one payload
+//! column. Keys are stored once, inside the router.
 
-use li_core::approx::optpla::segment_opt_pla;
-use li_core::search::lower_bound_kv;
+use li_core::pieces::structure::{InnerStructure, LrsInner};
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, TwoPhaseLookup};
-use li_core::{Key, KeyValue, LinearModel, Value};
+use li_core::{Key, KeyValue, Value};
 
 /// Build parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,126 +21,72 @@ impl Default for PgmConfig {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Seg {
-    model: LinearModel,
-    err: u32,
-    start: u32,
-    len: u32,
+/// The static PGM-Index over payloads of type `V` (a plain [`Value`] for
+/// the index proper; [`DynamicPgm`](crate::DynamicPgm) levels use
+/// `Option<Value>` so a tombstone needs no side array).
+pub struct StaticPgm<V = Value> {
+    router: LrsInner,
+    /// `payload[i]` belongs to `router.keys()[i]`.
+    payload: Vec<V>,
 }
 
-struct Level {
-    seg_keys: Vec<Key>,
-    segs: Vec<Seg>,
-}
-
-impl Level {
-    fn from_keys(keys: &[Key], epsilon: u64) -> Self {
-        let pieces = segment_opt_pla(keys, epsilon);
-        Level {
-            seg_keys: pieces.iter().map(|s| s.first_key).collect(),
-            segs: pieces
-                .iter()
-                .map(|s| Seg {
-                    model: s.model,
-                    err: s.max_error as u32,
-                    start: s.start as u32,
-                    len: s.len as u32,
-                })
-                .collect(),
-        }
+impl<V: Copy> StaticPgm<V> {
+    /// Builds over a sorted, distinct key column and its parallel payloads.
+    pub fn from_columns(config: PgmConfig, keys: Vec<Key>, payload: Vec<V>) -> Self {
+        assert_eq!(keys.len(), payload.len(), "one payload per key");
+        let router = LrsInner::from_keys(keys, config.epsilon, config.epsilon_recursive);
+        StaticPgm { router, payload }
     }
 
-    /// Position of the last element `<= key` in the level below, searching
-    /// only within segment `seg`'s clamped window.
-    #[inline]
-    fn locate_below(&self, seg: usize, key: Key, below_keys: &[Key]) -> usize {
-        let s = self.segs[seg];
-        let p = s
-            .model
-            .predict_clamped(key, below_keys.len())
-            .clamp(s.start as usize, (s.start + s.len - 1) as usize);
-        li_core::search::bounded_last_le(below_keys, key, p, s.err as usize + 2)
-    }
-}
-
-/// The static PGM-Index.
-pub struct StaticPgm {
-    data: Vec<KeyValue>,
-    /// Bottom-up: `levels[0]` segments the data; deeper levels segment the
-    /// previous level's first keys; the last level has one segment.
-    levels: Vec<Level>,
-    /// Data keys only (parallel to `data`), kept for bounded searches.
-    keys: Vec<Key>,
-}
-
-impl StaticPgm {
-    pub fn build_with(config: PgmConfig, data: &[KeyValue]) -> Self {
-        let keys: Vec<Key> = data.iter().map(|kv| kv.0).collect();
-        let mut levels = Vec::new();
-        if !keys.is_empty() {
-            let mut level = Level::from_keys(&keys, config.epsilon);
-            loop {
-                let done = level.segs.len() <= 1;
-                let next_keys = level.seg_keys.clone();
-                levels.push(level);
-                if done {
-                    break;
-                }
-                level = Level::from_keys(&next_keys, config.epsilon_recursive);
-            }
-        }
-        StaticPgm { data: data.to_vec(), levels, keys }
+    /// Payload stored under exactly `key`.
+    pub fn find(&self, key: Key) -> Option<V> {
+        let i = self.router.locate(key);
+        (self.router.keys().get(i) == Some(&key)).then(|| self.payload[i])
     }
 
-    /// Data-level segment containing `key` (last segment whose first key
-    /// is `<= key`, clamped to 0).
-    fn segment_of(&self, key: Key) -> usize {
-        let top = self.levels.len() - 1;
-        let mut seg = 0usize;
-        for depth in (1..=top).rev() {
-            let below = &self.levels[depth - 1].seg_keys;
-            seg = self.levels[depth].locate_below(seg, key, below);
-        }
-        seg
+    /// Pairs with `lo <= key <= hi`, in key order.
+    pub fn range_iter(&self, lo: Key, hi: Key) -> impl Iterator<Item = (Key, V)> + '_ {
+        // `locate` is the last key `<= lo` (0 when none is): step past it
+        // unless it already is the lower bound.
+        let i = self.router.locate(lo);
+        let from = i + usize::from(self.router.keys().get(i).is_some_and(|&k| k < lo));
+        self.pairs_from(from).take_while(move |&(k, _)| k <= hi)
     }
 
-    /// Lower-bound position of `key` in `data`.
-    fn lower_bound_pos(&self, key: Key) -> usize {
-        if self.keys.is_empty() {
-            return 0;
-        }
-        if key <= self.keys[0] {
-            return 0;
-        }
-        let seg = self.segment_of(key);
-        let last_le = self.levels[0].locate_below(seg, key, &self.keys);
-        // Convert "last <= key" into lower bound.
-        if self.keys[last_le] == key {
-            last_le
-        } else {
-            last_le + 1
-        }
+    /// Iterates all pairs in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, V)> + '_ {
+        self.pairs_from(0)
+    }
+
+    fn pairs_from(&self, from: usize) -> impl Iterator<Item = (Key, V)> + '_ {
+        self.router.keys()[from..].iter().copied().zip(self.payload[from..].iter().copied())
+    }
+
+    /// The linear recursive structure and the key column it owns.
+    pub fn router(&self) -> &LrsInner {
+        &self.router
     }
 
     /// Number of data-level segments.
     pub fn segment_count(&self) -> usize {
-        self.levels.first().map_or(0, |l| l.segs.len())
+        self.router.segment_count()
     }
 
     /// Number of levels including the data level.
     pub fn height(&self) -> usize {
-        self.levels.len()
+        self.router.height()
     }
 
-    /// Iterates all pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = KeyValue> + '_ {
-        self.data.iter().copied()
+    /// Bytes of the key column plus the payload column.
+    pub fn column_bytes(&self) -> usize {
+        self.payload.len() * (core::mem::size_of::<Key>() + core::mem::size_of::<V>())
     }
+}
 
-    /// Borrow of the underlying sorted data.
-    pub fn data(&self) -> &[KeyValue] {
-        &self.data
+impl StaticPgm {
+    pub fn build_with(config: PgmConfig, data: &[KeyValue]) -> Self {
+        let (keys, payload) = data.iter().copied().unzip();
+        Self::from_columns(config, keys, payload)
     }
 }
 
@@ -149,35 +96,20 @@ impl Index for StaticPgm {
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.payload.len()
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let i = self.lower_bound_pos(key);
-        match self.data.get(i) {
-            Some(&(k, v)) if k == key => Some(v),
-            _ => None,
-        }
+        self.find(key)
     }
 
     fn index_size_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| {
-                l.seg_keys.len() * core::mem::size_of::<Key>()
-                    + l.segs.len() * core::mem::size_of::<Seg>()
-            })
-            .sum()
+        // Segments only: the key column is data (Table III's split).
+        self.router.model_bytes()
     }
 
     fn data_size_bytes(&self) -> usize {
-        // Sorted pair array plus the separate key array used for bounded
-        // searches (PGM indexes a contiguous key array).
-        self.data.len() * core::mem::size_of::<KeyValue>()
-            + self.keys.len() * core::mem::size_of::<Key>()
+        self.column_bytes()
     }
 
     fn depth_stats(&self) -> Option<&dyn DepthStats> {
@@ -187,17 +119,7 @@ impl Index for StaticPgm {
 
 impl OrderedIndex for StaticPgm {
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-        if self.data.is_empty() || lo > hi {
-            return;
-        }
-        let mut i = self.lower_bound_pos(lo);
-        while let Some(&(k, v)) = self.data.get(i) {
-            if k > hi {
-                break;
-            }
-            out.push((k, v));
-            i += 1;
-        }
+        out.extend(self.range_iter(lo, hi));
     }
 }
 
@@ -209,7 +131,7 @@ impl BulkBuildIndex for StaticPgm {
 
 impl DepthStats for StaticPgm {
     fn avg_depth(&self) -> f64 {
-        self.levels.len() as f64
+        self.height() as f64
     }
 
     fn leaf_count(&self) -> usize {
@@ -219,21 +141,13 @@ impl DepthStats for StaticPgm {
 
 impl TwoPhaseLookup for StaticPgm {
     fn locate_leaf(&self, key: Key) -> usize {
-        if self.data.is_empty() {
-            0
-        } else {
-            self.segment_of(key)
-        }
+        self.router.route(key)
     }
 
     fn search_leaf(&self, leaf: usize, key: Key) -> Option<Value> {
-        let s = self.levels[0].segs.get(leaf)?;
-        let slice = &self.data[s.start as usize..(s.start + s.len) as usize];
-        let i = lower_bound_kv(slice, key);
-        match slice.get(i) {
-            Some(&(k, v)) if k == key => Some(v),
-            _ => None,
-        }
+        let range = self.router.segment_range(leaf)?;
+        let i = self.router.keys()[range.clone()].binary_search(&key).ok()?;
+        Some(self.payload[range.start + i])
     }
 }
 

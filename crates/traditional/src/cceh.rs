@@ -316,65 +316,9 @@ impl BulkBuildIndex for Cceh {
     }
 }
 
-/// A sharded, concurrency-safe CCEH: independent tables behind their own
-/// locks — the flavour used in the multi-threaded experiments.
-///
-/// Shard selection uses hash bits 40..48, disjoint from both the directory
-/// bits (MSBs) and the bucket bits (LSBs) of the per-shard tables.
-pub struct ShardedCceh {
-    shards: Vec<li_sync::sync::RwLock<Cceh>>,
-}
-
-const SHARD_BITS: u32 = 8;
-
-impl Default for ShardedCceh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedCceh {
-    pub fn new() -> Self {
-        ShardedCceh {
-            shards: (0..1usize << SHARD_BITS)
-                .map(|_| {
-                    li_sync::sync::RwLock::with_class(
-                        li_sync::lock_class!("cceh-shard"),
-                        Cceh::new(),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(key: Key) -> usize {
-        ((Cceh::hash(key) >> 40) & ((1 << SHARD_BITS) - 1)) as usize
-    }
-}
-
-impl li_core::traits::ConcurrentIndex for ShardedCceh {
-    fn get(&self, key: Key) -> Option<Value> {
-        self.shards[Self::shard_of(key)].read().get(key)
-    }
-
-    fn insert(&self, key: Key, value: Value) -> Option<Value> {
-        self.shards[Self::shard_of(key)].write().insert(key, value)
-    }
-
-    fn remove(&self, key: Key) -> Option<Value> {
-        self.shards[Self::shard_of(key)].write().remove(key)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use li_core::traits::ConcurrentIndex as _;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     use std::collections::HashMap;
 
@@ -444,37 +388,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.get(0), None);
         assert_eq!(c.get(u64::MAX), None);
-    }
-
-    #[test]
-    fn sharded_concurrent() {
-        use std::sync::Arc;
-        let c = Arc::new(ShardedCceh::new());
-        let mut handles = Vec::new();
-        for t in 0..8u64 {
-            let c = Arc::clone(&c);
-            handles.push(li_sync::thread::spawn(move || {
-                for i in 0..20_000u64 {
-                    let k = t * 1_000_000 + i;
-                    c.insert(k, k + 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.len(), 160_000);
-        for t in 0..8u64 {
-            for i in (0..20_000u64).step_by(501) {
-                let k = t * 1_000_000 + i;
-                assert_eq!(c.get(k), Some(k + 1));
-            }
-        }
-        // Key 5 was inserted by thread 0 (value 6); a key outside every
-        // thread's range must be absent.
-        assert_eq!(c.remove(5), Some(6));
-        assert_eq!(c.remove(999_999_999), None);
-        assert_eq!(c.remove(0), Some(1));
     }
 
     proptest::proptest! {

@@ -1,15 +1,15 @@
 //! # li-traditional — classical index baselines
 //!
 //! The paper compares learned indexes against six traditional indexes
-//! (§III-A1). We implement four from scratch, covering the same structural
-//! families; the remaining two are represented by the closest family
-//! member (see DESIGN.md):
+//! (§III-A1). We implement all six structural families from scratch; where
+//! the original does not fit 8-byte keys the closest family member stands
+//! in (see DESIGN.md):
 //!
 //! | Paper baseline | Family | Here |
 //! |---|---|---|
 //! | STX B-Tree | comparison tree | [`BPlusTree`] |
 //! | Skiplist (LevelDB) | probabilistic list | [`SkipList`] |
-//! | CCEH | persistent extendible hash | [`Cceh`] / [`ShardedCceh`] |
+//! | CCEH | persistent extendible hash | [`Cceh`] |
 //! | Wormhole | hash-accelerated ordered index | [`Wormhole`] |
 //! | Bw-tree | delta-chain B-tree | [`BwTree`] |
 //! | Masstree | trie of B+trees | [`Art`] (for fixed 8-byte keys a Masstree
@@ -17,8 +17,7 @@
 //!
 //! For the multi-threaded experiments every single-writer index here is
 //! lifted to a [`li_core::ConcurrentIndex`] by range sharding
-//! (`li_core::shard::Sharded`); only [`ShardedCceh`] carries its own
-//! internal concurrency (per-directory-stripe locking).
+//! (`li_core::shard::Sharded`).
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +31,6 @@ pub mod wormhole;
 pub use art::Art;
 pub use bptree::BPlusTree;
 pub use bwtree::BwTree;
-pub use cceh::{Cceh, ShardedCceh};
+pub use cceh::Cceh;
 pub use skiplist::SkipList;
 pub use wormhole::Wormhole;
