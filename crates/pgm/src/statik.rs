@@ -21,50 +21,61 @@ impl Default for PgmConfig {
     }
 }
 
-/// The static PGM-Index over payloads of type `V` (a plain [`Value`] for
-/// the index proper; [`DynamicPgm`](crate::DynamicPgm) levels use
-/// `Option<Value>` so a tombstone needs no side array).
-pub struct StaticPgm<V = Value> {
+/// The static PGM-Index: also one level of a
+/// [`DynamicPgm`](crate::DynamicPgm), which reaches the columns by position
+/// so that its tombstone bitmap can sit beside them.
+pub struct StaticPgm {
     router: LrsInner,
     /// `payload[i]` belongs to `router.keys()[i]`.
-    payload: Vec<V>,
+    payload: Vec<Value>,
 }
 
-impl<V: Copy> StaticPgm<V> {
-    /// Builds over a sorted, distinct key column and its parallel payloads.
-    pub fn from_columns(config: PgmConfig, keys: Vec<Key>, payload: Vec<V>) -> Self {
-        assert_eq!(keys.len(), payload.len(), "one payload per key");
+impl StaticPgm {
+    pub fn build_with(config: PgmConfig, data: &[KeyValue]) -> Self {
+        Self::from_pairs(config, data.iter().copied())
+    }
+
+    /// Builds over pairs in key order, keys distinct.
+    pub fn from_pairs(config: PgmConfig, pairs: impl Iterator<Item = KeyValue>) -> Self {
+        let (keys, payload): (Vec<Key>, Vec<Value>) = pairs.unzip();
         let router = LrsInner::from_keys(keys, config.epsilon, config.epsilon_recursive);
         StaticPgm { router, payload }
     }
 
-    /// Payload stored under exactly `key`.
-    pub fn find(&self, key: Key) -> Option<V> {
+    /// Position of exactly `key` in the key and payload columns.
+    pub fn position(&self, key: Key) -> Option<usize> {
         let i = self.router.locate(key);
-        (self.router.keys().get(i) == Some(&key)).then(|| self.payload[i])
+        (self.router.keys().get(i) == Some(&key)).then_some(i)
     }
 
-    /// Pairs with `lo <= key <= hi`, in key order.
-    pub fn range_iter(&self, lo: Key, hi: Key) -> impl Iterator<Item = (Key, V)> + '_ {
+    /// Position of the first key `>= lo` (the column length when none is).
+    pub fn lower_pos(&self, lo: Key) -> usize {
         // `locate` is the last key `<= lo` (0 when none is): step past it
         // unless it already is the lower bound.
         let i = self.router.locate(lo);
-        let from = i + usize::from(self.router.keys().get(i).is_some_and(|&k| k < lo));
-        self.pairs_from(from).take_while(move |&(k, _)| k <= hi)
+        i + usize::from(self.router.keys().get(i).is_some_and(|&k| k < lo))
     }
 
-    /// Iterates all pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (Key, V)> + '_ {
-        self.pairs_from(0)
+    /// Payload stored under exactly `key`.
+    pub fn find(&self, key: Key) -> Option<Value> {
+        self.position(key).map(|i| self.payload[i])
     }
 
-    fn pairs_from(&self, from: usize) -> impl Iterator<Item = (Key, V)> + '_ {
-        self.router.keys()[from..].iter().copied().zip(self.payload[from..].iter().copied())
+    /// Pairs with `lo <= key <= hi`, in key order.
+    pub fn range_iter(&self, lo: Key, hi: Key) -> impl Iterator<Item = KeyValue> + '_ {
+        let from = self.lower_pos(lo);
+        let pairs = self.router.keys()[from..].iter().zip(&self.payload[from..]);
+        pairs.map(|(&k, &v)| (k, v)).take_while(move |&(k, _)| k <= hi)
     }
 
     /// The linear recursive structure and the key column it owns.
     pub fn router(&self) -> &LrsInner {
         &self.router
+    }
+
+    /// The payload column, parallel to `router().keys()`.
+    pub fn payload(&self) -> &[Value] {
+        &self.payload
     }
 
     /// Number of data-level segments.
@@ -79,14 +90,7 @@ impl<V: Copy> StaticPgm<V> {
 
     /// Bytes of the key column plus the payload column.
     pub fn column_bytes(&self) -> usize {
-        self.payload.len() * (core::mem::size_of::<Key>() + core::mem::size_of::<V>())
-    }
-}
-
-impl StaticPgm {
-    pub fn build_with(config: PgmConfig, data: &[KeyValue]) -> Self {
-        let (keys, payload) = data.iter().copied().unzip();
-        Self::from_columns(config, keys, payload)
+        self.payload.len() * core::mem::size_of::<KeyValue>()
     }
 }
 

@@ -180,9 +180,10 @@ fn index_fingerprints_are_distinguishable() {
     assert_eq!(fiting.event(Event::DeltaMerge), 0);
 
     let pgm = churned_any(IndexKind::Pgm, 8_000).snapshot();
-    assert!(pgm.event(Event::Retrain) > 0);
+    assert!(pgm.event(Event::BufferFlush) > 0, "PGM flushes its level-0 insert buffer");
+    assert_eq!(pgm.event(Event::Retrain), pgm.event(Event::BufferFlush), "one rebuild a flush");
+    assert_eq!(pgm.op(OpKind::Retrain).count, pgm.event(Event::Retrain), "each one timed");
     assert!(pgm.event(Event::DeltaMerge) > 0, "PGM's LSM levels must merge");
-    assert_eq!(pgm.event(Event::BufferFlush), 0);
     assert_eq!(pgm.event(Event::SplitNode), 0);
     assert_eq!(pgm.event(Event::ExpandNode), 0);
 

@@ -25,7 +25,8 @@
 //!   `unreachable!` inside hot-path functions — the Viper
 //!   `put`/`get`/`delete`, the record heap's per-record paths under
 //!   them, the WAL append/replay, the shard op/cutover
-//!   paths, the proto frame decoder, and the li-server request path —
+//!   paths, the dynamic PGM's lookup/buffer/flush/range path under them, the
+//!   proto frame decoder, and the li-server request path —
 //!   excluding `#[cfg(test)]`.
 //! * **R6 lock-order** ([`lockorder`]): every zero-arg
 //!   `.lock()`/`.read()`/`.write()` site in `crates/*/src` maps to a

@@ -115,7 +115,9 @@ pub fn check_file(
 /// panic there turns an injectable device fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
 /// table for every thread, and the tuner runs on the maintenance thread
-/// where a panic silently kills adaptation. The checkpoint decoders and
+/// where a panic silently kills adaptation. The dynamic PGM's lookup, buffer,
+/// flush and range paths (its levels' included) are the served store's index: they run under a
+/// shard cell's lock on every GET/PUT/SCAN, where a panic poisons the cell. The checkpoint decoders and
 /// the image merge parse device bytes — on recovery, and on every fold of
 /// a running store — so a corrupt manifest, base or delta segment must
 /// come back as `None` (previous generation, then the rescan floor), never
@@ -185,6 +187,19 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
         ])
     } else if f.ends_with("core/src/tuner.rs") {
         Some(&["observe", "penalize"])
+    } else if f.ends_with("pgm/src/dynamic.rs") {
+        Some(&[
+            "lookup_entry",
+            "lookup_levels",
+            "push_entry",
+            "flush_buffer",
+            "merge_newest_wins",
+            "from_entries",
+            "find",
+            "entry_at",
+            "range_iter",
+            "range",
+        ])
     } else if f.ends_with("proto/src/lib.rs") {
         Some(&[
             "frame_len",
@@ -442,6 +457,8 @@ mod tests {
             // gating file.
             let rel = if name.contains("hot_path_panics.heap") {
                 PathBuf::from("crates/viper/src/heap.rs")
+            } else if name.contains("hot_path_panics.dynamic") {
+                PathBuf::from("crates/pgm/src/dynamic.rs")
             } else if name.contains("hot_path") {
                 PathBuf::from("crates/viper/src/write.rs")
             } else if name.contains("lock_order") {
@@ -574,6 +591,33 @@ mod tests {
         // Recovery and the maintenance sweeps are not per-record paths.
         let src = "impl RecordHeap {\n    pub fn recover_with_report() { x.unwrap(); }\n}\n";
         assert!(lint("crates/viper/src/heap.rs", src, "").is_empty());
+    }
+
+    #[test]
+    fn r4_covers_pgm_update_path() {
+        // The served index's per-op paths run under a shard cell's lock.
+        let src = "impl DynamicPgm {\n    fn lookup_entry(&self, key: Key) -> Option<Entry> {\n        self.levels[0].as_ref().unwrap().find(key)\n    }\n}\n";
+        let v = lint("crates/pgm/src/dynamic.rs", src, "");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "hot-path-panics");
+        assert_eq!(v[0].line, 3);
+        for name in [
+            "lookup_levels",
+            "push_entry",
+            "flush_buffer",
+            "merge_newest_wins",
+            "from_entries",
+            "find",
+            "entry_at",
+            "range_iter",
+            "range",
+        ] {
+            let src = format!("fn {name}(&mut self) {{\n    unreachable!(\"sorted runs\");\n}}\n");
+            assert_eq!(lint("crates/pgm/src/dynamic.rs", &src, "").len(), 1, "{name}");
+        }
+        // Bulk build runs once, outside any cell lock.
+        let src = "impl BulkBuildIndex for DynamicPgm {\n    fn build(data: &[KeyValue]) -> Self { x.unwrap() }\n}\n";
+        assert!(lint("crates/pgm/src/dynamic.rs", src, "").is_empty());
     }
 
     #[test]
