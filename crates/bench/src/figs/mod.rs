@@ -4,7 +4,6 @@
 use crate::harness::{BenchConfig, Flags};
 
 pub mod ablation;
-pub mod adaptive;
 pub mod bg_retrain;
 pub mod fig10;
 pub mod fig11;
@@ -48,7 +47,7 @@ pub enum Run {
 
 /// Every entry; the figures in the order `li-bench all` runs them — the
 /// order `results/run_all.txt` is captured in.
-pub const FIGS: [Fig; 21] = [
+pub const FIGS: [Fig; 20] = [
     Fig { name: "table1", run: Run::Figure(table1::run), in_all: true },
     Fig { name: "fig10", run: Run::Figure(fig10::run), in_all: true },
     Fig { name: "fig11", run: Run::Figure(fig11::run), in_all: true },
@@ -67,7 +66,6 @@ pub const FIGS: [Fig; 21] = [
     Fig { name: "scale", run: Run::Figure(scale::run), in_all: false },
     Fig { name: "torture", run: Run::Gate(torture::run), in_all: false },
     Fig { name: "recovery", run: Run::Gate(recovery::run), in_all: false },
-    Fig { name: "adaptive", run: Run::Gate(adaptive::run), in_all: false },
     Fig { name: "bg_retrain", run: Run::Gate(bg_retrain::run), in_all: false },
     Fig { name: "serve_load", run: Run::Gate(serve_load::run), in_all: false },
 ];

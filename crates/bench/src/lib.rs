@@ -1,8 +1,8 @@
 //! # li-bench — the paper's evaluation harness
 //!
 //! One module per table/figure of *"Cutting Learned Index into Pieces"*
-//! (ICDE 2023) and per CI gate (`torture`, `recovery`, `adaptive`,
-//! `serve_load`, `bg_retrain`); each has a `run` entry point, and the
+//! (ICDE 2023) and per CI gate (`torture`, `recovery`, `serve_load`,
+//! `bg_retrain`); each has a `run` entry point, and the
 //! crate's one binary, `li-bench <name>|all [flags]`, dispatches over
 //! [`figs::FIGS`]. Flags, latency samples and the gates' JSON report are
 //! [`harness`]'s.

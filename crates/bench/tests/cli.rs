@@ -6,7 +6,7 @@ use std::process::Command;
 use li_bench::figs::{Run, FIGS};
 use li_bench::harness::{Flags, Report};
 
-const GATES: [&str; 5] = ["torture", "recovery", "adaptive", "bg_retrain", "serve_load"];
+const GATES: [&str; 4] = ["torture", "recovery", "bg_retrain", "serve_load"];
 
 fn li_bench(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_li-bench")).args(args).output().expect("spawn");

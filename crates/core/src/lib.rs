@@ -44,12 +44,11 @@ pub use li_telemetry as telemetry;
 pub use hot::HotCache;
 pub use model::LinearModel;
 pub use shard::{
-    AdaptError, AdaptiveConfig, Admission, AdmissionGuard, BoxShard, KindSpec, Saturated,
-    ShardIndex, Sharded,
+    AdaptError, AdaptiveConfig, Admission, AdmissionGuard, BoxShard, Saturated, ShardIndex, Sharded,
 };
 pub use traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, TwoPhaseLookup,
     UpdatableIndex,
 };
-pub use tuner::{KindId, ShardObs, Tuner, TunerAction, TunerConfig};
+pub use tuner::{ShardObs, Tuner, TunerAction, TunerConfig};
 pub use types::{Key, KeyValue, Value};

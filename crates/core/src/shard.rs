@@ -10,19 +10,15 @@
 //! lock. Writers touching different shards never contend; readers never
 //! block each other.
 //!
-//! The router is *heterogeneous*: every shard cell owns a
-//! `Box<dyn ShardIndex>`, so shards can differ in kind — and change kind
-//! at runtime. Three online adaptations are one cutover,
-//! `Sharded::recut`, under three plans (see `DESIGN.md` "Adaptation"):
+//! Every shard cell owns a `Box<dyn ShardIndex>` made by one builder, so
+//! a kind picked at runtime needs no generic parameter. Two online
+//! adaptations are one cutover, `Sharded::recut`, under two plans (see
+//! `DESIGN.md` "Adaptation"):
 //!
 //! * **split** — a hot shard's range is cut at its median key into two
 //!   cells ([`Sharded::force_split`]);
 //! * **merge** — two cold adjacent cells fold into one
-//!   ([`Sharded::force_merge`]);
-//! * **kind swap** — a cell is rebuilt under a different registered index
-//!   kind ([`Sharded::force_swap`]), e.g. gapped-ALEX under insert-heavy
-//!   load, PGM under read-mostly ("Are Updatable Learned Indexes
-//!   Ready?", PAPERS.md).
+//!   ([`Sharded::force_merge`]).
 //!
 //! The cutover never blocks readers while the replacement index is built:
 //! a bounded **side log** opens on the cell (writers keep applying to the
@@ -44,7 +40,7 @@ use li_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use li_sync::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use crate::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
-use crate::tuner::{KindId, ShardObs, Tuner, TunerAction, TunerConfig};
+use crate::tuner::{ShardObs, Tuner, TunerAction, TunerConfig};
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::{Event, Recorder};
 
@@ -132,7 +128,7 @@ impl Drop for AdmissionGuard<'_> {
 /// scans ([`OrderedIndex`]). Blanket-implemented, so every index in the
 /// workspace with those three already is one. [`BulkBuildIndex`] is
 /// deliberately excluded (it is not object safe); construction goes
-/// through closures or registered [`KindSpec`] builders instead.
+/// through builder closures instead.
 pub trait ShardIndex: Index + UpdatableIndex + OrderedIndex {}
 
 impl<T: Index + UpdatableIndex + OrderedIndex> ShardIndex for T {}
@@ -140,38 +136,14 @@ impl<T: Index + UpdatableIndex + OrderedIndex> ShardIndex for T {}
 /// What a shard cell actually owns.
 pub type BoxShard = Box<dyn ShardIndex>;
 
-/// Bulk constructor a [`KindSpec`] stores.
-type KindBuilder = Box<dyn Fn(&[KeyValue]) -> BoxShard + Send + Sync>;
-
-/// A registered index kind the adaptive router can (re)build shards
-/// under: a display label plus a bulk constructor.
-pub struct KindSpec {
-    pub label: &'static str,
-    build: KindBuilder,
-}
-
-impl KindSpec {
-    pub fn new(
-        label: &'static str,
-        build: impl Fn(&[KeyValue]) -> BoxShard + Send + Sync + 'static,
-    ) -> Self {
-        KindSpec { label, build: Box::new(build) }
-    }
-
-    /// Convenience constructor from a bulk-buildable index type.
-    pub fn of<I: ShardIndex + BulkBuildIndex + 'static>(label: &'static str) -> Self {
-        Self::new(label, |chunk| Box::new(I::build(chunk)))
-    }
-}
+/// Bulk constructor of every cell an adaptive router builds.
+type ShardBuilder = Box<dyn Fn(&[KeyValue]) -> BoxShard + Send + Sync>;
 
 /// Everything [`Sharded::build_adaptive`] needs beyond the static build:
-/// the kind table, which kind to bulk-load under, the tuner policy and
-/// the side-log bound.
+/// the shard builder (used for the bulk load and every cutover), the
+/// tuner policy and the side-log bound.
 pub struct AdaptiveConfig {
-    /// Kinds the tuner may rebuild shards under ([`KindId`] = index).
-    pub kinds: Vec<KindSpec>,
-    /// Kind every shard starts as.
-    pub initial: KindId,
+    build: ShardBuilder,
     pub tuner: TunerConfig,
     /// Max writes buffered per cell while its replacement builds; an
     /// overflow aborts that cutover (retried after the tuner cooldown).
@@ -179,21 +151,21 @@ pub struct AdaptiveConfig {
 }
 
 impl AdaptiveConfig {
-    pub fn new(kinds: Vec<KindSpec>, initial: KindId) -> Self {
-        AdaptiveConfig { kinds, initial, tuner: TunerConfig::default(), side_cap: 1 << 16 }
+    pub fn new(build: impl Fn(&[KeyValue]) -> BoxShard + Send + Sync + 'static) -> Self {
+        AdaptiveConfig { build: Box::new(build), tuner: TunerConfig::default(), side_cap: 1 << 16 }
     }
 }
 
-/// Why a split/merge/swap did not commit. All variants are recoverable:
+/// Why a split/merge did not commit. All variants are recoverable:
 /// the live index keeps serving and retains every write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptError {
-    /// Built without [`Sharded::build_adaptive`]: no kind table to
-    /// rebuild shards with.
+    /// Built without [`Sharded::build_adaptive`]: no builder to rebuild
+    /// shards with.
     NotAdaptive,
     /// Another rebuild already owns this cell's side log.
     Busy,
-    /// The position/kind no longer matches the live table (a concurrent
+    /// The position no longer matches the live table (a concurrent
     /// adaptation moved it); re-observe and retry.
     Stale,
     /// The shard holds too few (or all-identical) keys to cut.
@@ -246,15 +218,7 @@ struct ShardState {
     side: Option<SideLog>,
 }
 
-/// Always-on per-cell counters the tuner reads — independent of the
-/// opt-in telemetry recorder, so adaptation works with telemetry off.
-struct CellStats {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    lock_wait_ns: AtomicU64,
-}
-
-/// One shard: a stable identity, a fixed kind, and the locked index.
+/// One shard: a stable identity and the locked index.
 /// Cells are immutable apart from their interior lock — every committed
 /// adaptation publishes *new* cells, which is what gives the tuner a
 /// fresh dwell clock and readers a consistent `(boundary, cell)` pair.
@@ -262,20 +226,21 @@ struct ShardCell {
     /// Monotonic id; survives epochs, never reused. The tuner keys its
     /// per-cell history on this.
     id: u64,
-    kind: KindId,
     /// Cached `index.native_writer().is_some()` so the write path skips
     /// the probe (and the read-lock acquisition) for non-native kinds.
     native: bool,
     lock: RwLock<ShardState>,
-    stats: CellStats,
+    /// Always-on count of reads, writes and scan visits routed here — the
+    /// tuner's input, independent of the opt-in telemetry recorder, so
+    /// adaptation works with telemetry off.
+    ops: AtomicU64,
 }
 
 impl ShardCell {
-    fn create(id: u64, kind: KindId, index: BoxShard) -> Arc<Self> {
+    fn create(id: u64, index: BoxShard) -> Arc<Self> {
         let native = index.native_writer().is_some();
         Arc::new(ShardCell {
             id,
-            kind,
             native,
             // `ordered`: a merge commit holds two cells at once, always
             // left-to-right in boundary order (see `Sharded::commit`).
@@ -283,11 +248,7 @@ impl ShardCell {
                 li_sync::lock_class!("shard-cell", ordered),
                 ShardState { index, side: None },
             ),
-            stats: CellStats {
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
-                lock_wait_ns: AtomicU64::new(0),
-            },
+            ops: AtomicU64::new(0),
         })
     }
 }
@@ -320,16 +281,16 @@ impl Table {
 
 /// The adaptation machinery attached by [`Sharded::build_adaptive`].
 struct AdaptState {
-    kinds: Vec<KindSpec>,
+    build: ShardBuilder,
     side_cap: usize,
     tuner: Mutex<Tuner>,
 }
 
-/// A range-partitioned router over `1..=MAX_SHARDS` heterogeneous shard
-/// cells (each a `Box<dyn ShardIndex>`), giving single-writer indexes a
+/// A range-partitioned router over `1..=MAX_SHARDS` shard cells (each a
+/// `Box<dyn ShardIndex>`), giving single-writer indexes a
 /// [`ConcurrentIndex`] face plus ordered range scans — and, when built
-/// with [`Sharded::build_adaptive`], online shard split/merge and
-/// index-kind hot-swap driven by [`crate::tuner::Tuner`].
+/// with [`Sharded::build_adaptive`], online shard split/merge driven by
+/// [`crate::tuner::Tuner`].
 pub struct Sharded {
     table: RwLock<Table>,
     recorder: Recorder,
@@ -339,7 +300,7 @@ pub struct Sharded {
     /// global-lock routes keep exclusive-writer semantics.
     allow_native: bool,
     /// Deferred-retrain mode, re-applied to indexes built by adaptation
-    /// so a hot-swapped shard keeps the store's maintenance contract.
+    /// so a split or merged shard keeps the store's maintenance contract.
     defer_retrains: AtomicBool,
     adapt: Option<AdaptState>,
     next_cell_id: AtomicU64,
@@ -378,7 +339,7 @@ impl Sharded {
         data: &[KeyValue],
         mut build: impl FnMut(&[KeyValue]) -> BoxShard,
     ) -> Self {
-        Self::build_inner(shards, data, 0, &mut build)
+        Self::build_inner(shards, data, &mut build)
     }
 
     /// [`Sharded::build_with`] using the index's own bulk constructor:
@@ -390,22 +351,14 @@ impl Sharded {
         Self::build_with(shards, data, I::build)
     }
 
-    /// Builds a self-tuning router: every shard starts as
-    /// `cfg.kinds[cfg.initial]`, and [`Sharded::run_adaptation`] may
-    /// split, merge, or hot-swap shards among the registered kinds.
+    /// Builds a self-tuning router: every shard is built by `cfg`'s
+    /// builder, and [`Sharded::run_adaptation`] may split or merge shards,
+    /// rebuilding the pieces with the same builder.
     pub fn build_adaptive(shards: usize, data: &[KeyValue], cfg: AdaptiveConfig) -> Self {
-        let AdaptiveConfig { kinds, initial, tuner, side_cap } = cfg;
-        assert!(
-            (initial as usize) < kinds.len(),
-            "initial kind {initial} out of range ({} registered)",
-            kinds.len()
-        );
-        let mut idx = {
-            let spec = &kinds[initial as usize];
-            Self::build_inner(shards, data, initial, &mut |chunk| (spec.build)(chunk))
-        };
+        let AdaptiveConfig { build, tuner, side_cap } = cfg;
+        let mut idx = Self::build_inner(shards, data, &mut |chunk| build(chunk));
         idx.adapt = Some(AdaptState {
-            kinds,
+            build,
             side_cap,
             tuner: Mutex::with_class(li_sync::lock_class!("shard-tuner"), Tuner::new(tuner)),
         });
@@ -415,7 +368,6 @@ impl Sharded {
     fn build_inner(
         shards: usize,
         data: &[KeyValue],
-        kind: KindId,
         build: &mut dyn FnMut(&[KeyValue]) -> BoxShard,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
@@ -447,7 +399,7 @@ impl Sharded {
                 Some(&hi) => start + data[start..].partition_point(|kv| kv.0 < hi),
                 None => data.len(),
             };
-            cells.push(ShardCell::create(next_id, kind, build(&data[start..end])));
+            cells.push(ShardCell::create(next_id, build(&data[start..end])));
             next_id += 1;
             start = end;
         }
@@ -489,23 +441,7 @@ impl Sharded {
         t.cells.iter().map(|c| c.lock.read().index.len()).collect()
     }
 
-    /// Registered-kind id per shard, in boundary order (all zero for
-    /// static builds).
-    pub fn shard_kinds(&self) -> Vec<KindId> {
-        let t = self.table.read();
-        t.cells.iter().map(|c| c.kind).collect()
-    }
-
-    /// Display label for a registered kind (`"static"` when built
-    /// without adaptation).
-    pub fn kind_label(&self, kind: KindId) -> &'static str {
-        match self.adapt.as_ref().and_then(|a| a.kinds.get(kind as usize)) {
-            Some(spec) => spec.label,
-            None => "static",
-        }
-    }
-
-    /// Whether this router was built with a kind table and tuner.
+    /// Whether this router was built with a shard builder and tuner.
     pub fn is_adaptive(&self) -> bool {
         self.adapt.is_some()
     }
@@ -515,10 +451,9 @@ impl Sharded {
         self.table.read().shard_of(key)
     }
 
-    /// Acquires a cell's write lock, charging contention to both the
-    /// always-on cell counters (tuner input) and, when a telemetry
-    /// recorder is attached, the [`Event::ShardLockWait`] counter and
-    /// `LockWait` histogram.
+    /// Acquires a cell's write lock, charging contention, when a
+    /// telemetry recorder is attached, to the [`Event::ShardLockWait`]
+    /// counter and `LockWait` histogram.
     #[inline]
     fn write_cell<'a>(&self, cell: &'a ShardCell, s: usize) -> RwLockWriteGuard<'a, ShardState> {
         if let Some(g) = cell.lock.try_write() {
@@ -527,7 +462,6 @@ impl Sharded {
         let t0 = Instant::now();
         let g = cell.lock.write();
         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        cell.stats.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
         self.recorder.shard_lock_wait(s, ns);
         g
     }
@@ -542,7 +476,7 @@ impl Sharded {
     fn apply(&self, t: &Table, s: usize, key: Key, op: WriteOp) -> Option<Value> {
         self.recorder.shard_write(s);
         let cell = &t.cells[s];
-        cell.stats.writes.fetch_add(1, Ordering::Relaxed);
+        cell.ops.fetch_add(1, Ordering::Relaxed);
         if self.allow_native && cell.native {
             let g = cell.lock.read();
             // The side flag flips only under the cell write lock, which
@@ -584,17 +518,15 @@ enum WriteOp {
 }
 
 // ---------------------------------------------------------------------------
-// Online adaptation: one cutover (`recut`) under three plans + the tuner loop.
+// Online adaptation: one cutover (`recut`) under two plans + the tuner loop.
 // ---------------------------------------------------------------------------
 
 /// What a cutover replaces its old cells with.
 #[derive(Debug, Clone, Copy)]
 enum Plan {
-    /// One cell → one cell of another registered kind.
-    Swap(KindId),
-    /// One cell → two of its kind, cut at the snapshot median.
+    /// One cell → two, cut at the snapshot median.
     Split,
-    /// Two adjacent cells → one of the left cell's kind.
+    /// Two adjacent cells → one.
     Merge,
 }
 
@@ -602,22 +534,13 @@ impl Plan {
     /// How many adjacent live cells the plan retires.
     fn old_cells(self) -> usize {
         match self {
+            Plan::Split => 1,
             Plan::Merge => 2,
-            Plan::Swap(_) | Plan::Split => 1,
-        }
-    }
-
-    /// Registered kind of every cell the plan publishes.
-    fn kind(self, old: &[Arc<ShardCell>]) -> KindId {
-        match self {
-            Plan::Swap(to) => to,
-            Plan::Split | Plan::Merge => old[0].kind,
         }
     }
 
     fn event(self) -> Event {
         match self {
-            Plan::Swap(_) => Event::KindSwap,
             Plan::Split => Event::ShardSplit,
             Plan::Merge => Event::ShardMerge,
         }
@@ -635,20 +558,10 @@ impl Sharded {
         let t = self.table.read();
         t.cells
             .iter()
-            .map(|c| {
-                let (len, pending) = {
-                    let g = c.lock.read();
-                    (g.index.len(), g.index.pending_retrains())
-                };
-                ShardObs {
-                    cell: c.id,
-                    kind: c.kind,
-                    len,
-                    reads: c.stats.reads.load(Ordering::Relaxed),
-                    writes: c.stats.writes.load(Ordering::Relaxed),
-                    lock_wait_ns: c.stats.lock_wait_ns.load(Ordering::Relaxed),
-                    pending_retrains: pending,
-                }
+            .map(|c| ShardObs {
+                cell: c.id,
+                len: c.lock.read().index.len(),
+                ops: c.ops.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -682,7 +595,6 @@ impl Sharded {
     fn execute(&self, action: TunerAction) -> Result<(), AdaptError> {
         match action {
             TunerAction::Split { cell } => self.recut_at(|t| t.pos_of(cell), Plan::Split),
-            TunerAction::Swap { cell, to } => self.recut_at(|t| t.pos_of(cell), Plan::Swap(to)),
             TunerAction::Merge { left, right } => self.recut_at(
                 |t| t.pos_of(left).filter(|&p| t.cells.get(p + 1).is_some_and(|c| c.id == right)),
                 Plan::Merge,
@@ -691,21 +603,14 @@ impl Sharded {
     }
 
     /// Cuts the shard at position `shard` at its median key into two
-    /// cells of the same kind. Test/operator entry point; the tuner
-    /// takes the same path.
+    /// cells. Test/operator entry point; the tuner takes the same path.
     pub fn force_split(&self, shard: usize) -> Result<(), AdaptError> {
         self.recut_at(|_| Some(shard), Plan::Split)
     }
 
-    /// Folds shards `left` and `left + 1` into one cell of `left`'s kind.
+    /// Folds shards `left` and `left + 1` into one cell.
     pub fn force_merge(&self, left: usize) -> Result<(), AdaptError> {
         self.recut_at(|_| Some(left), Plan::Merge)
-    }
-
-    /// Rebuilds the shard at position `shard` under registered kind `to`
-    /// and cuts over atomically. No-op `Ok` if already that kind.
-    pub fn force_swap(&self, shard: usize, to: KindId) -> Result<(), AdaptError> {
-        self.recut_at(|_| Some(shard), Plan::Swap(to))
     }
 
     /// Resolves the plan's old cells — the first located by `first`, all
@@ -728,14 +633,6 @@ impl Sharded {
             let Some(cells) = cells else { return Err(AdaptError::Stale) };
             cells.to_vec()
         };
-        if let Plan::Swap(to) = plan {
-            if adapt.kinds.get(to as usize).is_none() {
-                return Err(AdaptError::Stale);
-            }
-            if old[0].kind == to {
-                return Ok(());
-            }
-        }
         self.recut(adapt, &old, plan)
     }
 
@@ -799,17 +696,14 @@ impl Sharded {
             c.lock.read().index.range(0, Key::MAX, &mut snap);
         }
         let mids = match plan {
-            Plan::Swap(_) | Plan::Merge => Vec::new(),
+            Plan::Merge => Vec::new(),
             Plan::Split if snap.len() < 2 => return Err(AdaptError::CannotSplit),
             Plan::Split => vec![snap.len() / 2],
-        };
-        let Some(spec) = adapt.kinds.get(plan.kind(old) as usize) else {
-            return Err(AdaptError::Stale);
         };
         let mut pieces = Vec::with_capacity(mids.len() + 1);
         let mut start = 0;
         for end in mids.iter().copied().chain([snap.len()]) {
-            let mut idx = (spec.build)(&snap[start..end]);
+            let mut idx = (adapt.build)(&snap[start..end]);
             idx.set_recorder(self.recorder.clone());
             if self.defer_retrains.load(Ordering::Acquire) {
                 idx.set_defer_retrains(true);
@@ -875,9 +769,8 @@ impl Sharded {
             }
         }
         drop(guards);
-        let kind = plan.kind(old);
         t.lower.splice(pos + 1..end, cuts.iter().copied());
-        let fresh = pieces.into_iter().map(|p| ShardCell::create(self.next_id(), kind, p));
+        let fresh = pieces.into_iter().map(|p| ShardCell::create(self.next_id(), p));
         t.cells.splice(pos..end, fresh);
         self.recorder.event(plan.event());
         Ok(())
@@ -907,7 +800,7 @@ impl Index for Sharded {
         let s = t.shard_of(key);
         self.recorder.shard_read(s);
         let cell = &t.cells[s];
-        cell.stats.reads.fetch_add(1, Ordering::Relaxed);
+        cell.ops.fetch_add(1, Ordering::Relaxed);
         let g = cell.lock.read();
         g.index.get(key)
     }
@@ -949,11 +842,11 @@ impl OrderedIndex for Sharded {
             if t.lower[s] > hi {
                 break;
             }
-            // A scan is read traffic to every cell it visits: without
-            // this, a scan-heavy shard looks idle (or write-heavy) to
-            // the tuner and the shard-bank telemetry.
+            // A scan is traffic to every cell it visits: without this, a
+            // scan-heavy shard looks idle to the tuner's split/merge
+            // rules and the shard-bank telemetry.
             self.recorder.shard_read(s);
-            t.cells[s].stats.reads.fetch_add(1, Ordering::Relaxed);
+            t.cells[s].ops.fetch_add(1, Ordering::Relaxed);
             t.cells[s].lock.read().index.range(lo, hi, out);
         }
     }
@@ -1070,60 +963,8 @@ mod tests {
         }
     }
 
-    /// Second kind for heterogeneous/adaptive tests: sorted-array index.
-    struct VecIndex(Vec<KeyValue>);
-
-    impl Index for VecIndex {
-        fn name(&self) -> &'static str {
-            "vec"
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn get(&self, key: Key) -> Option<Value> {
-            self.0.binary_search_by_key(&key, |kv| kv.0).ok().map(|i| self.0[i].1)
-        }
-        fn index_size_bytes(&self) -> usize {
-            0
-        }
-        fn data_size_bytes(&self) -> usize {
-            self.0.len() * core::mem::size_of::<KeyValue>()
-        }
-    }
-
-    impl UpdatableIndex for VecIndex {
-        fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-            match self.0.binary_search_by_key(&key, |kv| kv.0) {
-                Ok(i) => Some(core::mem::replace(&mut self.0[i].1, value)),
-                Err(i) => {
-                    self.0.insert(i, (key, value));
-                    None
-                }
-            }
-        }
-        fn remove(&mut self, key: Key) -> Option<Value> {
-            match self.0.binary_search_by_key(&key, |kv| kv.0) {
-                Ok(i) => Some(self.0.remove(i).1),
-                Err(_) => None,
-            }
-        }
-    }
-
-    impl OrderedIndex for VecIndex {
-        fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-            let s = self.0.partition_point(|kv| kv.0 < lo);
-            out.extend(self.0[s..].iter().take_while(|kv| kv.0 <= hi));
-        }
-    }
-
-    impl BulkBuildIndex for VecIndex {
-        fn build(data: &[KeyValue]) -> Self {
-            VecIndex(data.to_vec())
-        }
-    }
-
-    fn two_kinds() -> Vec<KindSpec> {
-        vec![KindSpec::of::<MapIndex>("map"), KindSpec::of::<VecIndex>("vec")]
+    fn map_cfg() -> AdaptiveConfig {
+        AdaptiveConfig::new(|chunk| Box::new(MapIndex::build(chunk)))
     }
 
     #[test]
@@ -1372,15 +1213,13 @@ mod tests {
         assert!(!idx.is_adaptive());
         assert_eq!(idx.force_split(0), Err(AdaptError::NotAdaptive));
         assert_eq!(idx.force_merge(0), Err(AdaptError::NotAdaptive));
-        assert_eq!(idx.force_swap(0, 1), Err(AdaptError::NotAdaptive));
         assert_eq!(idx.run_adaptation(), 0);
-        assert_eq!(idx.kind_label(0), "static");
     }
 
     #[test]
-    fn forced_split_merge_and_swap_preserve_contents() {
+    fn forced_split_and_merge_preserve_contents() {
         let data: Vec<KeyValue> = (0..4_000u64).map(|i| (i * 3, i)).collect();
-        let mut idx = Sharded::build_adaptive(4, &data, AdaptiveConfig::new(two_kinds(), 0));
+        let mut idx = Sharded::build_adaptive(4, &data, map_cfg());
         let rec = Recorder::enabled();
         idx.set_recorder(rec.clone());
         let before = idx.range_vec(0, Key::MAX);
@@ -1394,17 +1233,10 @@ mod tests {
         idx.force_merge(1).unwrap();
         assert_eq!(idx.shard_count(), 4);
 
-        assert_eq!(idx.shard_kinds(), vec![0, 0, 0, 0]);
-        idx.force_swap(2, 1).unwrap();
-        assert_eq!(idx.shard_kinds(), vec![0, 0, 1, 0]);
-        assert_eq!(idx.kind_label(1), "vec");
-        idx.force_swap(2, 1).unwrap(); // same-kind swap is a no-op Ok
-
         assert_eq!(idx.range_vec(0, Key::MAX), before, "adaptation must not change contents");
         let s = rec.snapshot();
         assert_eq!(s.event(Event::ShardSplit), 1);
         assert_eq!(s.event(Event::ShardMerge), 1);
-        assert_eq!(s.event(Event::KindSwap), 1, "no-op swap must not emit an event");
 
         // The router keeps serving after the layout changed.
         assert_eq!(ConcurrentIndex::insert(&idx, 1, 999), None);
@@ -1415,7 +1247,7 @@ mod tests {
     #[test]
     fn split_refuses_unsplittable_shards() {
         let data: Vec<KeyValue> = vec![(10, 1)];
-        let idx = Sharded::build_adaptive(1, &data, AdaptiveConfig::new(two_kinds(), 0));
+        let idx = Sharded::build_adaptive(1, &data, map_cfg());
         assert_eq!(idx.force_split(0), Err(AdaptError::CannotSplit), "one key cannot split");
         assert_eq!(idx.force_merge(0), Err(AdaptError::Limit), "one shard cannot merge");
         assert_eq!(idx.force_split(5), Err(AdaptError::Stale), "out-of-range position");
@@ -1431,7 +1263,7 @@ mod tests {
         // for merge), so both neighbours can be checked for bystander
         // damage.
         let data: Vec<KeyValue> = (0..3_000u64).map(|i| (i * 2, i)).collect();
-        let build = || Sharded::build_adaptive(3, &data, AdaptiveConfig::new(two_kinds(), 0));
+        let build = || Sharded::build_adaptive(3, &data, map_cfg());
         let old_cells = |idx: &Sharded, plan: Plan| -> Vec<Arc<ShardCell>> {
             idx.table.read().cells[1..=plan.old_cells()].to_vec()
         };
@@ -1444,7 +1276,7 @@ mod tests {
             assert_eq!(ConcurrentIndex::remove(idx, 2_000), Some(1_000));
         };
 
-        for plan in [Plan::Swap(1), Plan::Split, Plan::Merge] {
+        for plan in [Plan::Split, Plan::Merge] {
             // Commit replays both sides of the cut into the right piece.
             let idx = build();
             let adapt = idx.adapt.as_ref().unwrap();
@@ -1453,13 +1285,11 @@ mod tests {
             let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
             writes(&idx);
             idx.commit(&old, plan, &cuts, pieces).unwrap();
-            let (lower, kinds) = match plan {
-                Plan::Swap(_) => (vec![0, 2_000, 4_000], vec![0, 1, 0]),
-                Plan::Split => (vec![0, 2_000, 3_000, 4_000], vec![0, 0, 0, 0]),
-                Plan::Merge => (vec![0, 2_000], vec![0, 0]),
+            let lower = match plan {
+                Plan::Split => vec![0, 2_000, 3_000, 4_000],
+                Plan::Merge => vec![0, 2_000],
             };
             assert_eq!(idx.boundaries(), lower, "{plan:?}");
-            assert_eq!(idx.shard_kinds(), kinds, "{plan:?}");
             for k in [2_001, 3_999, 4_001] {
                 assert_eq!(ConcurrentIndex::get(&idx, k), Some(7), "{plan:?} key {k}");
             }
@@ -1494,13 +1324,14 @@ mod tests {
             let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
             let moved = old.len() - 1;
             old[moved].lock.write().side = None; // the competitor runs its own log
-            idx.force_swap(1 + moved, 1).unwrap();
+            idx.force_split(1 + moved).unwrap();
             assert!(Sharded::open_side(&old[moved], 1 << 10));
             assert_eq!(idx.commit(&old, plan, &cuts, pieces), Err(AdaptError::Stale), "{plan:?}");
             assert!(old.iter().all(|c| c.lock.read().side.is_none()), "{plan:?}: log left open");
-            let mut kinds = vec![0, 0, 0];
-            kinds[1 + moved] = 1;
-            assert_eq!(idx.shard_kinds(), kinds, "{plan:?}: only the competitor landed");
+            // The competitor cut its cell at the median (3000 or 5000).
+            let mut lower = vec![0, 2_000, 4_000];
+            lower.insert(2 + moved, 3_000 + 2_000 * moved as Key);
+            assert_eq!(idx.boundaries(), lower, "{plan:?}: only the competitor landed");
             assert_eq!(ConcurrentIndex::len(&idx), data.len(), "{plan:?}");
         }
     }
@@ -1511,7 +1342,7 @@ mod tests {
     #[test]
     fn one_epoch_split_then_merge_acts_on_the_judged_cells() {
         let data: Vec<KeyValue> = (0..8_000u64).map(|i| (i, i)).collect();
-        let mut cfg = AdaptiveConfig::new(two_kinds(), 0);
+        let mut cfg = map_cfg();
         cfg.tuner.min_dwell_epochs = 1;
         cfg.tuner.cooldown_epochs = 0;
         cfg.tuner.max_actions_per_epoch = 2;
@@ -1539,7 +1370,7 @@ mod tests {
         // Every cell the epoch replaced is gone: acting on it is refused.
         for a in [
             TunerAction::Split { cell: old_ids[0] },
-            TunerAction::Swap { cell: old_ids[2], to: 1 },
+            TunerAction::Split { cell: old_ids[2] },
             TunerAction::Merge { left: old_ids[2], right: old_ids[3] },
             // Live left cell, but its judged right neighbour is not next to it.
             TunerAction::Merge { left: old_ids[1], right: old_ids[2] },
@@ -1556,7 +1387,7 @@ mod tests {
     fn domain_edge_keys_survive_cutovers_of_the_first_and_last_cell() {
         let mut data: Vec<KeyValue> = (0..8_000u64).map(|i| (i << 48, i)).collect();
         data.push((Key::MAX, 77));
-        let idx = Sharded::build_adaptive(8, &data, AdaptiveConfig::new(two_kinds(), 0));
+        let idx = Sharded::build_adaptive(8, &data, map_cfg());
         assert_eq!(idx.shard_count(), 8);
         let check = |idx: &Sharded, what: &str| {
             assert_eq!(ConcurrentIndex::get(idx, 0), Some(0), "{what}");
@@ -1574,9 +1405,6 @@ mod tests {
         idx.force_merge(0).unwrap();
         idx.force_merge(idx.shard_count() - 2).unwrap();
         check(&idx, "merged");
-        idx.force_swap(0, 1).unwrap();
-        idx.force_swap(idx.shard_count() - 1, 1).unwrap();
-        check(&idx, "swapped");
         assert_eq!(idx.shard_count(), 8);
 
         assert_eq!(ConcurrentIndex::remove(&idx, 0), Some(0));
@@ -1592,38 +1420,39 @@ mod tests {
         assert_eq!(ConcurrentIndex::len(&idx), data.len());
     }
 
+    /// Three or more cells: with two, the hot cell holds at most twice
+    /// the mean and the default `split_skew` of 2.0 can never fire.
     #[test]
-    fn tuner_swaps_a_write_heavy_shard() {
+    fn tuner_splits_a_hot_shard() {
         let data: Vec<KeyValue> = (0..8_192u64).map(|i| (i * 4, i)).collect();
-        let mut cfg = AdaptiveConfig::new(two_kinds(), 0);
-        cfg.tuner.write_heavy_kind = Some(1);
+        let mut cfg = map_cfg();
         cfg.tuner.min_dwell_epochs = 1;
         cfg.tuner.cooldown_epochs = 0;
         cfg.tuner.min_epoch_ops = 64;
-        cfg.tuner.min_swap_ops = 64;
-        let mut idx = Sharded::build_adaptive(2, &data, cfg);
+        let mut idx = Sharded::build_adaptive(4, &data, cfg);
         let rec = Recorder::enabled();
         idx.set_recorder(rec.clone());
 
         let mut committed = 0;
         for epoch in 0..8 {
             for i in 0..2_000u64 {
-                // Pure writes into shard 0's range.
+                // Every op lands in shard 0's range.
                 ConcurrentIndex::insert(&idx, (i % 1_000) * 4 + 1, epoch * 10_000 + i);
             }
             committed += idx.run_adaptation();
-            if idx.shard_kinds()[0] == 1 {
+            if rec.event_count(Event::ShardSplit) >= 1 {
                 break;
             }
         }
-        assert!(committed >= 1, "write-heavy traffic must trigger an adaptation");
-        assert_eq!(idx.shard_kinds()[0], 1, "hot shard must swap to the write-heavy kind");
+        assert!(committed >= 1, "a hot shard must trigger an adaptation");
+        assert!(idx.boundaries()[1] <= 4_000, "the hot shard [0, 8192) must be the one cut");
         let s = rec.snapshot();
-        assert!(s.event(Event::KindSwap) >= 1);
+        assert!(s.event(Event::ShardSplit) >= 1);
         assert!(
-            s.event(Event::TunerDecision) >= s.event(Event::KindSwap),
-            "every swap is preceded by a decision"
+            s.event(Event::TunerDecision) >= s.event(Event::ShardSplit),
+            "every split is preceded by a decision"
         );
+        assert_eq!(ConcurrentIndex::len(&idx), data.len() + 1_000);
     }
 
     #[test]

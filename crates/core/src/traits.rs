@@ -157,9 +157,9 @@ pub trait ConcurrentIndex: Send + Sync {
         0
     }
 
-    /// Runs one round of online adaptation (shard split/merge, index-kind
-    /// hot-swap) off the critical path; returns the number of structural
-    /// actions committed. The default does nothing — only adaptive
+    /// Runs one round of online adaptation (shard split/merge) off the
+    /// critical path; returns the number of structural actions
+    /// committed. The default does nothing — only adaptive
     /// routers (`Sharded` with a tuner attached) override it, and the
     /// `MaintenanceWorker` calls it once per pass.
     fn run_adaptation(&self) -> usize {

@@ -93,12 +93,9 @@ pub enum Event {
     /// An online shard merge committed: two cold adjacent shard ranges
     /// were combined into one.
     ShardMerge,
-    /// A shard's inner index kind was hot-swapped (background rebuild +
-    /// side-buffer replay + atomic cutover).
-    KindSwap,
-    /// The adaptation tuner issued a decision (split/merge/swap). Every
-    /// `ShardSplit`/`ShardMerge`/`KindSwap` is preceded by exactly one of
-    /// these; a decision whose cutover aborts leaves the count ahead.
+    /// The adaptation tuner issued a decision (split/merge). Every
+    /// tuner-driven `ShardSplit`/`ShardMerge` is preceded by exactly one
+    /// of these; a decision whose cutover aborts leaves the count ahead.
     TunerDecision,
     /// A server accepted one client connection.
     ConnOpen,
@@ -123,7 +120,7 @@ pub enum Event {
 
 impl Event {
     /// All variants, in counter-array order.
-    pub const ALL: [Event; 30] = [
+    pub const ALL: [Event; 29] = [
         Event::Retrain,
         Event::SplitNode,
         Event::ExpandNode,
@@ -145,7 +142,6 @@ impl Event {
         Event::LogReplay,
         Event::ShardSplit,
         Event::ShardMerge,
-        Event::KindSwap,
         Event::TunerDecision,
         Event::ConnOpen,
         Event::ConnClose,
@@ -186,7 +182,6 @@ impl Event {
             Event::LogReplay => "log_replay",
             Event::ShardSplit => "shard_split",
             Event::ShardMerge => "shard_merge",
-            Event::KindSwap => "kind_swap",
             Event::TunerDecision => "tuner_decision",
             Event::ConnOpen => "conn_open",
             Event::ConnClose => "conn_close",

@@ -42,8 +42,8 @@ pub struct MaintenancePass {
     /// Whether this pass wrote a checkpoint (WAL lag had reached
     /// [`crate::DurabilityConfig::checkpoint_lag`]).
     pub checkpoint_written: bool,
-    /// Shard adaptations (splits, merges, kind swaps) committed by this
-    /// pass's `run_adaptation` call — 0 for non-adaptive indexes and the
+    /// Shard adaptations (splits, merges) committed by this pass's
+    /// `run_adaptation` call — 0 for non-adaptive indexes and the
     /// single-writer route.
     pub adaptations: usize,
 }
@@ -210,8 +210,8 @@ pub struct MaintenanceStats {
     pub lifted_read_only: u64,
     /// Checkpoints written by lag-triggered passes.
     pub checkpoints: u64,
-    /// Shard adaptations (splits, merges, kind swaps) committed by
-    /// maintenance passes.
+    /// Shard adaptations (splits, merges) committed by maintenance
+    /// passes.
     pub adaptations: u64,
     /// Whether the watchdog ever flagged a stall.
     pub stalled: bool,

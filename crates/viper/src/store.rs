@@ -301,8 +301,8 @@ impl<M: WriteModel> Engine<M> {
     /// One full self-healing pass: drain up to `retrain_budget` deferred
     /// leaf retrains, let an adaptive index re-cut itself (after drains,
     /// before space work: adaptation may rebuild shards, and a freshly
-    /// swapped shard should not immediately re-park retrains this same
-    /// pass), retire stale slots, repair quarantined slots, reclaim dead
+    /// split or merged shard should not immediately re-park retrains this
+    /// same pass), retire stale slots, repair quarantined slots, reclaim dead
     /// pages, write a checkpoint if the WAL lag has reached
     /// [`crate::DurabilityConfig::checkpoint_lag`] (a faulted write leaves
     /// the lag for the next pass), tick the device clock (so injected fault

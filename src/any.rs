@@ -465,48 +465,16 @@ impl ConcurrentKind {
     }
 }
 
-/// Policy table for the self-tuning route: which [`IndexKind`]s the tuner
-/// may rebuild shards under as the observed workload regime shifts.
-///
-/// The defaults encode the regime findings of "Are Updatable Learned
-/// Indexes Ready?" (PAPERS.md): gapped-ALEX wins insert-heavy phases, PGM
-/// wins read-mostly phases.
-#[derive(Debug, Clone)]
-pub struct AdaptivePolicy {
-    /// Kind every shard starts as.
-    pub initial: IndexKind,
-    /// Rebuild target for shards whose write fraction crosses the tuner's
-    /// write-heavy threshold.
-    pub write_heavy: IndexKind,
-    /// Rebuild target for shards whose write fraction drops below the
-    /// tuner's read-mostly threshold.
-    pub read_mostly: IndexKind,
-    /// Hysteresis and thresholds; kind targets are filled in by
-    /// [`AnyConcurrentIndex::build_adaptive`].
-    pub tuner: li_core::TunerConfig,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy {
-            initial: IndexKind::Pgm,
-            write_heavy: IndexKind::Alex,
-            read_mostly: IndexKind::Pgm,
-            tuner: li_core::TunerConfig::default(),
-        }
-    }
-}
-
-/// A runtime-selected write-concurrent index: the heterogeneous
-/// [`li_core::Sharded`] router with [`IndexKind::build`] as its shard
-/// builder, so each cell owns the kind's own object.
+/// A runtime-selected write-concurrent index: the [`li_core::Sharded`]
+/// router with [`IndexKind::build`] as its shard builder, so each cell
+/// owns the kind's own object.
 ///
 /// All three of the paper's concurrency routes collapse onto the one
 /// router: the native route (XIndex) is a single shard with the
 /// shared-reference write path enabled, the global-lock baseline is a
 /// single shard without it, and the sharded route is N exclusive shards.
 /// [`AnyConcurrentIndex::build_adaptive`] additionally arms online shard
-/// split/merge and kind hot-swap.
+/// split/merge.
 pub struct AnyConcurrentIndex(li_core::Sharded);
 
 impl AnyConcurrentIndex {
@@ -532,29 +500,16 @@ impl AnyConcurrentIndex {
         AnyConcurrentIndex(inner)
     }
 
-    /// Bulk-builds a self-tuning router: shards start as `policy.initial`
-    /// and the maintenance-driven tuner may split/merge them and hot-swap
-    /// them among the policy's kinds as the workload drifts.
-    pub fn build_adaptive(shards: usize, data: &[KeyValue], policy: AdaptivePolicy) -> Self {
-        let AdaptivePolicy { initial, write_heavy, read_mostly, mut tuner } = policy;
-        let mut lineup: Vec<IndexKind> = Vec::new();
-        let id_of = |k: IndexKind, lineup: &mut Vec<IndexKind>| -> li_core::KindId {
-            match lineup.iter().position(|&have| have == k) {
-                Some(i) => i as li_core::KindId,
-                None => {
-                    lineup.push(k);
-                    (lineup.len() - 1) as li_core::KindId
-                }
-            }
-        };
-        let initial_id = id_of(initial, &mut lineup);
-        tuner.write_heavy_kind = Some(id_of(write_heavy, &mut lineup));
-        tuner.read_mostly_kind = Some(id_of(read_mostly, &mut lineup));
-        let kinds = lineup
-            .into_iter()
-            .map(|k| li_core::KindSpec::new(k.name(), move |chunk| k.build(chunk)))
-            .collect();
-        let mut cfg = li_core::AdaptiveConfig::new(kinds, initial_id);
+    /// Bulk-builds a self-tuning router: every shard is `kind`, and the
+    /// maintenance-driven tuner may split hot shards and merge cold
+    /// neighbours as the workload drifts.
+    pub fn build_adaptive(
+        kind: IndexKind,
+        shards: usize,
+        data: &[KeyValue],
+        tuner: li_core::TunerConfig,
+    ) -> Self {
+        let mut cfg = li_core::AdaptiveConfig::new(move |chunk| kind.build(chunk));
         cfg.tuner = tuner;
         AnyConcurrentIndex(li_core::Sharded::build_adaptive(shards, data, cfg))
     }
@@ -566,7 +521,7 @@ impl AnyConcurrentIndex {
 }
 
 /// Exposes the router's introspection and adaptation surface
-/// (`shard_kinds`, `force_split`, `run_adaptation`, …) without
+/// (`shard_lens`, `force_split`, `run_adaptation`, …) without
 /// re-wrapping each method.
 impl core::ops::Deref for AnyConcurrentIndex {
     type Target = li_core::Sharded;
@@ -822,22 +777,26 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_route_swaps_kinds_and_preserves_contents() {
+    fn adaptive_route_splits_merges_and_preserves_contents() {
         let d = data(6_000);
-        let idx = AnyConcurrentIndex::build_adaptive(4, &d, AdaptivePolicy::default());
+        let idx = AnyConcurrentIndex::build_adaptive(
+            IndexKind::Alex,
+            4,
+            &d,
+            li_core::TunerConfig::default(),
+        );
         assert!(idx.is_adaptive());
         assert_eq!(idx.shard_count(), 4);
         assert_eq!(ConcurrentIndex::len(&idx), d.len());
-        // The policy's kinds registered in lineup order, deduplicated
-        // (default policy: PGM initial + read-mostly, ALEX write-heavy).
-        assert_eq!(idx.kind_label(0), "PGM");
-        assert_eq!(idx.kind_label(1), "ALEX");
-        assert_eq!(idx.shard_kinds(), vec![0, 0, 0, 0]);
+        assert_eq!(Index::name(&idx), "ALEX");
 
-        idx.force_swap(0, 1).unwrap();
-        assert_eq!(idx.shard_kinds()[0], 1);
         idx.force_split(1).unwrap();
+        idx.force_split(0).unwrap();
+        assert_eq!(idx.shard_count(), 6);
+        idx.force_merge(3).unwrap();
         assert_eq!(idx.shard_count(), 5);
+        // Pieces are rebuilt with the router's one kind.
+        assert_eq!(Index::name(&idx), "ALEX");
         for &(k, v) in d.iter().step_by(101) {
             assert_eq!(ConcurrentIndex::get(&idx, k), Some(v), "key {k} after adaptation");
         }

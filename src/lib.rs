@@ -50,6 +50,4 @@ pub use li_xindex as xindex;
 pub mod any;
 pub mod torture;
 
-pub use any::{
-    AdaptivePolicy, AnyConcurrentIndex, AnyIndex, ConcurrentKind, ConcurrentVia, IndexKind,
-};
+pub use any::{AnyConcurrentIndex, AnyIndex, ConcurrentKind, ConcurrentVia, IndexKind};

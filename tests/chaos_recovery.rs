@@ -13,10 +13,10 @@
 //! * **Overload ladder** — the circuit breaker trips under sustained
 //!   retrain backlog, sheds puts (never deletes), and closes once the
 //!   worker drains the queue.
-//! * **Adaptation under faults** — with a drifting workload on an
-//!   adaptive router, the maintenance worker keeps committing tuner
-//!   decisions (kind swaps in both directions) through injected device
-//!   failures, and no cutover loses or duplicates an acked op.
+//! * **Adaptation under faults** — with skewed traffic on an adaptive
+//!   router, the maintenance worker keeps committing tuner decisions
+//!   (splits and merges) through injected device failures, and no
+//!   cutover loses or duplicates an acked op.
 //! * **Bounded time** — every session runs under a deadline watchdog, so
 //!   a deadlock or livelock fails the test instead of hanging CI.
 
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use lip::core::telemetry::{Event, Recorder};
 use lip::core::traits::ConcurrentIndex;
-use lip::core::{AdaptiveConfig, KindSpec, Sharded};
+use lip::core::{AdaptiveConfig, Sharded};
 use lip::nvm::fault::splitmix64;
 use lip::nvm::{Fault, FaultPlan, NvmDevice};
 use lip::viper::{
@@ -187,60 +187,39 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
     });
 }
 
-/// Builds a self-tuning router for the adaptive storm: shards start as
-/// B-Tree (kind 0) and the tuner may hot-swap them to gapped ALEX
-/// (kind 1) under a write-heavy mix and back under a read-mostly one.
-/// Evidence floors are lowered so decisions commit within a few of the
-/// worker's 1 ms epochs instead of the production-scale defaults.
+/// Builds a self-tuning B-Tree router for the adaptive storm. Evidence
+/// floors are lowered so decisions commit within a few of the worker's
+/// 1 ms epochs instead of the production-scale defaults. The shard count
+/// is left free: the store starts empty, so the uniform domain split puts
+/// every key in cell 0 until the tuner cuts it, and the skewed per-thread
+/// clusters keep split/merge firing from then on.
 fn adaptive_sharded(shards: usize) -> impl FnOnce(&[(u64, u64)]) -> Sharded {
     move |pairs| {
-        let kinds = vec![
-            KindSpec::new("btree", |c| IndexKind::BTree.build(c)),
-            KindSpec::new("alex", |c| IndexKind::Alex.build(c)),
-        ];
-        let mut cfg = AdaptiveConfig::new(kinds, 0);
-        cfg.tuner.write_heavy_kind = Some(1);
-        cfg.tuner.read_mostly_kind = Some(0);
-        // Through the store every put is one index lookup plus one
-        // publish, so even a pure-put storm caps out at write_frac ≈
-        // 0.5 as the router sees it — the default 0.70 threshold can
-        // never fire behind Viper. Tighten both bands to the mixes the
-        // two phases actually produce (≈0.48 and ≈0.06).
-        cfg.tuner.write_heavy_frac = 0.45;
-        cfg.tuner.read_mostly_frac = 0.35;
+        let mut cfg = AdaptiveConfig::new(|c| IndexKind::BTree.build(c));
         cfg.tuner.min_dwell_epochs = 1;
         cfg.tuner.cooldown_epochs = 0;
         cfg.tuner.min_epoch_ops = 64;
-        cfg.tuner.min_swap_ops = 128;
         cfg.tuner.max_actions_per_epoch = 2;
-        // Pin the shard count so the storm isolates the kind-swap rule:
-        // the per-thread key clusters are so skewed that split/merge
-        // would churn every epoch, and each cutover resets the dwell
-        // clock of the cells it touches — the swap rule would starve.
-        // Split/merge under concurrent load is covered by the
-        // shard_oracle forced-adaptation session.
-        cfg.tuner.max_shards = shards;
-        cfg.tuner.min_shards = shards;
         Sharded::build_adaptive(shards, pairs, cfg)
     }
 }
 
-/// Drift storm on the adaptive router with fault injection: 8 writer
-/// threads run a write-heavy mix until the tuner hot-swaps a shard to
-/// the write-optimized kind, then flip to read-mostly until it swaps
-/// back — all while the device injects write failures and device-full
-/// windows and the maintenance worker is the only adaptation driver.
-/// Afterwards the store must match the per-thread oracles exactly and
-/// the telemetry causality invariant (one TunerDecision per committed
-/// structural event) must hold.
+/// Split/merge storm on the adaptive router with fault injection: 8
+/// threads put and verify their own keys until the tuner has split the
+/// hot cell and committed at least two structural changes — all while the
+/// device injects write failures and device-full windows and the
+/// maintenance worker is the only adaptation driver. Afterwards the store
+/// must match the per-thread oracles exactly and the telemetry causality
+/// invariant (one TunerDecision per committed structural event) must
+/// hold.
 #[test]
-fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
+fn adaptive_storm_splits_through_faults_and_matches_oracle() {
     with_deadline(Duration::from_mins(2), || {
         const THREADS: u64 = 8;
 
-        // Deterministic chaos, front-loaded so the write-heavy phase
-        // absorbs it: short write-failure bursts plus device-full
-        // windows over the first ~30k device ops.
+        // Deterministic chaos, front-loaded so the first cutovers run
+        // through it: short write-failure bursts plus device-full windows
+        // over the first ~30k device ops.
         let mut plan = FaultPlan::none();
         for b in 0..12u64 {
             let start = 700 + b * 2_000;
@@ -253,10 +232,9 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
             plan = plan.with(Fault::FullWindow { from, until: from + 20 });
         }
 
-        // Generously sized device: the swap gate below needs the put
-        // storm to stay writable for many 1 ms maintenance epochs, so
-        // out-of-place updates must not exhaust the heap before the
-        // tuner's evidence floors are met.
+        // Generously sized device: the put storm must stay writable for
+        // many 1 ms maintenance epochs, so out-of-place updates must not
+        // exhaust the heap before the tuner's evidence floors are met.
         let cfg = StoreConfig::test(300_000);
         let dev = Arc::new(NvmDevice::with_faults(cfg.nvm, &plan));
         let (mut store, _) = ConcurrentViperStore::<Sharded>::recover_with_options(
@@ -279,13 +257,10 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
 
         let vs = cfg.layout.value_size;
         let stop = Arc::new(AtomicBool::new(false));
-        // false = write-heavy phase, true = read-mostly phase.
-        let read_phase = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
-            let read_phase = Arc::clone(&read_phase);
             handles.push(li_sync::thread::spawn(move || {
                 // Disjoint per-thread key ranges: each thread's oracle is
                 // authoritative for its own keys, even mid-cutover.
@@ -305,14 +280,8 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
                     for _ in 0..100 {
                         let r = splitmix64(&mut s);
                         let key = base + r % 2_000;
-                        // Write-heavy phase: ~15/16 puts. Read-mostly
-                        // phase: ~1/16 puts, the rest verified gets.
-                        let write = if read_phase.load(Ordering::Acquire) {
-                            r >> 60 == 0
-                        } else {
-                            r >> 60 != 0
-                        };
-                        if write {
+                        // ~3/4 puts, the rest verified gets.
+                        if r >> 62 != 0 {
                             version += 1;
                             value_of(key, version, &mut val);
                             if store.put(key, &val).is_ok() {
@@ -337,16 +306,16 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
             }));
         }
 
-        // Phase 1: write-heavy until the tuner commits a hot-swap to the
-        // write-optimized kind through the fault storm.
-        let swapped_up = eventually(Duration::from_secs(45), || {
-            store.recorder().snapshot().event(Event::KindSwap) >= 1
-        });
-        let swaps_after_write_phase = store.recorder().snapshot().event(Event::KindSwap);
-        // Phase 2: flip to read-mostly and wait for a swap back.
-        read_phase.store(true, Ordering::Release);
-        let swapped_back = eventually(Duration::from_secs(45), || {
-            store.recorder().snapshot().event(Event::KindSwap) > swaps_after_write_phase
+        // Run until the tuner has split a cell and committed a second
+        // structural change, and the fault storm has bitten.
+        let structural = |snap: &lip::core::telemetry::TelemetrySnapshot| {
+            snap.event(Event::ShardSplit) + snap.event(Event::ShardMerge)
+        };
+        let adapted = eventually(Duration::from_secs(45), || {
+            let snap = store.recorder().snapshot();
+            snap.event(Event::ShardSplit) >= 1
+                && structural(&snap) >= 2
+                && snap.event(Event::Retry) > 0
         });
 
         stop.store(true, Ordering::Release);
@@ -354,8 +323,7 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
         for h in handles {
             oracle.extend(h.join().expect("adaptive storm thread panicked"));
         }
-        assert!(swapped_up, "tuner never swapped a shard under the write-heavy mix");
-        assert!(swapped_back, "tuner never swapped back under the read-mostly mix");
+        assert!(adapted, "no split plus a second adaptation under injected faults");
 
         assert!(
             eventually(Duration::from_secs(30), || !store.is_read_only()),
@@ -380,12 +348,10 @@ fn adaptive_storm_swaps_kinds_both_ways_and_matches_oracle() {
         // preceded by exactly one tuner decision.
         let snap = store.recorder().snapshot();
         assert!(snap.event(Event::Retry) > 0, "no injected write failure was observed");
-        let structural = snap.event(Event::ShardSplit)
-            + snap.event(Event::ShardMerge)
-            + snap.event(Event::KindSwap);
-        assert!(structural >= 2, "fewer than two structural adaptations committed");
+        assert!(snap.event(Event::ShardSplit) >= 1, "no split committed");
+        assert!(structural(&snap) >= 2, "fewer than two structural adaptations committed");
         assert!(
-            snap.event(Event::TunerDecision) >= structural,
+            snap.event(Event::TunerDecision) >= structural(&snap),
             "committed adaptations outnumber tuner decisions"
         );
     });

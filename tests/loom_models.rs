@@ -257,25 +257,25 @@ fn maintenance_shutdown_handshake() {
 /// Model 7 — boundary-table cutover vs. a descending reader and a
 /// routed writer.
 ///
-/// An adaptive `Sharded` hot-swaps shard 0's kind (open side log →
-/// snapshot → rebuild → commit under table write + cell write) while a
+/// An adaptive `Sharded` splits shard 0 (open side log → snapshot →
+/// rebuild two pieces → commit under table write + cell write) while a
 /// writer routes an insert into the same shard and a reader descends
 /// through the boundary table into both shards. The protocol's claims,
 /// checked in every schedule:
 ///
 /// * the reader never sees a torn `(boundary, cell)` pair — lookups hit
 ///   either the old or the new cell, both of which answer correctly;
-/// * the racing write is never lost: it lands in the new cell via
-///   direct insert (before the side log opens), side-log replay
-///   (during the build window), or routed insert (after the cutover);
-/// * the swap itself commits — contention delays it but cannot fail it.
+/// * the racing write is never lost: it lands in a new cell via the
+///   snapshot (before the side log opens), side-log replay (during the
+///   build window), or routed insert (after the cutover);
+/// * the split itself commits — contention delays it but cannot fail it.
 #[test]
 fn shard_cutover_vs_reader_and_writer() {
     use std::collections::BTreeMap;
 
     use li_core::traits::{ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
     use li_core::types::{Key, KeyValue, Value};
-    use li_core::{AdaptiveConfig, KindSpec, Sharded};
+    use li_core::{AdaptiveConfig, Sharded};
 
     /// Minimal shard payload: the router's cutover protocol is under
     /// test, not the learned index inside the cell.
@@ -321,23 +321,20 @@ fn shard_cutover_vs_reader_and_writer() {
     }
 
     loom::model(|| {
-        let kinds = vec![
-            KindSpec::new("a", |chunk| Box::new(MiniMap::build(chunk)) as _),
-            KindSpec::new("b", |chunk| Box::new(MiniMap::build(chunk)) as _),
-        ];
+        let cfg = AdaptiveConfig::new(|chunk| Box::new(MiniMap::build(chunk)));
         let data: Vec<KeyValue> = vec![(10, 1), (20, 2), (30, 3), (40, 4)];
-        let idx = Arc::new(Sharded::build_adaptive(2, &data, AdaptiveConfig::new(kinds, 0)));
+        let idx = Arc::new(Sharded::build_adaptive(2, &data, cfg));
 
-        let swapper = {
+        let splitter = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || {
-                idx.force_swap(0, 1).expect("uncontested swap must commit");
+                idx.force_split(0).expect("uncontested split must commit");
             })
         };
         let writer = {
             let idx = Arc::clone(&idx);
             loom::thread::spawn(move || {
-                // Routes into shard 0 — the one being swapped. Whatever
+                // Routes into shard 0 — the one being split. Whatever
                 // the interleaving, it must survive the cutover.
                 assert_eq!(
                     ConcurrentIndex::insert(&*idx, 12, 100),
@@ -346,21 +343,21 @@ fn shard_cutover_vs_reader_and_writer() {
                 );
             })
         };
-        // Reader (this thread) descends mid-swap: table read lock →
+        // Reader (this thread) descends mid-split: table read lock →
         // boundary → cell. Both shards must answer from a coherent pair.
-        assert_eq!(ConcurrentIndex::get(&*idx, 10), Some(1), "bulk key lost in the swapped shard");
+        assert_eq!(ConcurrentIndex::get(&*idx, 10), Some(1), "bulk key lost in the split shard");
         assert_eq!(
             ConcurrentIndex::get(&*idx, 30),
             Some(3),
-            "untouched shard disturbed by the swap"
+            "untouched shard disturbed by the split"
         );
 
-        swapper.join().unwrap();
+        splitter.join().unwrap();
         writer.join().unwrap();
 
-        // Quiescence: the swap took, the racing write was kept, and the
+        // Quiescence: the split took, the racing write was kept, and the
         // ordered face agrees with the routed one.
-        assert_eq!(idx.shard_kinds()[0], 1, "shard 0 still its old kind after the swap");
+        assert_eq!(idx.shard_count(), 3, "shard 0 not split after the cutover");
         for (k, v) in [(10, 1), (12, 100), (20, 2), (30, 3), (40, 4)] {
             assert_eq!(ConcurrentIndex::get(&*idx, k), Some(v), "key {k} lost across the cutover");
         }

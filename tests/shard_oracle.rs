@@ -15,7 +15,7 @@ use li_sync::sync::atomic::{AtomicBool, Ordering};
 
 use lip::core::traits::{ConcurrentIndex, OrderedIndex};
 use lip::nvm::fault::splitmix64;
-use lip::{AdaptivePolicy, AnyConcurrentIndex, ConcurrentKind, IndexKind};
+use lip::{AnyConcurrentIndex, ConcurrentKind, IndexKind};
 
 const THREADS: u64 = 8;
 const OPS_PER_THREAD: usize = 4_000;
@@ -120,55 +120,46 @@ fn global_lock_route_matches_oracle() {
 }
 
 /// 8-thread oracle session against the *adaptive* router while a
-/// background thread forces shard splits, merges, and index-kind
-/// hot-swaps mid-stream. Every op's return value and the full final
-/// state must still match the oracle exactly: a cutover that lost a
-/// side-logged write, replayed one twice, or mis-routed around a moving
-/// boundary shows up as a divergence.
+/// background thread forces shard splits and merges mid-stream. Every
+/// op's return value and the full final state must still match the
+/// oracle exactly: a cutover that lost a side-logged write, replayed one
+/// twice, or mis-routed around a moving boundary shows up as a
+/// divergence.
 #[test]
 fn adaptive_session_with_forced_adaptations_matches_oracle() {
     let seed = 0xada97_u64;
     let initial: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * 3, i)).collect();
-    let idx = Arc::new(AnyConcurrentIndex::build_adaptive(4, &initial, AdaptivePolicy::default()));
+    let idx = Arc::new(AnyConcurrentIndex::build_adaptive(
+        IndexKind::Pgm,
+        4,
+        &initial,
+        lip::core::TunerConfig::default(),
+    ));
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Adaptation churn: rotate split / merge / kind-swap over the live
-    // layout until the writers finish. Failures (Busy, CannotSplit,
-    // Stale under concurrent layout changes) are expected and skipped —
-    // what matters is that plenty of each commit mid-stream.
+    // Adaptation churn: rotate split / merge over the live layout until
+    // the writers finish. Failures (Busy, CannotSplit, Stale under
+    // concurrent layout changes) are expected and skipped — what matters
+    // is that plenty of each commit mid-stream.
     let adapt = {
         let idx = Arc::clone(&idx);
         let stop = Arc::clone(&stop);
         li_sync::thread::spawn(move || {
-            let (mut splits, mut merges, mut swaps) = (0u32, 0u32, 0u32);
+            let (mut splits, mut merges) = (0u32, 0u32);
             let mut step = 0usize;
             while !stop.load(Ordering::Acquire) {
-                let kinds = idx.shard_kinds();
-                let n = kinds.len();
-                let s = step % n;
-                match step % 3 {
-                    0 if n < 12 => {
-                        if idx.force_split(s).is_ok() {
-                            splits += 1;
-                        }
+                let n = idx.shard_count();
+                if step.is_multiple_of(2) && n < 12 {
+                    if idx.force_split(step % n).is_ok() {
+                        splits += 1;
                     }
-                    1 if n >= 3 => {
-                        if idx.force_merge(step % (n - 1)).is_ok() {
-                            merges += 1;
-                        }
-                    }
-                    _ => {
-                        // Swap to the *other* registered kind so the
-                        // count only covers real hot-swaps, not no-ops.
-                        if idx.force_swap(s, 1 - kinds[s]).is_ok() {
-                            swaps += 1;
-                        }
-                    }
+                } else if n >= 3 && idx.force_merge(step % (n - 1)).is_ok() {
+                    merges += 1;
                 }
                 step += 1;
                 li_sync::thread::sleep(std::time::Duration::from_micros(200));
             }
-            (splits, merges, swaps)
+            (splits, merges)
         })
     };
 
@@ -209,10 +200,9 @@ fn adaptive_session_with_forced_adaptations_matches_oracle() {
         oracle.extend(h.join().expect("oracle thread"));
     }
     stop.store(true, Ordering::Release);
-    let (splits, merges, swaps) = adapt.join().expect("adaptation thread");
+    let (splits, merges) = adapt.join().expect("adaptation thread");
     assert!(splits >= 1, "no split committed mid-stream");
     assert!(merges >= 1, "no merge committed mid-stream");
-    assert!(swaps >= 1, "no kind hot-swap committed mid-stream");
 
     // No lost, duplicated, or misrouted keys across all the cutovers.
     assert_eq!(ConcurrentIndex::len(&*idx), oracle.len(), "adaptive len");

@@ -27,7 +27,7 @@ use lip::core::telemetry::{Event, OpKind, Recorder};
 use lip::core::traits::{ConcurrentIndex, Index, UpdatableIndex};
 use lip::torture::{torture_run, TortureConfig};
 use lip::workloads::{generate_keys, Dataset};
-use lip::{AdaptivePolicy, AnyConcurrentIndex, AnyIndex, ConcurrentKind, IndexKind};
+use lip::{AnyConcurrentIndex, AnyIndex, ConcurrentKind, IndexKind};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn seed_data(n: usize, seed: u64) -> Vec<(u64, u64)> {
@@ -256,7 +256,7 @@ fn concurrent_routes_are_distinguishable_from_shard_banks() {
 }
 
 /// Tuner/adaptation causality: every committed structural change
-/// (`ShardSplit`/`ShardMerge`/`KindSwap`) is preceded by exactly one
+/// (`ShardSplit`/`ShardMerge`) is preceded by exactly one
 /// `TunerDecision`, so decisions can never undercount commits — a
 /// decision whose cutover aborts leaves the decision count ahead. Forced
 /// (operator-driven) adaptations bypass the tuner and must emit the
@@ -264,19 +264,22 @@ fn concurrent_routes_are_distinguishable_from_shard_banks() {
 #[test]
 fn tuner_decisions_precede_every_committed_adaptation() {
     let data = seed_data(16_000, 21);
-    let mut policy = AdaptivePolicy::default();
     // Aggressive hysteresis so a short test run crosses the thresholds.
-    policy.tuner.min_dwell_epochs = 1;
-    policy.tuner.cooldown_epochs = 0;
-    policy.tuner.min_epoch_ops = 64;
-    policy.tuner.min_swap_ops = 64;
-    let mut idx = AnyConcurrentIndex::build_adaptive(2, &data, policy);
+    let tuner = lip::core::TunerConfig {
+        min_dwell_epochs: 1,
+        cooldown_epochs: 0,
+        min_epoch_ops: 64,
+        ..lip::core::TunerConfig::default()
+    };
+    // Four cells: with two, the hot one holds at most twice the mean and
+    // the default `split_skew` of 2.0 can never fire.
+    let mut idx = AnyConcurrentIndex::build_adaptive(IndexKind::Pgm, 4, &data, tuner);
     let rec = Recorder::enabled();
     idx.set_recorder(rec.clone());
 
-    // Write-heavy epochs over a narrow hot range until the tuner commits
-    // at least one adaptation (kind swap toward the write-heavy kind
-    // first, by rule priority).
+    // Epochs of writes over a narrow hot range (all in the first cell)
+    // until the tuner commits at least one adaptation (a split of the hot
+    // cell first, by rule priority).
     let lo_keys: Vec<u64> = {
         let mut sorted: Vec<u64> = data.iter().map(|&(k, _)| k).collect();
         sorted.sort_unstable();
@@ -295,9 +298,8 @@ fn tuner_decisions_precede_every_committed_adaptation() {
     assert!(committed >= 1, "tuner never committed an adaptation");
 
     let s = rec.snapshot();
-    let structural =
-        s.event(Event::ShardSplit) + s.event(Event::ShardMerge) + s.event(Event::KindSwap);
-    assert!(s.event(Event::KindSwap) >= 1, "write-heavy drift must hot-swap a shard");
+    let structural = s.event(Event::ShardSplit) + s.event(Event::ShardMerge);
+    assert!(s.event(Event::ShardSplit) >= 1, "a hot range must split its shard");
     assert_eq!(structural, committed as u64, "every committed action emits one structural event");
     assert!(
         s.event(Event::TunerDecision) >= structural,
