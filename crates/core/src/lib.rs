@@ -43,12 +43,10 @@ pub use li_telemetry as telemetry;
 
 pub use hot::HotCache;
 pub use model::LinearModel;
-pub use shard::{
-    AdaptError, AdaptiveConfig, Admission, AdmissionGuard, BoxShard, Saturated, ShardIndex, Sharded,
-};
+pub use shard::{AdaptError, Admission, AdmissionGuard, BoxShard, Saturated, ShardIndex, Sharded};
 pub use traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, TwoPhaseLookup,
     UpdatableIndex,
 };
-pub use tuner::{ShardObs, Tuner, TunerAction, TunerConfig};
+pub use tuner::{ShardObs, Tuner, TunerAction};
 pub use types::{Key, KeyValue, Value};

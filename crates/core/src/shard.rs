@@ -10,10 +10,11 @@
 //! lock. Writers touching different shards never contend; readers never
 //! block each other.
 //!
-//! Every shard cell owns a `Box<dyn ShardIndex>` made by one builder, so
-//! a kind picked at runtime needs no generic parameter. Two online
-//! adaptations are one cutover, `Sharded::recut`, under two plans (see
-//! `DESIGN.md` "Adaptation"):
+//! Every shard cell owns a `Box<dyn ShardIndex>` made by the router's one
+//! builder, so a kind picked at runtime needs no generic parameter. The
+//! router keeps that builder, so every router can re-cut its layout: two
+//! online adaptations are one cutover, `Sharded::recut`, under two plans
+//! (see `DESIGN.md` "Adaptation"):
 //!
 //! * **split** — a hot shard's range is cut at its median key into two
 //!   cells ([`Sharded::force_split`]);
@@ -26,13 +27,16 @@
 //! under a read lock, the replacement is built lock-free, and commit —
 //! under the boundary-table write lock — replays the log and swaps the
 //! cell atomically. Replay is idempotent because ops are absolute
-//! (`insert k=v` / `remove k`). A log that overflows its cap aborts the
-//! cutover; the live index already has every write, so nothing is lost.
+//! (`insert k=v` / `remove k`). A log that overflows `SIDE_CAP` aborts
+//! the cutover; the live index already has every write, so nothing is
+//! lost.
 //!
 //! Decisions come from [`crate::tuner::Tuner`] over always-on per-cell
 //! counters ([`Sharded::run_adaptation`], called by Viper's maintenance
 //! worker). An index that is already write-concurrent (XIndex) is served
-//! by the same router: one cell plus [`Sharded::set_allow_native`].
+//! by the same router: one cell plus [`Sharded::set_allow_native`]. The
+//! tuner never re-cuts a one-cell router, so that route and the
+//! global-lock baseline keep their single cell.
 
 use std::time::{Duration, Instant};
 
@@ -40,7 +44,7 @@ use li_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use li_sync::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use crate::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
-use crate::tuner::{ShardObs, Tuner, TunerAction, TunerConfig};
+use crate::tuner::{ShardObs, Tuner, TunerAction};
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::{Event, Recorder};
 
@@ -136,33 +140,18 @@ impl<T: Index + UpdatableIndex + OrderedIndex> ShardIndex for T {}
 /// What a shard cell actually owns.
 pub type BoxShard = Box<dyn ShardIndex>;
 
-/// Bulk constructor of every cell an adaptive router builds.
+/// Bulk constructor of every cell a router builds: the bulk load's and
+/// every cutover's.
 type ShardBuilder = Box<dyn Fn(&[KeyValue]) -> BoxShard + Send + Sync>;
 
-/// Everything [`Sharded::build_adaptive`] needs beyond the static build:
-/// the shard builder (used for the bulk load and every cutover), the
-/// tuner policy and the side-log bound.
-pub struct AdaptiveConfig {
-    build: ShardBuilder,
-    pub tuner: TunerConfig,
-    /// Max writes buffered per cell while its replacement builds; an
-    /// overflow aborts that cutover (retried after the tuner cooldown).
-    pub side_cap: usize,
-}
-
-impl AdaptiveConfig {
-    pub fn new(build: impl Fn(&[KeyValue]) -> BoxShard + Send + Sync + 'static) -> Self {
-        AdaptiveConfig { build: Box::new(build), tuner: TunerConfig::default(), side_cap: 1 << 16 }
-    }
-}
+/// Max writes buffered per cell while its replacement builds; an
+/// overflow aborts that cutover (retried after the tuner cooldown).
+const SIDE_CAP: usize = 1 << 16;
 
 /// Why a split/merge did not commit. All variants are recoverable:
 /// the live index keeps serving and retains every write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptError {
-    /// Built without [`Sharded::build_adaptive`]: no builder to rebuild
-    /// shards with.
-    NotAdaptive,
     /// Another rebuild already owns this cell's side log.
     Busy,
     /// The position no longer matches the live table (a concurrent
@@ -172,7 +161,7 @@ pub enum AdaptError {
     CannotSplit,
     /// Shard-count bounds ([`MAX_SHARDS`], or merging the last shard).
     Limit,
-    /// The side log overflowed `side_cap` while the replacement was
+    /// The side log overflowed `SIDE_CAP` while the replacement was
     /// building; the cutover aborted (the live index has every write).
     SideOverflow,
 }
@@ -279,18 +268,10 @@ impl Table {
     }
 }
 
-/// The adaptation machinery attached by [`Sharded::build_adaptive`].
-struct AdaptState {
-    build: ShardBuilder,
-    side_cap: usize,
-    tuner: Mutex<Tuner>,
-}
-
 /// A range-partitioned router over `1..=MAX_SHARDS` shard cells (each a
 /// `Box<dyn ShardIndex>`), giving single-writer indexes a
-/// [`ConcurrentIndex`] face plus ordered range scans — and, when built
-/// with [`Sharded::build_adaptive`], online shard split/merge driven by
-/// [`crate::tuner::Tuner`].
+/// [`ConcurrentIndex`] face plus ordered range scans, and re-cutting its
+/// layout online: shard split/merge driven by [`crate::tuner::Tuner`].
 pub struct Sharded {
     table: RwLock<Table>,
     recorder: Recorder,
@@ -302,7 +283,9 @@ pub struct Sharded {
     /// Deferred-retrain mode, re-applied to indexes built by adaptation
     /// so a split or merged shard keeps the store's maintenance contract.
     defer_retrains: AtomicBool,
-    adapt: Option<AdaptState>,
+    /// Builds every cell: the bulk load's and every cutover's pieces.
+    builder: ShardBuilder,
+    tuner: Mutex<Tuner>,
     next_cell_id: AtomicU64,
 }
 
@@ -314,6 +297,8 @@ pub const MAX_SHARDS: usize = 4096;
 impl Sharded {
     /// Builds a sharded index from sorted `(key, value)` pairs,
     /// constructing each shard with `build` over its slice of the input.
+    /// The router keeps `build`: [`Sharded::run_adaptation`] rebuilds
+    /// split and merged pieces with it.
     ///
     /// Boundaries are CDF-balanced: each shard receives an equal count of
     /// the bulk-load keys, so a skewed distribution still spreads load.
@@ -326,20 +311,9 @@ impl Sharded {
     pub fn build_with<B: ShardIndex + 'static>(
         shards: usize,
         data: &[KeyValue],
-        mut build: impl FnMut(&[KeyValue]) -> B,
+        build: impl Fn(&[KeyValue]) -> B + Send + Sync + 'static,
     ) -> Self {
-        Self::build_boxed(shards, data, |chunk| Box::new(build(chunk)))
-    }
-
-    /// [`Sharded::build_with`] for a builder that already yields the
-    /// type-erased handle (a runtime-selected kind), so no second box is
-    /// wrapped around it.
-    pub fn build_boxed(
-        shards: usize,
-        data: &[KeyValue],
-        mut build: impl FnMut(&[KeyValue]) -> BoxShard,
-    ) -> Self {
-        Self::build_inner(shards, data, &mut build)
+        Self::build_boxed(shards, data, move |chunk| Box::new(build(chunk)) as BoxShard)
     }
 
     /// [`Sharded::build_with`] using the index's own bulk constructor:
@@ -351,24 +325,13 @@ impl Sharded {
         Self::build_with(shards, data, I::build)
     }
 
-    /// Builds a self-tuning router: every shard is built by `cfg`'s
-    /// builder, and [`Sharded::run_adaptation`] may split or merge shards,
-    /// rebuilding the pieces with the same builder.
-    pub fn build_adaptive(shards: usize, data: &[KeyValue], cfg: AdaptiveConfig) -> Self {
-        let AdaptiveConfig { build, tuner, side_cap } = cfg;
-        let mut idx = Self::build_inner(shards, data, &mut |chunk| build(chunk));
-        idx.adapt = Some(AdaptState {
-            build,
-            side_cap,
-            tuner: Mutex::with_class(li_sync::lock_class!("shard-tuner"), Tuner::new(tuner)),
-        });
-        idx
-    }
-
-    fn build_inner(
+    /// [`Sharded::build_with`] for a builder that already yields the
+    /// type-erased handle (a runtime-selected kind), so no second box is
+    /// wrapped around it.
+    pub fn build_boxed(
         shards: usize,
         data: &[KeyValue],
-        build: &mut dyn FnMut(&[KeyValue]) -> BoxShard,
+        build: impl Fn(&[KeyValue]) -> BoxShard + Send + Sync + 'static,
     ) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(shards <= MAX_SHARDS, "too many shards ({shards} > {MAX_SHARDS})");
@@ -408,7 +371,8 @@ impl Sharded {
             recorder: Recorder::disabled(),
             allow_native: false,
             defer_retrains: AtomicBool::new(false),
-            adapt: None,
+            builder: Box::new(build),
+            tuner: Mutex::with_class(li_sync::lock_class!("shard-tuner"), Tuner::default()),
             next_cell_id: AtomicU64::new(next_id),
         }
     }
@@ -439,11 +403,6 @@ impl Sharded {
     pub fn shard_lens(&self) -> Vec<usize> {
         let t = self.table.read();
         t.cells.iter().map(|c| c.lock.read().index.len()).collect()
-    }
-
-    /// Whether this router was built with a shard builder and tuner.
-    pub fn is_adaptive(&self) -> bool {
-        self.adapt.is_some()
     }
 
     #[cfg(test)]
@@ -567,31 +526,27 @@ impl Sharded {
     }
 
     /// One adaptation epoch: sample counters, ask the tuner, execute its
-    /// decisions. Returns the number of structural actions that
-    /// *committed*; an aborted cutover (e.g. side-log overflow) charges
-    /// the tuner's cooldown instead. Called by Viper's maintenance
-    /// worker via [`ConcurrentIndex::run_adaptation`]; a no-op (0) for
-    /// static builds.
+    /// decision. Returns 1 if a structural action *committed*, else 0;
+    /// an aborted cutover (e.g. side-log overflow) charges the tuner's
+    /// cooldown instead. Called by Viper's maintenance worker via
+    /// [`ConcurrentIndex::run_adaptation`]; always 0 on a one-cell
+    /// router, which the tuner never re-cuts.
     pub fn run_adaptation(&self) -> usize {
-        let Some(adapt) = self.adapt.as_ref() else { return 0 };
         let obs = self.observe_cells();
-        let actions = adapt.tuner.lock().observe(&obs);
-        let mut done = 0usize;
-        for a in actions {
-            self.recorder.event(Event::TunerDecision);
-            if self.execute(a).is_ok() {
-                done += 1;
-            } else {
-                adapt.tuner.lock().penalize();
-            }
+        let Some(action) = self.tuner.lock().observe(&obs) else { return 0 };
+        self.recorder.event(Event::TunerDecision);
+        if self.execute(action).is_ok() {
+            1
+        } else {
+            self.tuner.lock().penalize();
+            0
         }
-        done
     }
 
-    /// Executes one tuner decision. Actions name cells by id, so an
-    /// earlier action of the same epoch that shifted positions (or
-    /// retired the cell) cannot redirect this one onto a neighbour the
-    /// tuner never judged: a cell that is gone answers `Stale`.
+    /// Executes one tuner decision. Actions name cells by id, so a forced
+    /// split or merge that shifted positions (or retired the cell) since
+    /// the decision cannot redirect it onto a neighbour the tuner never
+    /// judged: a cell that is gone answers `Stale`.
     fn execute(&self, action: TunerAction) -> Result<(), AdaptError> {
         match action {
             TunerAction::Split { cell } => self.recut_at(|t| t.pos_of(cell), Plan::Split),
@@ -621,7 +576,6 @@ impl Sharded {
         first: impl FnOnce(&Table) -> Option<usize>,
         plan: Plan,
     ) -> Result<(), AdaptError> {
-        let Some(adapt) = self.adapt.as_ref() else { return Err(AdaptError::NotAdaptive) };
         let old = {
             let t = self.table.read();
             if t.cells.len() < plan.old_cells() {
@@ -633,7 +587,7 @@ impl Sharded {
             let Some(cells) = cells else { return Err(AdaptError::Stale) };
             cells.to_vec()
         };
-        self.recut(adapt, &old, plan)
+        self.recut(&old, plan)
     }
 
     /// The one cutover. Opens a side log on every old cell left-to-right
@@ -641,15 +595,10 @@ impl Sharded {
     /// cell lock), snapshots and builds the replacement pieces without
     /// blocking readers, then commits. Any `Err` leaves no log open and
     /// the live cells intact with every write applied.
-    fn recut(
-        &self,
-        adapt: &AdaptState,
-        old: &[Arc<ShardCell>],
-        plan: Plan,
-    ) -> Result<(), AdaptError> {
-        let opened = old.iter().take_while(|c| Self::open_side(c, adapt.side_cap)).count();
+    fn recut(&self, old: &[Arc<ShardCell>], plan: Plan) -> Result<(), AdaptError> {
+        let opened = old.iter().take_while(|c| Self::open_side(c, SIDE_CAP)).count();
         let built = if opened == old.len() {
-            self.build_pieces(adapt, old, plan)
+            self.build_pieces(old, plan)
         } else {
             // Another rebuild owns the next cell's log; ours close below.
             Err(AdaptError::Busy)
@@ -687,7 +636,6 @@ impl Sharded {
     /// builds one replacement index per piece, lock-free.
     fn build_pieces(
         &self,
-        adapt: &AdaptState,
         old: &[Arc<ShardCell>],
         plan: Plan,
     ) -> Result<(Vec<Key>, Vec<BoxShard>), AdaptError> {
@@ -703,7 +651,7 @@ impl Sharded {
         let mut pieces = Vec::with_capacity(mids.len() + 1);
         let mut start = 0;
         for end in mids.iter().copied().chain([snap.len()]) {
-            let mut idx = (adapt.build)(&snap[start..end]);
+            let mut idx = (self.builder)(&snap[start..end]);
             idx.set_recorder(self.recorder.clone());
             if self.defer_retrains.load(Ordering::Acquire) {
                 idx.set_defer_retrains(true);
@@ -963,10 +911,6 @@ mod tests {
         }
     }
 
-    fn map_cfg() -> AdaptiveConfig {
-        AdaptiveConfig::new(|chunk| Box::new(MapIndex::build(chunk)))
-    }
-
     #[test]
     fn cdf_balanced_boundaries_balance_skew() {
         // 90% of keys in [0, 1000), the rest spread to u64::MAX: an MSB
@@ -1207,19 +1151,9 @@ mod tests {
     }
 
     #[test]
-    fn static_builds_refuse_adaptation() {
-        let data: Vec<KeyValue> = (0..100u64).map(|i| (i, i)).collect();
-        let idx = Sharded::build::<MapIndex>(2, &data);
-        assert!(!idx.is_adaptive());
-        assert_eq!(idx.force_split(0), Err(AdaptError::NotAdaptive));
-        assert_eq!(idx.force_merge(0), Err(AdaptError::NotAdaptive));
-        assert_eq!(idx.run_adaptation(), 0);
-    }
-
-    #[test]
     fn forced_split_and_merge_preserve_contents() {
         let data: Vec<KeyValue> = (0..4_000u64).map(|i| (i * 3, i)).collect();
-        let mut idx = Sharded::build_adaptive(4, &data, map_cfg());
+        let mut idx = Sharded::build::<MapIndex>(4, &data);
         let rec = Recorder::enabled();
         idx.set_recorder(rec.clone());
         let before = idx.range_vec(0, Key::MAX);
@@ -1247,7 +1181,7 @@ mod tests {
     #[test]
     fn split_refuses_unsplittable_shards() {
         let data: Vec<KeyValue> = vec![(10, 1)];
-        let idx = Sharded::build_adaptive(1, &data, map_cfg());
+        let idx = Sharded::build::<MapIndex>(1, &data);
         assert_eq!(idx.force_split(0), Err(AdaptError::CannotSplit), "one key cannot split");
         assert_eq!(idx.force_merge(0), Err(AdaptError::Limit), "one shard cannot merge");
         assert_eq!(idx.force_split(5), Err(AdaptError::Stale), "out-of-range position");
@@ -1263,7 +1197,7 @@ mod tests {
         // for merge), so both neighbours can be checked for bystander
         // damage.
         let data: Vec<KeyValue> = (0..3_000u64).map(|i| (i * 2, i)).collect();
-        let build = || Sharded::build_adaptive(3, &data, map_cfg());
+        let build = || Sharded::build::<MapIndex>(3, &data);
         let old_cells = |idx: &Sharded, plan: Plan| -> Vec<Arc<ShardCell>> {
             idx.table.read().cells[1..=plan.old_cells()].to_vec()
         };
@@ -1279,10 +1213,9 @@ mod tests {
         for plan in [Plan::Split, Plan::Merge] {
             // Commit replays both sides of the cut into the right piece.
             let idx = build();
-            let adapt = idx.adapt.as_ref().unwrap();
             let old = old_cells(&idx, plan);
             assert!(old.iter().all(|c| Sharded::open_side(c, 1 << 10)));
-            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            let (cuts, pieces) = idx.build_pieces(&old, plan).unwrap();
             writes(&idx);
             idx.commit(&old, plan, &cuts, pieces).unwrap();
             let lower = match plan {
@@ -1302,26 +1235,24 @@ mod tests {
             // Overflow aborts: contents intact, every log closed, and
             // the cells reusable.
             let idx = build();
-            let adapt = idx.adapt.as_ref().unwrap();
             let old = old_cells(&idx, plan);
             assert!(old.iter().all(|c| Sharded::open_side(c, 2)));
-            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            let (cuts, pieces) = idx.build_pieces(&old, plan).unwrap();
             writes(&idx);
             assert_eq!(idx.commit(&old, plan, &cuts, pieces), Err(AdaptError::SideOverflow));
             assert!(old.iter().all(|c| c.lock.read().side.is_none()), "{plan:?}: log left open");
             assert_eq!(idx.boundaries(), vec![0, 2_000, 4_000], "{plan:?}");
             assert_eq!(ConcurrentIndex::get(&idx, 3_999), Some(7), "aborted cutover loses nothing");
             assert_eq!(ConcurrentIndex::len(&idx), data.len() + 2, "{plan:?}");
-            assert_eq!(idx.recut(adapt, &old, plan), Ok(()), "{plan:?}: cells reusable");
+            assert_eq!(idx.recut(&old, plan), Ok(()), "{plan:?}: cells reusable");
 
             // A neighbour that moved during the build window: the last
             // old cell (merge's right neighbour) is replaced under the
             // builder's feet.
             let idx = build();
-            let adapt = idx.adapt.as_ref().unwrap();
             let old = old_cells(&idx, plan);
             assert!(old.iter().all(|c| Sharded::open_side(c, 1 << 10)));
-            let (cuts, pieces) = idx.build_pieces(adapt, &old, plan).unwrap();
+            let (cuts, pieces) = idx.build_pieces(&old, plan).unwrap();
             let moved = old.len() - 1;
             old[moved].lock.write().side = None; // the competitor runs its own log
             idx.force_split(1 + moved).unwrap();
@@ -1336,38 +1267,22 @@ mod tests {
         }
     }
 
-    /// `max_actions_per_epoch > 1`: the second action of an epoch must
-    /// land on the cells the tuner judged, not on whatever an earlier
-    /// split shifted into their positions.
+    /// The tuner names cells by id: a decision whose cells a split or
+    /// merge has since replaced must answer `Stale`, never land on
+    /// whatever shifted into their positions.
     #[test]
-    fn one_epoch_split_then_merge_acts_on_the_judged_cells() {
+    fn actions_naming_replaced_cells_answer_stale() {
         let data: Vec<KeyValue> = (0..8_000u64).map(|i| (i, i)).collect();
-        let mut cfg = map_cfg();
-        cfg.tuner.min_dwell_epochs = 1;
-        cfg.tuner.cooldown_epochs = 0;
-        cfg.tuner.max_actions_per_epoch = 2;
-        cfg.tuner.min_epoch_ops = 64;
-        let idx = Sharded::build_adaptive(4, &data, cfg);
+        let idx = Sharded::build::<MapIndex>(4, &data);
         assert_eq!(idx.boundaries(), vec![0, 2_000, 4_000, 6_000]);
         let old_ids: Vec<u64> = idx.table.read().cells.iter().map(|c| c.id).collect();
 
-        assert_eq!(idx.run_adaptation(), 0, "first epoch only sets baselines");
-        // Cell 0 hot, cell 1 warm, cells 2 and 3 idle: one epoch yields
-        // Split{cell 0} then Merge{cells 2, 3}.
-        for i in 0..4_000u64 {
-            ConcurrentIndex::get(&idx, i % 2_000);
-        }
-        for i in 0..1_000u64 {
-            ConcurrentIndex::get(&idx, 2_000 + i);
-        }
-        assert_eq!(idx.run_adaptation(), 2, "split and merge both commit");
-        // By position the merge would have hit `left = 2` of the shifted
-        // table — folding warm cell 1 into idle cell 2.
-        assert_eq!(idx.boundaries(), vec![0, 1_000, 2_000, 4_000], "merge must fold cells 2+3");
-        assert_eq!(idx.table.read().cells[2].id, old_ids[1], "the warm cell is untouched");
-        assert_eq!(idx.range_vec(0, Key::MAX), data);
+        // Split cell 0, then fold cells 2 and 3 (now at positions 3 and 4).
+        idx.force_split(0).unwrap();
+        idx.force_merge(3).unwrap();
+        assert_eq!(idx.boundaries(), vec![0, 1_000, 2_000, 4_000]);
+        assert_eq!(idx.table.read().cells[2].id, old_ids[1], "cell 1 is untouched");
 
-        // Every cell the epoch replaced is gone: acting on it is refused.
         for a in [
             TunerAction::Split { cell: old_ids[0] },
             TunerAction::Split { cell: old_ids[2] },
@@ -1378,6 +1293,7 @@ mod tests {
             assert_eq!(idx.execute(a), Err(AdaptError::Stale), "{a:?}");
         }
         assert_eq!(idx.boundaries(), vec![0, 1_000, 2_000, 4_000]);
+        assert_eq!(idx.range_vec(0, Key::MAX), data);
     }
 
     /// Keys `0` and `u64::MAX` live in the first and the last cell;
@@ -1387,7 +1303,7 @@ mod tests {
     fn domain_edge_keys_survive_cutovers_of_the_first_and_last_cell() {
         let mut data: Vec<KeyValue> = (0..8_000u64).map(|i| (i << 48, i)).collect();
         data.push((Key::MAX, 77));
-        let idx = Sharded::build_adaptive(8, &data, map_cfg());
+        let idx = Sharded::build::<MapIndex>(8, &data);
         assert_eq!(idx.shard_count(), 8);
         let check = |idx: &Sharded, what: &str| {
             assert_eq!(ConcurrentIndex::get(idx, 0), Some(0), "{what}");
@@ -1421,15 +1337,13 @@ mod tests {
     }
 
     /// Three or more cells: with two, the hot cell holds at most twice
-    /// the mean and the default `split_skew` of 2.0 can never fire.
+    /// the mean and the tuner's split skew of 2.0 can never fire. Eight
+    /// epochs of 2 000 ops clear its dwell (3 epochs) and evidence floor
+    /// (256 ops per epoch).
     #[test]
     fn tuner_splits_a_hot_shard() {
         let data: Vec<KeyValue> = (0..8_192u64).map(|i| (i * 4, i)).collect();
-        let mut cfg = map_cfg();
-        cfg.tuner.min_dwell_epochs = 1;
-        cfg.tuner.cooldown_epochs = 0;
-        cfg.tuner.min_epoch_ops = 64;
-        let mut idx = Sharded::build_adaptive(4, &data, cfg);
+        let mut idx = Sharded::build::<MapIndex>(4, &data);
         let rec = Recorder::enabled();
         idx.set_recorder(rec.clone());
 

@@ -159,9 +159,8 @@ pub trait ConcurrentIndex: Send + Sync {
 
     /// Runs one round of online adaptation (shard split/merge) off the
     /// critical path; returns the number of structural actions
-    /// committed. The default does nothing — only adaptive
-    /// routers (`Sharded` with a tuner attached) override it, and the
-    /// `MaintenanceWorker` calls it once per pass.
+    /// committed. The default does nothing — the `Sharded` router
+    /// overrides it, and the `MaintenanceWorker` calls it once per pass.
     fn run_adaptation(&self) -> usize {
         0
     }

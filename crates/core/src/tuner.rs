@@ -1,80 +1,55 @@
 //! Telemetry-driven shard adaptation policy.
 //!
 //! The tuner is the *brain* of the self-tuning router and nothing else: a
-//! pure decision function from per-shard counter deltas to at most a few
-//! [`TunerAction`]s per epoch. It holds no locks, touches no index and
+//! pure decision function from per-shard counter deltas to at most one
+//! [`TunerAction`] per epoch. It holds no locks, touches no index and
 //! performs no I/O — `Sharded::run_adaptation` samples the always-on
 //! per-cell counters, feeds them through [`Tuner::observe`], and executes
 //! whatever comes back. Keeping policy separate from mechanism is what
 //! makes the hysteresis rules unit-testable without threads.
 //!
-//! Two structural rules, split before merge:
+//! Two structural rules, split before merge, both over a router of at
+//! least two cells (a one-cell router is left as built):
 //!
-//! * **Split** a cell whose epoch ops exceed [`TunerConfig::split_skew`]
-//!   × the mean (a migrating hotspot) and that holds at least
-//!   [`TunerConfig::min_split_len`] keys.
+//! * **Split** a cell whose epoch ops exceed `SPLIT_SKEW` × the mean (a
+//!   migrating hotspot) and that holds at least `MIN_SPLIT_LEN` keys.
 //! * **Merge** two adjacent cells that each saw fewer than
-//!   [`TunerConfig::merge_fraction`] × the mean ops, while the combined
-//!   cell stays within [`TunerConfig::max_merge_len`].
+//!   `MERGE_FRACTION` × the mean ops, while the combined cell stays within
+//!   `MAX_MERGE_LEN`.
 //!
 //! Why hysteresis: traffic is noisy, and a tuner that reacts to every
 //! epoch would flap, paying a background rebuild each time. Three rules
 //! damp it:
 //!
 //! 1. **Min-dwell**: a cell must have been observed for
-//!    [`TunerConfig::min_dwell_epochs`] epochs before it can be acted on.
-//!    Every committed action replaces the cell (new id), so dwell
-//!    automatically restarts after each structural change.
+//!    `MIN_DWELL_EPOCHS` epochs before it can be acted on. Every committed
+//!    action replaces the cell (new id), so dwell automatically restarts
+//!    after each structural change.
 //! 2. **Cooldown**: after any action (committed or aborted), the tuner
-//!    stays quiet for [`TunerConfig::cooldown_epochs`] epochs.
-//! 3. **Evidence floor**: shards below [`TunerConfig::min_epoch_ops`]
-//!    observed ops are never split, and an epoch below it merges
-//!    nothing — an idle shard's traffic is noise, not signal.
+//!    stays quiet for `COOLDOWN_EPOCHS` epochs.
+//! 3. **Evidence floor**: shards below `MIN_EPOCH_OPS` observed ops are
+//!    never split, and an epoch below it merges nothing — an idle shard's
+//!    traffic is noise, not signal.
 
 use std::collections::HashMap;
 
-/// Thresholds and hysteresis knobs for the adaptation policy.
-#[derive(Debug, Clone)]
-pub struct TunerConfig {
-    /// Epochs a cell must have been observed before it is actionable.
-    pub min_dwell_epochs: u64,
-    /// Quiet epochs after any decision (committed or aborted).
-    pub cooldown_epochs: u64,
-    /// Hard cap on decisions returned per epoch.
-    pub max_actions_per_epoch: usize,
-    /// A shard is only judged when it saw at least this many ops this epoch.
-    pub min_epoch_ops: u64,
-    /// Split when one shard's epoch ops exceed `split_skew × mean` (and the
-    /// router can still grow).
-    pub split_skew: f64,
-    /// Merge two adjacent shards when *each* saw fewer than
-    /// `merge_fraction × mean` ops this epoch.
-    pub merge_fraction: f64,
-    /// Never split a shard holding fewer keys than this.
-    pub min_split_len: usize,
-    /// Never merge when the combined shard would exceed this many keys.
-    pub max_merge_len: usize,
-    /// Router shard-count bounds the tuner respects.
-    pub max_shards: usize,
-    pub min_shards: usize,
-}
+use crate::shard::MAX_SHARDS;
 
-impl Default for TunerConfig {
-    fn default() -> Self {
-        TunerConfig {
-            min_dwell_epochs: 3,
-            cooldown_epochs: 2,
-            max_actions_per_epoch: 1,
-            min_epoch_ops: 256,
-            split_skew: 2.0,
-            merge_fraction: 0.10,
-            min_split_len: 512,
-            max_merge_len: 1 << 22,
-            max_shards: 4096,
-            min_shards: 1,
-        }
-    }
-}
+/// Epochs a cell must have been observed before it is actionable.
+const MIN_DWELL_EPOCHS: u64 = 3;
+/// Quiet epochs after any decision (committed or aborted).
+const COOLDOWN_EPOCHS: u64 = 2;
+/// A shard is only judged when it saw at least this many ops this epoch.
+const MIN_EPOCH_OPS: u64 = 256;
+/// Split when one shard's epoch ops exceed `SPLIT_SKEW × mean`.
+const SPLIT_SKEW: f64 = 2.0;
+/// Merge two adjacent shards when *each* saw fewer than
+/// `MERGE_FRACTION × mean` ops this epoch.
+const MERGE_FRACTION: f64 = 0.10;
+/// Never split a shard holding fewer keys than this.
+const MIN_SPLIT_LEN: usize = 512;
+/// Never merge when the combined shard would exceed this many keys.
+const MAX_MERGE_LEN: usize = 1 << 22;
 
 /// One epoch's view of one shard cell: a cumulative counter sampled from
 /// the router (the tuner keeps last-epoch baselines and diffs them).
@@ -90,9 +65,9 @@ pub struct ShardObs {
 }
 
 /// A structural change the router should attempt. Cells are named by
-/// [`ShardObs::cell`] id, never by table position: the actions of one
-/// epoch execute one after another, and a committed split or merge
-/// shifts every later position.
+/// [`ShardObs::cell`] id, never by table position: a concurrent forced
+/// split or merge may shift positions between the decision and its
+/// execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TunerAction {
     /// Cut `cell` at its median key into two cells.
@@ -110,9 +85,8 @@ struct CellHist {
 
 /// The adaptation policy state machine. One per router, behind a mutex;
 /// [`Tuner::observe`] is called once per maintenance epoch.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Tuner {
-    cfg: TunerConfig,
     epoch: u64,
     /// No decisions until this epoch (cooldown).
     quiet_until: u64,
@@ -120,31 +94,18 @@ pub struct Tuner {
 }
 
 impl Tuner {
-    pub fn new(cfg: TunerConfig) -> Self {
-        Tuner { cfg, epoch: 0, quiet_until: 0, seen: HashMap::new() }
-    }
-
-    pub fn config(&self) -> &TunerConfig {
-        &self.cfg
-    }
-
-    /// Epochs observed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Charges the cooldown without an action having committed — the
     /// router calls this when a cutover aborts (e.g. side-buffer
     /// overflow), so the tuner does not hammer a shard that is too hot
     /// to rebuild right now.
     pub fn penalize(&mut self) {
-        self.quiet_until = self.epoch + self.cfg.cooldown_epochs;
+        self.quiet_until = self.epoch + COOLDOWN_EPOCHS;
     }
 
     /// Feeds one epoch of per-cell counters, in boundary order (adjacent
-    /// entries are adjacent shards); returns the actions to attempt this
-    /// epoch (possibly none), already hysteresis-filtered.
-    pub fn observe(&mut self, obs: &[ShardObs]) -> Vec<TunerAction> {
+    /// entries are adjacent shards); returns the action to attempt this
+    /// epoch, if any, already hysteresis-filtered.
+    pub fn observe(&mut self, obs: &[ShardObs]) -> Option<TunerAction> {
         self.epoch += 1;
         let epoch = self.epoch;
 
@@ -160,73 +121,58 @@ impl Tuner {
         let live: std::collections::HashSet<u64> = obs.iter().map(|o| o.cell).collect();
         self.seen.retain(|id, _| live.contains(id));
 
-        if epoch < self.quiet_until || obs.is_empty() {
-            return Vec::new();
+        // Both rules compare a cell with its peers, so a one-cell router
+        // (the native and global-lock routes) is never re-cut.
+        if epoch < self.quiet_until || obs.len() < 2 {
+            return None;
         }
 
         let dwell_ok = |o: &ShardObs| {
             self.seen
                 .get(&o.cell)
-                .is_some_and(|h| epoch.saturating_sub(h.born_epoch) >= self.cfg.min_dwell_epochs)
+                .is_some_and(|h| epoch.saturating_sub(h.born_epoch) >= MIN_DWELL_EPOCHS)
         };
 
         let total_ops: u64 = delta.iter().sum();
         #[allow(clippy::cast_precision_loss)] // op counts are far below 2^52
         let mean_ops = total_ops as f64 / obs.len() as f64;
 
-        let mut actions: Vec<TunerAction> = Vec::new();
-        let push = |a: TunerAction, actions: &mut Vec<TunerAction>| {
-            if actions.len() < self.cfg.max_actions_per_epoch {
-                actions.push(a);
-            }
-        };
-
         // Split: one shard absorbs a disproportionate share of the
         // traffic (migrating hotspot) and is large enough to cut.
-        if obs.len() < self.cfg.max_shards {
-            if let Some(i) = (0..obs.len())
-                .filter(|&i| {
-                    let o = &obs[i];
-                    delta[i] >= self.cfg.min_epoch_ops
-                        && o.len >= self.cfg.min_split_len
-                        && dwell_ok(o)
-                })
-                .max_by_key(|&i| delta[i])
-            {
-                #[allow(clippy::cast_precision_loss)]
-                let ops = delta[i] as f64;
-                if obs.len() > 1 && ops > self.cfg.split_skew * mean_ops {
-                    push(TunerAction::Split { cell: obs[i].cell }, &mut actions);
-                }
-            }
-        }
+        #[allow(clippy::cast_precision_loss)]
+        let split = (0..obs.len())
+            .filter(|&i| {
+                delta[i] >= MIN_EPOCH_OPS && obs[i].len >= MIN_SPLIT_LEN && dwell_ok(&obs[i])
+            })
+            .max_by_key(|&i| delta[i])
+            .filter(|&i| obs.len() < MAX_SHARDS && delta[i] as f64 > SPLIT_SKEW * mean_ops)
+            .map(|i| TunerAction::Split { cell: obs[i].cell });
 
         // Merge: two adjacent cold shards waste boundary-table and lock
         // granularity; fold them. Requires both cold and both past their
         // dwell so a freshly-split pair is not re-merged.
-        if obs.len() > self.cfg.min_shards && obs.len() >= 2 && total_ops >= self.cfg.min_epoch_ops
-        {
-            let cold = self.cfg.merge_fraction * mean_ops;
-            for (i, pair) in obs.windows(2).enumerate() {
-                let (l, r) = (&pair[0], &pair[1]);
-                #[allow(clippy::cast_precision_loss)]
-                let (lops, rops) = (delta[i] as f64, delta[i + 1] as f64);
-                if lops < cold
-                    && rops < cold
-                    && l.len + r.len <= self.cfg.max_merge_len
-                    && dwell_ok(l)
-                    && dwell_ok(r)
-                {
-                    push(TunerAction::Merge { left: l.cell, right: r.cell }, &mut actions);
-                    break;
-                }
+        #[allow(clippy::cast_precision_loss)]
+        let action = split.or_else(|| {
+            if total_ops < MIN_EPOCH_OPS {
+                return None;
             }
-        }
+            let cold = MERGE_FRACTION * mean_ops;
+            obs.windows(2)
+                .zip(delta.windows(2))
+                .find(|(o, d)| {
+                    (d[0] as f64) < cold
+                        && (d[1] as f64) < cold
+                        && o[0].len + o[1].len <= MAX_MERGE_LEN
+                        && dwell_ok(&o[0])
+                        && dwell_ok(&o[1])
+                })
+                .map(|(o, _)| TunerAction::Merge { left: o[0].cell, right: o[1].cell })
+        });
 
-        if !actions.is_empty() {
-            self.quiet_until = epoch + self.cfg.cooldown_epochs;
+        if action.is_some() {
+            self.quiet_until = epoch + COOLDOWN_EPOCHS;
         }
-        actions
+        action
     }
 }
 
@@ -238,17 +184,7 @@ mod tests {
         ShardObs { cell, len: 10_000, ops }
     }
 
-    fn cfg() -> TunerConfig {
-        TunerConfig {
-            min_dwell_epochs: 2,
-            cooldown_epochs: 2,
-            min_epoch_ops: 100,
-            min_split_len: 100,
-            ..TunerConfig::default()
-        }
-    }
-
-    /// Cell 0 takes 3000 of 4000 ops per epoch: above `split_skew` (2.0)
+    /// Cell 0 takes 3000 of 4000 ops per epoch: above `SPLIT_SKEW` (2.0)
     /// × the mean, while its neighbours stay above the merge threshold.
     const HOT: [u64; 3] = [3_000, 500, 500];
 
@@ -270,79 +206,98 @@ mod tests {
 
     #[test]
     fn quiet_workload_yields_no_actions() {
-        let mut t = Tuner::new(cfg());
+        let mut t = Tuner::default();
         let acts = drive(&mut t, &[1_000, 1_000, 1_000], 10);
         assert!(acts.is_empty(), "balanced load must not trigger: {acts:?}");
     }
 
     #[test]
     fn min_dwell_delays_the_first_action() {
-        let mut t = Tuner::new(cfg());
+        let mut t = Tuner::default();
         let frame = |e: u64| [obs(0, HOT[0] * e), obs(1, HOT[1] * e), obs(2, HOT[2] * e)];
-        assert!(t.observe(&frame(1)).is_empty(), "epoch 1 is inside the dwell window");
-        assert!(t.observe(&frame(2)).is_empty(), "epoch 2 is still inside the dwell window");
-        assert_eq!(t.observe(&frame(3)), vec![TunerAction::Split { cell: 0 }]);
+        for e in 1..=MIN_DWELL_EPOCHS {
+            assert_eq!(t.observe(&frame(e)), None, "epoch {e} is inside the dwell window");
+        }
+        assert_eq!(t.observe(&frame(MIN_DWELL_EPOCHS + 1)), Some(TunerAction::Split { cell: 0 }));
     }
 
     #[test]
     fn cooldown_spaces_actions_apart() {
-        let mut t = Tuner::new(cfg());
-        let acts = drive(&mut t, &HOT, 8);
-        // Dwell delays the first action; cooldown (2) then spaces the rest:
-        // at most one action per 2 epochs once eligible.
-        assert!(!acts.is_empty());
-        assert!(acts.len() <= 3, "cooldown must space actions: {acts:?}");
+        let mut t = Tuner::default();
+        let epochs = MIN_DWELL_EPOCHS + 1 + 3 * COOLDOWN_EPOCHS;
+        let acts = drive(&mut t, &HOT, epochs);
+        // Dwell delays the first action; the cooldown then spaces the
+        // rest: one action per `COOLDOWN_EPOCHS` once eligible.
+        assert_eq!(acts.len(), 4, "cooldown must space actions: {acts:?}");
         assert!(acts.iter().all(|a| *a == TunerAction::Split { cell: 0 }));
     }
 
     #[test]
     fn skewed_hot_shard_splits_and_cold_pair_merges() {
-        let mut t = Tuner::new(cfg());
-        let acts = drive(&mut t, &[8_000, 100, 80, 6_000], 3);
-        assert_eq!(acts.first(), Some(&TunerAction::Split { cell: 0 }));
+        let eligible = MIN_DWELL_EPOCHS + 1;
+        let mut t = Tuner::default();
+        let acts = drive(&mut t, &[8_000, 100, 80, 6_000], eligible);
+        assert_eq!(acts, vec![TunerAction::Split { cell: 0 }], "split wins over merge");
 
-        let mut t = Tuner::new(cfg());
+        let mut t = Tuner::default();
         // Equal warm ends (below the split-skew threshold) and a nearly
         // idle adjacent pair.
-        let acts = drive(&mut t, &[1_000, 4, 6, 1_000], 3);
-        assert_eq!(acts.first(), Some(&TunerAction::Merge { left: 1, right: 2 }));
+        let acts = drive(&mut t, &[1_000, 4, 6, 1_000], eligible);
+        assert_eq!(acts, vec![TunerAction::Merge { left: 1, right: 2 }]);
 
-        // With two cells the hot one holds at most 2 × the mean, so the
-        // default skew can never split it.
-        let mut t = Tuner::new(cfg());
-        let acts = drive(&mut t, &[10_000, 0], 6);
+        // With two cells the hot one holds at most 2 × the mean, so
+        // `SPLIT_SKEW` can never split it.
+        let mut t = Tuner::default();
+        let acts = drive(&mut t, &[10_000, 0], 2 * eligible);
         assert!(!acts.contains(&TunerAction::Split { cell: 0 }), "{acts:?}");
     }
 
     #[test]
+    fn one_cell_is_never_acted_on() {
+        let mut t = Tuner::default();
+        let acts = drive(&mut t, &[100_000], 4 * (MIN_DWELL_EPOCHS + COOLDOWN_EPOCHS));
+        assert!(acts.is_empty(), "a one-cell router must keep its layout: {acts:?}");
+    }
+
+    #[test]
     fn evidence_floor_ignores_idle_shards() {
-        let mut t = Tuner::new(cfg());
-        // Skewed, but only a handful of ops per epoch.
-        let acts = drive(&mut t, &[21, 1, 1], 10);
-        assert!(acts.is_empty(), "below min_epoch_ops nothing fires: {acts:?}");
+        let mut t = Tuner::default();
+        // Skewed, but fewer than `MIN_EPOCH_OPS` ops per epoch.
+        let acts = drive(&mut t, &[MIN_EPOCH_OPS / 2, 1, 1], 10);
+        assert!(acts.is_empty(), "below MIN_EPOCH_OPS nothing fires: {acts:?}");
     }
 
     #[test]
     fn penalize_recharges_cooldown_after_aborts() {
-        let mut t = Tuner::new(cfg());
-        let first = drive(&mut t, &HOT, 3);
-        assert!(!first.is_empty());
-        // The router reports the cutover aborted; the next epochs stay
-        // quiet for a full cooldown again.
+        let mut t = Tuner::default();
+        // Balanced past the dwell window: nothing fires, no cooldown runs.
+        let balanced = drive(&mut t, &[1_000, 1_000, 1_000], MIN_DWELL_EPOCHS + 1);
+        assert!(balanced.is_empty());
+        // The router reports an aborted cutover; a hot epoch inside the
+        // recharged cooldown stays quiet, the first one after it acts.
         t.penalize();
-        let a = t.observe(&[obs(0, 12_000), obs(1, 2_000), obs(2, 2_000)]);
-        assert!(a.is_empty(), "penalized epoch must stay quiet");
+        let mut cum = [1_000 * (MIN_DWELL_EPOCHS + 1); 3];
+        let mut hot_epoch = || {
+            for (c, d) in cum.iter_mut().zip(HOT) {
+                *c += d;
+            }
+            t.observe(&[obs(0, cum[0]), obs(1, cum[1]), obs(2, cum[2])])
+        };
+        for _ in 1..COOLDOWN_EPOCHS {
+            assert_eq!(hot_epoch(), None, "penalized epoch must stay quiet");
+        }
+        assert_eq!(hot_epoch(), Some(TunerAction::Split { cell: 0 }));
     }
 
     #[test]
     fn replaced_cells_restart_their_dwell_clock() {
-        let mut t = Tuner::new(cfg());
-        let acts = drive(&mut t, &HOT, 3);
+        let mut t = Tuner::default();
+        let acts = drive(&mut t, &HOT, MIN_DWELL_EPOCHS + 1);
         assert!(!acts.is_empty());
         // Same positions, new cell ids (as after a committed split): the
         // new cells must dwell before being acted on again, even after
         // the cooldown expires.
-        let out = drive_ids(&mut t, 99, &HOT, 2);
+        let out = drive_ids(&mut t, 99, &HOT, MIN_DWELL_EPOCHS);
         assert!(out.is_empty(), "fresh cell acted on inside dwell: {out:?}");
     }
 }

@@ -43,8 +43,8 @@ pub struct MaintenancePass {
     /// [`crate::DurabilityConfig::checkpoint_lag`]).
     pub checkpoint_written: bool,
     /// Shard adaptations (splits, merges) committed by this pass's
-    /// `run_adaptation` call — 0 for non-adaptive indexes and the
-    /// single-writer route.
+    /// `run_adaptation` call — always 0 for an index that is not a
+    /// `Sharded` router, a one-cell router, and the single-writer route.
     pub adaptations: usize,
 }
 
@@ -211,7 +211,7 @@ pub struct MaintenanceStats {
     /// Checkpoints written by lag-triggered passes.
     pub checkpoints: u64,
     /// Shard adaptations (splits, merges) committed by maintenance
-    /// passes.
+    /// passes; only a `Sharded` router of two or more cells adapts.
     pub adaptations: u64,
     /// Whether the watchdog ever flagged a stall.
     pub stalled: bool,

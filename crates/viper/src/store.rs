@@ -299,7 +299,7 @@ impl<M: WriteModel> Engine<M> {
     }
 
     /// One full self-healing pass: drain up to `retrain_budget` deferred
-    /// leaf retrains, let an adaptive index re-cut itself (after drains,
+    /// leaf retrains, let a sharded router re-cut itself (after drains,
     /// before space work: adaptation may rebuild shards, and a freshly
     /// split or merged shard should not immediately re-park retrains this
     /// same pass), retire stale slots, repair quarantined slots, reclaim dead

@@ -112,7 +112,7 @@ pub(crate) trait WriteAccess {
     fn unpublish(&mut self, key: Key) -> Option<u64>;
     /// Drains up to `budget` deferred leaf retrains.
     fn run_pending_retrains(&mut self, budget: usize) -> usize;
-    /// Lets an adaptive index split or merge shards.
+    /// Lets a `Sharded` router split or merge shards.
     fn run_adaptation(&mut self) -> usize;
 }
 

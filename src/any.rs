@@ -473,8 +473,10 @@ impl ConcurrentKind {
 /// router: the native route (XIndex) is a single shard with the
 /// shared-reference write path enabled, the global-lock baseline is a
 /// single shard without it, and the sharded route is N exclusive shards.
-/// [`AnyConcurrentIndex::build_adaptive`] additionally arms online shard
-/// split/merge.
+/// Every route adapts online through [`ConcurrentIndex::run_adaptation`]:
+/// the sharded route splits hot shards and merges cold neighbours, and
+/// the two one-shard routes stay one shard, since the tuner only re-cuts
+/// a router of two or more.
 pub struct AnyConcurrentIndex(li_core::Sharded);
 
 impl AnyConcurrentIndex {
@@ -492,26 +494,12 @@ impl AnyConcurrentIndex {
             ConcurrentVia::Sharded => shards,
         };
         let mut inner =
-            li_core::Sharded::build_boxed(shards, data, |chunk| kind.index.build(chunk));
+            li_core::Sharded::build_boxed(shards, data, move |chunk| kind.index.build(chunk));
         if kind.via == ConcurrentVia::Native {
             debug_assert_eq!(kind.index, IndexKind::XIndex);
             inner.set_allow_native(true);
         }
         AnyConcurrentIndex(inner)
-    }
-
-    /// Bulk-builds a self-tuning router: every shard is `kind`, and the
-    /// maintenance-driven tuner may split hot shards and merge cold
-    /// neighbours as the workload drifts.
-    pub fn build_adaptive(
-        kind: IndexKind,
-        shards: usize,
-        data: &[KeyValue],
-        tuner: li_core::TunerConfig,
-    ) -> Self {
-        let mut cfg = li_core::AdaptiveConfig::new(move |chunk| kind.build(chunk));
-        cfg.tuner = tuner;
-        AnyConcurrentIndex(li_core::Sharded::build_adaptive(shards, data, cfg))
     }
 
     /// Shard count backing this instance (1 for the native route).
@@ -603,6 +591,8 @@ impl ConcurrentIndex for AnyConcurrentIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use li_core::telemetry::{Event, Recorder};
+    use li_sync::sync::atomic::{AtomicBool, Ordering};
 
     fn data(n: u64) -> Vec<KeyValue> {
         (0..n).map(|i| (i * 7 + 1, i)).collect()
@@ -774,18 +764,46 @@ mod tests {
         assert_eq!(shard.shard_count(), 8);
         let native = AnyConcurrentIndex::build(ConcurrentKind::of(IndexKind::XIndex).unwrap(), &d);
         assert_eq!(native.shard_count(), 1);
+
+        // The one-cell routes stay one cell under skewed traffic: epochs
+        // of writes into one narrow key range, each raced by full scans,
+        // then an adaptation epoch. A scan holds the cell read lock, so
+        // only the exclusive write path can wait on it: XIndex writes that
+        // go through its native writer record no `ShardLockWait`.
+        for kind in [
+            ConcurrentKind::of(IndexKind::XIndex).unwrap(),
+            ConcurrentKind::global_lock(IndexKind::BTree).unwrap(),
+        ] {
+            let mut idx = AnyConcurrentIndex::build(kind, &d);
+            let rec = Recorder::enabled();
+            idx.set_recorder(rec.clone());
+            for epoch in 0..24u64 {
+                let writing = AtomicBool::new(true);
+                li_sync::thread::scope(|s| {
+                    s.spawn(|| {
+                        while writing.load(Ordering::Acquire) {
+                            idx.range_vec(0, Key::MAX);
+                        }
+                    });
+                    for i in 0..1_000u64 {
+                        idx.insert(2 + (i % 200) * 7, epoch);
+                    }
+                    writing.store(false, Ordering::Release);
+                });
+                assert_eq!(idx.run_adaptation(), 0, "{} epoch {epoch}", kind.name());
+                assert_eq!(idx.shard_count(), 1, "{} epoch {epoch}", kind.name());
+            }
+            if kind.via == ConcurrentVia::Native {
+                assert_eq!(rec.event_count(Event::ShardLockWait), 0, "XIndex left native_writer");
+            }
+        }
     }
 
     #[test]
     fn adaptive_route_splits_merges_and_preserves_contents() {
         let d = data(6_000);
-        let idx = AnyConcurrentIndex::build_adaptive(
-            IndexKind::Alex,
-            4,
-            &d,
-            li_core::TunerConfig::default(),
-        );
-        assert!(idx.is_adaptive());
+        let alex = ConcurrentKind::of(IndexKind::Alex).unwrap();
+        let idx = AnyConcurrentIndex::build_with_shards(alex, 4, &d);
         assert_eq!(idx.shard_count(), 4);
         assert_eq!(ConcurrentIndex::len(&idx), d.len());
         assert_eq!(Index::name(&idx), "ALEX");

@@ -180,7 +180,7 @@ impl Driver {
             let shards = cfg.shards;
             let (store, report) =
                 ConcurrentViperStore::recover_recorded(dev, layout, opts, recorder, |pairs| {
-                    Sharded::build_boxed(shards, pairs, |chunk| kind.build(chunk))
+                    Sharded::build_boxed(shards, pairs, move |chunk| kind.build(chunk))
                 });
             (Driver::Sharded(store), report)
         }

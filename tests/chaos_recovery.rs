@@ -13,7 +13,7 @@
 //! * **Overload ladder** — the circuit breaker trips under sustained
 //!   retrain backlog, sheds puts (never deletes), and closes once the
 //!   worker drains the queue.
-//! * **Adaptation under faults** — with skewed traffic on an adaptive
+//! * **Adaptation under faults** — with skewed traffic on a sharded
 //!   router, the maintenance worker keeps committing tuner decisions
 //!   (splits and merges) through injected device failures, and no
 //!   cutover loses or duplicates an acked op.
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use lip::core::telemetry::{Event, Recorder};
 use lip::core::traits::ConcurrentIndex;
-use lip::core::{AdaptiveConfig, Sharded};
+use lip::core::Sharded;
 use lip::nvm::fault::splitmix64;
 use lip::nvm::{Fault, FaultPlan, NvmDevice};
 use lip::viper::{
@@ -187,24 +187,7 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
     });
 }
 
-/// Builds a self-tuning B-Tree router for the adaptive storm. Evidence
-/// floors are lowered so decisions commit within a few of the worker's
-/// 1 ms epochs instead of the production-scale defaults. The shard count
-/// is left free: the store starts empty, so the uniform domain split puts
-/// every key in cell 0 until the tuner cuts it, and the skewed per-thread
-/// clusters keep split/merge firing from then on.
-fn adaptive_sharded(shards: usize) -> impl FnOnce(&[(u64, u64)]) -> Sharded {
-    move |pairs| {
-        let mut cfg = AdaptiveConfig::new(|c| IndexKind::BTree.build(c));
-        cfg.tuner.min_dwell_epochs = 1;
-        cfg.tuner.cooldown_epochs = 0;
-        cfg.tuner.min_epoch_ops = 64;
-        cfg.tuner.max_actions_per_epoch = 2;
-        Sharded::build_adaptive(shards, pairs, cfg)
-    }
-}
-
-/// Split/merge storm on the adaptive router with fault injection: 8
+/// Split/merge storm on a plain sharded router with fault injection: 8
 /// threads put and verify their own keys until the tuner has split the
 /// hot cell and committed at least two structural changes — all while the
 /// device injects write failures and device-full windows and the
@@ -241,7 +224,14 @@ fn adaptive_storm_splits_through_faults_and_matches_oracle() {
             dev,
             cfg.layout,
             RecoverOptions::default(),
-            adaptive_sharded(4),
+            // The store starts empty, so the uniform domain split puts
+            // every key in cell 0 until the tuner cuts it, and the skewed
+            // per-thread clusters keep split/merge firing from then on.
+            // Idle cells merge every other epoch until cell 0 holds
+            // enough keys to split, and two cells can never split: 64
+            // cells leave ~120 epochs of headroom for slow-starting
+            // writers on a loaded host, where 4 left fewer than 8.
+            sharded_btree(64),
         );
         store.set_recorder(Recorder::enabled());
         store.set_retry_policy(RetryPolicy::standard(0xADA));

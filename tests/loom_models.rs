@@ -257,7 +257,7 @@ fn maintenance_shutdown_handshake() {
 /// Model 7 — boundary-table cutover vs. a descending reader and a
 /// routed writer.
 ///
-/// An adaptive `Sharded` splits shard 0 (open side log → snapshot →
+/// A `Sharded` router splits shard 0 (open side log → snapshot →
 /// rebuild two pieces → commit under table write + cell write) while a
 /// writer routes an insert into the same shard and a reader descends
 /// through the boundary table into both shards. The protocol's claims,
@@ -275,7 +275,7 @@ fn shard_cutover_vs_reader_and_writer() {
 
     use li_core::traits::{ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
     use li_core::types::{Key, KeyValue, Value};
-    use li_core::{AdaptiveConfig, Sharded};
+    use li_core::Sharded;
 
     /// Minimal shard payload: the router's cutover protocol is under
     /// test, not the learned index inside the cell.
@@ -321,9 +321,8 @@ fn shard_cutover_vs_reader_and_writer() {
     }
 
     loom::model(|| {
-        let cfg = AdaptiveConfig::new(|chunk| Box::new(MiniMap::build(chunk)));
         let data: Vec<KeyValue> = vec![(10, 1), (20, 2), (30, 3), (40, 4)];
-        let idx = Arc::new(Sharded::build_adaptive(2, &data, cfg));
+        let idx = Arc::new(Sharded::build_with(2, &data, MiniMap::build));
 
         let splitter = {
             let idx = Arc::clone(&idx);

@@ -119,7 +119,7 @@ fn global_lock_route_matches_oracle() {
     oracle_session(ConcurrentKind::global_lock(IndexKind::SkipList).unwrap(), 0x10c);
 }
 
-/// 8-thread oracle session against the *adaptive* router while a
+/// 8-thread oracle session against the sharded router while a
 /// background thread forces shard splits and merges mid-stream. Every
 /// op's return value and the full final state must still match the
 /// oracle exactly: a cutover that lost a side-logged write, replayed one
@@ -129,11 +129,10 @@ fn global_lock_route_matches_oracle() {
 fn adaptive_session_with_forced_adaptations_matches_oracle() {
     let seed = 0xada97_u64;
     let initial: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * 3, i)).collect();
-    let idx = Arc::new(AnyConcurrentIndex::build_adaptive(
-        IndexKind::Pgm,
+    let idx = Arc::new(AnyConcurrentIndex::build_with_shards(
+        ConcurrentKind::of(IndexKind::Pgm).unwrap(),
         4,
         &initial,
-        lip::core::TunerConfig::default(),
     ));
     let stop = Arc::new(AtomicBool::new(false));
 

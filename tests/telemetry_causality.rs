@@ -264,22 +264,18 @@ fn concurrent_routes_are_distinguishable_from_shard_banks() {
 #[test]
 fn tuner_decisions_precede_every_committed_adaptation() {
     let data = seed_data(16_000, 21);
-    // Aggressive hysteresis so a short test run crosses the thresholds.
-    let tuner = lip::core::TunerConfig {
-        min_dwell_epochs: 1,
-        cooldown_epochs: 0,
-        min_epoch_ops: 64,
-        ..lip::core::TunerConfig::default()
-    };
     // Four cells: with two, the hot one holds at most twice the mean and
-    // the default `split_skew` of 2.0 can never fire.
-    let mut idx = AnyConcurrentIndex::build_adaptive(IndexKind::Pgm, 4, &data, tuner);
+    // the tuner's split skew of 2.0 can never fire.
+    let pgm = ConcurrentKind::of(IndexKind::Pgm).unwrap();
+    let mut idx = AnyConcurrentIndex::build_with_shards(pgm, 4, &data);
     let rec = Recorder::enabled();
     idx.set_recorder(rec.clone());
 
-    // Epochs of writes over a narrow hot range (all in the first cell)
-    // until the tuner commits at least one adaptation (a split of the hot
-    // cell first, by rule priority).
+    // Epochs of 1 000 writes over a narrow hot range (all in the first
+    // cell) until the tuner commits two adaptations: a split of the hot
+    // cell once its 3-epoch dwell has passed (first, by rule priority),
+    // then a merge of two idle cells after the 2-epoch cooldown. 1 000
+    // ops clear the 256-op evidence floor every epoch.
     let lo_keys: Vec<u64> = {
         let mut sorted: Vec<u64> = data.iter().map(|&(k, _)| k).collect();
         sorted.sort_unstable();
