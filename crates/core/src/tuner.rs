@@ -15,7 +15,8 @@
 //!   migrating hotspot) and that holds at least `MIN_SPLIT_LEN` keys.
 //! * **Merge** two adjacent cells that each saw fewer than
 //!   `MERGE_FRACTION` × the mean ops, while the combined cell stays within
-//!   `MAX_MERGE_LEN`.
+//!   `MAX_MERGE_LEN` and at least `MIN_CELLS` cells remain: with two, the
+//!   hot cell holds at most twice the mean and could never split again.
 //!
 //! Why hysteresis: traffic is noisy, and a tuner that reacts to every
 //! epoch would flap, paying a background rebuild each time. Three rules
@@ -50,6 +51,8 @@ const MERGE_FRACTION: f64 = 0.10;
 const MIN_SPLIT_LEN: usize = 512;
 /// Never merge when the combined shard would exceed this many keys.
 const MAX_MERGE_LEN: usize = 1 << 22;
+/// Never merge below this many cells.
+const MIN_CELLS: usize = 3;
 
 /// One epoch's view of one shard cell: a cumulative counter sampled from
 /// the router (the tuner keeps last-epoch baselines and diffs them).
@@ -153,7 +156,7 @@ impl Tuner {
         // dwell so a freshly-split pair is not re-merged.
         #[allow(clippy::cast_precision_loss)]
         let action = split.or_else(|| {
-            if total_ops < MIN_EPOCH_OPS {
+            if total_ops < MIN_EPOCH_OPS || obs.len() <= MIN_CELLS {
                 return None;
             }
             let cold = MERGE_FRACTION * mean_ops;
@@ -250,6 +253,41 @@ mod tests {
         let mut t = Tuner::default();
         let acts = drive(&mut t, &[10_000, 0], 2 * eligible);
         assert!(!acts.contains(&TunerAction::Split { cell: 0 }), "{acts:?}");
+
+        // So merges stop at three cells. Four cells whose traffic sits in
+        // one that is too small to split: its idle neighbours merge once,
+        // and when the hot cell has grown past `MIN_SPLIT_LEN` it splits.
+        let mut t = Tuner::default();
+        // (id, len, cumulative ops), in boundary order.
+        let mut cells =
+            vec![(0, MIN_SPLIT_LEN / 2, 0), (1, 10_000, 0), (2, 10_000, 0), (3, 10_000, 0)];
+        let mut next_id = 4;
+        let mut split = None;
+        for epoch in 0..40 {
+            if epoch == 20 {
+                cells[0].1 = MIN_SPLIT_LEN;
+            }
+            cells[0].2 += 10_000;
+            let frame: Vec<ShardObs> =
+                cells.iter().map(|&(cell, len, ops)| ShardObs { cell, len, ops }).collect();
+            match t.observe(&frame) {
+                Some(TunerAction::Merge { left, right }) => {
+                    let i = cells.iter().position(|c| c.0 == left).unwrap();
+                    let r = cells.remove(i + 1);
+                    assert_eq!(r.0, right);
+                    cells[i] = (next_id, cells[i].1 + r.1, cells[i].2 + r.2);
+                    next_id += 1;
+                }
+                Some(TunerAction::Split { cell }) => {
+                    split = Some((epoch, cell));
+                    break;
+                }
+                None => {}
+            }
+            assert!(cells.len() >= MIN_CELLS, "epoch {epoch}: merged down to {cells:?}");
+        }
+        assert_eq!(cells.len(), MIN_CELLS, "the idle pair must still merge");
+        assert!(split.is_some_and(|(epoch, cell)| epoch >= 20 && cell == 0), "{split:?}");
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! for one more read, write, flush or fence fails here, under both write
 //! models, with and without the WAL, with in-place and crash-safe updates.
 
-use li_nvm::LatencyModel;
+use std::sync::Arc;
+
+use li_nvm::{LatencyModel, NvmConfig, NvmDevice};
 
 use crate::checkpoint::DurabilityConfig;
 use crate::config::StoreConfig;
+use crate::heap::RecordHeap;
+use crate::layout::{RecordLayout, PAGE_HEADER};
 use crate::store::tests::Either;
 use crate::wal::WAL_RECORD;
 
@@ -92,6 +96,26 @@ fn off_budget(shared: bool, wal: bool, crash_safe: bool) -> Vec<String> {
         .collect()
 }
 
+/// The "bulk load, run of n" row on a fresh device: two whole pages and
+/// five slots are three page runs. Each run is one write of its page
+/// header and slots and one write spanning its state bytes, a fence after
+/// each, and a flush per slot in both steps.
+fn bulk_load_off_budget(shared: bool) -> Option<String> {
+    let mut cfg = StoreConfig::paper(1_000);
+    cfg.nvm.latency = LatencyModel::dram_like();
+    let (slot, spp) = (cfg.layout.slot_size() as u64, cfg.layout.slots_per_page() as u64);
+    let n = 2 * spp + 5;
+    let runs = 3;
+    // A run of m: header + m slots, then m - 1 slots and one state byte.
+    let bytes = runs * PAGE_HEADER as u64 + n * slot + (n - runs) * slot + runs;
+    let budget: Traffic = [0, 0, 2 * runs, bytes, 2 * n, 2 * runs];
+    let keys: Vec<u64> = (1..=n).collect();
+    let s = Either::bulk_load(shared, cfg, &keys).nvm_stats();
+    let spent = [s.reads, s.bytes_read, s.writes, s.bytes_written, s.flushes, s.fences];
+    (spent != budget)
+        .then(|| format!("bulk load of {n} (shared={shared}): spent {spent:?}, budget {budget:?}"))
+}
+
 #[test]
 fn every_operation_costs_the_device_what_the_table_says() {
     let mut wrong = Vec::new();
@@ -101,6 +125,45 @@ fn every_operation_costs_the_device_what_the_table_says() {
                 wrong.extend(off_budget(shared, wal, crash_safe));
             }
         }
+        wrong.extend(bulk_load_off_budget(shared));
     }
     assert!(wrong.is_empty(), "off budget:\n{}", wrong.join("\n"));
+}
+
+/// A bulk load leaves the heap as one `append` per key would: the same
+/// bytes (offsets, seqs, page headers), the same open page, the same live
+/// set after recovery.
+#[test]
+fn bulk_load_is_byte_identical_to_single_appends() {
+    let layout = RecordLayout::small();
+    let keys: Vec<u64> = (0..2 * layout.slots_per_page() as u64 + 7).map(|k| k * 3 + 1).collect();
+    let value_of = |k: u64, buf: &mut [u8]| buf.fill((k % 251) as u8);
+    let fresh =
+        || RecordHeap::new(Arc::new(NvmDevice::new(NvmConfig::fast(8 * layout.page_size))), layout);
+    let mut bulk = fresh();
+    let loaded = bulk.bulk_append(&keys, value_of).unwrap();
+    let single = fresh();
+    let mut value = vec![0u8; layout.value_size];
+    let appended: Vec<(u64, u64)> = keys
+        .iter()
+        .map(|&k| {
+            value_of(k, &mut value);
+            (k, single.append(k, &value).unwrap())
+        })
+        .collect();
+    assert_eq!(loaded, appended);
+    assert_eq!(bulk.append(0, &value), single.append(0, &value), "open page differs");
+
+    let image_and_live = |heap: RecordHeap| {
+        let dev = heap.into_device();
+        let mut image = vec![0u8; dev.capacity()];
+        dev.read_into(0, &mut image);
+        let (_, mut live) = RecordHeap::recover(dev, layout);
+        live.sort_unstable();
+        (image, live)
+    };
+    let (bulk_image, bulk_live) = image_and_live(bulk);
+    let (single_image, single_live) = image_and_live(single);
+    assert!(bulk_image == single_image, "heap bytes differ");
+    assert_eq!(bulk_live, single_live);
 }

@@ -7,6 +7,14 @@
 //! 3. fence,
 //! 4. write state byte `SLOT_LIVE`, flush, fence.
 //!
+//! A bulk load publishes a *run* of n contiguous slots of one page with the
+//! same steps, taken once per run: one write of the encoded slots (led by
+//! the page header when the run opens the page), a flush per slot, one
+//! fence; then one write spanning the run's state bytes, a flush per state
+//! byte, one fence. An append is the run of one. Flushes stay per slot, so
+//! a dropped flush still costs at most one record, and a crash anywhere in
+//! a run publishes a prefix of it, each record whole.
+//!
 //! A crash before step 4 leaves the slot free; recovery never surfaces a
 //! partially written record — *if the device honours flushes*. A device
 //! that acks a flush without persisting (see `li_nvm::fault`) can expose a
@@ -98,6 +106,23 @@ struct OpenPage {
     /// allocation / after device exhaustion.
     page_offset: Option<usize>,
     next_slot: usize,
+}
+
+/// Slots `first..first + len` of the page at `page_offset`, reserved for
+/// one run of [`RecordHeap::bulk_append`]; `fresh` when the run opens the
+/// page and so writes its header.
+struct Run {
+    page_offset: usize,
+    first: usize,
+    len: usize,
+    fresh: bool,
+}
+
+/// A page header as allocation stamps it: the magic, then zeros.
+fn page_header() -> [u8; PAGE_HEADER] {
+    let mut header = [0u8; PAGE_HEADER];
+    header[..8].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+    header
 }
 
 /// Options for [`RecordHeap::recover_with_report`] and the store-level
@@ -276,9 +301,7 @@ impl RecordHeap {
             // Open a fresh page and stamp its header durably.
             let page = self.alloc.alloc().ok_or(ViperError::DeviceFull)?;
             let page_offset = self.alloc.page_offset(page);
-            let mut header = [0u8; PAGE_HEADER];
-            header[..8].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-            self.write_retry(page_offset, &header)?;
+            self.write_retry(page_offset, &page_header())?;
             self.dev.try_persist(page_offset, PAGE_HEADER)?;
             open.page_offset = Some(page_offset);
             open.next_slot = 0;
@@ -292,7 +315,7 @@ impl RecordHeap {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let result = with_scratch(self.layout.slot_size(), |buf| {
             self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
-            self.publish(off, buf)
+            self.publish(off, buf, 0)
         });
         if result.is_err() {
             // The slot holds no published record; recycle it.
@@ -302,14 +325,125 @@ impl RecordHeap {
         Ok(off as u64)
     }
 
-    /// Crash-safe publish of an encoded slot: payload first (state still
-    /// free), fence, then the state byte.
-    fn publish(&self, off: usize, buf: &[u8]) -> Result<(), ViperError> {
-        self.write_retry(off, buf)?;
-        self.dev.try_flush(off, buf.len())?;
+    /// Appends one record per key of `keys`, in order, a page-run at a
+    /// time (see the module docs), and returns each key with its slot
+    /// offset. `value_of` writes each value straight into the page image
+    /// and must fill the buffer it is given. Runs take the open page's
+    /// unused slots, then fresh pages, never recycled slots, so on a fresh
+    /// heap the device ends byte-identical to one [`RecordHeap::append`]
+    /// per key: same offsets, seqs and open page. `&mut self` keeps other
+    /// writers off a fresh page until the run has written its header. On
+    /// error the failed run's slots are given back; earlier runs stay
+    /// published.
+    pub fn bulk_append(
+        &mut self,
+        keys: &[Key],
+        mut value_of: impl FnMut(Key, &mut [u8]),
+    ) -> Result<Vec<(Key, u64)>, ViperError> {
+        let slot = self.layout.slot_size();
+        let mut pairs = Vec::with_capacity(keys.len());
+        let mut image = vec![0u8; self.layout.page_size];
+        let mut rest = keys;
+        while !rest.is_empty() {
+            let run = self.reserve_run(rest.len())?;
+            let (now, later) = rest.split_at(run.len);
+            let head = if run.fresh { PAGE_HEADER } else { 0 };
+            let bytes = &mut image[..head + run.len * slot];
+            bytes[..head].copy_from_slice(&page_header()[..head]);
+            let first = self.layout.slot_offset(run.page_offset, run.first);
+            let seq = self.next_seq.fetch_add(run.len as u64, Ordering::Relaxed);
+            for (i, (&key, rec)) in now.iter().zip(bytes[head..].chunks_exact_mut(slot)).enumerate()
+            {
+                value_of(key, &mut rec[SLOT_HEADER..]);
+                self.layout.seal_record(key, seq + i as u64, SLOT_FREE, rec);
+                pairs.push((key, (first + i * slot) as u64));
+            }
+            if let Err(e) = self.publish(first - head, bytes, head) {
+                self.release_run(&run);
+                return Err(e);
+            }
+            rest = later;
+        }
+        Ok(pairs)
+    }
+
+    /// Reserves up to `want` contiguous slots: the rest of the open page,
+    /// or else a fresh page that becomes the open one, its header left for
+    /// the run to write.
+    fn reserve_run(&self, want: usize) -> Result<Run, ViperError> {
+        if self.dev.injected_device_full() {
+            return Err(ViperError::DeviceFull);
+        }
+        let spp = self.layout.slots_per_page();
+        let mut open = self.open.lock();
+        if let Some(page_offset) = open.page_offset {
+            let first = open.next_slot;
+            if first < spp {
+                let len = want.min(spp - first);
+                open.next_slot += len;
+                return Ok(Run { page_offset, first, len, fresh: false });
+            }
+        }
+        let page = self.alloc.alloc().ok_or(ViperError::DeviceFull)?;
+        let page_offset = self.alloc.page_offset(page);
+        let len = want.min(spp);
+        *open = OpenPage { page_offset: Some(page_offset), next_slot: len };
+        Ok(Run { page_offset, first: 0, len, fresh: true })
+    }
+
+    /// Gives back the slots of a run that failed to publish: a fresh page
+    /// returns to the allocator unopened, other slots join the free list.
+    fn release_run(&self, run: &Run) {
+        if run.fresh {
+            self.open.lock().page_offset = None;
+            self.alloc.free(run.page_offset / self.layout.page_size);
+        } else {
+            let slots = (run.first..run.first + run.len)
+                .map(|slot| self.layout.slot_offset(run.page_offset, slot));
+            self.free_slots.lock().extend(slots);
+        }
+    }
+
+    /// Crash-safe publish of the encoded slots in `bytes`, every state
+    /// byte `SLOT_FREE`, written from device offset `at`; the first `head`
+    /// bytes are the header of the page the run opens (0: none). The two
+    /// steps of the module docs: [`RecordHeap::stage_run`], then
+    /// [`RecordHeap::commit_run`] over the state bytes, now `SLOT_LIVE`.
+    fn publish(&self, at: usize, bytes: &mut [u8], head: usize) -> Result<(), ViperError> {
+        self.stage_run(at, bytes, head)?;
+        let slot = self.layout.slot_size();
+        let state = self.layout.state_offset(0);
+        for rec in bytes[head..].chunks_exact_mut(slot) {
+            rec[state] = SLOT_LIVE;
+        }
+        // From the first slot's state byte through the last's.
+        let (from, to) = (head + state, bytes.len() - slot + state + 1);
+        self.commit_run(at + from, &bytes[from..to])
+    }
+
+    /// A run's first step: one write of `bytes`, a flush per slot (the
+    /// first one also covering the `head` bytes of page header), a fence.
+    fn stage_run(&self, at: usize, bytes: &[u8], head: usize) -> Result<(), ViperError> {
+        self.write_retry(at, bytes)?;
+        let slot = self.layout.slot_size();
+        let mut from = at;
+        for to in (at + head + slot..=at + bytes.len()).step_by(slot) {
+            self.dev.try_flush(from, to - from)?;
+            from = to;
+        }
         self.dev.try_fence()?;
-        self.write_retry(self.layout.state_offset(off), &[SLOT_LIVE])?;
-        self.dev.try_persist(self.layout.state_offset(off), 1)?;
+        Ok(())
+    }
+
+    /// A run's second step: one write of `span`, which runs from the first
+    /// slot's state byte at device offset `first_state` through the last
+    /// one's, a flush per state byte, a fence.
+    fn commit_run(&self, first_state: usize, span: &[u8]) -> Result<(), ViperError> {
+        self.write_retry(first_state, span)?;
+        for state in (first_state..first_state + span.len()).step_by(self.layout.slot_size()) {
+            self.dev.try_flush(state, 1)?;
+        }
+        self.dev.try_fence()?;
         Ok(())
     }
 
@@ -323,12 +457,9 @@ impl RecordHeap {
     pub fn stage_append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let result = with_scratch(self.layout.slot_size(), |buf| -> Result<(), ViperError> {
+        let result = with_scratch(self.layout.slot_size(), |buf| {
             self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
-            self.write_retry(off, buf)?;
-            self.dev.try_flush(off, buf.len())?;
-            self.dev.try_fence()?;
-            Ok(())
+            self.stage_run(off, buf, 0)
         });
         if let Err(e) = result {
             self.free_slots.lock().push(off);
@@ -343,11 +474,7 @@ impl RecordHeap {
     /// occupant of the slot fails the replay key check).
     pub fn commit_append(&self, offset: u64) -> Result<(), ViperError> {
         let off = offset as usize;
-        let result = (|| -> Result<(), ViperError> {
-            self.write_retry(self.layout.state_offset(off), &[SLOT_LIVE])?;
-            self.dev.try_persist(self.layout.state_offset(off), 1)?;
-            Ok(())
-        })();
+        let result = self.commit_run(self.layout.state_offset(off), &[SLOT_LIVE]);
         if result.is_err() {
             self.free_slots.lock().push(off);
         }
@@ -517,9 +644,7 @@ impl RecordHeap {
                 // Salvaged page: re-stamp the header, best effort — if the
                 // write faults, the next recovery simply salvages it again.
                 report.pages_healed += 1;
-                let mut hdr = [0u8; PAGE_HEADER];
-                hdr[..8].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-                if heap.dev.try_write(page_offset, &hdr).is_ok() {
+                if heap.dev.try_write(page_offset, &page_header()).is_ok() {
                     let _ = heap.dev.try_persist(page_offset, PAGE_HEADER);
                 }
             }
@@ -781,6 +906,10 @@ impl RecordHeap {
         let spp = self.layout.slots_per_page();
         let open_page = self.open.lock().page_offset.map(|po| po / self.layout.page_size);
         let mut free = self.free_slots.lock();
+        if free.len() < spp {
+            // No page can be entirely free.
+            return 0;
+        }
         let mut per_page: HashMap<usize, usize> = HashMap::new();
         for &off in free.iter() {
             *per_page.entry(off / self.layout.page_size).or_insert(0) += 1;

@@ -233,11 +233,19 @@ impl RecordLayout {
     pub fn encode_record(&self, key: Key, seq: u64, state: u8, value: &[u8], buf: &mut [u8]) {
         assert_eq!(value.len(), self.value_size, "value size mismatch");
         assert_eq!(buf.len(), self.slot_size());
+        buf[SLOT_HEADER..].copy_from_slice(value);
+        self.seal_record(key, seq, state, buf);
+    }
+
+    /// Writes key, seq, state and the checksum into an encoded slot whose
+    /// value bytes are already in place.
+    pub(crate) fn seal_record(&self, key: Key, seq: u64, state: u8, buf: &mut [u8]) {
+        assert_eq!(buf.len(), self.slot_size());
+        let crc = record_crc(key, seq, &buf[SLOT_HEADER..]);
         buf[..8].copy_from_slice(&key.to_le_bytes());
         buf[8..16].copy_from_slice(&seq.to_le_bytes());
         buf[16] = state;
-        buf[17..21].copy_from_slice(&record_crc(key, seq, value).to_le_bytes());
-        buf[SLOT_HEADER..].copy_from_slice(value);
+        buf[17..21].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Reads the fixed-size header from an encoded slot prefix (at least

@@ -375,17 +375,11 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     pub fn try_bulk_load_with(
         config: StoreConfig,
         keys: &[Key],
-        mut value_of: impl FnMut(Key, &mut [u8]),
+        value_of: impl FnMut(Key, &mut [u8]),
         build: impl FnOnce(&[KeyValue]) -> I,
     ) -> Result<Self, ViperError> {
-        let engine = Engine::create(&config)?;
-        let mut buf = vec![0u8; config.layout.value_size];
-        let mut pairs: Vec<KeyValue> = Vec::with_capacity(keys.len());
-        for &k in keys {
-            value_of(k, &mut buf);
-            let offset = engine.heap.append(k, &buf)?;
-            pairs.push((k, offset));
-        }
+        let mut engine = Engine::create(&config)?;
+        let pairs = engine.heap.bulk_append(keys, value_of)?;
         // Keys were ascending, so pairs are ready for bulk build.
         let store = ViperStore { index: build(&pairs), engine };
         // Bulk-loaded records are not WAL-logged; the initial checkpoint
@@ -1088,6 +1082,13 @@ pub(crate) mod tests {
                 Either::Shared(ViperStore::new(cfg, LockedMap::default()))
             } else {
                 Either::Single(ViperStore::new(cfg, MapIndex::default()))
+            }
+        }
+        pub(crate) fn bulk_load(shared: bool, cfg: StoreConfig, keys: &[Key]) -> Self {
+            if shared {
+                Either::Shared(ViperStore::bulk_load_with(cfg, keys, value_for, locked_map))
+            } else {
+                Either::Single(ViperStore::bulk_load(cfg, keys, value_for))
             }
         }
         fn recover(

@@ -153,6 +153,8 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "update_in_place",
             "append",
             "publish",
+            "stage_run",
+            "commit_run",
             "stage_append",
             "commit_append",
             "mark_dead",
@@ -579,6 +581,8 @@ mod tests {
             "update_in_place",
             "append",
             "publish",
+            "stage_run",
+            "commit_run",
             "stage_append",
             "commit_append",
             "mark_dead",
