@@ -652,10 +652,16 @@ impl RecordHeap {
                 let off = layout.slot_offset(page_offset, slot);
                 let slot_buf = pages.slot(off);
                 let header = RecordLayout::decode_header(slot_buf);
+                // Free slots may hold stale or torn bytes: they are only
+                // recycled, never checksummed.
+                if header.state == SLOT_FREE {
+                    free.push(off);
+                    continue;
+                }
+                // Only records that round-trip their checksum advance the
+                // sequence.
                 let crc_ok = layout.verify_slot(slot_buf);
-                if crc_ok && header.state != SLOT_FREE {
-                    // Free slots may hold stale or torn bytes; only records
-                    // that round-trip their checksum advance the sequence.
+                if crc_ok {
                     report.max_seq = report.max_seq.max(header.seq);
                 }
                 match header.state {

@@ -5,7 +5,7 @@
 //! header := magic(8B) _reserved(8B)
 //! slot   := key(8B) seq(8B) state(1B) crc(4B) value(value_size B)
 //! state  := 0 free | 1 live | 2 dead
-//! crc    := CRC-32 (IEEE) over key ‖ seq ‖ value
+//! crc    := CRC-32C (Castagnoli) over key ‖ seq ‖ value
 //! ```
 //!
 //! The layout is self-describing enough for recovery: a page is live iff
@@ -41,7 +41,9 @@ pub const SLOT_LIVE: u8 = 1;
 /// Slot state: record was deleted.
 pub const SLOT_DEAD: u8 = 2;
 
-const CRC_POLY: u32 = 0xEDB8_8320;
+/// CRC-32C (Castagnoli), reflected: the polynomial the CPU's CRC32
+/// instruction implements.
+const CRC_POLY: u32 = 0x82F6_3B78;
 
 /// Slice-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table and
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
@@ -81,7 +83,51 @@ fn crc_step(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xff) as usize]
 }
 
-/// Streaming CRC-32 (IEEE 802.3) — dependency-free, table-driven.
+/// Slice-by-8 over the tables: the kernel wherever the CPU has no CRC32
+/// instruction.
+fn update_sliced(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in tail {
+        crc = crc_step(crc, b);
+    }
+    crc
+}
+
+/// SSE4.2's CRC32 instruction: eight bytes per `crc32 r64`, the tail a byte
+/// at a time. Same state convention as the tables (pre- and post-inverted
+/// by [`Crc32`]), so the two kernels agree on every stream.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let (words, tail) = data.as_chunks::<8>();
+    let mut wide = u64::from(crc);
+    for w in words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(*w));
+    }
+    // The instruction zero-extends a 32-bit CRC into the 64-bit register.
+    let mut crc = wide as u32;
+    for &b in tail {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
+}
+
+/// Streaming CRC-32C (Castagnoli) — dependency-free. [`Crc32::update`] runs
+/// the CPU's CRC32 instruction where the CPU reports one (x86_64 with
+/// SSE4.2, checked at run time) and slice-by-8 tables everywhere else.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32(u32);
 
@@ -98,27 +144,17 @@ impl Crc32 {
 
     #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.0;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-            crc = t[7][(lo & 0xff) as usize]
-                ^ t[6][((lo >> 8) & 0xff) as usize]
-                ^ t[5][((lo >> 16) & 0xff) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][w[4] as usize]
-                ^ t[2][w[5] as usize]
-                ^ t[1][w[6] as usize]
-                ^ t[0][w[7] as usize];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: the CPU reports SSE4.2, the only feature the kernel
+            // is compiled for.
+            self.0 = unsafe { update_sse42(self.0, data) };
+            return;
         }
-        for &b in words.remainder() {
-            crc = crc_step(crc, b);
-        }
-        self.0 = crc;
+        self.0 = update_sliced(self.0, data);
     }
 
-    /// One table lookup per byte: what [`Crc32::update`] must equal.
+    /// One table lookup per byte: what both kernels must equal.
     #[cfg(test)]
     fn update_bytewise(&mut self, data: &[u8]) {
         for &b in data {
@@ -138,7 +174,7 @@ impl Default for Crc32 {
     }
 }
 
-/// The checksum stored in a record slot: CRC-32 over key ‖ seq ‖ value
+/// The checksum stored in a record slot: CRC-32C over key ‖ seq ‖ value
 /// (all little-endian).
 pub fn record_crc(key: Key, seq: u64, value: &[u8]) -> u32 {
     let mut crc = Crc32::new();
@@ -249,14 +285,22 @@ impl RecordLayout {
     }
 
     /// Reads the fixed-size header from an encoded slot prefix (at least
-    /// [`SLOT_HEADER`] bytes).
+    /// [`SLOT_HEADER`] bytes). A shorter buffer decodes as a free slot,
+    /// which no caller trusts.
     pub fn decode_header(buf: &[u8]) -> SlotHeader {
-        SlotHeader {
-            key: u64::from_le_bytes(buf[..8].try_into().expect("slot prefix")),
-            seq: u64::from_le_bytes(buf[8..16].try_into().expect("slot prefix")),
-            state: buf[16],
-            crc: u32::from_le_bytes(buf[17..21].try_into().expect("slot prefix")),
-        }
+        let parse = || {
+            let (key, rest) = buf.split_first_chunk::<8>()?;
+            let (seq, rest) = rest.split_first_chunk::<8>()?;
+            let (&state, rest) = rest.split_first()?;
+            let crc = rest.first_chunk::<4>()?;
+            Some(SlotHeader {
+                key: u64::from_le_bytes(*key),
+                seq: u64::from_le_bytes(*seq),
+                state,
+                crc: u32::from_le_bytes(*crc),
+            })
+        };
+        parse().unwrap_or(SlotHeader { key: 0, seq: 0, state: SLOT_FREE, crc: 0 })
     }
 
     /// Whether a full slot buffer's checksum matches its content.
@@ -273,22 +317,24 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // CRC-32 of "123456789" is the classic check value 0xCBF43926.
+        // CRC-32C of "123456789" is the Castagnoli check value 0xE3069283.
         let mut crc = Crc32::new();
         crc.update(b"123456789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
-        // Streaming in pieces gives the same result.
+        assert_eq!(crc.finish(), 0xE306_9283);
+        // Streaming in pieces gives the same result, on either kernel.
         let mut crc = Crc32::new();
         crc.update(b"1234");
         crc.update(b"56789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
+        assert_eq!(crc.finish(), 0xE306_9283);
+        assert_eq!(!update_sliced(!0, b"123456789"), 0xE306_9283);
     }
 
     proptest::proptest! {
-        /// Slice-by-8 equals the bytewise reference at every length,
-        /// alignment and split of the stream.
+        /// The dispatching kernel (the CPU's CRC32 instruction where it has
+        /// one) and slice-by-8 both equal the bytewise reference at every
+        /// length, alignment and split of the stream.
         #[test]
-        fn sliced_crc_equals_bytewise(
+        fn kernels_equal_bytewise(
             data in proptest::collection::vec(0u8..=255, 0..4_104),
             start in 0usize..8,
             split in 0usize..4_097,
@@ -297,16 +343,19 @@ mod tests {
             let (head, tail) = data.split_at(split.min(data.len()));
             let mut reference = Crc32::new();
             reference.update_bytewise(data);
-            let mut sliced = Crc32::new();
-            sliced.update(head);
-            sliced.update(tail);
-            proptest::prop_assert_eq!(sliced.finish(), reference.finish());
+            let want = reference.finish();
+            let mut dispatched = Crc32::new();
+            dispatched.update(head);
+            dispatched.update(tail);
+            proptest::prop_assert_eq!(dispatched.finish(), want);
+            let sliced = update_sliced(update_sliced(!0, head), tail);
+            proptest::prop_assert_eq!(!sliced, want);
             // A finished stream can be picked up where it stopped.
             let mut first = Crc32::new();
             first.update(head);
             let mut resumed = Crc32::resume(first.finish());
             resumed.update(tail);
-            proptest::prop_assert_eq!(resumed.finish(), reference.finish());
+            proptest::prop_assert_eq!(resumed.finish(), want);
         }
     }
 

@@ -4,7 +4,7 @@
 //! The log is a **ring of fixed-size records** addressed by LSN:
 //!
 //! ```text
-//! record (32 B): lsn(8) ‖ key(8) ‖ offset(8) ‖ op(1) ‖ pad(3) ‖ crc32(4)
+//! record (32 B): lsn(8) ‖ key(8) ‖ offset(8) ‖ op(1) ‖ pad(3) ‖ crc32c(4)
 //! slot index   = lsn % nslots          (LSNs start at 1, grow forever)
 //! ```
 //!

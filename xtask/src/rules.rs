@@ -110,7 +110,8 @@ pub fn check_file(
 /// Per-file list of hot-path functions R4 holds panic-free. The store's
 /// read path, the one put/delete body both write models forward to (with
 /// every helper of it that touches the device), the record heap's per-record
-/// paths under them (which slice headers out of device bytes) and the WAL's
+/// paths under them (which slice headers out of device bytes), the record
+/// checksum and slot-header decoders those paths and recovery call, and the WAL's
 /// append/replay paths sit on every get, durable put/delete and recovery; a
 /// panic there turns an injectable device fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
@@ -159,6 +160,15 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "commit_append",
             "mark_dead",
             "write_retry",
+        ])
+    } else if f.ends_with("viper/src/layout.rs") {
+        Some(&[
+            "update",
+            "update_sliced",
+            "update_sse42",
+            "record_crc",
+            "decode_header",
+            "verify_slot",
         ])
     } else if f.ends_with("viper/src/wal.rs") {
         Some(&["append", "commit_through", "flush_batch", "replay", "max_lsn"])
@@ -459,6 +469,8 @@ mod tests {
             // gating file.
             let rel = if name.contains("hot_path_panics.heap") {
                 PathBuf::from("crates/viper/src/heap.rs")
+            } else if name.contains("hot_path_panics.layout") {
+                PathBuf::from("crates/viper/src/layout.rs")
             } else if name.contains("hot_path_panics.dynamic") {
                 PathBuf::from("crates/pgm/src/dynamic.rs")
             } else if name.contains("hot_path") {
