@@ -24,13 +24,11 @@
 //! See DESIGN.md for why this substitution preserves the paper's
 //! conclusions.
 
-mod alloc;
 mod device;
 pub mod fault;
 mod latency;
 mod stats;
 
-pub use alloc::PageAllocator;
 pub use device::{DurabilityTracking, NvmConfig, NvmDevice};
 pub use fault::{Fault, FaultCountersSnapshot, FaultInjector, FaultPlan, NvmError};
 pub use latency::LatencyModel;

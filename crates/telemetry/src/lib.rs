@@ -70,8 +70,6 @@ pub enum Event {
     /// Maintenance re-resolved a quarantined slot that a later write had
     /// superseded; the slot was reclaimed with no data loss.
     RepairedSlot,
-    /// Page GC returned a fully-dead page to the allocator.
-    PageReclaimed,
     /// A retrain trigger was queued for background maintenance instead
     /// of blocking the foreground insert.
     RetrainDeferred,
@@ -120,7 +118,7 @@ pub enum Event {
 
 impl Event {
     /// All variants, in counter-array order.
-    pub const ALL: [Event; 29] = [
+    pub const ALL: [Event; 28] = [
         Event::Retrain,
         Event::SplitNode,
         Event::ExpandNode,
@@ -134,7 +132,6 @@ impl Event {
         Event::CircuitOpen,
         Event::CircuitClose,
         Event::RepairedSlot,
-        Event::PageReclaimed,
         Event::RetrainDeferred,
         Event::WalAppend,
         Event::GroupCommit,
@@ -174,7 +171,6 @@ impl Event {
             Event::CircuitOpen => "circuit_open",
             Event::CircuitClose => "circuit_close",
             Event::RepairedSlot => "repaired_slot",
-            Event::PageReclaimed => "page_reclaimed",
             Event::RetrainDeferred => "retrain_deferred",
             Event::WalAppend => "wal_append",
             Event::GroupCommit => "group_commit",

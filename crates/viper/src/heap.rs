@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use li_core::telemetry::{Event, Recorder};
 use li_core::Key;
-use li_nvm::{NvmDevice, NvmError, PageAllocator};
+use li_nvm::{NvmDevice, NvmError};
 use li_sync::sync::Mutex;
 
 use crate::checkpoint::{DurabilityConfig, Geometry};
@@ -106,6 +106,11 @@ struct OpenPage {
     /// allocation / after device exhaustion.
     page_offset: Option<usize>,
     next_slot: usize,
+    /// Pages handed out so far, `0..pages`: the heap's high-water mark.
+    /// Dead slots are reused through the free list; a page is never taken
+    /// back, bar a fresh one whose bulk-load run failed before any other
+    /// writer could reach it (see [`RecordHeap::release_run`]).
+    pages: usize,
 }
 
 /// Slots `first..first + len` of the page at `page_offset`, reserved for
@@ -182,7 +187,8 @@ pub struct RecoveryReport {
 pub struct RecordHeap {
     dev: Arc<NvmDevice>,
     layout: RecordLayout,
-    alloc: PageAllocator,
+    /// Pages that fit below the heap's capacity.
+    total_pages: usize,
     open: Mutex<OpenPage>,
     free_slots: Mutex<Vec<usize>>,
     update_locks: Vec<Mutex<()>>,
@@ -213,17 +219,16 @@ impl RecordHeap {
 
     /// Creates an empty heap over the first `heap_capacity` bytes of
     /// `dev`, leaving the rest for the durability region (WAL ring +
-    /// checkpoint slots). Allocation, scans and GC never touch bytes at
-    /// or above `heap_capacity`.
+    /// checkpoint slots). Allocation and scans never touch bytes at or
+    /// above `heap_capacity`.
     pub fn with_capacity(dev: Arc<NvmDevice>, layout: RecordLayout, heap_capacity: usize) -> Self {
-        let alloc = PageAllocator::new(heap_capacity.min(dev.capacity()), layout.page_size);
         RecordHeap {
+            total_pages: heap_capacity.min(dev.capacity()) / layout.page_size,
             dev,
             layout,
-            alloc,
             open: Mutex::with_class(
                 li_sync::lock_class!("heap-open"),
-                OpenPage { page_offset: None, next_slot: 0 },
+                OpenPage { page_offset: None, next_slot: 0, pages: 0 },
             ),
             free_slots: Mutex::with_class(li_sync::lock_class!("heap-free"), Vec::new()),
             update_locks: {
@@ -281,6 +286,15 @@ impl RecordHeap {
         Err(ViperError::Nvm(NvmError::WriteFailed))
     }
 
+    /// Hands out the next page, returning its byte offset.
+    fn next_page(&self, open: &mut OpenPage) -> Result<usize, ViperError> {
+        if open.pages == self.total_pages {
+            return Err(ViperError::DeviceFull);
+        }
+        open.pages += 1;
+        Ok((open.pages - 1) * self.layout.page_size)
+    }
+
     /// Allocates a slot, returning its byte offset.
     fn alloc_slot(&self) -> Result<usize, ViperError> {
         if self.dev.injected_device_full() {
@@ -299,8 +313,7 @@ impl RecordHeap {
                 }
             }
             // Open a fresh page and stamp its header durably.
-            let page = self.alloc.alloc().ok_or(ViperError::DeviceFull)?;
-            let page_offset = self.alloc.page_offset(page);
+            let page_offset = self.next_page(&mut open)?;
             self.write_retry(page_offset, &page_header())?;
             self.dev.try_persist(page_offset, PAGE_HEADER)?;
             open.page_offset = Some(page_offset);
@@ -384,19 +397,22 @@ impl RecordHeap {
                 return Ok(Run { page_offset, first, len, fresh: false });
             }
         }
-        let page = self.alloc.alloc().ok_or(ViperError::DeviceFull)?;
-        let page_offset = self.alloc.page_offset(page);
+        let page_offset = self.next_page(&mut open)?;
         let len = want.min(spp);
-        *open = OpenPage { page_offset: Some(page_offset), next_slot: len };
+        open.page_offset = Some(page_offset);
+        open.next_slot = len;
         Ok(Run { page_offset, first: 0, len, fresh: true })
     }
 
     /// Gives back the slots of a run that failed to publish: a fresh page
-    /// returns to the allocator unopened, other slots join the free list.
+    /// goes back unopened — `bulk_append`'s `&mut self` makes it the last
+    /// page handed out — and other slots join the free list.
     fn release_run(&self, run: &Run) {
         if run.fresh {
-            self.open.lock().page_offset = None;
-            self.alloc.free(run.page_offset / self.layout.page_size);
+            let mut open = self.open.lock();
+            debug_assert_eq!(run.page_offset, (open.pages - 1) * self.layout.page_size);
+            open.page_offset = None;
+            open.pages -= 1;
         } else {
             let slots = (run.first..run.first + run.len)
                 .map(|slot| self.layout.slot_offset(run.page_offset, slot));
@@ -612,7 +628,7 @@ impl RecordHeap {
         let mut quarantined = Vec::new();
         // key -> (seq, offset) of the best live record seen so far.
         let mut best: HashMap<Key, (u64, u64)> = HashMap::new();
-        let total_pages = heap.alloc.total_pages();
+        let total_pages = heap.total_pages;
         let mut pages = PageReader::new(&heap.dev, layout);
         // Pass 1: find the last page with evidence of allocation. Pages are
         // allocated in order, but the header magic alone cannot bound the
@@ -623,7 +639,7 @@ impl RecordHeap {
         // A page with its magic costs this pass eight bytes, not the page.
         let mut last_evidence: Option<usize> = None;
         for page in 0..total_pages {
-            let page_offset = heap.alloc.page_offset(page);
+            let page_offset = page * layout.page_size;
             if heap.dev.read_u64(page_offset) == PAGE_MAGIC {
                 last_evidence = Some(page);
                 continue;
@@ -639,7 +655,7 @@ impl RecordHeap {
         let pages_allocated = last_evidence.map_or(0, |p| p + 1);
         // Pass 2: account every slot of every allocated page.
         for page in 0..pages_allocated {
-            let page_offset = heap.alloc.page_offset(page);
+            let page_offset = page * layout.page_size;
             if !pages.page(page_offset).starts_with(&PAGE_MAGIC.to_le_bytes()) {
                 // Salvaged page: re-stamp the header, best effort — if the
                 // write faults, the next recovery simply salvages it again.
@@ -699,7 +715,7 @@ impl RecordHeap {
         report.pages_scanned = pages_allocated;
         let live: Vec<(Key, u64)> = best.into_iter().map(|(k, (_seq, off))| (k, off)).collect();
         report.live = live.len();
-        heap.alloc.assume_allocated(pages_allocated);
+        heap.open.lock().pages = pages_allocated;
         *heap.free_slots.lock() = free;
         *heap.quarantined.lock() = quarantined;
         heap.next_seq.store(report.max_seq + 1, Ordering::Relaxed);
@@ -709,12 +725,12 @@ impl RecordHeap {
     }
 
     /// Rebuilds a heap's volatile state from a checkpoint instead of a
-    /// page scan: the allocator resumes past the checkpointed high-water
-    /// mark and the publish sequence past `next_seq`. Free and dead slots
-    /// below the high-water mark are *not* rediscovered (that would be
-    /// the scan this path exists to avoid) — they are reclaimed by the
-    /// next full-rescan recovery; until then the heap only loses reuse,
-    /// never correctness.
+    /// page scan: page hand-out resumes past the checkpointed high-water
+    /// mark `pages_hwm` and the publish sequence past `next_seq`. Free and
+    /// dead slots below the high-water mark are *not* rediscovered (that
+    /// would be the scan this path exists to avoid) — they are reclaimed
+    /// by the next full-rescan recovery; until then the heap only loses
+    /// reuse, never correctness.
     pub fn from_checkpoint(
         dev: Arc<NvmDevice>,
         layout: RecordLayout,
@@ -723,14 +739,14 @@ impl RecordHeap {
         next_seq: u64,
     ) -> Self {
         let heap = RecordHeap::with_capacity(dev, layout, heap_capacity);
-        heap.alloc.assume_allocated(pages_hwm.min(heap.alloc.total_pages()));
+        heap.open.lock().pages = pages_hwm.min(heap.total_pages);
         heap.next_seq.store(next_seq.max(1), Ordering::Relaxed);
         heap
     }
 
-    /// Pages currently allocated (the checkpoint high-water mark).
+    /// Pages handed out so far (the checkpoint high-water mark).
     pub fn pages_allocated(&self) -> usize {
-        self.alloc.allocated_pages()
+        self.open.lock().pages
     }
 
     /// The publish sequence the next append will take — checkpointed so a
@@ -764,7 +780,10 @@ impl RecordHeap {
     /// Snapshot of every live, checksum-valid record as sorted
     /// `(key, offset)` pairs — the entry table of a base image when the
     /// store has no verified image left to fold (checkpoints otherwise
-    /// never read the heap). Duplicate live records of one key (a swallowed retirement) resolve
+    /// never read the heap). It reads every page handed out, `0..`
+    /// [`RecordHeap::pages_allocated`]; a page is never taken back, so
+    /// that range holds every record the heap ever published. Duplicate
+    /// live records of one key (a swallowed retirement) resolve
     /// to the highest sequence, exactly as recovery would; slots parked on
     /// the stale list are excluded (a WAL-logged delete whose retirement
     /// faulted leaves its victim live on the device — snapshotting it
@@ -776,8 +795,8 @@ impl RecordHeap {
         let stale: std::collections::HashSet<usize> = self.stale.lock().iter().copied().collect();
         let mut best: HashMap<Key, (u64, u64)> = HashMap::new();
         let mut pages = PageReader::new(&self.dev, self.layout);
-        for page in 0..self.alloc.allocated_pages() {
-            let page_offset = self.alloc.page_offset(page);
+        for page in 0..self.pages_allocated() {
+            let page_offset = page * self.layout.page_size;
             for slot in 0..spp {
                 let off = self.layout.slot_offset(page_offset, slot);
                 if stale.contains(&off) {
@@ -805,9 +824,9 @@ impl RecordHeap {
         live
     }
 
-    /// Approximate bytes of NVM in use (allocated pages).
+    /// Bytes of NVM in use (pages handed out).
     pub fn nvm_bytes_used(&self) -> usize {
-        self.alloc.allocated_pages() * self.layout.page_size
+        self.pages_allocated() * self.layout.page_size
     }
 
     /// State byte of the slot at `offset` as currently visible.
@@ -818,9 +837,9 @@ impl RecordHeap {
     }
 
     /// Whether an append could make progress right now: a recycled slot,
-    /// headroom in the open page, or an allocatable page — and no injected
-    /// device-full window. Probing does not advance the device's op
-    /// clock, so polling this is free under fault injection.
+    /// headroom in the open page, or a page not yet handed out — and no
+    /// injected device-full window. Probing does not advance the device's
+    /// op clock, so polling this is free under fault injection.
     pub fn has_free_capacity(&self) -> bool {
         if self.dev.injected_device_full() {
             return false;
@@ -828,13 +847,9 @@ impl RecordHeap {
         if !self.free_slots.lock().is_empty() {
             return true;
         }
-        {
-            let open = self.open.lock();
-            if open.page_offset.is_some() && open.next_slot < self.layout.slots_per_page() {
-                return true;
-            }
-        }
-        self.alloc.has_capacity()
+        let open = self.open.lock();
+        let headroom = open.page_offset.is_some() && open.next_slot < self.layout.slots_per_page();
+        headroom || open.pages < self.total_pages
     }
 
     /// Offsets of slots recovery quarantined, still awaiting repair.
@@ -900,43 +915,6 @@ impl RecordHeap {
             }
         }
         retired
-    }
-
-    /// Page-granular garbage collection: returns pages whose every slot
-    /// sits in the free list to the page allocator, so a store driven to
-    /// exhaustion can regain whole-page headroom from deletes. The open
-    /// page and any page holding a quarantined slot are never eligible
-    /// (quarantined slots are withheld from the free list). Returns the
-    /// number of pages reclaimed.
-    pub fn reclaim_dead_pages(&self) -> usize {
-        let spp = self.layout.slots_per_page();
-        let open_page = self.open.lock().page_offset.map(|po| po / self.layout.page_size);
-        let mut free = self.free_slots.lock();
-        if free.len() < spp {
-            // No page can be entirely free.
-            return 0;
-        }
-        let mut per_page: HashMap<usize, usize> = HashMap::new();
-        for &off in free.iter() {
-            *per_page.entry(off / self.layout.page_size).or_insert(0) += 1;
-        }
-        let victims: Vec<usize> = per_page
-            .into_iter()
-            .filter(|&(page, n)| n == spp && Some(page) != open_page)
-            .map(|(page, _)| page)
-            .collect();
-        if victims.is_empty() {
-            return 0;
-        }
-        // Remove the victims' slots while still holding the free-list lock
-        // so no concurrent alloc can pop one mid-reclaim.
-        let victim_set: std::collections::HashSet<usize> = victims.iter().copied().collect();
-        free.retain(|&off| !victim_set.contains(&(off / self.layout.page_size)));
-        drop(free);
-        for &page in &victims {
-            self.alloc.free(page);
-        }
-        victims.len()
     }
 }
 
@@ -1283,51 +1261,7 @@ mod tests {
     }
 
     #[test]
-    fn page_gc_reclaims_fully_dead_pages() {
-        let h = heap(1 << 20);
-        let l = h.layout();
-        let spp = l.slots_per_page();
-        let offs: Vec<u64> =
-            (0..3 * spp as u64).map(|k| h.append(k, &val(&l, 1)).unwrap()).collect();
-        let used_before = h.nvm_bytes_used();
-        // Retire every record of the first page; the page becomes
-        // reclaimable as a whole.
-        for &off in &offs[..spp] {
-            h.mark_dead(off).unwrap();
-        }
-        assert_eq!(h.reclaim_dead_pages(), 1);
-        assert_eq!(h.nvm_bytes_used(), used_before - l.page_size);
-        assert_eq!(h.reclaim_dead_pages(), 0, "nothing left to reclaim");
-        // The reclaimed page is re-allocatable; survivors are untouched.
-        let mut buf = vec![0u8; l.value_size];
-        for k in 0..spp as u64 {
-            h.append(10_000 + k, &val(&l, 2)).unwrap();
-        }
-        assert_eq!(h.nvm_bytes_used(), used_before, "page was reused, not re-bumped");
-        for &off in &offs[spp..] {
-            let k = h.read(off, &mut buf).key;
-            assert_eq!(buf, val(&l, 1), "survivor {k} clobbered by page reuse");
-        }
-    }
-
-    #[test]
-    fn page_gc_skips_partially_live_and_open_pages() {
-        let h = heap(1 << 20);
-        let l = h.layout();
-        let spp = l.slots_per_page();
-        // Page 0 keeps one live record; page 1 is the open page.
-        let offs: Vec<u64> =
-            (0..=(spp as u64)).map(|k| h.append(k, &val(&l, 1)).unwrap()).collect();
-        for &off in &offs[1..spp] {
-            h.mark_dead(off).unwrap();
-        }
-        assert_eq!(h.reclaim_dead_pages(), 0, "one slot still live");
-        h.mark_dead(offs[0]).unwrap();
-        assert_eq!(h.reclaim_dead_pages(), 1);
-    }
-
-    #[test]
-    fn exhausted_heap_regains_whole_pages() {
+    fn exhausted_heap_regains_capacity_from_dead_slots() {
         let h = heap(8 * 1024);
         let l = h.layout();
         let mut offs = Vec::new();
@@ -1340,8 +1274,6 @@ mod tests {
             h.mark_dead(off).unwrap();
         }
         assert!(h.has_free_capacity(), "recycled slots count as capacity");
-        assert_eq!(h.reclaim_dead_pages(), 1);
-        assert!(h.has_free_capacity(), "a whole page is back");
         assert!(h.append(u64::MAX, &val(&l, 1)).is_ok());
     }
 

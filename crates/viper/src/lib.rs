@@ -24,8 +24,8 @@
 //! * [`retry`] — bounded, seeded-backoff retry of transient faults (the
 //!   first rung of the self-healing ladder).
 //! * [`maintenance`] — the background [`MaintenanceWorker`] (deferred
-//!   retraining, quarantine repair, page GC, read-only lift, stall
-//!   watchdog) and the overload [`CircuitBreaker`].
+//!   retraining, quarantine repair, checkpoints on WAL lag, read-only
+//!   lift) and the overload [`CircuitBreaker`].
 //! * [`wal`] — the write-ahead log: CRC-framed ring of LSN-addressed
 //!   records with group commit (one fence per batch of appenders).
 //! * [`checkpoint`] — incremental model checkpoints (a base image plus

@@ -1,5 +1,5 @@
-//! Background self-healing: the maintenance worker, its stall watchdog,
-//! and the overload circuit breaker.
+//! Background self-healing: the maintenance worker and the overload
+//! circuit breaker.
 //!
 //! The degradation ladder (DESIGN.md) in one place:
 //!
@@ -11,14 +11,13 @@
 //!    put latency past its bound) opens the [`CircuitBreaker`]; puts shed
 //!    immediately until maintenance catches up and the breaker closes.
 //! 4. **Repair** — the [`MaintenanceWorker`] drains deferred retrains,
-//!    retires stale slots, re-resolves quarantined slots, reclaims dead
-//!    pages, and lifts read-only degradation — all off the foreground
-//!    path, watched by a stall watchdog.
+//!    retires stale slots, re-resolves quarantined slots, and lifts
+//!    read-only degradation — all off the foreground path.
 
 use li_sync::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use li_sync::thread::JoinHandle;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use li_core::telemetry::{Event, OpKind, Recorder};
 use li_core::traits::{ConcurrentIndex, Index};
@@ -35,8 +34,6 @@ pub struct MaintenancePass {
     pub stale_retired: usize,
     /// Quarantined-slot resolution (superseded vs. lost).
     pub repair: RepairOutcome,
-    /// Fully dead pages returned to the allocator.
-    pub pages_reclaimed: usize,
     /// Whether this pass lifted read-only degradation.
     pub lifted_read_only: bool,
     /// Whether this pass wrote a checkpoint (WAL lag had reached
@@ -55,7 +52,6 @@ impl MaintenancePass {
             || self.stale_retired > 0
             || self.repair.superseded > 0
             || !self.repair.lost.is_empty()
-            || self.pages_reclaimed > 0
             || self.lifted_read_only
             || self.checkpoint_written
             || self.adaptations > 0
@@ -165,19 +161,11 @@ pub struct MaintenanceConfig {
     pub interval: Duration,
     /// Deferred leaf retrains drained per pass.
     pub retrain_budget: usize,
-    /// The stall watchdog flags the worker if no pass completes within
-    /// this window. Must comfortably exceed `interval` in real configs;
-    /// tests set it below `interval` to provoke the flag deterministically.
-    pub stall_timeout: Duration,
 }
 
 impl Default for MaintenanceConfig {
     fn default() -> Self {
-        MaintenanceConfig {
-            interval: Duration::from_millis(1),
-            retrain_budget: 8,
-            stall_timeout: Duration::from_secs(5),
-        }
+        MaintenanceConfig { interval: Duration::from_millis(1), retrain_budget: 8 }
     }
 }
 
@@ -189,13 +177,9 @@ struct WorkerCounters {
     stale_retired: AtomicU64,
     repaired_superseded: AtomicU64,
     repaired_lost: AtomicU64,
-    pages_reclaimed: AtomicU64,
     lifted_read_only: AtomicU64,
     checkpoints: AtomicU64,
     adaptations: AtomicU64,
-    /// Millis since worker start at which the last pass completed.
-    last_tick_ms: AtomicU64,
-    stalled: AtomicBool,
 }
 
 /// Plain snapshot of the worker's counters.
@@ -206,15 +190,12 @@ pub struct MaintenanceStats {
     pub stale_retired: u64,
     pub repaired_superseded: u64,
     pub repaired_lost: u64,
-    pub pages_reclaimed: u64,
     pub lifted_read_only: u64,
     /// Checkpoints written by lag-triggered passes.
     pub checkpoints: u64,
     /// Shard adaptations (splits, merges) committed by maintenance
     /// passes; only a `Sharded` router of two or more cells adapts.
     pub adaptations: u64,
-    /// Whether the watchdog ever flagged a stall.
-    pub stalled: bool,
 }
 
 impl WorkerCounters {
@@ -224,7 +205,6 @@ impl WorkerCounters {
         self.stale_retired.fetch_add(pass.stale_retired as u64, Ordering::Relaxed);
         self.repaired_superseded.fetch_add(pass.repair.superseded as u64, Ordering::Relaxed);
         self.repaired_lost.fetch_add(pass.repair.lost.len() as u64, Ordering::Relaxed);
-        self.pages_reclaimed.fetch_add(pass.pages_reclaimed as u64, Ordering::Relaxed);
         self.lifted_read_only.fetch_add(pass.lifted_read_only as u64, Ordering::Relaxed);
         self.checkpoints.fetch_add(pass.checkpoint_written as u64, Ordering::Relaxed);
         self.adaptations.fetch_add(pass.adaptations as u64, Ordering::Relaxed);
@@ -237,35 +217,33 @@ impl WorkerCounters {
             stale_retired: self.stale_retired.load(Ordering::Relaxed),
             repaired_superseded: self.repaired_superseded.load(Ordering::Relaxed),
             repaired_lost: self.repaired_lost.load(Ordering::Relaxed),
-            pages_reclaimed: self.pages_reclaimed.load(Ordering::Relaxed),
             lifted_read_only: self.lifted_read_only.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             adaptations: self.adaptations.load(Ordering::Relaxed),
-            stalled: self.stalled.load(Ordering::Acquire),
         }
     }
 }
 
-/// Background self-healing thread over a shared-writer store, plus its
-/// stall watchdog. Spawning one:
+/// Background self-healing thread over a shared-writer store. Spawning
+/// one:
 ///
 /// * switches the store's index into *deferred retraining* — a foreground
 ///   insert that would trigger a leaf retrain parks the key in the
 ///   overflow buffer ([`Event::RetrainDeferred`]) and returns; the worker
 ///   drains the queue with a bounded budget per pass;
 /// * runs one `run_maintenance` pass per `interval`: drain retrains,
-///   sweep stale slots, repair quarantine, page GC, lift read-only;
+///   sweep stale slots, repair quarantine, checkpoint on WAL lag, lift
+///   read-only;
 /// * feeds the store's [`CircuitBreaker`] (if installed) with the retrain
 ///   depth and put p999 after every pass.
 ///
-/// Dropping (or [`MaintenanceWorker::shutdown`]) stops both threads,
+/// Dropping (or [`MaintenanceWorker::shutdown`]) stops the thread,
 /// turns deferred retraining off and fully drains the queue, so a cleanly
 /// shut down store has no parked keys.
 pub struct MaintenanceWorker {
     stop: Arc<AtomicBool>,
     counters: Arc<WorkerCounters>,
     worker: Option<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl MaintenanceWorker {
@@ -275,7 +253,6 @@ impl MaintenanceWorker {
     {
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(WorkerCounters::default());
-        let started = Instant::now();
         ConcurrentIndex::set_defer_retrains(store.index(), true);
 
         let worker = {
@@ -288,9 +265,6 @@ impl MaintenanceWorker {
                     while !stop.load(Ordering::Acquire) {
                         let pass = store.run_maintenance(cfg.retrain_budget);
                         counters.record(&pass);
-                        counters
-                            .last_tick_ms
-                            .store(started.elapsed().as_millis() as u64, Ordering::Release);
                         if let Some(breaker) = store.circuit_breaker() {
                             let depth = ConcurrentIndex::pending_retrains(store.index());
                             let p999 = store.recorder().snapshot().op(OpKind::Put).p999;
@@ -306,27 +280,7 @@ impl MaintenanceWorker {
                 .expect("spawn maintenance worker")
         };
 
-        let watchdog = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let timeout_ms = cfg.stall_timeout.as_millis() as u64;
-            let poll = (cfg.stall_timeout / 4).min(Duration::from_millis(50));
-            li_sync::thread::Builder::new()
-                .name("viper-maintenance-watchdog".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let last = counters.last_tick_ms.load(Ordering::Acquire);
-                        let now = started.elapsed().as_millis() as u64;
-                        if now.saturating_sub(last) > timeout_ms {
-                            counters.stalled.store(true, Ordering::Release);
-                        }
-                        sleep_interruptible(poll, &stop);
-                    }
-                })
-                .expect("spawn maintenance watchdog")
-        };
-
-        MaintenanceWorker { stop, counters, worker: Some(worker), watchdog: Some(watchdog) }
+        MaintenanceWorker { stop, counters, worker: Some(worker) }
     }
 
     /// Cumulative pass counters so far.
@@ -334,12 +288,7 @@ impl MaintenanceWorker {
         self.counters.snapshot()
     }
 
-    /// Whether the watchdog has flagged a stalled worker.
-    pub fn is_stalled(&self) -> bool {
-        self.counters.stalled.load(Ordering::Acquire)
-    }
-
-    /// Stops both threads, waits for them, and returns the final stats.
+    /// Stops the thread, waits for it, and returns the final stats.
     pub fn shutdown(mut self) -> MaintenanceStats {
         self.halt();
         self.counters.snapshot()
@@ -348,9 +297,6 @@ impl MaintenanceWorker {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watchdog.take() {
             let _ = h.join();
         }
     }
@@ -385,6 +331,7 @@ mod tests {
     use crate::StoreConfig;
     use li_core::telemetry::Recorder;
     use li_nvm::{Fault, FaultPlan, NvmDevice};
+    use std::time::Instant;
 
     #[test]
     fn breaker_trips_on_sustained_depth_and_recovers() {
@@ -458,29 +405,7 @@ mod tests {
         let stats = worker.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(1), "shutdown must be prompt");
         assert!(stats.ticks >= 3);
-        assert!(!stats.stalled, "healthy worker must not be flagged");
         assert_eq!(store.len(), 200);
-    }
-
-    #[test]
-    fn watchdog_flags_a_stalled_worker() {
-        let store = Arc::new(shared_store(100));
-        // Interval far beyond the stall timeout: the watchdog must flag
-        // the sleeping worker as stalled.
-        let worker = MaintenanceWorker::spawn(
-            Arc::clone(&store),
-            MaintenanceConfig {
-                interval: Duration::from_secs(30),
-                retrain_budget: 8,
-                stall_timeout: Duration::from_millis(30),
-            },
-        );
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !worker.is_stalled() {
-            assert!(Instant::now() < deadline, "watchdog never fired");
-            li_sync::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(worker.shutdown().stalled);
     }
 
     #[test]
@@ -551,23 +476,21 @@ mod tests {
 
     #[test]
     fn single_writer_maintenance_pass_reports_work() {
-        let mut store = crate::ViperStore::<MapIndex>::new(
-            StoreConfig::test(2_000).with_crash_safe_updates(true),
-            MapIndex::default(),
-        );
-        let vs = store.heap().layout().value_size;
-        // Span several pages so at least one fully-dead page is not the
-        // open page (the open page is never a GC victim).
-        let n = 3 * store.heap().layout().slots_per_page() as u64;
-        for k in 0..n {
-            store.put(k, &vec![1u8; vs]).unwrap();
-        }
-        for k in 0..n {
-            store.delete(k).unwrap();
+        let cfg =
+            StoreConfig::test(2_000).with_durability(crate::DurabilityConfig::sized_for(4_000, 64));
+        let mut store = crate::ViperStore::<MapIndex>::new(cfg, MapIndex::default());
+        let mut val = vec![0u8; cfg.layout.value_size];
+        // Cross the lag trigger (32): the pass owes a checkpoint.
+        for k in 0..40u64 {
+            value_for_test(k, &mut val);
+            store.put(k, &val).unwrap();
         }
         let pass = store.run_maintenance(usize::MAX);
-        assert!(pass.pages_reclaimed > 0, "all records deleted: pages must come back");
+        assert!(pass.checkpoint_written, "lag past the trigger: the pass must checkpoint");
         assert!(pass.did_work());
         assert!(!pass.lifted_read_only);
+        assert_eq!(store.wal_lag(), 0);
+        // Nothing left to do: an idle pass reports no work.
+        assert!(!store.run_maintenance(usize::MAX).did_work());
     }
 }

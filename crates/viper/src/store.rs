@@ -282,13 +282,6 @@ impl<M: WriteModel> Engine<M> {
         })
     }
 
-    /// See [`ViperStore::reclaim_dead_pages`].
-    fn reclaim_dead_pages(&self) -> usize {
-        let n = self.heap.reclaim_dead_pages();
-        self.recorder.event_n(Event::PageReclaimed, n as u64);
-        n
-    }
-
     /// See [`ViperStore::try_lift_read_only`].
     fn try_lift_read_only(&self) -> bool {
         if self.read_only.load(Ordering::Acquire) && self.heap.has_free_capacity() {
@@ -302,8 +295,8 @@ impl<M: WriteModel> Engine<M> {
     /// leaf retrains, let a sharded router re-cut itself (after drains,
     /// before space work: adaptation may rebuild shards, and a freshly
     /// split or merged shard should not immediately re-park retrains this
-    /// same pass), retire stale slots, repair quarantined slots, reclaim dead
-    /// pages, write a checkpoint if the WAL lag has reached
+    /// same pass), retire stale slots, repair quarantined slots, write a
+    /// checkpoint if the WAL lag has reached
     /// [`crate::DurabilityConfig::checkpoint_lag`] (a faulted write leaves
     /// the lag for the next pass), tick the device clock (so injected fault
     /// windows pass even with the foreground idle), and lift read-only if
@@ -319,7 +312,6 @@ impl<M: WriteModel> Engine<M> {
         let index = index.index();
         let stale_retired = self.sweep_stale_slots(index);
         let repair = self.repair_quarantined(index);
-        let pages_reclaimed = self.reclaim_dead_pages();
         let checkpoint_written = match &self.durability {
             Some(d) if d.wal.lag() >= d.config.checkpoint_lag => {
                 self.checkpoint(index).unwrap_or(false)
@@ -333,7 +325,6 @@ impl<M: WriteModel> Engine<M> {
             retrains_run,
             stale_retired,
             repair,
-            pages_reclaimed,
             lifted_read_only,
             checkpoint_written,
             adaptations,
@@ -616,17 +607,10 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     /// progress again (recycled slots, page headroom, and no injected
     /// device-full window). Returns whether the store left read-only
     /// mode. Deletes lift the mode inline; this is the maintenance
-    /// worker's path out when space came back some other way (page GC,
-    /// quarantine repair, a fault window expiring).
+    /// worker's path out when space came back some other way (quarantine
+    /// repair, a fault window expiring).
     pub fn try_lift_read_only(&self) -> bool {
         self.engine.try_lift_read_only()
-    }
-
-    /// Page-granular GC: returns fully dead pages to the allocator and
-    /// emits one [`Event::PageReclaimed`] per page. See
-    /// [`RecordHeap::reclaim_dead_pages`].
-    pub fn reclaim_dead_pages(&self) -> usize {
-        self.engine.reclaim_dead_pages()
     }
 
     /// Online repair of recovery's quarantined slots: each is resolved
@@ -726,8 +710,7 @@ impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
     }
 
     /// One full self-healing pass: deferred retrains, stale-slot sweep,
-    /// quarantine repair, page GC, a lag-triggered checkpoint, read-only
-    /// lift.
+    /// quarantine repair, a lag-triggered checkpoint, read-only lift.
     pub fn run_maintenance(&mut self, retrain_budget: usize) -> MaintenancePass {
         self.engine.run_maintenance(&mut Excl(&mut self.index), retrain_budget)
     }
@@ -766,8 +749,8 @@ impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
     }
 
     /// One full self-healing pass: deferred retrains, shard adaptation,
-    /// stale-slot sweep, quarantine repair, page GC, a lag-triggered
-    /// checkpoint, read-only lift — what the [`crate::MaintenanceWorker`]
+    /// stale-slot sweep, quarantine repair, a lag-triggered checkpoint,
+    /// read-only lift — what the [`crate::MaintenanceWorker`]
     /// calls on every tick.
     pub fn run_maintenance(&self, retrain_budget: usize) -> MaintenancePass {
         self.engine.run_maintenance(&mut Shared(&self.index), retrain_budget)
@@ -1123,6 +1106,14 @@ pub(crate) mod tests {
         }
         pub(crate) fn checkpoint_now(&mut self) -> Result<bool, ViperError> {
             either!(self, s => s.checkpoint_now())
+        }
+        pub(crate) fn run_maintenance(&mut self) -> MaintenancePass {
+            either!(self, s => s.run_maintenance(0))
+        }
+        /// Leaves the next checkpoint no image to extend, as a recovery
+        /// whose own checkpoint faulted does: it folds from the device.
+        pub(crate) fn forget_image(&mut self) {
+            either!(self, s => s.engine.durability.as_ref().unwrap().ckpt.lock().extendable = false);
         }
         pub(crate) fn get(&self, key: Key, buf: &mut [u8]) -> bool {
             either!(self, s => s.get(key, buf))
@@ -1529,6 +1520,38 @@ pub(crate) mod tests {
         assert!(recovered.checkpoint_generation() >= 2);
     }
 
+    /// A fold with no image to extend (a recovery whose own checkpoint
+    /// faulted) rebuilds from the device: it must read every page ever
+    /// handed out, including those above a page whose records all died.
+    #[test]
+    fn device_fold_after_maintenance_keeps_every_acked_key() {
+        for shared in [false, true] {
+            let cfg = durable_cfg(1_000, 256);
+            let spp = cfg.layout.slots_per_page() as u64;
+            let keys: Vec<Key> = (0..3 * spp).collect();
+            let mut store = Either::bulk_load(shared, cfg, &keys);
+            for k in 0..spp {
+                assert!(store.delete(k).unwrap());
+            }
+            store.run_maintenance();
+            store.forget_image();
+            assert!(store.checkpoint_now().unwrap());
+            let acked = store.len();
+            assert_eq!(acked, 2 * spp as usize);
+            let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
+            let (recovered, report) = store.restart(cfg.layout, opts);
+            assert!(report.from_checkpoint);
+            assert_eq!(recovered.len(), acked, "acked keys lost by the device fold");
+            let vs = cfg.layout.value_size;
+            let (mut buf, mut expect) = (vec![0u8; vs], vec![0u8; vs]);
+            for k in spp..3 * spp {
+                assert!(recovered.get(k, &mut buf), "key {k} lost");
+                value_for(k, &mut expect);
+                assert_eq!(buf, expect, "key {k} came back wrong");
+            }
+        }
+    }
+
     /// A map index that saves a model blob, for exercising the
     /// checkpointed-model round trip without a learned index.
     struct ModelMap {
@@ -1821,14 +1844,17 @@ mod proptests {
         /// The checkpoint image is the index image: whatever mix of
         /// inserts, updates (in place or crash-safe) and deletes ran, and
         /// however many deltas and folds the checkpoints between them
-        /// took, a clean restart after a last checkpoint needs no replay,
-        /// quarantines nothing, and equals the oracle.
+        /// took — maintenance passes between them, one fold rebuilt from
+        /// the device — a clean restart after a last checkpoint needs no
+        /// replay, quarantines nothing, and equals the oracle.
         #[test]
         fn restart_after_checkpoint_equals_oracle(
             ops in proptest::collection::vec((0u64..96, 0u8..4), 1..400),
             every in 1usize..24,
             shared in proptest::bool::ANY,
             crash_safe in proptest::bool::ANY,
+            maintain in proptest::bool::ANY,
+            from_device in proptest::bool::ANY,
         ) {
             // The base of all 96 keys fits a slot, a long chain does not.
             let dcfg =
@@ -1839,6 +1865,9 @@ mod proptests {
             let mut store = Either::new(shared, cfg);
             let vs = cfg.layout.value_size;
             let mut oracle: BTreeMap<u64, u8> = BTreeMap::new();
+            // The first checkpoint point past half-way folds from the
+            // device, or else the last one does.
+            let mut fold_pending = from_device;
             for (i, &(k, op)) in ops.iter().enumerate() {
                 if op == 0 {
                     prop_assert_eq!(store.delete(k).unwrap(), oracle.remove(&k).is_some());
@@ -1848,8 +1877,21 @@ mod proptests {
                     oracle.insert(k, b);
                 }
                 if i % every == 0 {
+                    if maintain {
+                        store.run_maintenance();
+                    }
+                    if fold_pending && 2 * i >= ops.len() {
+                        store.forget_image();
+                        fold_pending = false;
+                    }
                     prop_assert!(store.checkpoint_now().unwrap());
                 }
+            }
+            if maintain {
+                store.run_maintenance();
+            }
+            if fold_pending {
+                store.forget_image();
             }
             prop_assert!(store.checkpoint_now().unwrap());
             let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };

@@ -115,11 +115,7 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
         let store = Arc::new(store);
         let worker = MaintenanceWorker::spawn(
             Arc::clone(&store),
-            MaintenanceConfig {
-                interval: Duration::from_millis(1),
-                retrain_budget: 16,
-                stall_timeout: Duration::from_secs(30),
-            },
+            MaintenanceConfig { interval: Duration::from_millis(1), retrain_budget: 16 },
         );
 
         let vs = cfg.layout.value_size;
@@ -167,7 +163,6 @@ fn transient_storm_eight_threads_matches_oracle_and_exits_read_only() {
 
         let stats = worker.shutdown();
         assert!(stats.ticks > 0);
-        assert!(!stats.stalled, "watchdog flagged a stall on a healthy worker");
 
         // Oracle equivalence: every acked key has exactly the acked
         // version; nothing failed half-applied, nothing resurrected.
@@ -238,11 +233,7 @@ fn adaptive_storm_splits_through_faults_and_matches_oracle() {
         let store = Arc::new(store);
         let worker = MaintenanceWorker::spawn(
             Arc::clone(&store),
-            MaintenanceConfig {
-                interval: Duration::from_millis(1),
-                retrain_budget: 16,
-                stall_timeout: Duration::from_secs(30),
-            },
+            MaintenanceConfig { interval: Duration::from_millis(1), retrain_budget: 16 },
         );
 
         let vs = cfg.layout.value_size;
@@ -321,7 +312,6 @@ fn adaptive_storm_splits_through_faults_and_matches_oracle() {
         );
         let stats = worker.shutdown();
         assert!(stats.adaptations >= 2, "worker committed fewer than two adaptations");
-        assert!(!stats.stalled, "watchdog flagged a stall during adaptation");
 
         // Oracle equivalence across every cutover the storm committed.
         let mut buf = vec![0u8; vs];
@@ -450,11 +440,7 @@ fn circuit_breaker_trips_under_backlog_and_recovers() {
         // keep up. The backlog of pending leaves can only grow.
         let starved = MaintenanceWorker::spawn(
             Arc::clone(&store),
-            MaintenanceConfig {
-                interval: Duration::from_millis(1),
-                retrain_budget: 0,
-                stall_timeout: Duration::from_secs(30),
-            },
+            MaintenanceConfig { interval: Duration::from_millis(1), retrain_budget: 0 },
         );
 
         // Flood inserts until the breaker trips and a put is shed.
@@ -547,7 +533,6 @@ fn maintenance_worker_clean_shutdown_smoke() {
 
         let stats = worker.shutdown();
         assert!(stats.ticks > 0, "worker never ticked");
-        assert!(!stats.stalled);
         // Clean shutdown exits deferred mode and drains the queue: no key
         // may stay parked in an overflow buffer.
         assert_eq!(

@@ -33,7 +33,8 @@
 //!   class in `xtask/lock-order.txt`, and nesting inferred from
 //!   guard-binding scopes respects the declared hierarchy (the static
 //!   half of the lockdep checker; the runtime witness in `li-sync` is
-//!   the other half).
+//!   the other half). The hierarchy file is audited too: a `map` line
+//!   for a file that is gone, or a class no `map` line names, fails.
 
 pub mod lexer;
 pub mod lockorder;
@@ -113,6 +114,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
     let mut out = Vec::new();
     out.extend(allow.audit(root));
     let order = load_order(root, &mut out);
+    out.extend(order.audit(root));
     for file in workspace_files(root) {
         let Ok(src) = std::fs::read_to_string(&file) else { continue };
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();

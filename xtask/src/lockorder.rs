@@ -31,18 +31,26 @@ const LOCK_METHODS: [&str; 6] = ["lock", "read", "write", "try_lock", "try_read"
 pub struct LockOrder {
     /// class name -> `ordered` flag (same-class nesting permitted).
     classes: HashMap<String, bool>,
+    /// `(class, line number)` of each `class` directive, in file order.
+    declared: Vec<(String, usize)>,
     /// Transitive closure: `reach[a]` = classes acquirable while `a` is
     /// held.
     reach: HashMap<String, HashSet<String>>,
-    /// `(file suffix, receiver ident, class)` from `map` directives.
-    maps: Vec<(String, String, String)>,
+    /// `(file suffix, receiver ident, class, line number)` from `map`
+    /// directives.
+    maps: Vec<(String, String, String, usize)>,
 }
 
 impl LockOrder {
     /// An order with no declarations: R6 still runs, flagging every
     /// production lock site as unmapped.
     pub fn empty() -> Self {
-        LockOrder { classes: HashMap::new(), reach: HashMap::new(), maps: Vec::new() }
+        LockOrder {
+            classes: HashMap::new(),
+            declared: Vec::new(),
+            reach: HashMap::new(),
+            maps: Vec::new(),
+        }
     }
 
     pub fn load(root: &Path) -> Result<Self, String> {
@@ -56,6 +64,7 @@ impl LockOrder {
     /// before use, the `order` relation acyclic.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut classes: HashMap<String, bool> = HashMap::new();
+        let mut declared = Vec::new();
         let mut direct: HashMap<String, HashSet<String>> = HashMap::new();
         let mut maps = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -80,6 +89,7 @@ impl LockOrder {
                     if classes.insert(name.to_string(), ordered).is_some() {
                         return Err(format!("line {lineno}: duplicate class `{name}`"));
                     }
+                    declared.push((name.to_string(), lineno));
                 }
                 Some("order") => {
                     let chain: Vec<&str> =
@@ -105,7 +115,7 @@ impl LockOrder {
                     if !classes.contains_key(class) {
                         return Err(format!("line {lineno}: undeclared class `{class}`"));
                     }
-                    maps.push((file.to_string(), recv.to_string(), class.to_string()));
+                    maps.push((file.to_string(), recv.to_string(), class.to_string(), lineno));
                 }
                 Some(other) => {
                     return Err(format!("line {lineno}: unknown directive `{other}`"));
@@ -139,20 +149,48 @@ impl LockOrder {
                 return Err(format!("declared order is cyclic through `{from}`"));
             }
         }
-        Ok(LockOrder { classes, reach, maps })
+        Ok(LockOrder { classes, declared, reach, maps })
+    }
+
+    /// R6 audit of the hierarchy file itself: every `map` line must name
+    /// a file that exists under `root`, and every declared class must be
+    /// named by some `map` line — otherwise the file keeps entries for
+    /// locks that are gone, and the hierarchy it documents has rotted.
+    pub fn audit(&self, root: &Path) -> Vec<Violation> {
+        let stale = |line: usize, msg: String| Violation {
+            file: root.join("xtask/lock-order.txt"),
+            line,
+            rule: "lock-order",
+            msg,
+        };
+        let mut out = Vec::new();
+        for (file, _, _, line) in &self.maps {
+            if !root.join(file).is_file() {
+                out.push(stale(*line, format!("stale `map` line: `{file}` does not exist")));
+            }
+        }
+        for (class, line) in &self.declared {
+            if !self.maps.iter().any(|(_, _, c, _)| c == class) {
+                out.push(stale(
+                    *line,
+                    format!("class `{class}` is declared but no `map` line names it"),
+                ));
+            }
+        }
+        out
     }
 
     /// The class mapped for `recv` in `file`, by path-suffix match.
     fn class_of(&self, file: &str, recv: &str) -> Option<&str> {
         self.maps
             .iter()
-            .find(|(f, r, _)| r == recv && (file == *f || file.ends_with(&format!("/{f}"))))
-            .map(|(_, _, c)| c.as_str())
+            .find(|(f, r, _, _)| r == recv && (file == *f || file.ends_with(&format!("/{f}"))))
+            .map(|(_, _, c, _)| c.as_str())
     }
 
     /// Whether `file` has any `map` directives (i.e. is under R6).
     fn file_is_mapped(&self, file: &str) -> bool {
-        self.maps.iter().any(|(f, _, _)| file == *f || file.ends_with(&format!("/{f}")))
+        self.maps.iter().any(|(f, _, _, _)| file == *f || file.ends_with(&format!("/{f}")))
     }
 
     fn may_nest(&self, outer: &str, inner: &str) -> bool {
@@ -559,6 +597,28 @@ map crates/fix/src/locks.rs s solo
         let o = LockOrder::parse("class a\nclass b\nclass c\norder a > b\norder b > c\n").unwrap();
         assert!(o.may_nest("a", "c"));
         assert!(!o.may_nest("c", "a"));
+    }
+
+    #[test]
+    fn audit_flags_missing_files_and_unmapped_classes() {
+        let dir = std::env::temp_dir().join(format!("li-lint-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("src")).unwrap();
+        std::fs::write(dir.join("src/live.rs"), "").unwrap();
+        let order = LockOrder::parse(
+            "class kept\n\
+             class orphan\n\
+             class moved\n\
+             map src/live.rs a kept\n\
+             map src/gone.rs b moved\n",
+        )
+        .unwrap();
+        let v = order.audit(&dir);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "lock-order"));
+        assert!(v.iter().any(|x| x.msg.contains("src/gone.rs") && x.line == 5), "{v:?}");
+        assert!(v.iter().any(|x| x.msg.contains("`orphan`") && x.line == 2), "{v:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
