@@ -13,7 +13,7 @@ use li_nvm::{LatencyModel, NvmConfig, NvmDevice};
 use crate::checkpoint::DurabilityConfig;
 use crate::config::StoreConfig;
 use crate::heap::RecordHeap;
-use crate::layout::{RecordLayout, PAGE_HEADER};
+use crate::layout::RecordLayout;
 use crate::store::tests::Either;
 use crate::wal::WAL_RECORD;
 
@@ -41,7 +41,7 @@ fn off_budget(shared: bool, wal: bool, crash_safe: bool) -> Vec<String> {
     if wal {
         cfg = cfg.with_durability(DurabilityConfig::sized_for(128, 64));
     }
-    let slot = cfg.layout.slot_size() as u64;
+    let slot = cfg.layout.record_size() as u64;
     let value = vec![7u8; cfg.layout.value_size];
     let patch = 4 + value.len() as u64; // crc ‖ value
     assert_eq!((slot, patch), (221, 204), "DESIGN.md's table is in these numbers");
@@ -103,11 +103,16 @@ fn off_budget(shared: bool, wal: bool, crash_safe: bool) -> Vec<String> {
 fn bulk_load_off_budget(shared: bool) -> Option<String> {
     let mut cfg = StoreConfig::paper(1_000);
     cfg.nvm.latency = LatencyModel::dram_like();
-    let (slot, spp) = (cfg.layout.slot_size() as u64, cfg.layout.slots_per_page() as u64);
+    let layout = cfg.layout;
+    let (record, stride) = (layout.record_size() as u64, layout.stride() as u64);
+    let spp = layout.slots_per_page() as u64;
+    assert_eq!((record, stride), (221, 256), "DESIGN.md's table is in these numbers");
     let n = 2 * spp + 5;
     let runs = 3;
-    // A run of m: header + m slots, then m - 1 slots and one state byte.
-    let bytes = runs * PAGE_HEADER as u64 + n * slot + (n - runs) * slot + runs;
+    // A run of m opening its page: header and padding up to slot 0, then
+    // m - 1 strides and a record; then m - 1 strides and one state byte.
+    let first = layout.slot_offset(0, 0) as u64;
+    let bytes = runs * (first + record) + 2 * (n - runs) * stride + runs;
     let budget: Traffic = [0, 0, 2 * runs, bytes, 2 * n, 2 * runs];
     let keys: Vec<u64> = (1..=n).collect();
     let s = Either::bulk_load(shared, cfg, &keys).nvm_stats();

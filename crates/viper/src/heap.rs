@@ -8,12 +8,13 @@
 //! 4. write state byte `SLOT_LIVE`, flush, fence.
 //!
 //! A bulk load publishes a *run* of n contiguous slots of one page with the
-//! same steps, taken once per run: one write of the encoded slots (led by
-//! the page header when the run opens the page), a flush per slot, one
-//! fence; then one write spanning the run's state bytes, a flush per state
-//! byte, one fence. An append is the run of one. Flushes stay per slot, so
-//! a dropped flush still costs at most one record, and a crash anywhere in
-//! a run publishes a prefix of it, each record whole.
+//! same steps, taken once per run: one write of the encoded slots and the
+//! zero padding between them (led by the page header and its padding when
+//! the run opens the page), a flush per record, one fence; then one write
+//! spanning the run's state bytes, a flush per state byte, one fence. An
+//! append is the run of one. Flushes stay per slot, so a dropped flush
+//! still costs at most one record, and a crash anywhere in a run publishes
+//! a prefix of it, each record whole.
 //!
 //! A crash before step 4 leaves the slot free; recovery never surfaces a
 //! partially written record — *if the device honours flushes*. A device
@@ -89,11 +90,11 @@ impl<'a> PageReader<'a> {
         &self.buf
     }
 
-    /// The slot at device offset `offset`.
+    /// The record in the slot at device offset `offset`.
     pub(crate) fn slot(&mut self, offset: usize) -> &[u8] {
         let in_page = offset % self.layout.page_size;
-        let slot_size = self.layout.slot_size();
-        &self.page(offset - in_page)[in_page..in_page + slot_size]
+        let record = self.layout.record_size();
+        &self.page(offset - in_page)[in_page..in_page + record]
     }
 }
 
@@ -264,7 +265,7 @@ impl RecordHeap {
 
     #[inline]
     fn stripe(&self, offset: usize) -> &Mutex<()> {
-        &self.update_locks[(offset / self.layout.slot_size()) % UPDATE_STRIPES]
+        &self.update_locks[(offset / self.layout.stride()) % UPDATE_STRIPES]
     }
 
     /// Writes with bounded retry of injected transient failures. One
@@ -326,7 +327,7 @@ impl RecordHeap {
     pub fn append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let result = with_scratch(self.layout.slot_size(), |buf| {
+        let result = with_scratch(self.layout.record_size(), |buf| {
             self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
             self.publish(off, buf, 0)
         });
@@ -341,7 +342,9 @@ impl RecordHeap {
     /// Appends one record per key of `keys`, in order, a page-run at a
     /// time (see the module docs), and returns each key with its slot
     /// offset. `value_of` writes each value straight into the page image
-    /// and must fill the buffer it is given. Runs take the open page's
+    /// and must fill the buffer it is given. The image carries zeros
+    /// between records, where one append per key writes nothing into a
+    /// device that is zero already. Runs take the open page's
     /// unused slots, then fresh pages, never recycled slots, so on a fresh
     /// heap the device ends byte-identical to one [`RecordHeap::append`]
     /// per key: same offsets, seqs and open page. `&mut self` keeps other
@@ -353,23 +356,28 @@ impl RecordHeap {
         keys: &[Key],
         mut value_of: impl FnMut(Key, &mut [u8]),
     ) -> Result<Vec<(Key, u64)>, ViperError> {
-        let slot = self.layout.slot_size();
+        let (record, stride) = (self.layout.record_size(), self.layout.stride());
         let mut pairs = Vec::with_capacity(keys.len());
+        // Records land at multiples of the stride whichever way a run
+        // starts, so the padding between them stays zero across runs.
         let mut image = vec![0u8; self.layout.page_size];
         let mut rest = keys;
         while !rest.is_empty() {
             let run = self.reserve_run(rest.len())?;
             let (now, later) = rest.split_at(run.len);
-            let head = if run.fresh { PAGE_HEADER } else { 0 };
-            let bytes = &mut image[..head + run.len * slot];
-            bytes[..head].copy_from_slice(&page_header()[..head]);
             let first = self.layout.slot_offset(run.page_offset, run.first);
+            let head = if run.fresh { first - run.page_offset } else { 0 };
+            let bytes = &mut image[..head + (run.len - 1) * stride + record];
+            if run.fresh {
+                bytes[..head].fill(0);
+                bytes[..PAGE_HEADER].copy_from_slice(&page_header());
+            }
             let seq = self.next_seq.fetch_add(run.len as u64, Ordering::Relaxed);
-            for (i, (&key, rec)) in now.iter().zip(bytes[head..].chunks_exact_mut(slot)).enumerate()
-            {
+            for (i, (&key, slot)) in now.iter().zip(bytes[head..].chunks_mut(stride)).enumerate() {
+                let rec = &mut slot[..record];
                 value_of(key, &mut rec[SLOT_HEADER..]);
                 self.layout.seal_record(key, seq + i as u64, SLOT_FREE, rec);
-                pairs.push((key, (first + i * slot) as u64));
+                pairs.push((key, (first + i * stride) as u64));
             }
             if let Err(e) = self.publish(first - head, bytes, head) {
                 self.release_run(&run);
@@ -422,30 +430,31 @@ impl RecordHeap {
 
     /// Crash-safe publish of the encoded slots in `bytes`, every state
     /// byte `SLOT_FREE`, written from device offset `at`; the first `head`
-    /// bytes are the header of the page the run opens (0: none). The two
-    /// steps of the module docs: [`RecordHeap::stage_run`], then
-    /// [`RecordHeap::commit_run`] over the state bytes, now `SLOT_LIVE`.
+    /// bytes are the header and padding of the page the run opens (0:
+    /// none). The two steps of the module docs: [`RecordHeap::stage_run`],
+    /// then [`RecordHeap::commit_run`] over the state bytes, now
+    /// `SLOT_LIVE`.
     fn publish(&self, at: usize, bytes: &mut [u8], head: usize) -> Result<(), ViperError> {
         self.stage_run(at, bytes, head)?;
-        let slot = self.layout.slot_size();
         let state = self.layout.state_offset(0);
-        for rec in bytes[head..].chunks_exact_mut(slot) {
-            rec[state] = SLOT_LIVE;
+        for slot in bytes[head..].chunks_mut(self.layout.stride()) {
+            slot[state] = SLOT_LIVE;
         }
         // From the first slot's state byte through the last's.
-        let (from, to) = (head + state, bytes.len() - slot + state + 1);
+        let (from, to) = (head + state, bytes.len() - self.layout.record_size() + state + 1);
         self.commit_run(at + from, &bytes[from..to])
     }
 
-    /// A run's first step: one write of `bytes`, a flush per slot (the
+    /// A run's first step: one write of `bytes`, a flush per record (the
     /// first one also covering the `head` bytes of page header), a fence.
+    /// The padding between records is not flushed: nothing reads it.
     fn stage_run(&self, at: usize, bytes: &[u8], head: usize) -> Result<(), ViperError> {
         self.write_retry(at, bytes)?;
-        let slot = self.layout.slot_size();
+        let (record, stride) = (self.layout.record_size(), self.layout.stride());
         let mut from = at;
-        for to in (at + head + slot..=at + bytes.len()).step_by(slot) {
+        for to in (at + head + record..=at + bytes.len()).step_by(stride) {
             self.dev.try_flush(from, to - from)?;
-            from = to;
+            from = to - record + stride;
         }
         self.dev.try_fence()?;
         Ok(())
@@ -456,7 +465,7 @@ impl RecordHeap {
     /// one's, a flush per state byte, a fence.
     fn commit_run(&self, first_state: usize, span: &[u8]) -> Result<(), ViperError> {
         self.write_retry(first_state, span)?;
-        for state in (first_state..first_state + span.len()).step_by(self.layout.slot_size()) {
+        for state in (first_state..first_state + span.len()).step_by(self.layout.stride()) {
             self.dev.try_flush(state, 1)?;
         }
         self.dev.try_fence()?;
@@ -473,7 +482,7 @@ impl RecordHeap {
     pub fn stage_append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let result = with_scratch(self.layout.slot_size(), |buf| {
+        let result = with_scratch(self.layout.record_size(), |buf| {
             self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
             self.stage_run(off, buf, 0)
         });
@@ -571,7 +580,7 @@ impl RecordHeap {
     /// can find the slot recycled under it (see [`SlotHeader::holds`]).
     pub fn read(&self, offset: u64, value_buf: &mut [u8]) -> SlotHeader {
         assert_eq!(value_buf.len(), self.layout.value_size);
-        with_scratch(self.layout.slot_size(), |slot| {
+        with_scratch(self.layout.record_size(), |slot| {
             self.dev.read_into(offset as usize, slot);
             value_buf.copy_from_slice(&slot[SLOT_HEADER..]);
             RecordLayout::decode_header(slot)
@@ -1088,7 +1097,7 @@ mod tests {
         h.append(1, &val(&l, 1)).unwrap();
         // Write key+value but crash before anything is flushed.
         let off = h.alloc_slot().unwrap();
-        let mut buf = vec![0u8; l.slot_size()];
+        let mut buf = vec![0u8; l.record_size()];
         l.encode_record(2, 99, SLOT_LIVE, &val(&l, 2), &mut buf);
         dev.write(off, &buf); // never flushed/fenced
         drop(h);
