@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::harness::{self, BenchConfig, Measurement, Samples};
+use li_core::ConcurrentIndex;
 use li_viper::ConcurrentViperStore;
 use li_workloads::{split_load_insert, Dataset};
 use lip::{AnyConcurrentIndex, ConcurrentKind};
@@ -62,9 +63,9 @@ pub fn run(cfg: &BenchConfig) {
         harness::header(&["index", "Mops/s", "p99.9 us"]);
         let per_thread = (cfg.ops / threads).min(pool.len() / threads.max(1));
         for kind in ConcurrentKind::all() {
-            // A fresh recorder per (threads, kind) cell: its `Put`
-            // histogram, shard routing counters and structural events are
-            // this cell's alone.
+            // A fresh recorder per (threads, kind) row: its `Put`
+            // histogram, lock waits and structural events are this row's
+            // alone; the router's cell rows come from the store's index.
             let rec = sink.recorder();
             let mut store = harness::build_concurrent_store(kind, &loaded);
             if rec.is_enabled() {
@@ -75,6 +76,7 @@ pub fn run(cfg: &BenchConfig) {
             if rec.is_enabled() {
                 let mut snap = rec.snapshot();
                 snap.nvm = store.heap().device().stats_snapshot().to_telemetry();
+                snap.cells = store.index().observe_cells();
                 sink.write(&format!("t{threads}_{}", kind.name()), &snap);
             }
             harness::row(&m.name, &[format!("{:.3}", m.mops()), format!("{:.2}", m.p999_us())]);

@@ -48,5 +48,5 @@ pub use traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, TwoPhaseLookup,
     UpdatableIndex,
 };
-pub use tuner::{ShardObs, Tuner, TunerAction};
+pub use tuner::{Tuner, TunerAction};
 pub use types::{Key, KeyValue, Value};

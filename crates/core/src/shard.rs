@@ -44,9 +44,9 @@ use li_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use li_sync::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use crate::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
-use crate::tuner::{ShardObs, Tuner, TunerAction};
+use crate::tuner::{Tuner, TunerAction};
 use crate::types::{Key, KeyValue, Value};
-use li_telemetry::{Event, Recorder};
+use li_telemetry::{CellCounters, Event, Recorder};
 
 /// Returned when an [`Admission`] gate stayed saturated for the whole
 /// bounded wait — the `WouldBlock`-style rung of the overload ladder.
@@ -223,6 +223,8 @@ struct ShardCell {
     /// tuner's input, independent of the opt-in telemetry recorder, so
     /// adaptation works with telemetry off.
     ops: AtomicU64,
+    /// Always-on count of write-lock acquisitions that had to wait.
+    lock_waits: AtomicU64,
 }
 
 impl ShardCell {
@@ -238,6 +240,7 @@ impl ShardCell {
                 ShardState { index, side: None },
             ),
             ops: AtomicU64::new(0),
+            lock_waits: AtomicU64::new(0),
         })
     }
 }
@@ -399,42 +402,36 @@ impl Sharded {
         self.table.read().lower.clone()
     }
 
-    /// Live key count per shard, in boundary order.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        let t = self.table.read();
-        t.cells.iter().map(|c| c.lock.read().index.len()).collect()
-    }
-
     #[cfg(test)]
     fn shard_of(&self, key: Key) -> usize {
         self.table.read().shard_of(key)
     }
 
-    /// Acquires a cell's write lock, charging contention, when a
-    /// telemetry recorder is attached, to the [`Event::ShardLockWait`]
-    /// counter and `LockWait` histogram.
+    /// Acquires a cell's write lock, counting contention on the cell and,
+    /// when a telemetry recorder is attached, timing the wait into the
+    /// [`Event::ShardLockWait`] counter and `LockWait` histogram.
     #[inline]
-    fn write_cell<'a>(&self, cell: &'a ShardCell, s: usize) -> RwLockWriteGuard<'a, ShardState> {
+    fn write_cell<'a>(&self, cell: &'a ShardCell) -> RwLockWriteGuard<'a, ShardState> {
         if let Some(g) = cell.lock.try_write() {
             return g;
         }
-        let t0 = Instant::now();
+        cell.lock_waits.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.recorder.start();
         let g = cell.lock.write();
-        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.recorder.shard_lock_wait(s, ns);
+        self.recorder.shard_lock_wait(t0);
         g
     }
 
-    /// One routed write against shard `s` of table `t`: the native fast
-    /// path (shared-reference write under the cell read lock) when the
-    /// cell's kind supports it, no cutover is draining, and the router
-    /// allows it — else the exclusive path, which also feeds the side
-    /// log of an in-flight rebuild. The caller holds the table read lock
-    /// (`t`), which is what makes the routed `(boundary, cell)` pair
-    /// stable against concurrent cutovers for the whole op.
-    fn apply(&self, t: &Table, s: usize, key: Key, op: WriteOp) -> Option<Value> {
-        self.recorder.shard_write(s);
-        let cell = &t.cells[s];
+    /// One routed write of `key`: the native fast path (shared-reference
+    /// write under the cell read lock) when the cell's kind supports it,
+    /// no cutover is draining, and the router allows it — else the
+    /// exclusive path, which also feeds the side log of an in-flight
+    /// rebuild. The table read lock is held for the whole op, which is
+    /// what makes the routed `(boundary, cell)` pair stable against
+    /// concurrent cutovers.
+    fn apply(&self, key: Key, op: WriteOp) -> Option<Value> {
+        let t = self.table.read();
+        let cell = &t.cells[t.shard_of(key)];
         cell.ops.fetch_add(1, Ordering::Relaxed);
         if self.allow_native && cell.native {
             let g = cell.lock.read();
@@ -450,7 +447,7 @@ impl Sharded {
                 }
             }
         }
-        let mut g = self.write_cell(cell, s);
+        let mut g = self.write_cell(cell);
         match op {
             WriteOp::Put(v) => {
                 let prev = g.index.insert(key, v);
@@ -509,20 +506,6 @@ impl Plan {
 impl Sharded {
     fn next_id(&self) -> u64 {
         self.next_cell_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Samples the always-on per-cell counters into tuner observations,
-    /// in boundary order.
-    fn observe_cells(&self) -> Vec<ShardObs> {
-        let t = self.table.read();
-        t.cells
-            .iter()
-            .map(|c| ShardObs {
-                cell: c.id,
-                len: c.lock.read().index.len(),
-                ops: c.ops.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 
     /// One adaptation epoch: sample counters, ask the tuner, execute its
@@ -745,9 +728,7 @@ impl Index for Sharded {
 
     fn get(&self, key: Key) -> Option<Value> {
         let t = self.table.read();
-        let s = t.shard_of(key);
-        self.recorder.shard_read(s);
-        let cell = &t.cells[s];
+        let cell = &t.cells[t.shard_of(key)];
         cell.ops.fetch_add(1, Ordering::Relaxed);
         let g = cell.lock.read();
         g.index.get(key)
@@ -792,8 +773,7 @@ impl OrderedIndex for Sharded {
             }
             // A scan is traffic to every cell it visits: without this, a
             // scan-heavy shard looks idle to the tuner's split/merge
-            // rules and the shard-bank telemetry.
-            self.recorder.shard_read(s);
+            // rules and to STATS.
             t.cells[s].ops.fetch_add(1, Ordering::Relaxed);
             t.cells[s].lock.read().index.range(lo, hi, out);
         }
@@ -806,15 +786,11 @@ impl ConcurrentIndex for Sharded {
     }
 
     fn insert(&self, key: Key, value: Value) -> Option<Value> {
-        let t = self.table.read();
-        let s = t.shard_of(key);
-        self.apply(&t, s, key, WriteOp::Put(value))
+        self.apply(key, WriteOp::Put(value))
     }
 
     fn remove(&self, key: Key) -> Option<Value> {
-        let t = self.table.read();
-        let s = t.shard_of(key);
-        self.apply(&t, s, key, WriteOp::Del)
+        self.apply(key, WriteOp::Del)
     }
 
     fn len(&self) -> usize {
@@ -859,6 +835,23 @@ impl ConcurrentIndex for Sharded {
 
     fn run_adaptation(&self) -> usize {
         Sharded::run_adaptation(self)
+    }
+
+    /// Samples every cell's always-on counters under one table read lock,
+    /// taking each cell's read lock for `len` only.
+    fn observe_cells(&self) -> Vec<CellCounters> {
+        let t = self.table.read();
+        t.lower
+            .iter()
+            .zip(&t.cells)
+            .map(|(&lower, c)| CellCounters {
+                cell: c.id,
+                lower,
+                len: c.lock.read().index.len(),
+                ops: c.ops.load(Ordering::Relaxed),
+                lock_waits: c.lock_waits.load(Ordering::Relaxed),
+            })
+            .collect()
     }
 }
 
@@ -919,7 +912,7 @@ mod tests {
         data.extend((1..=100u64).map(|i| (i << 40, i)));
         let idx = Sharded::build::<MapIndex>(8, &data);
         assert_eq!(Index::len(&idx), 1_000);
-        let max_shard = idx.shard_lens().into_iter().max().unwrap();
+        let max_shard = idx.observe_cells().iter().map(|c| c.len).max().unwrap();
         assert!(max_shard <= 2 * 1_000 / idx.shard_count(), "unbalanced: {max_shard}");
     }
 
@@ -1369,6 +1362,25 @@ mod tests {
         assert_eq!(ConcurrentIndex::len(&idx), data.len() + 1_000);
     }
 
+    /// Forces one contended write of `key`: a held read guard fails the
+    /// writer's try-acquire, and is released only once the cell has
+    /// counted the wait, so the wait happens every time.
+    fn contended_insert(idx: &Sharded, key: Key) {
+        let cell = {
+            let t = idx.table.read();
+            Arc::clone(&t.cells[t.shard_of(key)])
+        };
+        let before = cell.lock_waits.load(Ordering::Relaxed);
+        let held = cell.lock.read();
+        li_sync::thread::scope(|s| {
+            s.spawn(|| ConcurrentIndex::insert(idx, key, 9));
+            while cell.lock_waits.load(Ordering::Relaxed) == before {
+                li_sync::thread::yield_now();
+            }
+            drop(held);
+        });
+    }
+
     #[test]
     fn recorder_sees_routing_and_lock_waits() {
         use li_telemetry::OpKind;
@@ -1386,44 +1398,69 @@ mod tests {
         }
         let s = rec.snapshot();
         assert_eq!(s.event(Event::ShardLockWait), 0);
-        assert_eq!(s.shards.iter().map(|b| b.writes).sum::<u64>(), 1_000);
-        assert_eq!(s.shards.iter().map(|b| b.reads).sum::<u64>(), 1_000);
-        assert!(s.active_shards() > 1, "sharded route must touch several banks");
+        let rows = idx.observe_cells();
+        assert_eq!(rows.iter().map(|c| c.ops).sum::<u64>(), 2_000);
+        assert!(rows.iter().filter(|c| c.ops > 0).count() > 1, "must touch several cells");
+        assert!(rows.iter().all(|c| c.lock_waits == 0));
 
-        // Forced contention: a held read guard blocks the writer's
-        // try_write, so the slow path records the wait. Scheduling can in
-        // principle let the writer start after the guard drops, so retry
-        // until the wait is observed (one attempt suffices in practice).
-        let idx = Arc::new(idx);
-        let key = data[0].0;
-        for attempt in 0.. {
-            assert!(attempt < 50, "never observed a shard lock wait");
-            let idx2 = Arc::clone(&idx);
-            let ready = Arc::new(li_sync::sync::atomic::AtomicBool::new(false));
-            let ready2 = Arc::clone(&ready);
-            let writer = {
-                let t = idx.table.read();
-                let _held = t.cells[t.shard_of(key)].lock.read();
-                let w = li_sync::thread::spawn(move || {
-                    ready2.store(true, li_sync::sync::atomic::Ordering::Release);
-                    ConcurrentIndex::insert(&*idx2, key, 9);
-                });
-                while !ready.load(li_sync::sync::atomic::Ordering::Acquire) {
-                    li_sync::thread::yield_now();
-                }
-                // Give the writer time to fail try_write and block.
-                li_sync::thread::sleep(std::time::Duration::from_millis(10));
-                w
-            };
-            writer.join().unwrap();
-            if rec.event_count(Event::ShardLockWait) >= 1 {
-                break;
-            }
-        }
+        contended_insert(&idx, data[0].0);
         let s = rec.snapshot();
-        assert!(s.event(Event::ShardLockWait) >= 1, "contended write must record a wait");
-        assert!(s.op(OpKind::LockWait).count >= 1);
-        assert!(s.total_lock_waits() >= 1);
+        assert_eq!(s.event(Event::ShardLockWait), 1, "contended write must record a wait");
+        assert_eq!(s.op(OpKind::LockWait).count, 1);
+        assert_eq!(idx.observe_cells()[0].lock_waits, 1);
+    }
+
+    /// Per-cell counters belong to cells, not positions: a cutover's new
+    /// cells start from zero at their own bounds, the cells it did not
+    /// touch keep their counts wherever they move, and the rows STATS
+    /// prints carry the live boundaries.
+    #[test]
+    fn cell_rows_follow_cutovers_not_positions() {
+        let data: Vec<KeyValue> = (0..8_000u64).map(|i| (i, i)).collect();
+        let mut idx = Sharded::build::<MapIndex>(4, &data);
+        let rec = Recorder::enabled();
+        idx.set_recorder(rec.clone());
+        let hit = |idx: &Sharded, key: Key, n: u64| {
+            for _ in 0..n {
+                ConcurrentIndex::get(idx, key);
+            }
+        };
+        let rows = |idx: &Sharded| -> Vec<(Key, u64)> {
+            idx.observe_cells().iter().map(|c| (c.lower, c.ops)).collect()
+        };
+        for s in 0..4 {
+            hit(&idx, s * 2_000, 10 * (s + 1));
+        }
+        assert_eq!(rows(&idx), [(0, 10), (2_000, 20), (4_000, 30), (6_000, 40)]);
+
+        // The split's two rows carry the cut bound and start at zero;
+        // the untouched cells right of the cut keep their counts one
+        // position on.
+        idx.force_split(1).unwrap();
+        assert_eq!(rows(&idx), [(0, 10), (2_000, 0), (3_000, 0), (4_000, 30), (6_000, 40)]);
+
+        // The merged row starts at zero, though both halves saw traffic.
+        hit(&idx, 3_500, 5);
+        idx.force_merge(2).unwrap();
+        assert_eq!(rows(&idx), [(0, 10), (2_000, 0), (3_000, 0), (6_000, 40)]);
+
+        // Lock waits land on the cell that waited and sum to the event.
+        contended_insert(&idx, 6_500);
+        contended_insert(&idx, 6_501);
+        contended_insert(&idx, 100);
+        let mut snap = rec.snapshot();
+        snap.cells = idx.observe_cells();
+        let waits: Vec<u64> = snap.cells.iter().map(|c| c.lock_waits).collect();
+        assert_eq!(waits, [1, 0, 0, 2]);
+        assert_eq!(waits.iter().sum::<u64>(), snap.event(Event::ShardLockWait));
+
+        let json = snap.to_json();
+        let lowers: Vec<Key> = json
+            .split("\"lower\":")
+            .skip(1)
+            .map(|row| row[..row.find(',').unwrap()].parse().unwrap())
+            .collect();
+        assert_eq!(lowers, idx.boundaries());
     }
 
     mod boundary_properties {

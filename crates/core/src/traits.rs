@@ -6,7 +6,7 @@
 
 use crate::pieces::retrain::RetrainStats;
 use crate::types::{Key, KeyValue, Value};
-use li_telemetry::Recorder;
+use li_telemetry::{CellCounters, Recorder};
 
 /// Read-side interface common to all indexes.
 pub trait Index: Send + Sync {
@@ -163,6 +163,13 @@ pub trait ConcurrentIndex: Send + Sync {
     /// overrides it, and the `MaintenanceWorker` calls it once per pass.
     fn run_adaptation(&self) -> usize {
         0
+    }
+
+    /// One row per router cell, in boundary order: the counters the
+    /// tuner reads and STATS shows. Empty for an index that is not a
+    /// `Sharded` router.
+    fn observe_cells(&self) -> Vec<CellCounters> {
+        Vec::new()
     }
 }
 

@@ -4,8 +4,9 @@
 //! pure decision function from per-shard counter deltas to at most one
 //! [`TunerAction`] per epoch. It holds no locks, touches no index and
 //! performs no I/O — `Sharded::run_adaptation` samples the always-on
-//! per-cell counters, feeds them through [`Tuner::observe`], and executes
-//! whatever comes back. Keeping policy separate from mechanism is what
+//! per-cell counters (`observe_cells`, the same rows STATS shows),
+//! feeds them through [`Tuner::observe`], and executes whatever
+//! comes back. Keeping policy separate from mechanism is what
 //! makes the hysteresis rules unit-testable without threads.
 //!
 //! Two structural rules, split before merge, both over a router of at
@@ -35,6 +36,7 @@
 use std::collections::HashMap;
 
 use crate::shard::MAX_SHARDS;
+use li_telemetry::CellCounters;
 
 /// Epochs a cell must have been observed before it is actionable.
 const MIN_DWELL_EPOCHS: u64 = 3;
@@ -54,21 +56,8 @@ const MAX_MERGE_LEN: usize = 1 << 22;
 /// Never merge below this many cells.
 const MIN_CELLS: usize = 3;
 
-/// One epoch's view of one shard cell: a cumulative counter sampled from
-/// the router (the tuner keeps last-epoch baselines and diffs them).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardObs {
-    /// Stable cell identity — survives epochs, changes on every
-    /// split/merge (which is what restarts the dwell clock).
-    pub cell: u64,
-    /// Live keys in the shard.
-    pub len: usize,
-    /// Cumulative ops (reads, writes, scan visits) routed to this cell.
-    pub ops: u64,
-}
-
 /// A structural change the router should attempt. Cells are named by
-/// [`ShardObs::cell`] id, never by table position: a concurrent forced
+/// [`CellCounters::cell`] id, never by table position: a concurrent forced
 /// split or merge may shift positions between the decision and its
 /// execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +94,12 @@ impl Tuner {
         self.quiet_until = self.epoch + COOLDOWN_EPOCHS;
     }
 
-    /// Feeds one epoch of per-cell counters, in boundary order (adjacent
-    /// entries are adjacent shards); returns the action to attempt this
-    /// epoch, if any, already hysteresis-filtered.
-    pub fn observe(&mut self, obs: &[ShardObs]) -> Option<TunerAction> {
+    /// Feeds one epoch of cumulative per-cell rows, in boundary order
+    /// (adjacent rows are adjacent shards); the tuner keeps last-epoch
+    /// baselines and diffs them. A new cell id (every split and merge
+    /// makes one) restarts that cell's dwell clock. Returns the action to
+    /// attempt this epoch, if any, already hysteresis-filtered.
+    pub fn observe(&mut self, obs: &[CellCounters]) -> Option<TunerAction> {
         self.epoch += 1;
         let epoch = self.epoch;
 
@@ -130,7 +121,7 @@ impl Tuner {
             return None;
         }
 
-        let dwell_ok = |o: &ShardObs| {
+        let dwell_ok = |o: &CellCounters| {
             self.seen
                 .get(&o.cell)
                 .is_some_and(|h| epoch.saturating_sub(h.born_epoch) >= MIN_DWELL_EPOCHS)
@@ -183,8 +174,12 @@ impl Tuner {
 mod tests {
     use super::*;
 
-    fn obs(cell: u64, ops: u64) -> ShardObs {
-        ShardObs { cell, len: 10_000, ops }
+    fn obs(cell: u64, ops: u64) -> CellCounters {
+        row(cell, 10_000, ops)
+    }
+
+    fn row(cell: u64, len: usize, ops: u64) -> CellCounters {
+        CellCounters { cell, len, ops, ..CellCounters::default() }
     }
 
     /// Cell 0 takes 3000 of 4000 ops per epoch: above `SPLIT_SKEW` (2.0)
@@ -196,7 +191,7 @@ mod tests {
     fn drive_ids(t: &mut Tuner, first_id: u64, per_epoch: &[u64], epochs: u64) -> Vec<TunerAction> {
         let mut out = Vec::new();
         for e in 1..=epochs {
-            let frame: Vec<ShardObs> =
+            let frame: Vec<CellCounters> =
                 (first_id..).zip(per_epoch).map(|(id, &ops)| obs(id, ops * e)).collect();
             out.extend(t.observe(&frame));
         }
@@ -268,8 +263,8 @@ mod tests {
                 cells[0].1 = MIN_SPLIT_LEN;
             }
             cells[0].2 += 10_000;
-            let frame: Vec<ShardObs> =
-                cells.iter().map(|&(cell, len, ops)| ShardObs { cell, len, ops }).collect();
+            let frame: Vec<CellCounters> =
+                cells.iter().map(|&(cell, len, ops)| row(cell, len, ops)).collect();
             match t.observe(&frame) {
                 Some(TunerAction::Merge { left, right }) => {
                     let i = cells.iter().position(|c| c.0 == left).unwrap();

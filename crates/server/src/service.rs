@@ -139,6 +139,7 @@ where
 {
     let mut snap = store.recorder().snapshot();
     snap.nvm = store.heap().device().stats_snapshot().to_telemetry();
+    snap.cells = store.index().observe_cells();
     Body::Stats(snap.to_json())
 }
 

@@ -173,6 +173,10 @@ fn stats_returns_telemetry_json() {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"server_get\""), "op histograms missing: {json}");
         assert!(json.contains("\"conn_open\":1"), "connection counters missing: {json}");
+        // The router's cell rows, keyed by lower bound; the GET is the
+        // only op any cell has seen.
+        assert!(json.contains("\"cells\":[{\"lower\":0,"), "cell rows missing: {json}");
+        assert_eq!(json.matches("\"ops\":1,").count(), 1, "one cell saw the GET: {json}");
         server.shutdown();
     });
 }

@@ -11,15 +11,15 @@
 //! - [`Event`]: a typed structural-event taxonomy (`Retrain`,
 //!   `SplitNode`, `BufferFlush`, `DeltaMerge`, `QuarantineSlot`,
 //!   `ShardLockWait`, …) backed by per-event atomic counters.
-//! - Per-shard operation/lock-wait counter banks for the concurrent
-//!   routing layer.
 //! - [`Recorder`]: a cloneable handle threaded through `li-core` traits.
 //!   A default (disabled) recorder is a `None` — every recording method
 //!   is a single branch and no clock is read, so uninstrumented runs pay
 //!   nothing measurable.
 //! - [`TelemetrySnapshot`]: a plain-data snapshot of everything above,
-//!   with `NvmStats` device counters folded in ([`NvmCounters`]) and a
-//!   dependency-free JSON serializer for `li-bench --telemetry`.
+//!   with caller-filled `NvmStats` device counters ([`NvmCounters`]) and
+//!   shard-router cell rows ([`CellCounters`]; the router's own counters,
+//!   keyed by cell bounds), and a dependency-free JSON serializer for
+//!   `li-bench --telemetry` and the server's STATS.
 //!
 //! The crate depends only on `li-sync` (the workspace concurrency shim,
 //! which is what lets the histogram/snapshot protocol be loom
@@ -202,7 +202,7 @@ pub enum OpKind {
     Recovery,
     Retrain,
     LockWait,
-    /// One background maintenance pass (retrain drain + repair + GC).
+    /// One background maintenance pass (retrain drain + repair).
     Maintenance,
     /// Attempts-per-retried-op histogram (unit: attempts, not ns).
     RetryAttempts,
@@ -416,38 +416,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// Number of individually tracked shards; shards beyond this fold into
-/// the last bank so the structure stays fixed-size and allocation-free.
-pub const MAX_TRACKED_SHARDS: usize = 64;
-
-#[derive(Debug, Default)]
-struct ShardBank {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    lock_waits: AtomicU64,
-}
-
-/// Per-shard counters as captured in a snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    pub shard: usize,
-    pub reads: u64,
-    pub writes: u64,
-    pub lock_waits: u64,
-}
-
-impl ShardCounters {
-    pub fn ops(&self) -> u64 {
-        self.reads + self.writes
-    }
-}
-
 /// The shared metric store behind an enabled [`Recorder`].
 #[derive(Debug)]
 pub struct Metrics {
     events: [AtomicU64; Event::COUNT],
     ops: [AtomicHistogram; OpKind::COUNT],
-    shards: [ShardBank; MAX_TRACKED_SHARDS],
 }
 
 impl Default for Metrics {
@@ -461,7 +434,6 @@ impl Metrics {
         Metrics {
             events: std::array::from_fn(|_| AtomicU64::new(0)),
             ops: std::array::from_fn(|_| AtomicHistogram::new()),
-            shards: std::array::from_fn(|_| ShardBank::default()),
         }
     }
 }
@@ -565,37 +537,13 @@ impl Recorder {
         }
     }
 
+    /// Record a contended shard-lock acquisition timed by `timer`: bumps
+    /// the [`Event::ShardLockWait`] event and the `LockWait` histogram.
+    /// The router counts the wait on the cell itself.
     #[inline]
-    fn bank(m: &Metrics, shard: usize) -> &ShardBank {
-        &m.shards[shard.min(MAX_TRACKED_SHARDS - 1)]
-    }
-
-    /// Count a read routed to `shard`.
-    #[inline]
-    pub fn shard_read(&self, shard: usize) {
-        if let Some(m) = &self.0 {
-            Self::bank(m, shard).reads.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a write routed to `shard`.
-    #[inline]
-    pub fn shard_write(&self, shard: usize) {
-        if let Some(m) = &self.0 {
-            Self::bank(m, shard).writes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a contended shard-lock acquisition: bumps the per-shard
-    /// wait counter, the [`Event::ShardLockWait`] event, and the
-    /// `LockWait` latency histogram.
-    #[inline]
-    pub fn shard_lock_wait(&self, shard: usize, waited_ns: u64) {
-        if let Some(m) = &self.0 {
-            Self::bank(m, shard).lock_waits.fetch_add(1, Ordering::Relaxed);
-            m.events[Event::ShardLockWait.idx()].fetch_add(1, Ordering::Relaxed);
-            m.ops[OpKind::LockWait.idx()].record(waited_ns);
-        }
+    pub fn shard_lock_wait(&self, timer: OpTimer) {
+        self.event(Event::ShardLockWait);
+        self.finish(OpKind::LockWait, timer);
     }
 
     /// Capture everything recorded so far. On a disabled recorder this
@@ -608,21 +556,7 @@ impl Recorder {
         let events: [u64; Event::COUNT] =
             std::array::from_fn(|i| m.events[i].load(Ordering::Relaxed));
         let ops: [HistogramSnapshot; OpKind::COUNT] = std::array::from_fn(|i| m.ops[i].snapshot());
-        let shards = m
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = ShardCounters {
-                    shard: i,
-                    reads: b.reads.load(Ordering::Relaxed),
-                    writes: b.writes.load(Ordering::Relaxed),
-                    lock_waits: b.lock_waits.load(Ordering::Relaxed),
-                };
-                (c.reads | c.writes | c.lock_waits != 0).then_some(c)
-            })
-            .collect();
-        TelemetrySnapshot { events, ops, shards, nvm: NvmCounters::default() }
+        TelemetrySnapshot { events, ops, nvm: NvmCounters::default(), cells: Vec::new() }
     }
 }
 
@@ -640,14 +574,33 @@ pub struct NvmCounters {
     pub faults_injected: u64,
 }
 
+/// One shard-router cell, read from the router's own counters. Rows are
+/// keyed by the cell's key range, not its position, which a split or
+/// merge shifts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CellCounters {
+    /// Stable cell id: never reused, and new on every split and merge.
+    pub cell: u64,
+    /// Lowest key the cell owns; it ends where the next row's begins.
+    pub lower: u64,
+    /// Live keys in the cell.
+    pub len: usize,
+    /// Reads, writes and scan visits routed to the cell since it was
+    /// created.
+    pub ops: u64,
+    /// Write-lock acquisitions on the cell that had to wait.
+    pub lock_waits: u64,
+}
+
 /// Plain-data capture of a [`Recorder`]'s state, plus NVM device
-/// counters when the caller has them.
+/// counters and router cell rows when the caller has them.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     events: [u64; Event::COUNT],
     ops: [HistogramSnapshot; OpKind::COUNT],
-    pub shards: Vec<ShardCounters>,
     pub nvm: NvmCounters,
+    /// One row per router cell, in boundary order.
+    pub cells: Vec<CellCounters>,
 }
 
 impl TelemetrySnapshot {
@@ -659,17 +612,13 @@ impl TelemetrySnapshot {
         &self.ops[kind.idx()]
     }
 
-    /// Shard banks that saw at least one op or lock wait.
-    pub fn active_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.ops() > 0).count()
-    }
-
+    /// Contended shard-lock acquisitions ([`Event::ShardLockWait`]).
     pub fn total_lock_waits(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock_waits).sum()
+        self.event(Event::ShardLockWait)
     }
 
     /// Serialize to a self-contained JSON object (no external deps).
-    /// Zero-count op histograms and inactive shard banks are omitted.
+    /// Zero-count op histograms are omitted.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"events\":{");
@@ -703,15 +652,15 @@ impl TelemetrySnapshot {
                 h.max
             );
         }
-        out.push_str("},\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
+        out.push_str("},\"cells\":[");
+        for (i, c) in self.cells.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
-                "{{\"shard\":{},\"reads\":{},\"writes\":{},\"lock_waits\":{}}}",
-                s.shard, s.reads, s.writes, s.lock_waits
+                "{{\"lower\":{},\"len\":{},\"ops\":{},\"lock_waits\":{}}}",
+                c.lower, c.len, c.ops, c.lock_waits
             );
         }
         let _ = write!(out,
@@ -769,10 +718,7 @@ mod tests {
         let t = r.start();
         r.finish(OpKind::Get, t);
         r.record_ns(OpKind::Insert, 123);
-        r.shard_read(2);
-        r.shard_write(2);
-        r.shard_write(70); // folds into the last bank
-        r.shard_lock_wait(2, 55);
+        r.shard_lock_wait(r.start());
         let s = r.snapshot();
         assert_eq!(s.event(Event::Retrain), 1);
         assert_eq!(s.event(Event::KeyShift), 41);
@@ -781,11 +727,7 @@ mod tests {
         assert_eq!(s.op(OpKind::Insert).count, 1);
         assert_eq!(s.op(OpKind::LockWait).count, 1);
         assert_eq!(s.total_lock_waits(), 1);
-        let bank2 = s.shards.iter().find(|b| b.shard == 2).unwrap();
-        assert_eq!((bank2.reads, bank2.writes, bank2.lock_waits), (1, 1, 1));
-        let last = s.shards.iter().find(|b| b.shard == MAX_TRACKED_SHARDS - 1).unwrap();
-        assert_eq!(last.writes, 1);
-        assert_eq!(s.active_shards(), 2);
+        assert!(s.cells.is_empty(), "cell rows are the caller's to fill");
     }
 
     #[test]
@@ -796,11 +738,11 @@ mod tests {
         r.record_ns(OpKind::Get, 10);
         let t = r.start();
         r.finish(OpKind::Get, t);
-        r.shard_lock_wait(0, 99);
+        r.shard_lock_wait(r.start());
         let s = r.snapshot();
         assert_eq!(s.event(Event::Retrain), 0);
         assert_eq!(s.op(OpKind::Get).count, 0);
-        assert!(s.shards.is_empty());
+        assert_eq!(s.total_lock_waits(), 0);
     }
 
     #[test]
@@ -815,13 +757,12 @@ mod tests {
     fn concurrent_recording_loses_nothing() {
         let r = Recorder::enabled();
         let threads: Vec<_> = (0..4)
-            .map(|t| {
+            .map(|_| {
                 let r = r.clone();
                 li_sync::thread::spawn(move || {
                     for i in 0..10_000u64 {
                         r.event(Event::Retrain);
                         r.record_ns(OpKind::Insert, i);
-                        r.shard_write(t);
                     }
                 })
             })
@@ -832,7 +773,6 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.event(Event::Retrain), 40_000);
         assert_eq!(s.op(OpKind::Insert).count, 40_000);
-        assert_eq!(s.shards.iter().map(|b| b.writes).sum::<u64>(), 40_000);
     }
 
     #[test]
@@ -841,9 +781,12 @@ mod tests {
         r.event(Event::DeltaMerge);
         r.event_n(Event::AdmissionShed, 3);
         r.record_ns(OpKind::Put, 100);
-        r.shard_write(0);
         let mut s = r.snapshot();
         s.nvm.writes = 7;
+        s.cells = vec![
+            CellCounters { cell: 0, lower: 0, len: 5, ops: 9, lock_waits: 0 },
+            CellCounters { cell: 3, lower: 640, len: 2, ops: 1, lock_waits: 4 },
+        ];
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -852,6 +795,9 @@ mod tests {
         assert!(j.contains("\"admission_shed\":3},\"ops\""));
         assert!(j.contains("\"put\":{\"count\":1"));
         assert!(j.contains("\"writes\":7"));
+        assert!(j.contains(
+            "\"cells\":[{\"lower\":0,\"len\":5,\"ops\":9,\"lock_waits\":0},{\"lower\":640,"
+        ));
         // Zero-count histograms are omitted.
         assert!(!j.contains("\"scan\""));
     }

@@ -501,16 +501,11 @@ impl AnyConcurrentIndex {
         }
         AnyConcurrentIndex(inner)
     }
-
-    /// Shard count backing this instance (1 for the native route).
-    pub fn shard_count(&self) -> usize {
-        self.0.shard_count()
-    }
 }
 
 /// Exposes the router's introspection and adaptation surface
-/// (`shard_lens`, `force_split`, `run_adaptation`, …) without
-/// re-wrapping each method.
+/// (`shard_count`, `boundaries`, `force_split`, …) without re-wrapping
+/// each method.
 impl core::ops::Deref for AnyConcurrentIndex {
     type Target = li_core::Sharded;
     fn deref(&self) -> &li_core::Sharded {
@@ -539,8 +534,8 @@ impl Index for AnyConcurrentIndex {
         self.0.data_size_bytes()
     }
 
-    /// Forwards the recorder through the router, which clones it into
-    /// every shard (so per-shard routing counters share one sink).
+    /// Forwards the recorder through the router, which keeps it for its
+    /// lock-wait timings and clones it into every shard's index.
     fn set_recorder(&mut self, recorder: li_core::telemetry::Recorder) {
         self.0.set_recorder(recorder);
     }
@@ -585,6 +580,10 @@ impl ConcurrentIndex for AnyConcurrentIndex {
 
     fn run_adaptation(&self) -> usize {
         ConcurrentIndex::run_adaptation(&self.0)
+    }
+
+    fn observe_cells(&self) -> Vec<li_core::telemetry::CellCounters> {
+        ConcurrentIndex::observe_cells(&self.0)
     }
 }
 

@@ -7,7 +7,7 @@
 //! * no retraining ⇒ `Retrain == 0` (a read-only run emits *nothing*);
 //! * delta-buffer insertion ⇒ `BufferFlush > 0`, and only there;
 //! * every strategy's event fingerprint is distinguishable from the rest;
-//! * the three concurrent routes are tellable apart from shard banks;
+//! * the three concurrent routes are tellable apart from their cell rows;
 //! * every `QuarantineSlot` in crash torture has a matching injected
 //!   fault (or an in-flight op cut by the crash) to blame;
 //! * every injected transient write fault surfaces as exactly one `Retry`
@@ -215,7 +215,7 @@ fn insert_latency_histograms_populate() {
 }
 
 #[test]
-fn concurrent_routes_are_distinguishable_from_shard_banks() {
+fn concurrent_routes_are_distinguishable_from_cell_rows() {
     let data = seed_data(6_000, 11);
     let drive = |kind: ConcurrentKind| {
         let mut idx = AnyConcurrentIndex::build(kind, &data);
@@ -227,31 +227,37 @@ fn concurrent_routes_are_distinguishable_from_shard_banks() {
             idx.insert(k, i);
             ConcurrentIndex::get(&idx, k);
         }
-        rec.snapshot()
+        // Filled the way STATS fills it.
+        let mut snap = rec.snapshot();
+        snap.cells = idx.observe_cells();
+        snap
     };
 
     // Native (XIndex): since the dyn-dispatch collapse this is one shard
     // cell whose writes go through the index's shared-reference surface —
-    // one bank, and never any cell-lock contention.
+    // one row, and never any cell-lock contention.
     let native = drive(ConcurrentKind::of(IndexKind::XIndex).unwrap());
-    assert_eq!(native.active_shards(), 1, "native route is a single cell");
+    assert_eq!(native.cells.len(), 1, "native route is a single cell");
 
-    // GlobalLock: exactly one bank funnels everything.
+    // GlobalLock: exactly one cell funnels everything.
     let lock = drive(ConcurrentKind::global_lock(IndexKind::BTree).unwrap());
-    assert_eq!(lock.active_shards(), 1, "global lock is one shard");
+    assert_eq!(lock.cells.len(), 1, "global lock is one cell");
 
-    // Sharded: uniform random keys hit many banks.
+    // Sharded: uniform random keys hit many cells.
     let shard = drive(ConcurrentKind::of(IndexKind::BTree).unwrap());
-    assert!(shard.active_shards() > 1, "sharded route spreads over banks");
+    let active = shard.cells.iter().filter(|c| c.ops > 0).count();
+    assert!(active > 1, "sharded route spreads over cells: {active} active");
 
-    // Single-threaded driving can never contend the shard locks.
+    // Every route counts all 2 000 ops, and single-threaded driving can
+    // never contend the shard locks.
     for (name, snap) in [("native", &native), ("lock", &lock), ("shard", &shard)] {
+        assert_eq!(snap.cells.iter().map(|c| c.ops).sum::<u64>(), 2_000, "{name}");
         assert_eq!(
             snap.event(Event::ShardLockWait),
             0,
             "{name}: single-threaded run saw lock contention"
         );
-        assert_eq!(snap.total_lock_waits(), 0, "{name}");
+        assert!(snap.cells.iter().all(|c| c.lock_waits == 0), "{name}");
     }
 }
 
@@ -500,20 +506,19 @@ fn every_repaired_slot_had_a_matching_quarantine() {
 #[test]
 fn concurrent_routes_agree_with_oracle_and_record_writes() {
     // Differential + telemetry in one: each route replays the same seeded
-    // stream against a BTreeMap oracle, and its write counters must equal
-    // the number of mutations issued.
+    // stream against a BTreeMap oracle, and its cell rows must count
+    // every op issued.
     let data = seed_data(3_000, 21);
     for kind in [
         ConcurrentKind::of(IndexKind::XIndex).unwrap(),
         ConcurrentKind::of(IndexKind::Alex).unwrap(),
         ConcurrentKind::global_lock(IndexKind::Pgm).unwrap(),
     ] {
+        // Attached as in the served stack; the rows count with or without.
         let mut idx = AnyConcurrentIndex::build(kind, &data);
-        let rec = Recorder::enabled();
-        idx.set_recorder(rec.clone());
+        idx.set_recorder(Recorder::enabled());
         let mut oracle: BTreeMap<u64, u64> = data.iter().copied().collect();
         let mut rng = StdRng::seed_from_u64(23);
-        let mut writes = 0u64;
         for i in 0..2_000u64 {
             let k: u64 = rng.random::<u64>() >> rng.random_range(0..32u32);
             match rng.random_range(0..3) {
@@ -532,20 +537,15 @@ fn concurrent_routes_agree_with_oracle_and_record_writes() {
                         "{}: insert({k})",
                         kind.name()
                     );
-                    writes += 1;
                 }
                 _ => {
                     assert_eq!(idx.remove(k), oracle.remove(&k), "{}: remove({k})", kind.name());
-                    writes += 1;
                 }
             }
         }
         assert_eq!(ConcurrentIndex::len(&idx), oracle.len(), "{}", kind.name());
-        let snap = rec.snapshot();
-        let recorded: u64 = snap.shards.iter().map(|s| s.writes).sum();
-        if !snap.shards.is_empty() {
-            assert_eq!(recorded, writes, "{}: recorded writes vs issued mutations", kind.name());
-        }
+        let counted: u64 = idx.observe_cells().iter().map(|c| c.ops).sum();
+        assert_eq!(counted, 2_000, "{}: per-cell ops vs issued ops", kind.name());
     }
 }
 
