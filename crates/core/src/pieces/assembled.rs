@@ -65,99 +65,7 @@ pub struct PiecewiseIndex {
     pending_leaves: BTreeSet<Key>,
 }
 
-/// Magic + version tag opening a serialized piecewise model ("LIPPLA01").
-const MODEL_MAGIC: u64 = 0x4C49_5050_4C41_3031;
-
 impl PiecewiseIndex {
-    /// Serializes the model *structure* — the segment boundaries the
-    /// approximation algorithm chose — for a durability checkpoint:
-    /// `magic(8) ‖ count(8) ‖ count × boundary_key(8)`, little-endian.
-    /// Per-segment slopes are deliberately not saved; they are cheap
-    /// least-squares fits over each partition, while the boundaries are
-    /// what the expensive segmentation pass (Opt-PLA / FSW) computed.
-    pub fn model_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.first_keys.len() * 8);
-        buf.extend_from_slice(&MODEL_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&(self.first_keys.len() as u64).to_le_bytes());
-        for &k in &self.first_keys {
-            buf.extend_from_slice(&k.to_le_bytes());
-        }
-        buf
-    }
-
-    fn decode_model(bytes: &[u8]) -> Option<Vec<Key>> {
-        if bytes.len() < 16 {
-            return None;
-        }
-        if u64::from_le_bytes(bytes[..8].try_into().unwrap()) != MODEL_MAGIC {
-            return None;
-        }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if count == 0 || bytes.len() != 16 + count * 8 {
-            return None;
-        }
-        let mut bounds = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 16 + i * 8;
-            bounds.push(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()));
-        }
-        if bounds.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
-        Some(bounds)
-    }
-
-    /// Rebuilds from checkpointed model bytes plus the recovered pairs:
-    /// the saved boundaries partition `data` and each partition gets a
-    /// fresh least-squares fit — no segmentation pass. Invalid bytes, or
-    /// bytes that no longer cover the data, fall back to a full
-    /// [`PiecewiseIndex::build_with`]; the result is always exact, only
-    /// the build cost differs.
-    pub fn build_from_model(cfg: PiecewiseConfig, data: &[KeyValue], bytes: &[u8]) -> Self {
-        let Some(bounds) = Self::decode_model(bytes) else {
-            return Self::build_with(cfg, data);
-        };
-        if data.is_empty() {
-            return Self::build_with(cfg, data);
-        }
-        let mut leaves = Vec::with_capacity(bounds.len());
-        let mut first_keys = Vec::with_capacity(bounds.len());
-        let mut start = 0usize;
-        for (i, &b) in bounds.iter().enumerate() {
-            let end = bounds
-                .get(i + 1)
-                .map_or(data.len(), |&next| data.partition_point(|kv| kv.0 < next));
-            // The first partition absorbs keys below its boundary, like
-            // leaf 0 of a normal build; empty partitions (their keys were
-            // deleted since the checkpoint) are dropped from routing.
-            if end > start {
-                let chunk = &data[start..end];
-                let keys: Vec<Key> = chunk.iter().map(|kv| kv.0).collect();
-                let model = LinearModel::fit_least_squares(&keys);
-                let (max_err, _) = model.errors(&keys);
-                leaves.push(cfg.leaf.build(chunk, model, max_err.ceil() as u64));
-                first_keys.push(if first_keys.is_empty() { b.min(keys[0]) } else { b });
-                start = end;
-            }
-        }
-        if leaves.is_empty() {
-            return Self::build_with(cfg, data);
-        }
-        let inner = cfg.structure.build_dyn(&first_keys);
-        PiecewiseIndex {
-            cfg,
-            leaves,
-            first_keys,
-            inner,
-            len: data.len(),
-            stats: RetrainStats::default(),
-            recorder: Recorder::disabled(),
-            defer_retrains: false,
-            overflow: BTreeMap::new(),
-            pending_leaves: BTreeSet::new(),
-        }
-    }
-
     /// Bulk-builds from strictly-ascending pairs.
     pub fn build_with(cfg: PiecewiseConfig, data: &[KeyValue]) -> Self {
         let keys: Vec<Key> = data.iter().map(|kv| kv.0).collect();
@@ -363,10 +271,6 @@ impl Index for PiecewiseIndex {
 
     fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    fn model_save(&self) -> Option<Vec<u8>> {
-        Some(self.model_bytes())
     }
 }
 
@@ -781,64 +685,6 @@ mod tests {
             let leaf = idx.locate_leaf(k);
             assert_eq!(idx.search_leaf(leaf, k), Some(v));
         }
-    }
-
-    #[test]
-    fn model_roundtrip_rebuilds_exactly() {
-        let data = sorted_data(20_000, 3, 11);
-        let idx = PiecewiseIndex::build_with(PiecewiseConfig::default(), &data);
-        let bytes = idx.model_save().expect("piecewise saves its model");
-        let rebuilt = PiecewiseIndex::build_from_model(PiecewiseConfig::default(), &data, &bytes);
-        assert_eq!(rebuilt.len(), data.len());
-        assert_eq!(rebuilt.leaf_count(), idx.leaf_count(), "boundaries preserved");
-        for &(k, v) in data.iter().step_by(41) {
-            assert_eq!(rebuilt.get(k), Some(v));
-        }
-        assert_eq!(rebuilt.get(1), None);
-        assert_eq!(rebuilt.range_vec(0, u64::MAX), data);
-    }
-
-    #[test]
-    fn model_rebuild_tolerates_data_drift() {
-        // The recovered pairs may differ from the checkpointed snapshot
-        // (WAL replay applied inserts and deletes): partitioning by stale
-        // boundaries must stay exact anyway.
-        let data = sorted_data(5_000, 4, 0);
-        let idx = PiecewiseIndex::build_with(PiecewiseConfig::default(), &data);
-        let bytes = idx.model_bytes();
-        let mut drifted: Vec<KeyValue> = data.iter().copied().filter(|kv| kv.0 % 16 != 0).collect();
-        for i in 0..500u64 {
-            drifted.push((30_000 + i, i)); // beyond the last boundary
-        }
-        drifted.sort_unstable_by_key(|kv| kv.0);
-        let rebuilt =
-            PiecewiseIndex::build_from_model(PiecewiseConfig::default(), &drifted, &bytes);
-        assert_eq!(rebuilt.len(), drifted.len());
-        assert_eq!(rebuilt.range_vec(0, u64::MAX), drifted);
-        assert_eq!(rebuilt.get(16), None, "deleted key must stay deleted");
-        assert_eq!(rebuilt.get(30_000), Some(0));
-    }
-
-    #[test]
-    fn invalid_model_bytes_fall_back_to_full_build() {
-        let data = sorted_data(2_000, 5, 7);
-        for bad in [&b""[..], &b"garbage!"[..], &[0u8; 64][..]] {
-            let idx = PiecewiseIndex::build_from_model(PiecewiseConfig::default(), &data, bad);
-            assert_eq!(idx.len(), data.len());
-            assert_eq!(idx.range_vec(0, u64::MAX), data);
-        }
-        // A truncated genuine model is rejected too.
-        let full = PiecewiseIndex::build_with(PiecewiseConfig::default(), &data).model_bytes();
-        let idx = PiecewiseIndex::build_from_model(
-            PiecewiseConfig::default(),
-            &data,
-            &full[..full.len() - 3],
-        );
-        assert_eq!(idx.range_vec(0, u64::MAX), data);
-        // A mutated rebuilt index keeps accepting writes.
-        let mut idx = PiecewiseIndex::build_from_model(PiecewiseConfig::default(), &data, &full);
-        idx.insert(1, 99);
-        assert_eq!(idx.get(1), Some(99));
     }
 
     #[test]

@@ -41,16 +41,6 @@ pub trait Index: Send + Sync {
     /// whatever they contain.
     fn set_recorder(&mut self, _recorder: Recorder) {}
 
-    /// Serializes the index's *model parameters* — segment boundaries,
-    /// slopes, routing tables — for a durability checkpoint, so recovery
-    /// can rebuild without retraining from scratch. `None` (the default)
-    /// means the index has no model worth saving and checkpointed
-    /// recovery retrains from the recovered pairs instead; correctness
-    /// never depends on this, only recovery speed.
-    fn model_save(&self) -> Option<Vec<u8>> {
-        None
-    }
-
     /// Probes for a natively write-concurrent surface. `Some` means this
     /// index accepts inserts/removes through a shared reference (XIndex's
     /// fine-grained internal locking), so a router holding only a *read*

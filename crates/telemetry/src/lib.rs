@@ -79,8 +79,8 @@ pub enum Event {
     /// One group-commit flush/fence batch made a range of WAL appends
     /// durable (≤ WalAppend: a batch covers one or more appends).
     GroupCommit,
-    /// A checkpoint (heap snapshot + serialized index model + manifest
-    /// swap) was written durably.
+    /// A checkpoint (key → offset snapshot segment + manifest swap) was
+    /// written durably.
     CheckpointWritten,
     /// Recovery replayed WAL records past the checkpoint watermark
     /// (counted per record applied).

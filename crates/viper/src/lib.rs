@@ -28,10 +28,10 @@
 //!   lift) and the overload [`CircuitBreaker`].
 //! * [`wal`] — the write-ahead log: CRC-framed ring of LSN-addressed
 //!   records with group commit (one fence per batch of appenders).
-//! * [`checkpoint`] — incremental model checkpoints (a base image plus
-//!   appended delta segments) behind a versioned manifest; recovery
-//!   deserializes the last checkpoint and replays only the WAL tail
-//!   instead of rescanning pages and retraining.
+//! * [`checkpoint`] — incremental checkpoints of the key → offset map (a
+//!   base image plus appended delta segments) behind a versioned
+//!   manifest; recovery decodes the last checkpoint and replays only the
+//!   WAL tail instead of rescanning pages, then builds the index.
 
 pub mod checkpoint;
 pub mod config;

@@ -35,8 +35,6 @@ pub(crate) struct RecoveredState {
     pub(crate) heap: RecordHeap,
     /// Validated live `(key, offset)` pairs, sorted by key.
     pub(crate) live: Vec<KeyValue>,
-    /// Serialized index model from the checkpoint, when one was usable.
-    pub(crate) model: Option<Vec<u8>>,
     pub(crate) report: RecoveryReport,
     /// `None` without durability (no WAL to reopen).
     pub(crate) resume: Option<WalResume>,
@@ -86,7 +84,7 @@ pub(crate) fn recover_state(
         let (heap, mut live, report) =
             RecordHeap::recover_with_report(Arc::clone(dev), layout, opts);
         live.sort_unstable();
-        return RecoveredState { heap, live, model: None, report, resume: None };
+        return RecoveredState { heap, live, report, resume: None };
     };
     if opts.use_checkpoint {
         if let Some(state) = try_checkpoint_recovery(dev, layout, opts, &geom) {
@@ -96,9 +94,8 @@ pub(crate) fn recover_state(
     rescan_with_replay(dev, layout, opts, &geom)
 }
 
-/// The fast path: newest verified checkpoint + WAL tail, no page scan and
-/// (when the blob carries model bytes) no retraining. `None` sends the
-/// caller to the rescan fallback.
+/// The fast path: newest verified checkpoint + WAL tail, no page scan.
+/// `None` sends the caller to the rescan fallback.
 fn try_checkpoint_recovery(
     dev: &Arc<NvmDevice>,
     layout: RecordLayout,
@@ -197,7 +194,6 @@ fn try_checkpoint_recovery(
     Some(RecoveredState {
         heap,
         live, // filtered in merged-entry order: already key-sorted
-        model: (!blob.model.is_empty()).then_some(blob.model),
         report,
         resume: Some(WalResume {
             geom: *geom,
@@ -249,7 +245,6 @@ fn rescan_with_replay(
     RecoveredState {
         heap,
         live,
-        model: None,
         report,
         resume: Some(WalResume {
             geom: *geom,

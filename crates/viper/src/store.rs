@@ -167,19 +167,10 @@ impl<M: WriteModel> Engine<M> {
 
     /// Writes a whole base image from a caller-provided entry table
     /// (assumed complete and key-sorted: bulk load's pairs, recovery's
-    /// validated live set, a fold's merged image) plus the index's model.
-    /// Callers must guarantee writer quiescence.
-    fn checkpoint_base(
-        &self,
-        d: &Durability,
-        index: &impl Index,
-        entries: Vec<(u64, u64)>,
-    ) -> Result<(), ViperError> {
-        let blob = CheckpointBlob {
-            entries,
-            model: index.model_save().unwrap_or_default(),
-            ..self.image_head(d)
-        };
+    /// validated live set, a fold's merged image). Callers must guarantee
+    /// writer quiescence.
+    fn checkpoint_base(&self, d: &Durability, entries: Vec<(u64, u64)>) -> Result<(), ViperError> {
+        let blob = CheckpointBlob { entries, ..self.image_head(d) };
         let newest = d.ckpt.lock().newest;
         let manifest =
             checkpoint::write_base(self.heap.device(), &self.recorder, &d.geom, &newest, &blob)?;
@@ -229,7 +220,7 @@ impl<M: WriteModel> Engine<M> {
         let image = if extendable { checkpoint::load_image(dev, &d.geom, &newest) } else { None };
         let image = image.map_or_else(|| self.heap.scan_live(), |image| image.entries);
         let overlay = checkpoint::delta_overlay(&delta.entries);
-        self.checkpoint_base(d, index, checkpoint::merge_overlay(&image, overlay))?;
+        self.checkpoint_base(d, checkpoint::merge_overlay(&image, overlay))?;
         Ok(true)
     }
 
@@ -377,7 +368,7 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         // is what makes them reachable by the fast recovery path. (A crash
         // before it completes simply falls back to the page rescan.)
         if let Some(d) = &store.engine.durability {
-            store.engine.checkpoint_base(d, &store.index, pairs)?;
+            store.engine.checkpoint_base(d, pairs)?;
         }
         Ok(store)
     }
@@ -404,26 +395,11 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         Self::recover_recorded(dev, layout, opts, Recorder::disabled(), build)
     }
 
-    /// [`ViperStore::recover_with_options`] with telemetry (see
-    /// [`ViperStore::recover_with_model`] for what is recorded).
+    /// The one recovery implementation: [`ViperStore::recover_with_options`]
+    /// with telemetry. `build` makes the index from the recovered live
+    /// pairs, on either path — a checkpoint carries no index model.
     /// (`RecoverOptions` stays a plain `Copy` options struct; the recorder
     /// travels as a parameter.)
-    pub fn recover_recorded(
-        dev: Arc<NvmDevice>,
-        layout: RecordLayout,
-        opts: RecoverOptions,
-        recorder: Recorder,
-        build: impl FnOnce(&[KeyValue]) -> I,
-    ) -> (Self, RecoveryReport) {
-        Self::recover_with_model(dev, layout, opts, recorder, |pairs, _model| build(pairs))
-    }
-
-    /// The one recovery implementation, with a *model-aware* index
-    /// builder: when the checkpoint fast path surfaces serialized model
-    /// parameters, they are handed to `build` alongside the live pairs so
-    /// the index can rebuild its learned structure without retraining from
-    /// scratch (`None` on the rescan fallback or when the checkpoint
-    /// carried no model).
     ///
     /// The recorder times the whole rebuild as one [`OpKind::Recovery`]
     /// op, emits one [`Event::QuarantineSlot`] per record quarantined and
@@ -436,17 +412,16 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     /// rescan remains the fallback (no usable checkpoint, or forced via
     /// [`RecoverOptions::use_checkpoint`]). A durable recovery ends by
     /// writing a *fresh* checkpoint so the next crash starts from here.
-    pub fn recover_with_model(
+    pub fn recover_recorded(
         dev: Arc<NvmDevice>,
         layout: RecordLayout,
         opts: RecoverOptions,
         recorder: Recorder,
-        build: impl FnOnce(&[KeyValue], Option<&[u8]>) -> I,
+        build: impl FnOnce(&[KeyValue]) -> I,
     ) -> (Self, RecoveryReport) {
         let t = recorder.start();
-        let RecoveredState { heap, live, model, report, resume } =
-            recover_state(&dev, layout, opts);
-        let index = build(&live, model.as_deref());
+        let RecoveredState { heap, live, report, resume } = recover_state(&dev, layout, opts);
+        let index = build(&live);
         recorder.event_n(Event::LogReplay, report.replayed as u64);
         recorder.event_n(Event::QuarantineSlot, report.quarantined as u64);
         let durability = opts.durability.zip(resume).map(|(dcfg, r)| {
@@ -462,7 +437,7 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         // appends. A faulted checkpoint write is survivable — the store
         // works, the lag just stays — so it must not fail recovery.
         if let Some(d) = &store.engine.durability {
-            let _ = store.engine.checkpoint_base(d, &store.index, live);
+            let _ = store.engine.checkpoint_base(d, live);
         }
         recorder.finish(OpKind::Recovery, t);
         (store, report)
@@ -1310,12 +1285,12 @@ pub(crate) mod tests {
         let dev = store.into_device();
         let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
         let rec = Recorder::enabled();
-        let (recovered, report) = ViperStore::<MapIndex>::recover_with_model(
+        let (recovered, report) = ViperStore::<MapIndex>::recover_recorded(
             dev,
             cfg.layout,
             opts,
             rec.clone(),
-            |pairs, _model| MapIndex::build(pairs),
+            MapIndex::build,
         );
         assert!(report.from_checkpoint, "fast path must engage");
         assert_eq!(report.replayed, 11);
@@ -1343,12 +1318,12 @@ pub(crate) mod tests {
         let vs = cfg.layout.value_size;
         let dev = store.into_device();
         let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
-        let (mut recovered, report) = ViperStore::<MapIndex>::recover_with_model(
+        let (mut recovered, report) = ViperStore::<MapIndex>::recover_recorded(
             dev,
             cfg.layout,
             opts,
             Recorder::disabled(),
-            |pairs, _| MapIndex::build(pairs),
+            MapIndex::build,
         );
         assert!(report.from_checkpoint);
         // The reopened WAL and resumed sequence keep accepting writes, and
@@ -1358,12 +1333,12 @@ pub(crate) mod tests {
         }
         assert!(recovered.delete(0).unwrap());
         let dev = recovered.into_device();
-        let (again, report2) = ViperStore::<MapIndex>::recover_with_model(
+        let (again, report2) = ViperStore::<MapIndex>::recover_recorded(
             dev,
             cfg.layout,
             opts,
             Recorder::disabled(),
-            |pairs, _| MapIndex::build(pairs),
+            MapIndex::build,
         );
         assert!(report2.from_checkpoint);
         assert_eq!(again.len(), 100 + 50 - 1);
@@ -1499,15 +1474,12 @@ pub(crate) mod tests {
             use_checkpoint: false,
             ..RecoverOptions::default()
         };
-        let (recovered, report) = ViperStore::<MapIndex>::recover_with_model(
+        let (recovered, report) = ViperStore::<MapIndex>::recover_recorded(
             dev,
             cfg.layout,
             opts,
             Recorder::disabled(),
-            |pairs, model| {
-                assert!(model.is_none(), "rescan path carries no model");
-                MapIndex::build(pairs)
-            },
+            MapIndex::build,
         );
         assert!(!report.from_checkpoint);
         assert_eq!(report.replayed, 0);
@@ -1552,70 +1524,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A map index that saves a model blob, for exercising the
-    /// checkpointed-model round trip without a learned index.
-    struct ModelMap {
-        inner: MapIndex,
-        restored_from: Option<Vec<u8>>,
-    }
-
-    impl Index for ModelMap {
-        fn name(&self) -> &'static str {
-            "model-map"
-        }
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-        fn get(&self, key: Key) -> Option<u64> {
-            Index::get(&self.inner, key)
-        }
-        fn index_size_bytes(&self) -> usize {
-            self.inner.index_size_bytes()
-        }
-        fn data_size_bytes(&self) -> usize {
-            0
-        }
-        fn model_save(&self) -> Option<Vec<u8>> {
-            Some(vec![0xAB; 16])
-        }
-    }
-
-    impl UpdatableIndex for ModelMap {
-        fn insert(&mut self, key: Key, value: u64) -> Option<u64> {
-            self.inner.insert(key, value)
-        }
-        fn remove(&mut self, key: Key) -> Option<u64> {
-            self.inner.remove(key)
-        }
-    }
-
-    #[test]
-    fn checkpoint_round_trips_index_model() {
-        let keys: Vec<Key> = (0..100u64).collect();
-        let cfg = durable_cfg(1_000, 64);
-        let store = ViperStore::<ModelMap>::bulk_load_with(cfg, &keys, value_for, |pairs| {
-            ModelMap { inner: MapIndex::build(pairs), restored_from: None }
-        });
-        let dev = store.into_device();
-        let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
-        let (recovered, report) = ViperStore::<ModelMap>::recover_with_model(
-            dev,
-            cfg.layout,
-            opts,
-            Recorder::disabled(),
-            |pairs, model| ModelMap {
-                inner: MapIndex::build(pairs),
-                restored_from: model.map(<[u8]>::to_vec),
-            },
-        );
-        assert!(report.from_checkpoint);
-        assert_eq!(
-            recovered.index().restored_from.as_deref(),
-            Some(&[0xABu8; 16][..]),
-            "model bytes must round-trip through the checkpoint"
-        );
-    }
-
     #[test]
     fn shared_writer_durable_puts_and_recovery() {
         let cfg = durable_cfg(10_000, 4_096);
@@ -1644,12 +1552,12 @@ pub(crate) mod tests {
         let store = Arc::into_inner(store).unwrap();
         let dev = store.into_device();
         let opts = RecoverOptions { durability: cfg.durability, ..RecoverOptions::default() };
-        let (recovered, report) = ConcurrentViperStore::<LockedMap>::recover_with_model(
+        let (recovered, report) = ConcurrentViperStore::<LockedMap>::recover_recorded(
             dev,
             cfg.layout,
             opts,
             Recorder::disabled(),
-            |pairs, _| LockedMap(li_sync::sync::RwLock::new(pairs.iter().copied().collect())),
+            |pairs| LockedMap(li_sync::sync::RwLock::new(pairs.iter().copied().collect())),
         );
         assert!(report.from_checkpoint);
         assert_eq!(report.replayed, 1, "only the post-checkpoint put is in the tail");
