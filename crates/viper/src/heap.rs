@@ -30,9 +30,9 @@ use li_sync::sync::atomic::{AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use li_core::telemetry::{Event, Recorder};
+use li_core::telemetry::Recorder;
 use li_core::Key;
-use li_nvm::{NvmDevice, NvmError};
+use li_nvm::NvmDevice;
 use li_sync::sync::Mutex;
 
 use crate::checkpoint::{DurabilityConfig, Geometry};
@@ -41,6 +41,7 @@ use crate::layout::{
     record_crc, RecordLayout, SlotHeader, PAGE_HEADER, PAGE_MAGIC, SLOT_DEAD, SLOT_FREE,
     SLOT_HEADER, SLOT_LIVE,
 };
+use crate::wal::write_retry;
 
 /// Number of lock stripes guarding in-place record updates.
 const UPDATE_STRIPES: usize = 1024;
@@ -97,10 +98,6 @@ impl<'a> PageReader<'a> {
         &self.page(offset - in_page)[in_page..in_page + record]
     }
 }
-
-/// Injected transient write failures are retried this many times before
-/// the operation gives up and surfaces the fault.
-const WRITE_RETRIES: usize = 8;
 
 struct OpenPage {
     /// Byte offset of the currently filling page, or None before first
@@ -202,12 +199,16 @@ pub struct RecordHeap {
     /// [`RecordHeap::reclaim_quarantined`].
     quarantined: Mutex<Vec<usize>>,
     /// Live slots whose retirement hit a transient fault inside
-    /// [`RecordHeap::replace`]. The record they hold is superseded by a
-    /// higher-sequence one, so they waste space but cannot corrupt reads;
-    /// the maintenance sweep re-validates and retires them.
+    /// [`RecordHeap::retire`]. The index no longer names them and the
+    /// record they hold is superseded (by a higher-sequence one, or by a
+    /// logged delete), so they waste space but cannot corrupt reads; the
+    /// maintenance sweep re-validates and retires them.
     stale: Mutex<Vec<usize>>,
-    /// Emits [`Event::Retry`] for every transient write failure observed
-    /// (and re-attempted) by [`RecordHeap::write_retry`].
+    /// Emits `Event::Retry` for every transient write failure the heap's
+    /// writes observe (and re-attempt) through [`write_retry`]: with it
+    /// attached, `Retry` events equal the device's `failed_writes` fault
+    /// counter as long as nothing bypasses that path (recovery healing
+    /// writes directly and is accounted separately via `pages_healed`).
     recorder: Recorder,
 }
 
@@ -244,7 +245,7 @@ impl RecordHeap {
     }
 
     /// Attaches a telemetry recorder; every transient write failure the
-    /// heap rides out is counted as an [`Event::Retry`].
+    /// heap rides out is counted as an `Event::Retry`.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -266,25 +267,6 @@ impl RecordHeap {
     #[inline]
     fn stripe(&self, offset: usize) -> &Mutex<()> {
         &self.update_locks[(offset / self.layout.stride()) % UPDATE_STRIPES]
-    }
-
-    /// Writes with bounded retry of injected transient failures. One
-    /// [`Event::Retry`] is emitted per failure observed — including the
-    /// final one when the budget is exhausted — so with a recorder
-    /// attached, `Retry` events equal the device's `failed_writes` fault
-    /// counter as long as nothing bypasses this path (recovery healing
-    /// writes directly and is accounted separately via `pages_healed`).
-    fn write_retry(&self, offset: usize, data: &[u8]) -> Result<(), ViperError> {
-        for _ in 0..WRITE_RETRIES {
-            match self.dev.try_write(offset, data) {
-                Ok(()) => return Ok(()),
-                Err(NvmError::WriteFailed) => {
-                    self.recorder.event(Event::Retry);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Err(ViperError::Nvm(NvmError::WriteFailed))
     }
 
     /// Hands out the next page, returning its byte offset.
@@ -315,7 +297,7 @@ impl RecordHeap {
             }
             // Open a fresh page and stamp its header durably.
             let page_offset = self.next_page(&mut open)?;
-            self.write_retry(page_offset, &page_header())?;
+            write_retry(&self.dev, &self.recorder, page_offset, &page_header())?;
             self.dev.try_persist(page_offset, PAGE_HEADER)?;
             open.page_offset = Some(page_offset);
             open.next_slot = 0;
@@ -323,20 +305,13 @@ impl RecordHeap {
     }
 
     /// Appends a new record, returning its slot offset (the index's value
-    /// handle). `value.len()` must equal the layout's value size.
+    /// handle): [`RecordHeap::stage_append`], then
+    /// [`RecordHeap::commit_append`]. `value.len()` must equal the layout's
+    /// value size.
     pub fn append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
-        let off = self.alloc_slot()?;
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let result = with_scratch(self.layout.record_size(), |buf| {
-            self.layout.encode_record(key, seq, SLOT_FREE, value, buf);
-            self.publish(off, buf, 0)
-        });
-        if result.is_err() {
-            // The slot holds no published record; recycle it.
-            self.free_slots.lock().push(off);
-        }
-        result?;
-        Ok(off as u64)
+        let offset = self.stage_append(key, value)?;
+        self.commit_append(offset)?;
+        Ok(offset)
     }
 
     /// Appends one record per key of `keys`, in order, a page-run at a
@@ -449,7 +424,7 @@ impl RecordHeap {
     /// first one also covering the `head` bytes of page header), a fence.
     /// The padding between records is not flushed: nothing reads it.
     fn stage_run(&self, at: usize, bytes: &[u8], head: usize) -> Result<(), ViperError> {
-        self.write_retry(at, bytes)?;
+        write_retry(&self.dev, &self.recorder, at, bytes)?;
         let (record, stride) = (self.layout.record_size(), self.layout.stride());
         let mut from = at;
         for to in (at + head + record..=at + bytes.len()).step_by(stride) {
@@ -464,7 +439,7 @@ impl RecordHeap {
     /// slot's state byte at device offset `first_state` through the last
     /// one's, a flush per state byte, a fence.
     fn commit_run(&self, first_state: usize, span: &[u8]) -> Result<(), ViperError> {
-        self.write_retry(first_state, span)?;
+        write_retry(&self.dev, &self.recorder, first_state, span)?;
         for state in (first_state..first_state + span.len()).step_by(self.layout.stride()) {
             self.dev.try_flush(state, 1)?;
         }
@@ -472,12 +447,12 @@ impl RecordHeap {
         Ok(())
     }
 
-    /// First half of a WAL-ordered append: allocates a slot and makes the
+    /// First half of an append: allocates a slot and makes the
     /// record payload durable with the state byte still `SLOT_FREE`.
     /// Nothing is published — a crash (or an abandoned staging, see
     /// [`RecordHeap::recycle_slot`]) leaves the record invisible to both
     /// the rescan and WAL replay (replay re-validates the slot state).
-    /// The caller logs the returned offset to the WAL and then calls
+    /// A durable store logs the returned offset to the WAL before it calls
     /// [`RecordHeap::commit_append`].
     pub fn stage_append(&self, key: Key, value: &[u8]) -> Result<u64, ViperError> {
         let off = self.alloc_slot()?;
@@ -493,8 +468,8 @@ impl RecordHeap {
         Ok(off as u64)
     }
 
-    /// Second half of a WAL-ordered append: flips the staged slot live.
-    /// On failure the slot is recycled — its WAL record becomes an orphan
+    /// Second half of an append: flips the staged slot live. On failure
+    /// the slot is recycled — its WAL record, if any, becomes an orphan
     /// that replay rejects (state never reached `SLOT_LIVE`, and a later
     /// occupant of the slot fails the replay key check).
     pub fn commit_append(&self, offset: u64) -> Result<(), ViperError> {
@@ -524,8 +499,9 @@ impl RecordHeap {
     /// The crc+value region is written as one contiguous store, but it is
     /// *not* crash-atomic: a crash mid-update can leave a mismatching
     /// checksum, and recovery will then quarantine the record (old value
-    /// lost too). That is the inherent trade-off of in-place updates; use
-    /// [`RecordHeap::replace`] for crash-safe out-of-place updates.
+    /// lost too). That is the inherent trade-off of in-place updates; the
+    /// store's crash-safe updates append a new record and
+    /// [`RecordHeap::retire`] the old one instead.
     pub fn update_in_place(&self, offset: u64, key: Key, value: &[u8]) -> Result<(), ViperError> {
         assert_eq!(value.len(), self.layout.value_size);
         let off = offset as usize;
@@ -544,33 +520,10 @@ impl RecordHeap {
         with_scratch(4 + value.len(), |patch| {
             patch[..4].copy_from_slice(&crc.to_le_bytes());
             patch[4..].copy_from_slice(value);
-            self.write_retry(coff, patch)?;
+            write_retry(&self.dev, &self.recorder, coff, patch)?;
             self.dev.try_persist(coff, patch.len())?;
             Ok(())
         })
-    }
-
-    /// Crash-safe out-of-place update: appends a fresh record for `key`
-    /// with a higher sequence, then retires the old slot. Returns the new
-    /// offset. A crash in between leaves two live records; recovery keeps
-    /// the higher sequence.
-    ///
-    /// A *transient* retirement failure after the successful append is
-    /// swallowed: the new record is already durably published, so the
-    /// update has happened — surfacing an error here would report a put as
-    /// failed that recovery (higher sequence wins) would resurrect, the
-    /// exact torn state the torture oracle flags. The un-retired slot is
-    /// parked on the stale list for [`RecordHeap::sweep_stale`] instead.
-    /// `Crashed` still propagates; an in-flight op at crash time may
-    /// legally land either way.
-    pub fn replace(&self, old_offset: u64, key: Key, value: &[u8]) -> Result<u64, ViperError> {
-        let new_off = self.append(key, value)?;
-        match self.mark_dead(old_offset) {
-            Ok(()) => {}
-            Err(e) if e.is_transient() => self.stale.lock().push(old_offset as usize),
-            Err(e) => return Err(e),
-        }
-        Ok(new_off)
     }
 
     /// Reads the record at `offset` in one device access: the slot lands
@@ -592,12 +545,32 @@ impl RecordHeap {
         self.dev.read_u64(offset as usize)
     }
 
+    /// Retires a record the index no longer names: marks it dead and
+    /// recycles its slot. Returns whether it did so now. A *transient*
+    /// fault must not fail the mutation that superseded the record — that
+    /// mutation has already moved the index (and, in a durable store, been
+    /// logged), and recovery would apply it (higher sequence wins; replay
+    /// re-applies a logged delete) — so the slot is parked on the stale
+    /// list for [`RecordHeap::sweep_stale`] and `Ok(false)` returned.
+    /// `Crashed` still propagates; an in-flight op at crash time may
+    /// legally land either way.
+    pub fn retire(&self, offset: u64) -> Result<bool, ViperError> {
+        match self.mark_dead(offset) {
+            Ok(()) => Ok(true),
+            Err(e) if e.is_transient() => {
+                self.park_stale(offset);
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// Marks the record dead and recycles its slot.
     pub fn mark_dead(&self, offset: u64) -> Result<(), ViperError> {
         let off = offset as usize;
         {
             let _guard = self.stripe(off).lock();
-            self.write_retry(self.layout.state_offset(off), &[SLOT_DEAD])?;
+            write_retry(&self.dev, &self.recorder, self.layout.state_offset(off), &[SLOT_DEAD])?;
             self.dev.try_persist(self.layout.state_offset(off), 1)?;
         }
         self.free_slots.lock().push(off);
@@ -765,10 +738,8 @@ impl RecordHeap {
     }
 
     /// Parks a live slot on the stale list for [`RecordHeap::sweep_stale`]
-    /// to retire. Used by the store's durable delete when the retirement
-    /// hit a transient fault *after* the delete was WAL-logged: rolling
-    /// back would contradict the log (replay applies the delete), so the
-    /// slot is parked and the delete acknowledged.
+    /// to retire: a [`RecordHeap::retire`] that hit a transient fault, or
+    /// a record whose delete WAL replay applied.
     pub(crate) fn park_stale(&self, offset: u64) {
         self.stale.lock().push(offset as usize);
     }
@@ -899,7 +870,7 @@ impl RecordHeap {
         self.stale.lock().len()
     }
 
-    /// Retires slots parked by [`RecordHeap::replace`] after a transient
+    /// Retires slots parked by [`RecordHeap::retire`] after a transient
     /// retirement failure. `still_current(key, offset)` must return
     /// whether the index still maps `key` to this exact slot — a candidate
     /// the index still references is kept for a later sweep (the parked
@@ -989,12 +960,13 @@ mod tests {
     }
 
     #[test]
-    fn replace_is_out_of_place_and_recoverable() {
+    fn append_then_retire_is_out_of_place_and_recoverable() {
         let dev = Arc::new(NvmDevice::new(NvmConfig::fast(1 << 20)));
         let l = RecordLayout::small();
         let h = RecordHeap::new(Arc::clone(&dev), l);
         let off = h.append(5, &val(&l, 1)).unwrap();
-        let off2 = h.replace(off, 5, &val(&l, 2)).unwrap();
+        let off2 = h.append(5, &val(&l, 2)).unwrap();
+        assert_eq!(h.retire(off), Ok(true));
         assert_ne!(off, off2);
         let mut buf = vec![0u8; l.value_size];
         assert_eq!(h.read(off2, &mut buf).key, 5);
@@ -1176,10 +1148,10 @@ mod tests {
     }
 
     #[test]
-    fn replace_swallows_transient_retirement_failure() {
+    fn retire_swallows_transient_failure() {
         use li_nvm::{Fault, FaultPlan};
         // Dry run on a clean device to find the op-counter position where
-        // replace()'s internal append ends and mark_dead begins.
+        // the second append ends and retire's mark_dead begins.
         let l = RecordLayout::small();
         let ops_before_retire = {
             let dev = Arc::new(NvmDevice::new(NvmConfig::fast(1 << 20)));
@@ -1198,7 +1170,8 @@ mod tests {
         let dev = Arc::new(NvmDevice::with_faults(NvmConfig::fast(1 << 20), &plan));
         let h = RecordHeap::new(Arc::clone(&dev), l);
         let old = h.append(1, &val(&l, 1)).unwrap();
-        let new = h.replace(old, 1, &val(&l, 2)).expect("transient retirement must be swallowed");
+        let new = h.append(1, &val(&l, 2)).unwrap();
+        assert_eq!(h.retire(old), Ok(false), "transient retirement must be swallowed");
         assert_ne!(old, new);
         assert_eq!(h.stale_count(), 1, "un-retired slot parked for the sweep");
         assert!(dev.fault_counters().failed_writes >= 8, "burst must exhaust the retry budget");
@@ -1218,7 +1191,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_without_sweep_still_recovers_to_new_value() {
+    fn retire_without_sweep_still_recovers_to_new_value() {
         use li_nvm::{Fault, FaultPlan};
         let l = RecordLayout::small();
         let ops_before_retire = {
@@ -1236,7 +1209,8 @@ mod tests {
         let dev = Arc::new(NvmDevice::with_faults(NvmConfig::fast(1 << 20), &plan));
         let h = RecordHeap::new(Arc::clone(&dev), l);
         let old = h.append(1, &val(&l, 1)).unwrap();
-        let new = h.replace(old, 1, &val(&l, 2)).unwrap();
+        let new = h.append(1, &val(&l, 2)).unwrap();
+        assert_eq!(h.retire(old), Ok(false));
         // No sweep: the old slot stays live. Duplicate-by-seq resolution
         // must still surface only the acknowledged (newer) record.
         drop(h);

@@ -206,11 +206,12 @@ pub struct SlotHeader {
 impl SlotHeader {
     /// Whether a reader that followed the index to this slot for `key`
     /// may hand out the value it read alongside. A live record of `key`
-    /// qualifies, and so does one a concurrent writer has just retired
-    /// without yet moving the index on: its bytes are still the record's,
-    /// and the value before the update is a legal answer for a read that
-    /// overlaps it. Another key's record (the slot was recycled) or a free
-    /// slot (recycled and being restaged, not yet published) does not.
+    /// qualifies, and so does one a concurrent writer retired after moving
+    /// the index on, before anyone reused the slot: its bytes are still the
+    /// record's, and the value before the update or delete is a legal
+    /// answer for a read that overlaps it. Another key's record (the slot
+    /// was recycled) or a free slot (recycled and being restaged, not yet
+    /// published) does not.
     #[inline]
     pub fn holds(&self, key: Key) -> bool {
         self.key == key && self.state != SLOT_FREE

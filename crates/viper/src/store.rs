@@ -11,7 +11,9 @@
 //!   `put`/`delete` take `&self`, so any number of threads can mutate
 //!   through an `Arc` — the setup of the multi-threaded write experiment
 //!   (Fig. 14). Same-key writes are serialised by a striped lock; reads
-//!   stay lock-free at this layer.
+//!   stay lock-free at this layer. Every writer moves the index before it
+//!   retires a slot, so a read that finds its slot recycled probes the
+//!   index once more and finds the key's next slot, or none.
 //!
 //! A store is its index plus an `Engine` — everything else. Every
 //! operation body is an `Engine` method written once, reaching the index
@@ -55,10 +57,6 @@ pub enum OverloadState {
     /// The circuit breaker is open: puts shed immediately.
     BreakerOpen,
 }
-
-/// Times a shared-writer `get` probes the index again after finding its
-/// slot recycled, before it answers "not found".
-const GET_REPROBES: usize = 3;
 
 /// What one online repair pass resolved. Every formerly quarantined slot
 /// lands in exactly one bucket, so
@@ -462,31 +460,47 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     }
 
     /// Point lookup: index probe + one NVM record read. `value_buf` means
-    /// something only when this returns `true`.
-    ///
-    /// The slot's header arrives with its value, and what it holds is
-    /// checked against `key` ([`SlotHeader::holds`]). Under a shared
-    /// writer a delete or relocation can recycle the slot between probe
-    /// and read; the index is then probed again, a bounded number of
-    /// times, before the answer is "not found" — never another key's
-    /// bytes.
-    ///
-    /// [`SlotHeader::holds`]: crate::layout::SlotHeader::holds
+    /// something only when this returns `true`, and never holds another
+    /// key's bytes: a slot recycled under a shared-writer read sends it
+    /// back to the index (see `read_record`).
     pub fn get(&self, key: Key, value_buf: &mut [u8]) -> bool {
         let t = self.engine.recorder.start();
-        let mut found = false;
-        for _ in 0..=GET_REPROBES {
-            let Some(offset) = self.index.get(key) else { break };
-            found = self.engine.heap.read(offset, value_buf).holds(key);
-            if found || !M::SHARED {
-                debug_assert!(found, "index pointed at wrong record");
-                break;
-            }
-            // The writer that recycled the slot has yet to move the index.
-            li_sync::thread::yield_now();
-        }
+        let found =
+            self.index.get(key).is_some_and(|offset| self.read_record(key, offset, value_buf));
         self.engine.recorder.finish(OpKind::Get, t);
         found
+    }
+
+    /// Reads `key`'s record from the slot at `offset`, where the index sent
+    /// the caller, into `value_buf`; returns whether it was there.
+    ///
+    /// The slot's header arrives with its value, and what it holds is
+    /// checked against `key` ([`SlotHeader::holds`]). Under a shared writer
+    /// a delete or an out-of-place update can recycle the slot between
+    /// probe and read — but every writer moves the index before it retires
+    /// a slot, so by then the index names the key's next slot, or none, and
+    /// one more probe finds it with no waiting. The next slot can be the
+    /// same one again (the free list hands a retired slot straight back to
+    /// the key's next update), so only a slot that fails twice with the
+    /// same header is taken as another key's record for good — a broken
+    /// index entry — and the answer is "not found".
+    ///
+    /// [`SlotHeader::holds`]: crate::layout::SlotHeader::holds
+    fn read_record(&self, key: Key, mut offset: u64, value_buf: &mut [u8]) -> bool {
+        let mut failed = None;
+        loop {
+            let header = self.engine.heap.read(offset, value_buf);
+            if header.holds(key) {
+                return true;
+            }
+            debug_assert!(M::SHARED, "index pointed at wrong record");
+            if !M::SHARED || failed == Some((offset, header)) {
+                return false;
+            }
+            failed = Some((offset, header));
+            let Some(next) = self.index.get(key) else { return false };
+            offset = next;
+        }
     }
 
     /// Number of live records.
@@ -641,14 +655,11 @@ impl<I: OrderedIndex, M: WriteModel> ViperStore<I, M> {
         let mut buf = vec![0u8; self.engine.heap.layout().value_size];
         let mut n = 0;
         for (k, offset) in pairs.into_iter().take(limit) {
-            if !self.engine.heap.read(offset, &mut buf).holds(k) {
-                // Recycled between `range` and this read: `k` was deleted
-                // or moved, and the bytes are somebody else's.
-                debug_assert!(M::SHARED, "index pointed at wrong record");
-                continue;
+            // A miss means `k` was deleted between `range` and this read.
+            if self.read_record(k, offset, &mut buf) {
+                sink(k, &buf);
+                n += 1;
             }
-            sink(k, &buf);
-            n += 1;
         }
         self.engine.recorder.finish(OpKind::Scan, t);
         n
@@ -759,6 +770,7 @@ impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
 pub(crate) mod tests {
     use super::*;
     use crate::checkpoint::DurabilityConfig;
+    use li_sync::sync::mpsc::{channel, Receiver, Sender};
     use std::collections::BTreeMap;
 
     /// A trivial reference index for exercising the store machinery.
@@ -1208,6 +1220,101 @@ pub(crate) mod tests {
         let mut got = Vec::new();
         assert_eq!(store.scan(0, 100, 10, &mut |k, _| got.push(k)), 3);
         assert_eq!(got, vec![10, 20, 30]);
+    }
+
+    /// The armed key, the channel its insert reports parked on, and the
+    /// one it waits on for the release.
+    type Gate = (Key, Sender<()>, Receiver<()>);
+
+    /// A [`LockedMap`] whose `ConcurrentIndex::insert` of the armed key
+    /// parks until released: it holds a writer inside its index move.
+    #[derive(Default)]
+    struct GatedMap {
+        map: LockedMap,
+        gate: li_sync::sync::Mutex<Option<Gate>>,
+    }
+
+    impl Index for GatedMap {
+        fn name(&self) -> &'static str {
+            "gated-map"
+        }
+        fn len(&self) -> usize {
+            Index::len(&self.map)
+        }
+        fn get(&self, key: Key) -> Option<u64> {
+            Index::get(&self.map, key)
+        }
+        fn index_size_bytes(&self) -> usize {
+            self.map.index_size_bytes()
+        }
+        fn data_size_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    impl ConcurrentIndex for GatedMap {
+        fn get(&self, key: Key) -> Option<u64> {
+            ConcurrentIndex::get(&self.map, key)
+        }
+        fn insert(&self, key: Key, value: u64) -> Option<u64> {
+            let gate = self.gate.lock().take_if(|(armed, ..)| *armed == key);
+            if let Some((_, parked, release)) = gate {
+                parked.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.map.insert(key, value)
+        }
+        fn remove(&self, key: Key) -> Option<u64> {
+            self.map.remove(key)
+        }
+        fn len(&self) -> usize {
+            ConcurrentIndex::len(&self.map)
+        }
+    }
+
+    impl OrderedIndex for GatedMap {
+        fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
+            self.map.range(lo, hi, out);
+        }
+    }
+
+    /// A crash-safe update moves the index before it retires the old slot,
+    /// so a get or scan racing it finds the key's old record or its new
+    /// one — never a slot recycled for another key. The writer of key 20
+    /// is held inside its index move while key 999 (another key stripe)
+    /// takes the first free slot.
+    #[test]
+    fn reads_racing_a_crash_safe_update_find_the_key() {
+        for durable in [false, true] {
+            let cfg = if durable { durable_cfg(100, 1024) } else { StoreConfig::test(100) };
+            let store = Arc::new(ConcurrentViperStore::new(
+                cfg.with_crash_safe_updates(true),
+                GatedMap::default(),
+            ));
+            let vs = store.heap().layout().value_size;
+            let (old, new) = (vec![0x11; vs], vec![0x22; vs]);
+            store.put(20, &old).unwrap();
+            let (parked_tx, parked) = channel();
+            let (release, release_rx) = channel();
+            *store.index().gate.lock() = Some((20, parked_tx, release_rx));
+            let writer = {
+                let (store, new) = (Arc::clone(&store), new.clone());
+                li_sync::thread::spawn(move || store.put(20, &new))
+            };
+            parked.recv().unwrap();
+            store.put(999, &vec![0x99; vs]).unwrap();
+            let mut buf = vec![0u8; vs];
+            let found = store.get(20, &mut buf);
+            let mut scanned = Vec::new();
+            let n = store.scan(20, 20, 1, &mut |k, v| scanned.push((k, v.to_vec())));
+            release.send(()).unwrap();
+            writer.join().unwrap().unwrap();
+            assert!(found && n == 1, "durable={durable}: get found {found}, scan returned {n}");
+            assert_eq!(buf, old, "durable={durable}: get");
+            assert_eq!(scanned, vec![(20, old.clone())], "durable={durable}: scan");
+            assert!(store.get(20, &mut buf));
+            assert_eq!(buf, new, "durable={durable}: the update landed");
+        }
     }
 
     #[test]

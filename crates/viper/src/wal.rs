@@ -57,14 +57,15 @@ pub const WAL_OP_PUT: u8 = 1;
 /// Operation tag of a delete WAL record.
 pub const WAL_OP_DELETE: u8 = 2;
 
-/// Injected transient write failures are retried this many times (same
-/// budget as the heap's write path, and the same [`Event::Retry`]
-/// accounting so the torture harness's retry-causality check spans both).
+/// Injected transient write failures are retried this many times before
+/// the write gives up and surfaces the fault.
 const WRITE_RETRIES: usize = 8;
 
 /// Writes with bounded retry of injected transient failures, emitting one
-/// [`Event::Retry`] per failure observed — the WAL/checkpoint twin of
-/// `RecordHeap`'s internal retrying write.
+/// [`Event::Retry`] per failure observed — including the final one when
+/// the budget is exhausted. The one retrying write of the record heap, the
+/// WAL and the checkpoint writer, so the torture harness's
+/// retry-causality check spans all three.
 pub(crate) fn write_retry(
     dev: &NvmDevice,
     recorder: &Recorder,

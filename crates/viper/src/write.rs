@@ -179,35 +179,21 @@ fn wal_append(wal: &Wal, key: Key, offset: u64, op: u8) -> Result<(), ViperError
     }
 }
 
-/// Stage + log + commit: the durable flavour of an append. The payload is
-/// staged first (durable but not live), the WAL record covering it is
-/// group-committed, and only then does the slot flip live — a crash at
-/// any point leaves either no visible record or a logged one whose replay
+/// Stage + log + commit: the one append. The payload is staged first
+/// (durable but not live), a durable store group-commits the WAL record
+/// covering it, and only then does the slot flip live — a crash at any
+/// point leaves either no visible record or a logged one whose replay
 /// re-publishes it.
-fn logged_append(heap: &RecordHeap, wal: &Wal, key: Key, value: &[u8]) -> Result<u64, ViperError> {
+fn append(heap: &RecordHeap, wal: Option<&Wal>, key: Key, value: &[u8]) -> Result<u64, ViperError> {
     let offset = heap.stage_append(key, value)?;
-    if let Err(e) = wal_append(wal, key, offset, WAL_OP_PUT) {
-        heap.recycle_slot(offset);
-        return Err(e);
+    if let Some(wal) = wal {
+        if let Err(e) = wal_append(wal, key, offset, WAL_OP_PUT) {
+            heap.recycle_slot(offset);
+            return Err(e);
+        }
     }
     heap.commit_append(offset)?;
     Ok(offset)
-}
-
-/// Retires the record a logged mutation superseded. A *transient* fault
-/// here must not fail the operation: the mutation is already logged and
-/// acknowledged-to-be, and replay will apply it — so the victim slot is
-/// parked stale (retired by the sweep; no index entry points at it) instead
-/// of rolled back.
-fn retire_logged(heap: &RecordHeap, offset: u64) -> Result<(), ViperError> {
-    match heap.mark_dead(offset) {
-        Ok(()) => Ok(()),
-        Err(e) if e.is_transient() => {
-            heap.park_stale(offset);
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
 }
 
 /// The overload ladder's front door: an open circuit breaker sheds the
@@ -326,43 +312,30 @@ impl<M: WriteModel> Engine<M> {
         }
         let heap = &self.heap;
         let wal = self.durability.as_ref().map(|d| &d.wal);
-        match index.lookup(key) {
-            Some(offset) => {
-                if self.crash_safe_updates {
-                    let new_offset = match wal {
-                        Some(w) => {
-                            let new_offset = logged_append(heap, w, key, value)?;
-                            retire_logged(heap, offset)?;
-                            new_offset
-                        }
-                        None => heap.replace(offset, key, value)?,
-                    };
-                    self.note_change(key);
-                    index.publish(key, new_offset);
-                    Ok(())
-                } else {
-                    // An in-place update keeps the key → offset mapping, so
-                    // the log record is informationally redundant (replay
-                    // re-points the index at the same slot) — but logging it
-                    // keeps the WAL a complete mutation history and the
-                    // group-commit ack honest about ordering.
-                    if let Some(w) = wal {
-                        wal_append(w, key, offset, WAL_OP_PUT)?;
-                    }
-                    heap.update_in_place(offset, key, value)
-                }
+        let old = index.lookup(key);
+        if let Some(offset) = old.filter(|_| !self.crash_safe_updates) {
+            // An in-place update keeps the key → offset mapping, so the log
+            // record is informationally redundant (replay re-points the
+            // index at the same slot) — but logging it keeps the WAL a
+            // complete mutation history and the group-commit ack honest
+            // about ordering.
+            if let Some(w) = wal {
+                wal_append(w, key, offset, WAL_OP_PUT)?;
             }
-            None => {
-                let offset = match wal {
-                    Some(w) => logged_append(heap, w, key, value)?,
-                    None => heap.append(key, value)?,
-                };
-                self.note_change(key);
-                let prev = index.publish(key, offset);
-                debug_assert!(prev.is_none(), "same-key put raced despite serialisation");
-                Ok(())
-            }
+            return heap.update_in_place(offset, key, value);
         }
+        // Insert, or crash-safe update: the new record is published before
+        // the one it supersedes is retired, so a slot is recycled only once
+        // the index no longer names it. A crash in between leaves two live
+        // records; recovery keeps the higher sequence.
+        let offset = append(heap, wal, key, value)?;
+        self.note_change(key);
+        let prev = index.publish(key, offset);
+        debug_assert_eq!(prev, old, "same-key put raced despite serialisation");
+        if let Some(old) = old {
+            heap.retire(old)?;
+        }
+        Ok(())
     }
 
     /// The one implementation of delete. Accepted even in read-only
@@ -377,22 +350,22 @@ impl<M: WriteModel> Engine<M> {
     fn delete_core(&self, index: &mut impl WriteAccess, key: Key) -> Result<bool, ViperError> {
         let heap = &self.heap;
         if let Some(d) = &self.durability {
-            // Durable ordering: log the delete *before* touching the device,
-            // so a crash after the ack always finds it in the log. Once
-            // logged, a transient retirement fault is swallowed (the slot is
-            // parked stale and the delete acknowledged): rolling back would
-            // contradict the log, whose replay applies the delete anyway.
+            // Durable ordering: log the delete *before* touching the index
+            // or the device, so a crash after the ack always finds it in the
+            // log; then unpublish, then retire, so no reader finds the slot
+            // recycled. Once logged, a transient retirement fault is
+            // swallowed (the slot is parked stale and the delete
+            // acknowledged): rolling back would contradict the log, whose
+            // replay applies the delete anyway.
             let Some(offset) = index.lookup(key) else {
                 return Ok(false);
             };
             wal_append(&d.wal, key, offset, WAL_OP_DELETE)?;
-            if heap.mark_dead(offset).is_ok() {
-                self.read_only.store(false, Ordering::Release);
-            } else {
-                heap.park_stale(offset);
-            }
             d.note_change(key);
             index.unpublish(key);
+            if heap.retire(offset)? {
+                self.read_only.store(false, Ordering::Release);
+            }
             return Ok(true);
         }
         match index.unpublish(key) {

@@ -27,7 +27,8 @@
 //!   them, the WAL append/replay, the shard op/cutover
 //!   paths, the dynamic PGM's lookup/buffer/flush/range path under them, the
 //!   proto frame decoder, and the li-server request path —
-//!   excluding `#[cfg(test)]`.
+//!   excluding `#[cfg(test)]`. The list is audited too: a listed file
+//!   that is gone, or a listed name with no `fn` in its file, fails.
 //! * **R6 lock-order** ([`lockorder`]): every zero-arg
 //!   `.lock()`/`.read()`/`.write()` site in `crates/*/src` maps to a
 //!   class in `xtask/lock-order.txt`, and nesting inferred from
@@ -115,6 +116,7 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
     out.extend(allow.audit(root));
     let order = load_order(root, &mut out);
     out.extend(order.audit(root));
+    out.extend(rules::hot_fns_audit(root));
     for file in workspace_files(root) {
         let Ok(src) = std::fs::read_to_string(&file) else { continue };
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();

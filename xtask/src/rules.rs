@@ -111,8 +111,9 @@ pub fn check_file(
 /// read path, the one put/delete body both write models forward to (with
 /// every helper of it that touches the device), the record heap's per-record
 /// paths under them (which slice headers out of device bytes), the record
-/// checksum and slot-header decoders those paths and recovery call, and the WAL's
-/// append/replay paths sit on every get, durable put/delete and recovery; a
+/// checksum and slot-header decoders those paths and recovery call, the WAL's
+/// append/replay paths, and the retrying write the heap, WAL and checkpoint
+/// writer share sit on every get, durable put/delete and recovery; a
 /// panic there turns an injectable device fault into an outage. The shard router's op and cutover paths are held
 /// to the same bar: a panic inside a commit would poison the boundary
 /// table for every thread, and the tuner runs on the maintenance thread
@@ -132,24 +133,24 @@ pub fn check_file(
 /// connection thread with admitted requests still counted in flight.
 /// The thread-spawn expects live outside these functions on purpose —
 /// they run at startup.
-fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
-    let f = file.to_string_lossy().replace('\\', "/");
-    if f.ends_with("viper/src/store.rs") {
-        Some(&["put", "get", "delete"])
-    } else if f.ends_with("viper/src/write.rs") {
-        Some(&[
+const HOT_FNS: &[(&str, &[&str])] = &[
+    ("viper/src/store.rs", &["put", "get", "delete", "read_record"]),
+    (
+        "viper/src/write.rs",
+        &[
             "put",
             "delete",
             "absorbing_wal_full",
             "put_core",
             "delete_core",
-            "logged_append",
-            "retire_logged",
+            "append",
             "wal_append",
             "shed_check",
-        ])
-    } else if f.ends_with("viper/src/heap.rs") {
-        Some(&[
+        ],
+    ),
+    (
+        "viper/src/heap.rs",
+        &[
             "read",
             "update_in_place",
             "append",
@@ -158,49 +159,38 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "commit_run",
             "stage_append",
             "commit_append",
+            "retire",
             "mark_dead",
-            "write_retry",
-        ])
-    } else if f.ends_with("viper/src/layout.rs") {
-        Some(&[
-            "update",
-            "update_sliced",
-            "update_sse42",
-            "record_crc",
-            "decode_header",
-            "verify_slot",
-        ])
-    } else if f.ends_with("viper/src/wal.rs") {
-        Some(&["append", "commit_through", "flush_batch", "replay", "max_lsn"])
-    } else if f.ends_with("viper/src/checkpoint.rs") {
-        Some(&[
+        ],
+    ),
+    (
+        "viper/src/layout.rs",
+        &["update", "update_sliced", "update_sse42", "record_crc", "decode_header", "verify_slot"],
+    ),
+    (
+        "viper/src/wal.rs",
+        &["write_retry", "append", "commit_through", "flush_batch", "replay", "max_lsn"],
+    ),
+    (
+        "viper/src/checkpoint.rs",
+        &[
             "le_u64",
-            "read_entries",
-            "take_head",
-            "deserialize",
-            "decode_delta",
             "decode",
             "merge_overlay",
             "load_image",
             "read_manifests",
             "newest_manifest",
             "load_latest",
-        ])
-    } else if f.ends_with("core/src/shard.rs") {
-        Some(&[
-            "get",
-            "insert",
-            "remove",
-            "range",
-            "apply",
-            "write_cell",
-            "commit",
-            "run_adaptation",
-        ])
-    } else if f.ends_with("core/src/tuner.rs") {
-        Some(&["observe", "penalize"])
-    } else if f.ends_with("pgm/src/dynamic.rs") {
-        Some(&[
+        ],
+    ),
+    (
+        "core/src/shard.rs",
+        &["get", "insert", "remove", "range", "apply", "write_cell", "commit", "run_adaptation"],
+    ),
+    ("core/src/tuner.rs", &["observe", "penalize"]),
+    (
+        "pgm/src/dynamic.rs",
+        &[
             "lookup_entry",
             "lookup_levels",
             "push_entry",
@@ -211,18 +201,22 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "entry_at",
             "range_iter",
             "range",
-        ])
-    } else if f.ends_with("proto/src/lib.rs") {
-        Some(&[
+        ],
+    ),
+    (
+        "proto/src/lib.rs",
+        &[
             "frame_len",
             "split_frame",
             "decode_request",
             "decode_response",
             "decode_command",
             "decode_body",
-        ])
-    } else if f.ends_with("server/src/service.rs") {
-        Some(&[
+        ],
+    ),
+    (
+        "server/src/service.rs",
+        &[
             "execute",
             "execute_one",
             "get",
@@ -232,12 +226,59 @@ fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
             "stats",
             "unframe_value",
             "map_store_error",
-        ])
-    } else if f.ends_with("server/src/server.rs") {
-        Some(&["conn_loop", "serve_batch", "answer", "respond", "flush", "salvage_id"])
-    } else {
-        None
+        ],
+    ),
+    (
+        "server/src/server.rs",
+        &["conn_loop", "serve_batch", "answer", "respond", "flush", "salvage_id"],
+    ),
+];
+
+/// The [`HOT_FNS`] entry of `file`, matched by path suffix.
+fn hot_fns(file: &Path) -> Option<&'static [&'static str]> {
+    let f = file.to_string_lossy().replace('\\', "/");
+    HOT_FNS.iter().find(|(suffix, _)| f.ends_with(suffix)).map(|&(_, names)| names)
+}
+
+/// R4 audit of [`HOT_FNS`] itself: every listed file must exist under
+/// `root/crates` and define every listed name as a `fn` outside its tests
+/// — otherwise a renamed or deleted function silently drops out of the
+/// panic-free check.
+pub fn hot_fns_audit(root: &Path) -> Vec<Violation> {
+    audit_hot_list(&root.join("crates"), HOT_FNS)
+}
+
+fn audit_hot_list(crates: &Path, list: &[(&str, &[&str])]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for &(file, names) in list {
+        let path = crates.join(file);
+        let stale = |msg: String| Violation {
+            file: path.clone(),
+            line: 0,
+            rule: "hot-path-panics",
+            msg: format!("{msg}; update the list in xtask/src/rules.rs"),
+        };
+        let Ok(src) = std::fs::read_to_string(&path) else {
+            out.push(stale(format!("R4 lists `{file}`, which does not exist")));
+            continue;
+        };
+        let code = lexer::clean(&src).code;
+        let tests = test_spans(&code);
+        let defined: Vec<String> = find_words(&code, "fn")
+            .filter(|&at| !in_spans(&tests, at))
+            .map(|at| fn_name(&code, at))
+            .collect();
+        for name in names.iter().filter(|&&name| !defined.iter().any(|d| d == name)) {
+            out.push(stale(format!("R4 lists `{name}`, but no `fn {name}` is left in it")));
+        }
     }
+    out
+}
+
+/// The identifier after the `fn` keyword at `fn_at`.
+fn fn_name(code: &str, fn_at: usize) -> String {
+    let rest = code[fn_at + 2..].trim_start();
+    rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect()
 }
 
 /// Byte spans of `#[cfg(test)]`-gated blocks in cleaned code.
@@ -391,11 +432,7 @@ pub fn hot_path_panics(
         if in_spans(excluded, fn_at) {
             continue;
         }
-        // Identifier after `fn`.
-        let rest = &code[fn_at + 2..];
-        let name_start = rest.len() - rest.trim_start().len();
-        let name: String =
-            rest[name_start..].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        let name = fn_name(code, fn_at);
         if !hot.contains(&name.as_str()) {
             continue;
         }
@@ -579,6 +616,28 @@ mod tests {
         let v = lint("crates/viper/src/wal.rs", src, "");
         assert_eq!(v.len(), 1, "non-hot helpers are not checked: {v:?}");
         assert_eq!(v[0].line, 2);
+        // The retrying write every heap, WAL and checkpoint write goes through.
+        let src = "pub(crate) fn write_retry() { dev.try_write(o, d).unwrap(); }\n";
+        assert_eq!(lint("crates/viper/src/wal.rs", src, "").len(), 1);
+    }
+
+    #[test]
+    fn r4_audit_flags_listed_names_without_a_fn() {
+        let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/hot_fns_audit");
+        let v = audit_hot_list(
+            &crates,
+            &[
+                ("viper/src/wal.rs", &["append", "replay", "retired"]),
+                ("viper/src/gone.rs", &["put"]),
+            ],
+        );
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "hot-path-panics"));
+        assert!(v.iter().any(|x| x.msg.contains("`retired`")), "a test-only fn counts: {v:?}");
+        assert!(v.iter().any(|x| x.msg.contains("does not exist")), "{v:?}");
+        // The workspace's own list names only functions that exist.
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+        assert_eq!(hot_fns_audit(&root), Vec::new());
     }
 
     #[test]
@@ -597,8 +656,8 @@ mod tests {
             "commit_run",
             "stage_append",
             "commit_append",
+            "retire",
             "mark_dead",
-            "write_retry",
         ] {
             let src =
                 format!("fn {name}(&self) {{\n    head.try_into().expect(\"16 bytes\");\n}}\n");
