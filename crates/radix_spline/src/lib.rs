@@ -13,7 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use li_core::search::lower_bound_kv;
+use li_core::search::widening_last_le;
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, TwoPhaseLookup};
 use li_core::{Key, KeyValue, Value};
 
@@ -178,13 +178,12 @@ impl RadixSpline {
         self.spline.len()
     }
 
+    /// Position of the last stored key `<= key`, `None` when `key`
+    /// precedes them all. `max_err` covers stored keys; the widening
+    /// covers a foreign key whose prediction it does not.
     #[inline]
-    fn window(&self, key: Key) -> (usize, usize) {
-        let p = self.predict(key);
-        let e = self.max_err as usize + 1;
-        let lo = p.saturating_sub(e);
-        let hi = (p + e + 1).min(self.data.len());
-        (lo, hi)
+    fn last_le(&self, key: Key) -> Option<usize> {
+        widening_last_le(&self.data, |kv| kv.0, key, self.predict(key), self.max_err as usize + 1)
     }
 }
 
@@ -198,15 +197,8 @@ impl Index for RadixSpline {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.window(key);
-        let i = lo + lower_bound_kv(&self.data[lo..hi], key);
-        match self.data.get(i) {
-            Some(&(k, v)) if k == key => Some(v),
-            _ => None,
-        }
+        let (k, v) = self.data[self.last_le(key)?];
+        (k == key).then_some(v)
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -225,11 +217,10 @@ impl Index for RadixSpline {
 
 impl OrderedIndex for RadixSpline {
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-        if self.data.is_empty() || lo > hi {
+        if lo > hi {
             return;
         }
-        let (wlo, whi) = self.window(lo);
-        let mut i = wlo + lower_bound_kv(&self.data[wlo..whi], lo);
+        let mut i = self.last_le(lo).map_or(0, |i| i + usize::from(self.data[i].0 < lo));
         while let Some(&(k, v)) = self.data.get(i) {
             if k > hi {
                 break;

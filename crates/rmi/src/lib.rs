@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use li_core::model::CubicModel;
-use li_core::search::lower_bound_kv;
+use li_core::search::{lower_bound_kv, widening_last_le};
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, TwoPhaseLookup};
 use li_core::{Key, KeyValue, LinearModel, Value};
 
@@ -140,28 +140,20 @@ impl Rmi {
         Rmi { data: data.to_vec(), root, second }
     }
 
-    /// Lookup position range for a key: `(lo, hi)` bounds within `data`
-    /// guaranteed to bracket the key's lower bound.
+    /// Position of the last stored key `<= key`, `None` when `key`
+    /// precedes them all. The stage-two model's error covers its own keys
+    /// only; a foreign key routed to a neighbouring model widens the window.
     #[inline]
-    fn search_window(&self, key: Key) -> (usize, usize) {
-        let n = self.data.len();
-        let m = self.second.len();
-        let sm = &self.second[self.root.predict_clamped(key, m)];
-        if sm.start == sm.end {
-            return (sm.start as usize, sm.end as usize);
-        }
+    fn last_le(&self, key: Key) -> Option<usize> {
+        let sm = &self.second[self.root.predict_clamped(key, self.second.len())];
+        // Clamped into the model's span, so that a key in the gap before or
+        // after it starts at the span's edge.
         let p = sm
             .model
-            .predict_clamped(key, n)
-            .clamp(sm.start as usize, (sm.end as usize).saturating_sub(1));
-        // The prediction window covers the model's own keys; query keys in
-        // the gaps before/after a model's range are caught by clamping to
-        // the model's position span, then widening by one key on each side
-        // (the true lower bound can be at most one position outside).
-        let err = sm.err as usize + 1;
-        let lo = p.saturating_sub(err).max((sm.start as usize).saturating_sub(1));
-        let hi = (p + err + 1).min(sm.end as usize + 1).min(n);
-        (lo, hi)
+            .predict_clamped(key, self.data.len())
+            .max(sm.start as usize)
+            .min((sm.end as usize).saturating_sub(1));
+        widening_last_le(&self.data, |kv| kv.0, key, p, sm.err as usize + 1)
     }
 
     /// Models in the second stage (diagnostics / Table II).
@@ -180,21 +172,8 @@ impl Index for Rmi {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        if self.data.is_empty() {
-            return None;
-        }
-        let (lo, hi) = self.search_window(key);
-        let i = lo + lower_bound_kv(&self.data[lo..hi], key);
-        // Verify bracketing; a miss within a valid window is a genuine
-        // miss, while an unbracketed window (foreign key routed to a
-        // neighbouring model) needs the full-search fallback.
-        let bracketed =
-            (i == 0 || self.data[i - 1].0 < key) && (i == self.data.len() || self.data[i].0 >= key);
-        let j = if bracketed { i } else { lower_bound_kv(&self.data, key) };
-        match self.data.get(j) {
-            Some(&(k, v)) if k == key => Some(v),
-            _ => None,
-        }
+        let (k, v) = self.data[self.last_le(key)?];
+        (k == key).then_some(v)
     }
 
     fn index_size_bytes(&self) -> usize {
@@ -212,18 +191,10 @@ impl Index for Rmi {
 
 impl OrderedIndex for Rmi {
     fn range(&self, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
-        if self.data.is_empty() || lo > hi {
+        if lo > hi {
             return;
         }
-        let (wlo, whi) = self.search_window(lo);
-        let mut i = wlo + lower_bound_kv(&self.data[wlo..whi], lo);
-        // Verify the window actually bracketed the lower bound; fall back
-        // to a full binary search otherwise.
-        let bracketed =
-            (i == 0 || self.data[i - 1].0 < lo) && (i == self.data.len() || self.data[i].0 >= lo);
-        if !bracketed {
-            i = lower_bound_kv(&self.data, lo);
-        }
+        let mut i = self.last_le(lo).map_or(0, |i| i + usize::from(self.data[i].0 < lo));
         while let Some(&(k, v)) = self.data.get(i) {
             if k > hi {
                 break;

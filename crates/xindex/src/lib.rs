@@ -22,7 +22,7 @@ use li_sync::sync::Arc;
 
 use li_core::pieces::retrain::RetrainStats;
 use li_core::pieces::structure::{InnerStructure, RmiInner};
-use li_core::search::lower_bound_kv;
+use li_core::search::{lower_bound_kv, widening_last_le};
 use li_core::telemetry::{Event, OpKind, Recorder};
 use li_core::traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, UpdatableIndex,
@@ -67,20 +67,10 @@ impl GroupData {
     }
 
     fn position_in_sorted(&self, key: Key) -> Option<usize> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let n = self.sorted.len();
-        let p = self.model.predict_clamped(key, n);
-        let e = self.err + 1;
-        let lo = p.saturating_sub(e);
-        let hi = (p + e + 1).min(n);
-        let i = lo + lower_bound_kv(&self.sorted[lo..hi], key);
-        // Validate bracketing; fall back to a full binary search when the
-        // model window missed (possible for foreign keys).
-        let ok = (i == 0 || self.sorted[i - 1].0 < key) && (i == n || self.sorted[i].0 >= key);
-        let i = if ok { i } else { lower_bound_kv(&self.sorted, key) };
-        (i < n && self.sorted[i].0 == key).then_some(i)
+        // The model window may miss a foreign key, hence the widening.
+        let p = self.model.predict_clamped(key, self.sorted.len());
+        widening_last_le(&self.sorted, |kv| kv.0, key, p, self.err + 1)
+            .filter(|&i| self.sorted[i].0 == key)
     }
 
     fn get(&self, key: Key) -> Option<Value> {

@@ -717,6 +717,63 @@ mod tests {
         }
     }
 
+    /// XIndex, RMI and RS search a model window and must catch a key the
+    /// window misses: absent keys below, between and above the trained
+    /// ones miss, present keys hit, and ranges from absent bounds start
+    /// right, before and after XIndex's inserts.
+    #[test]
+    fn foreign_keys_through_windowed_kinds() {
+        use std::collections::BTreeMap;
+        // Dense runs, wide gaps and a steep tail, so that foreign keys land
+        // far from where any model window expects them.
+        let mut keys: Vec<Key> = Vec::new();
+        for run in 0..40u64 {
+            let base = (run * run * run) << 36;
+            keys.extend((0..(run % 7 + 1) * 300).map(|i| base + 16 + i * (run + 1) * 4));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let bulk: Vec<KeyValue> = keys.iter().step_by(2).map(|&k| (k, k ^ 0x5a)).collect();
+        let inserts: Vec<Key> = keys.iter().skip(1).step_by(6).copied().collect();
+        // Every gap neighbour and midpoint, plus both ends of the domain.
+        let mut probes = vec![0, 1, bulk[0].0 - 1, Key::MAX - 1, Key::MAX];
+        for w in bulk.windows(2) {
+            probes.extend([w[0].0 + 1, w[0].0 + (w[1].0 - w[0].0) / 2, w[1].0 - 1]);
+        }
+        probes.extend(bulk.last().map(|kv| kv.0 + 1));
+        let check = |idx: &AnyIndex, live: &BTreeMap<Key, Value>, when: &str| {
+            let name = idx.name();
+            for &(k, _) in &bulk {
+                assert_eq!(idx.get(k), live.get(&k).copied(), "{name} {when}: key {k}");
+            }
+            for &p in &probes {
+                assert_eq!(idx.get(p), live.get(&p).copied(), "{name} {when}: probe {p}");
+            }
+            for &p in probes.iter().step_by(97) {
+                let expect: Vec<KeyValue> =
+                    live.range(p..).take(5).map(|(&k, &v)| (k, v)).collect();
+                let hi = expect.last().map_or(Key::MAX, |kv| kv.0);
+                assert_eq!(idx.range_vec(p, hi), expect, "{name} {when}: range from {p}");
+            }
+        };
+        for kind in [IndexKind::XIndex, IndexKind::Rmi, IndexKind::Rs] {
+            let mut idx = AnyIndex::build(kind, &bulk);
+            let mut live: BTreeMap<Key, Value> = bulk.iter().copied().collect();
+            check(&idx, &live, "built");
+            if !kind.supports_insert() {
+                continue;
+            }
+            for &k in &inserts {
+                assert_eq!(idx.insert(k, !k), None);
+                live.insert(k, !k);
+            }
+            check(&idx, &live, "after inserts");
+            for &k in &inserts {
+                assert_eq!(idx.get(k), Some(!k), "inserted key {k}");
+            }
+        }
+    }
+
     #[test]
     fn capabilities_table_rows() {
         let learned: Vec<_> =

@@ -25,7 +25,8 @@
 //!   `unreachable!` inside hot-path functions — the Viper
 //!   `put`/`get`/`delete`, the record heap's per-record paths under
 //!   them, the WAL append/replay, the shard op/cutover
-//!   paths, the dynamic PGM's lookup/buffer/flush/range path under them, the
+//!   paths, the dynamic PGM's lookup/buffer/flush/range path under them
+//!   (with the LRS descent and the last-mile search kernel it ends in), the
 //!   proto frame decoder, and the li-server request path —
 //!   excluding `#[cfg(test)]`. The list is audited too: a listed file
 //!   that is gone, or a listed name with no `fn` in its file, fails.

@@ -119,7 +119,8 @@ pub fn check_file(
 /// table for every thread, and the tuner runs on the maintenance thread
 /// where a panic silently kills adaptation. The dynamic PGM's lookup, buffer,
 /// flush and range paths (its levels' included) are the served store's index: they run under a
-/// shard cell's lock on every GET/PUT/SCAN, where a panic poisons the cell. The checkpoint decoders and
+/// shard cell's lock on every GET/PUT/SCAN, where a panic poisons the cell; so
+/// do the LRS descent under each level and the last-mile search kernel it ends in. The checkpoint decoders and
 /// the image merge parse device bytes — on recovery, and on every fold of
 /// a running store — so a corrupt manifest, base or delta segment must
 /// come back as `None` (previous generation, then the rescan floor), never
@@ -188,6 +189,19 @@ const HOT_FNS: &[(&str, &[&str])] = &[
         &["get", "insert", "remove", "range", "apply", "write_cell", "commit", "run_adaptation"],
     ),
     ("core/src/tuner.rs", &["observe", "penalize"]),
+    (
+        "core/src/search.rs",
+        &[
+            "last_mile",
+            "prefetch",
+            "prefetch_line",
+            "window",
+            "lower_bound",
+            "bounded_last_le",
+            "exponential_lower_bound",
+        ],
+    ),
+    ("core/src/pieces/structure.rs", &["route", "locate", "last_le_below"]),
     (
         "pgm/src/dynamic.rs",
         &[
