@@ -78,6 +78,12 @@ fn hot_cache(cfg: &BenchConfig) {
     println!("(Zipfian reads; hot keys resolve at depth 0)\n");
 }
 
+/// Timed rounds per routine in row (1); odd, so the median is a sample.
+const LEAF_SEARCH_ROUNDS: usize = 9;
+
+/// One in-leaf search routine of row (1): (probe's position, key) → slot.
+type LeafSearch<'a> = &'a dyn Fn(usize, Key) -> usize;
+
 fn leaf_search(cfg: &BenchConfig) {
     println!("--- (1) in-leaf search routine, same Opt-PLA segments ---");
     let keys = harness::dataset(Dataset::YcsbNormal, cfg.n, cfg.seed);
@@ -91,50 +97,43 @@ fn leaf_search(cfg: &BenchConfig) {
         .collect();
     let seg_of = |i: usize| segs.partition_point(|s| s.start <= i) - 1;
 
+    let predict = |i: usize, k: Key| {
+        let s = &segs[seg_of(i)];
+        (s, s.model.predict_clamped(k, keys.len()).clamp(s.start, s.start + s.len - 1))
+    };
+    let routines: [(&str, LeafSearch); 3] = [
+        // Bounded binary around the prediction (what PGM/FITing do).
+        ("bounded-binary", &|i, k| {
+            let (s, p) = predict(i, k);
+            bounded_last_le(&keys, k, p, s.max_error as usize + 1)
+        }),
+        // Exponential search outward from the prediction (ALEX's choice).
+        ("exponential", &|i, k| exponential_lower_bound(&keys, k, predict(i, k).1)),
+        // Interpolation within the segment window (§VI-A's alternative).
+        ("interpolation", &|i, k| {
+            let s = &segs[seg_of(i)];
+            s.start + interpolation_lower_bound(&keys[s.start..s.start + s.len], k)
+        }),
+    ];
+
+    // One pass over the probes takes a few ms, so a single timing is
+    // noise-bound; alternate the routines round by round and print each
+    // one's median.
+    let mut ns: [Vec<f64>; 3] = Default::default();
+    for _ in 0..LEAF_SEARCH_ROUNDS {
+        for ((_, search), runs) in routines.iter().zip(&mut ns) {
+            let t0 = Instant::now();
+            let acc = probes.iter().fold(0usize, |acc, &(i, k)| acc ^ search(i, k));
+            std::hint::black_box(acc);
+            runs.push(t0.elapsed().as_nanos() as f64 / probes.len() as f64);
+        }
+    }
     harness::header(&["search", "ns/lookup"]);
-    // Bounded binary around the prediction (what PGM/FITing do).
-    let t0 = Instant::now();
-    let mut acc = 0usize;
-    for &(i, k) in &probes {
-        let s = &segs[seg_of(i)];
-        let p = s.model.predict_clamped(k, keys.len()).clamp(s.start, s.start + s.len - 1);
-        acc ^= bounded_last_le(&keys, k, p, s.max_error as usize + 1);
+    for ((name, _), runs) in routines.iter().zip(&mut ns) {
+        runs.sort_by(f64::total_cmp);
+        harness::row(name, &[format!("{:.0}", runs[LEAF_SEARCH_ROUNDS / 2])]);
     }
-    std::hint::black_box(acc);
-    harness::row(
-        "bounded-binary",
-        &[format!("{:.0}", t0.elapsed().as_nanos() as f64 / probes.len() as f64)],
-    );
-
-    // Exponential search outward from the prediction (ALEX's choice).
-    let t0 = Instant::now();
-    let mut acc = 0usize;
-    for &(i, k) in &probes {
-        let s = &segs[seg_of(i)];
-        let p = s.model.predict_clamped(k, keys.len()).clamp(s.start, s.start + s.len - 1);
-        acc ^= exponential_lower_bound(&keys, k, p);
-    }
-    std::hint::black_box(acc);
-    harness::row(
-        "exponential",
-        &[format!("{:.0}", t0.elapsed().as_nanos() as f64 / probes.len() as f64)],
-    );
-
-    // Interpolation within the segment window (§VI-A's alternative).
-    let t0 = Instant::now();
-    let mut acc = 0usize;
-    for &(i, k) in &probes {
-        let s = &segs[seg_of(i)];
-        let lo = s.start;
-        let hi = s.start + s.len;
-        acc ^= lo + interpolation_lower_bound(&keys[lo..hi], k);
-    }
-    std::hint::black_box(acc);
-    harness::row(
-        "interpolation",
-        &[format!("{:.0}", t0.elapsed().as_nanos() as f64 / probes.len() as f64)],
-    );
-    println!();
+    println!("(median of {LEAF_SEARCH_ROUNDS} alternating rounds)\n");
 }
 
 fn suggested_combination(cfg: &BenchConfig) {

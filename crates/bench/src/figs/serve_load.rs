@@ -1,18 +1,18 @@
-//! The overload-ladder gate: a seeded storm against the `li-server` TCP
-//! front-end, over real loopback sockets, that asserts the degradation
-//! ladder engages **in order** — transparent retry first, admission-gate
-//! backpressure second, circuit-breaker shedding last.
+//! The overload gate: a seeded storm against the `li-server` TCP
+//! front-end, over real loopback sockets, that asserts both rungs of the
+//! degradation ladder engage — transparent retry first, the server's
+//! in-flight budget second.
 //!
 //! The store sits on a fault-injected device: write-failure bursts are
-//! absorbed by the retry policy (rung 1, invisible to clients), a
+//! absorbed by the retry policy (rung 1, invisible to clients), then a
 //! 32-client pipelined put stampede overruns the server's in-flight
-//! budget and the store's admission gate (rung 2, typed `RETRY_AFTER`),
-//! then the breaker is tripped (rung 3, typed `OVERLOADED`, shed before
-//! the store is touched). Every request must resolve — success or typed
-//! error, never a hang or a dropped connection — and the three rungs must
-//! first engage in ladder order. Throughput and latency under closed- and
-//! open-loop load are `perf/`'s `wire_closed` / `wire_pipelined`
-//! workloads and `server.*` rows, not this gate's.
+//! budget (rung 2, typed `RETRY_AFTER`, shed before the store is
+//! touched). Every request must resolve — success or typed error, never
+//! a hang or a dropped connection — every `RETRY_AFTER` must come from
+//! the budget, and the server must serve writes again afterwards.
+//! Throughput and latency under closed- and open-loop load are `perf/`'s
+//! `wire_closed` / `wire_pipelined` workloads and `server.*` rows, not
+//! this gate's.
 //!
 //! Flags: `--out PATH`, `--check` (exit non-zero unless the storm
 //! invariants hold).
@@ -27,9 +27,8 @@ use li_nvm::{Fault, FaultPlan, NvmDevice};
 use li_proto::{Body, Command, ErrorKind};
 use li_server::server::ADMISSION_SHED_HINT_US;
 use li_server::{Client, Server, ServiceConfig};
-use li_sync::sync::atomic::{AtomicBool, Ordering};
 use li_sync::sync::Arc;
-use li_viper::{BreakerConfig, ConcurrentViperStore, RecoverOptions, RetryPolicy, StoreConfig};
+use li_viper::{ConcurrentViperStore, RecoverOptions, RetryPolicy, StoreConfig};
 use lip::IndexKind;
 
 /// What one load-generating client observed: every request it sent either
@@ -41,30 +40,21 @@ struct ClientTally {
     resolved: u64,
     ok: u64,
     retry_after: u64,
-    /// The `RETRY_AFTER`s that came from the server's in-flight budget
-    /// (they carry its hint), not from the store's admission gate.
+    /// The `RETRY_AFTER`s that carry the server budget's hint.
     admission_shed: u64,
-    overloaded: u64,
     other_errors: u64,
-    first_retry_after: Option<Instant>,
-    first_overloaded: Option<Instant>,
-    /// Round-trip times in ns, recorded only by the phase that reports
-    /// them (the shed path).
-    rtt_ns: Vec<u64>,
+    /// Send-to-receive times in ns of the `RETRY_AFTER` answers (the
+    /// shed path).
+    shed_rtt_ns: Vec<u64>,
 }
 
 impl ClientTally {
-    fn absorb(&mut self, at: Instant, body: &Body) {
+    fn absorb(&mut self, body: &Body) {
         self.resolved += 1;
         match body {
             Body::Err { kind: ErrorKind::RetryAfter, retry_after_us } => {
                 self.retry_after += 1;
                 self.admission_shed += u64::from(*retry_after_us == ADMISSION_SHED_HINT_US);
-                self.first_retry_after.get_or_insert(at);
-            }
-            Body::Err { kind: ErrorKind::Overloaded, .. } => {
-                self.overloaded += 1;
-                self.first_overloaded.get_or_insert(at);
             }
             Body::Err { .. } => self.other_errors += 1,
             _ => self.ok += 1,
@@ -77,18 +67,8 @@ impl ClientTally {
         self.ok += other.ok;
         self.retry_after += other.retry_after;
         self.admission_shed += other.admission_shed;
-        self.overloaded += other.overloaded;
         self.other_errors += other.other_errors;
-        self.first_retry_after = earliest(self.first_retry_after, other.first_retry_after);
-        self.first_overloaded = earliest(self.first_overloaded, other.first_overloaded);
-        self.rtt_ns.extend(&other.rtt_ns);
-    }
-}
-
-fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
+        self.shed_rtt_ns.extend(&other.shed_rtt_ns);
     }
 }
 
@@ -122,7 +102,7 @@ fn storm_key(i: u64) -> u64 {
 const BURSTS_AT: u64 = 50_000;
 
 /// The seeded overload storm: one server whose store sits on a device with
-/// scheduled write-failure bursts, driven through the three rungs in
+/// scheduled write-failure bursts, driven through the two rungs in
 /// sequence; prints, reports and checks every counter the gate needs.
 fn storm(seed: u64, report: &mut Report) {
     // Write-failure bursts of 4 consecutive device ops across phase 1's
@@ -173,49 +153,20 @@ fn storm(seed: u64, report: &mut Report) {
     let rec = store.recorder().clone();
 
     // Ladder wiring: an in-flight budget so small that a pipelined
-    // stampede overruns it (typed RETRY_AFTER) on any core count; the
-    // store-level admission gate backs it up, and a hair-trigger breaker
-    // the storm trips by hand (in production the maintenance worker
-    // feeds it).
+    // stampede overruns it (typed RETRY_AFTER) on any core count.
     let scfg = ServiceConfig {
         max_in_flight: 8,
         retry: RetryPolicy::standard(seed),
-        admission_limit: 1,
-        admission_wait: Duration::ZERO,
-        breaker: Some(BreakerConfig {
-            depth_open: 4,
-            depth_close: 1,
-            sustain_ticks: 1,
-            p999_open_ns: 0,
-        }),
         ..ServiceConfig::default()
     };
-    let breaker = scfg.install(&mut store).expect("breaker configured");
+    scfg.install(&mut store);
     let server = Server::spawn(Arc::new(store), scfg, "127.0.0.1:0").expect("spawn server");
     let addr = server.local_addr();
 
-    // Rung-1 sentinel: the moment the store first rides out an injected
-    // write failure (Event::Retry), sampled while phase 1 runs.
-    let stop = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let rec = rec.clone();
-        let stop = Arc::clone(&stop);
-        li_sync::thread::spawn(move || loop {
-            if rec.snapshot().event(Event::Retry) > 0 {
-                return Some(Instant::now());
-            }
-            if stop.load(Ordering::Acquire) {
-                return None;
-            }
-            li_sync::thread::sleep(Duration::from_micros(200));
-        })
-    };
-
     // Phase 1 — retry: a single sequential client stays under the
-    // admission limit; the scheduled bursts hit its puts and the retry
-    // policy absorbs them.
-    let mut total = ClientTally::default();
-    let p1 = fan_out(1, move |_| {
+    // budget; the scheduled bursts hit its puts and the retry policy
+    // absorbs them.
+    let mut total = fan_out(1, move |_| {
         let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
         let mut tally = ClientTally::default();
         for i in 0..400u64 {
@@ -223,134 +174,98 @@ fn storm(seed: u64, report: &mut Report) {
             let body = c
                 .call(Command::Put { key: storm_key(i), value: i.to_le_bytes().to_vec() }, 0)
                 .expect("phase-1 put");
-            tally.absorb(Instant::now(), &body);
+            tally.absorb(&body);
         }
         tally
     });
-    stop.store(true, Ordering::Release);
-    let t_retry = monitor.join().expect("monitor panicked");
+    // Read before the stampede starts, so rung 1 is seen to engage first.
     let retries = rec.snapshot().event(Event::Retry);
-    total.merge(&p1);
 
-    // Phase 2 — backpressure: 32 clients each pipeline 150 puts without
+    // Phase 2 — the budget: 32 clients each pipeline 150 puts without
     // reading. A read delivers many frames at once and only 8 may be in
-    // flight server-wide; the overflow is shed as typed RETRY_AFTER (and
-    // on multicore hosts the single-entrant admission gate sheds more).
+    // flight server-wide; the overflow is shed as typed RETRY_AFTER.
     // Every frame still gets an answer.
     let p2 = fan_out(32, move |i| {
         let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
         let mut tally = ClientTally::default();
         let mut s = seed ^ 0xbac4_0000 ^ i as u64;
+        let mut sent_at = Vec::with_capacity(150);
+        let mut first_id = None;
         for j in 0..150u64 {
             tally.sent += 1;
             let key = storm_key(splitmix64(&mut s));
-            c.send(Command::Put { key, value: j.to_le_bytes().to_vec() }, 0).expect("phase-2 send");
+            sent_at.push(Instant::now());
+            let id = c
+                .send(Command::Put { key, value: j.to_le_bytes().to_vec() }, 0)
+                .expect("phase-2 send");
+            first_id.get_or_insert(id);
         }
+        let first_id = first_id.unwrap_or_default();
         for _ in 0..150u64 {
             let resp = c.recv().expect("phase-2 recv");
-            tally.absorb(Instant::now(), &resp.body);
+            if matches!(resp.body, Body::Err { kind: ErrorKind::RetryAfter, .. }) {
+                let sent = sent_at[(resp.id - first_id) as usize];
+                tally.shed_rtt_ns.push(sent.elapsed().as_nanos() as u64);
+            }
+            tally.absorb(&resp.body);
         }
         tally
     });
-    let t_retry_after = p2.first_retry_after;
     total.merge(&p2);
+    let shed_p999_us = Samples::new(p2.shed_rtt_ns).us(0.999);
 
-    // Phase 3 — breaker: one overloaded observation opens it
-    // (sustain_ticks = 1); every put is now shed as typed OVERLOADED
-    // before touching the store.
-    breaker.observe(999, 0);
-    let p3 = fan_out(8, move |i| {
-        let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
-        let mut tally = ClientTally::default();
-        let mut s = seed ^ 0xb4ea_c000 ^ i as u64;
-        for j in 0..100u64 {
-            tally.sent += 1;
-            let key = storm_key(splitmix64(&mut s));
-            let t0 = Instant::now();
-            let body = c
-                .call(Command::Put { key, value: j.to_le_bytes().to_vec() }, 0)
-                .expect("phase-3 put");
-            tally.rtt_ns.push(t0.elapsed().as_nanos() as u64);
-            tally.absorb(Instant::now(), &body);
-        }
-        tally
-    });
-    let t_overloaded = p3.first_overloaded;
-    total.merge(&p3);
-    let shed_p999_us = Samples::new(p3.rtt_ns).us(0.999);
-
-    // Close the breaker and prove the ladder is fully reversible: the
-    // same server serves writes again.
-    breaker.observe(0, 0);
-    let p4 = fan_out(1, move |_| {
+    // The storm is over: the same server serves writes again.
+    let p3 = fan_out(1, move |_| {
         let mut c = Client::connect(addr, Duration::from_secs(10)).expect("connect");
         let mut tally = ClientTally::default();
         tally.sent += 2;
         let key = storm_key(7);
         let put = c.call(Command::Put { key, value: vec![42] }, 0).expect("put");
-        tally.absorb(Instant::now(), &put);
+        tally.absorb(&put);
         let get = c.call(Command::Get { key }, 0).expect("get");
-        tally.absorb(Instant::now(), &get);
+        tally.absorb(&get);
         tally
     });
-    let recovered = p4.ok == 2;
-    total.merge(&p4);
+    let recovered = p3.ok == 2;
+    total.merge(&p3);
 
     let drained_clean = server.shutdown().drained_clean;
     let events = rec.snapshot();
-    // `RETRY_AFTER`s with the server rung's hint, as clients counted
-    // them, against the server's own `admission_shed` counter.
-    let shed_matches =
-        total.admission_shed > 0 && total.admission_shed == events.event(Event::AdmissionShed);
-
-    // Ladder order: the first retry strictly precedes the first typed
-    // RETRY_AFTER, which strictly precedes the first typed OVERLOADED.
-    let ladder_ok = match (t_retry, t_retry_after, t_overloaded) {
-        (Some(a), Some(b), Some(c)) => a < b && b < c,
-        _ => false,
-    };
+    // Every `RETRY_AFTER` carries the server budget's hint, as clients
+    // counted them, and matches the server's own `admission_shed` counter.
+    let shed_matches = total.admission_shed > 0
+        && total.retry_after == total.admission_shed
+        && total.admission_shed == events.event(Event::AdmissionShed);
 
     println!(
-        "rung 1 retry: {retries} absorbed | rung 2 backpressure: {} RETRY_AFTER ({} from the server's budget) | rung 3 breaker: {} OVERLOADED ({} open)",
-        total.retry_after,
-        total.admission_shed,
-        total.overloaded,
-        breaker.times_opened()
+        "rung 1 retry: {retries} absorbed | rung 2 budget: {} RETRY_AFTER ({} with the budget's hint)",
+        total.retry_after, total.admission_shed,
     );
     println!(
-        "sent {} resolved {} (other errors {}) | shed-path p999 {shed_p999_us:.1} us | ladder order {} | recovered {recovered} | drained clean {drained_clean}",
-        total.sent,
-        total.resolved,
-        total.other_errors,
-        if ladder_ok { "OK" } else { "VIOLATED" },
+        "sent {} resolved {} (other errors {}) | shed-path p999 {shed_p999_us:.1} us | recovered {recovered} | drained clean {drained_clean}",
+        total.sent, total.resolved, total.other_errors,
     );
 
     report.field("seed", seed);
     report.field("retries", retries);
     report.field("retry_after", total.retry_after);
     report.field("admission_shed", total.admission_shed);
-    report.field("overloaded", total.overloaded);
     report.field("sent", total.sent);
     report.field("resolved", total.resolved);
     report.field("other_errors", total.other_errors);
-    report.field("ladder_ok", ladder_ok);
     report.field("shed_p999_us", shed_p999_us);
-    report.field("breaker_opens", breaker.times_opened());
     report.field("drained_clean", drained_clean);
     report.field("recovered", recovered);
 
-    report.check(retries > 0, "rung 1 never engaged (no retries recorded)");
-    report.check(total.retry_after > 0, "rung 2 never engaged (no RETRY_AFTER responses)");
-    report.check(shed_matches, "admission_shed is not the count of RETRY_AFTERs the budget sent");
+    report.check(retries > 0, "rung 1 never engaged (no retries before the stampede)");
+    report.check(shed_matches, "a RETRY_AFTER did not come from the server's in-flight budget");
     report.check(
         events.event(Event::SlowClientDrop) == 0,
         "a client was dropped as slow instead of being shed typed errors",
     );
-    report.check(total.overloaded > 0, "rung 3 never engaged (no OVERLOADED responses)");
-    report.check(ladder_ok, "ladder rungs did not engage in order");
     report.check(total.sent == total.resolved, "a request was sent but never resolved");
     report.check(shed_p999_us < 50_000.0, "shed-path p999 above 50ms — shedding is not cheap");
-    report.check(recovered, "server did not serve writes after the breaker closed");
+    report.check(recovered, "server did not serve writes after the storm");
     report.check(drained_clean, "shutdown drain left in-flight requests behind");
 }
 

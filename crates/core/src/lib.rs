@@ -43,7 +43,7 @@ pub use li_telemetry as telemetry;
 
 pub use hot::HotCache;
 pub use model::LinearModel;
-pub use shard::{AdaptError, Admission, AdmissionGuard, BoxShard, Saturated, ShardIndex, Sharded};
+pub use shard::{AdaptError, BoxShard, ShardIndex, Sharded};
 pub use traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, TwoPhaseLookup,
     UpdatableIndex,

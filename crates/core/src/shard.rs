@@ -38,94 +38,13 @@
 //! tuner never re-cuts a one-cell router, so that route and the
 //! global-lock baseline keep their single cell.
 
-use std::time::{Duration, Instant};
-
-use li_sync::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use li_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use li_sync::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
 use crate::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
 use crate::tuner::{Tuner, TunerAction};
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::{CellCounters, Event, Recorder};
-
-/// Returned when an [`Admission`] gate stayed saturated for the whole
-/// bounded wait — the `WouldBlock`-style rung of the overload ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Saturated;
-
-/// Bounded admission: at most `limit` callers inside the gate at once.
-///
-/// This is the first rung of the overload ladder (Viper's
-/// `set_admission_limit`): writers queue *here*, in a cheap spin/yield
-/// wait with a deadline, instead of piling onto the store's locks
-/// without bound.
-#[derive(Debug)]
-pub struct Admission {
-    limit: usize,
-    inside: AtomicUsize,
-}
-
-impl Admission {
-    pub fn new(limit: usize) -> Self {
-        assert!(limit >= 1);
-        Admission { limit, inside: AtomicUsize::new(0) }
-    }
-
-    /// Concurrent-entrant cap.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Callers currently inside the gate.
-    pub fn in_flight(&self) -> usize {
-        self.inside.load(Ordering::Relaxed)
-    }
-
-    /// Non-blocking admission attempt.
-    pub fn try_enter(&self) -> Option<AdmissionGuard<'_>> {
-        let slot = &self.inside;
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.limit {
-                return None;
-            }
-            match slot.compare_exchange_weak(cur, cur + 1, Ordering::Acquire, Ordering::Relaxed) {
-                Ok(_) => return Some(AdmissionGuard { slot }),
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// Admission with a bounded short wait; `Err(Saturated)` after
-    /// `max_wait` of yielding without a free slot.
-    pub fn enter(&self, max_wait: Duration) -> Result<AdmissionGuard<'_>, Saturated> {
-        if let Some(g) = self.try_enter() {
-            return Ok(g);
-        }
-        let t0 = Instant::now();
-        loop {
-            li_sync::thread::yield_now();
-            if let Some(g) = self.try_enter() {
-                return Ok(g);
-            }
-            if t0.elapsed() >= max_wait {
-                return Err(Saturated);
-            }
-        }
-    }
-}
-
-/// RAII token for one admitted caller; leaving the scope frees the slot.
-#[derive(Debug)]
-pub struct AdmissionGuard<'a> {
-    slot: &'a AtomicUsize,
-}
-
-impl Drop for AdmissionGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.fetch_sub(1, Ordering::Release);
-    }
-}
 
 /// Object-safe face a shard cell needs from its inner index: reads
 /// ([`Index`]), single-writer mutation ([`UpdatableIndex`]) and ordered
@@ -989,44 +908,6 @@ mod tests {
         }
         assert_eq!(ConcurrentIndex::len(&*idx), 8_000 + 7_000);
         assert_eq!(ConcurrentIndex::get(&*idx, 64 + 1), Some(2));
-    }
-
-    #[test]
-    fn admission_caps_in_flight_writers() {
-        let gate = Admission::new(2);
-        let g1 = gate.try_enter().unwrap();
-        let _g2 = gate.try_enter().unwrap();
-        assert!(gate.try_enter().is_none(), "third entrant must be rejected");
-        assert_eq!(gate.enter(Duration::from_millis(1)).err(), Some(Saturated));
-        assert_eq!(gate.in_flight(), 2);
-        drop(g1);
-        assert!(gate.try_enter().is_some(), "slot frees on guard drop");
-
-        // Concurrent hammering never observes more than `limit` inside.
-        let gate = Arc::new(Admission::new(3));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                let peak = Arc::clone(&peak);
-                li_sync::thread::spawn(move || {
-                    for _ in 0..500usize {
-                        let _g = loop {
-                            if let Some(g) = gate.try_enter() {
-                                break g;
-                            }
-                            li_sync::thread::yield_now();
-                        };
-                        peak.fetch_max(gate.in_flight(), Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(peak.load(Ordering::Relaxed) <= 3, "admission bound violated");
-        assert_eq!(gate.in_flight(), 0, "all slots released");
     }
 
     #[test]

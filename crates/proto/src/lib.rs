@@ -22,8 +22,8 @@
 //! holds the decode paths to the same panic-free rule as the Viper store
 //! hot paths, and the proptest suite fuzzes them with corrupt frames).
 //! Overload and lifecycle outcomes are first-class protocol values
-//! ([`ErrorKind::RetryAfter`], [`ErrorKind::Overloaded`],
-//! [`ErrorKind::Cancelled`], …) instead of connection drops.
+//! ([`ErrorKind::RetryAfter`], [`ErrorKind::Cancelled`], …) instead of
+//! connection drops.
 
 #![forbid(unsafe_code)]
 
@@ -161,10 +161,9 @@ pub struct Request {
 /// drops: a shed or expired request still gets a response frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorKind {
-    /// The admission gate shed this write; retry after the hinted wait.
+    /// The server's in-flight budget shed this request, or a transient
+    /// store fault outlasted its retry budget; retry after the hinted wait.
     RetryAfter,
-    /// The circuit breaker is open; back off substantially.
-    Overloaded,
     /// The store is read-only (device exhaustion degradation).
     ReadOnly,
     /// The request's deadline expired before the store was touched.
@@ -179,9 +178,8 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    pub const ALL: [ErrorKind; 7] = [
+    pub const ALL: [ErrorKind; 6] = [
         ErrorKind::RetryAfter,
-        ErrorKind::Overloaded,
         ErrorKind::ReadOnly,
         ErrorKind::DeadlineExceeded,
         ErrorKind::Cancelled,
@@ -189,10 +187,12 @@ impl ErrorKind {
         ErrorKind::Internal,
     ];
 
+    /// Wire byte of each kind. Byte 2 stays unassigned, so a peer still
+    /// sending the retired overload code gets a typed decode error, not a
+    /// different meaning.
     const fn to_byte(self) -> u8 {
         match self {
             ErrorKind::RetryAfter => 1,
-            ErrorKind::Overloaded => 2,
             ErrorKind::ReadOnly => 3,
             ErrorKind::DeadlineExceeded => 4,
             ErrorKind::Cancelled => 5,
@@ -204,7 +204,6 @@ impl ErrorKind {
     const fn from_byte(b: u8) -> Result<Self, ProtoError> {
         match b {
             1 => Ok(ErrorKind::RetryAfter),
-            2 => Ok(ErrorKind::Overloaded),
             3 => Ok(ErrorKind::ReadOnly),
             4 => Ok(ErrorKind::DeadlineExceeded),
             5 => Ok(ErrorKind::Cancelled),
@@ -217,7 +216,6 @@ impl ErrorKind {
     pub const fn name(self) -> &'static str {
         match self {
             ErrorKind::RetryAfter => "retry_after",
-            ErrorKind::Overloaded => "overloaded",
             ErrorKind::ReadOnly => "read_only",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::Cancelled => "cancelled",
@@ -718,6 +716,20 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.push(0x00);
         assert_eq!(decode_response(&body), Err(ProtoError::BadTag(0x00)));
+    }
+
+    #[test]
+    fn unassigned_error_kind_bytes_are_typed() {
+        for byte in [0, 2, 8, u8::MAX] {
+            let mut body = Vec::new();
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.push(TAG_ERR);
+            body.push(byte);
+            body.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(decode_response(&body), Err(ProtoError::BadErrorKind(byte)));
+        }
+        let bytes = ErrorKind::ALL.map(ErrorKind::to_byte);
+        assert_eq!(bytes, [1, 3, 4, 5, 6, 7], "assigned bytes keep their values");
     }
 
     #[test]

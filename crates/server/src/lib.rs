@@ -1,17 +1,17 @@
 //! `li-server`: a fault-hardened TCP front-end for the Viper store.
 //!
-//! This crate is where the degradation ladder built in the store layers
-//! (retry → admission gate → circuit breaker) meets real request
-//! traffic: pipelined `li-proto` frames, each run to completion on its
-//! connection's thread, with per-request deadlines, typed overload errors
-//! instead of connection drops, slow-client protection, and graceful
-//! drain. See `DESIGN.md` § "Service front-end" for the full state
-//! machine and `tests/server_chaos.rs` for the properties under seeded
-//! network faults.
+//! This crate is where the store's transient-fault retry meets real
+//! request traffic: pipelined `li-proto` frames, each run to completion
+//! on its connection's thread, with per-request deadlines, a server-wide
+//! in-flight budget that sheds with typed `RETRY_AFTER` instead of
+//! dropping connections, slow-client protection, and graceful drain.
+//! See `DESIGN.md` § "Service front-end" for the full state machine and
+//! `tests/server_chaos.rs` for the properties under seeded network
+//! faults.
 //!
 //! Layout:
-//! - [`config`]: [`ServiceConfig`] — every ladder/server knob, env/flag
-//!   parseable.
+//! - [`config`]: [`ServiceConfig`] — the budget, the timeouts and the
+//!   store's retry policy.
 //! - [`service`]: command execution + `ViperError` → protocol mapping.
 //! - [`server`]: acceptor, one run-to-completion thread per connection,
 //!   and the [`Server::shutdown`] drain.
@@ -86,7 +86,7 @@ pub mod testutil {
 
     /// A sharded, telemetry-enabled concurrent store preloaded with
     /// `n` keys (`key = i*7+1`, value = the 4-byte little-endian key),
-    /// ladder wired per `cfg`, durability sized for `2n` live records.
+    /// retry policy per `cfg`, durability sized for `2n` live records.
     pub fn served_store(n: usize, cfg: &ServiceConfig) -> Arc<ConcurrentViperStore<Sharded>> {
         let keys: Vec<Key> = (0..n as Key).map(|i| i * 7 + 1).collect();
         let store_cfg = StoreConfig::test(2 * n + 1024)

@@ -18,9 +18,9 @@
 //!   *before* touching the store.
 //! - **Typed overload**: a frame counts against `max_in_flight` from the
 //!   read that delivered it until its response bytes are written; a
-//!   frame past the budget is shed with `RETRY_AFTER`. Store backpressure
-//!   surfaces as `RETRY_AFTER`/`OVERLOADED` (see
-//!   `service::map_store_error`). The connection stays up in every case.
+//!   frame past the budget is shed with `RETRY_AFTER`. Store errors are
+//!   typed responses too (see `service::map_store_error`). The
+//!   connection stays up in every case.
 //! - **Slow-client protection**: a client that does not read its
 //!   responses stops being read from (TCP backpressure); if a response
 //!   write makes no progress for `stall_timeout` it is dropped. Only its
@@ -344,7 +344,7 @@ fn answer<I: ServeIndex>(
     if stopping {
         return shared.cancel();
     }
-    // The server's own admission rung: typed shed, connection lives.
+    // The one shedding rung: typed shed, connection lives.
     if shared.in_flight.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_in_flight as u64 {
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         shared.event(Event::AdmissionShed);

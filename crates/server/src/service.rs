@@ -2,12 +2,9 @@
 //! from [`ViperError`] to typed protocol errors.
 //!
 //! The mapping is the contract the chaos tests hold the server to: every
-//! rung of the overload ladder surfaces as a *response*, never a dropped
-//! connection. `Backpressure` splits on the store's
-//! [`OverloadState`] — gate saturation (rung two) becomes `RETRY_AFTER`
-//! with a hint sized to the admission wait, an open breaker (rung three)
-//! becomes `OVERLOADED` with a much longer hint — so a client can tell
-//! "brief stall" from "stop sending".
+//! store failure surfaces as a *response*, never a dropped connection —
+//! a transient fault that outlasted the retry budget as `RETRY_AFTER`,
+//! read-only degradation as `READ_ONLY`, anything else as `INTERNAL`.
 //!
 //! Values on the wire are variable-length up to the store's fixed record
 //! size minus a 4-byte length header; the header is how a 3-byte client
@@ -16,7 +13,7 @@
 use li_core::{ConcurrentIndex, OrderedIndex};
 use li_proto::{Body, Command, ErrorKind, MAX_VALUE};
 use li_telemetry::OpKind;
-use li_viper::{ConcurrentViperStore, OverloadState, ViperError};
+use li_viper::{ConcurrentViperStore, ViperError};
 
 /// Length header carved out of each fixed-size record for the client
 /// value's true length.
@@ -99,7 +96,7 @@ where
     });
     match stored {
         Ok(()) => Body::Ok,
-        Err(e) => map_store_error(&e, store.overload_state(), store.retry_policy().max_backoff),
+        Err(e) => map_store_error(&e, store.retry_policy().max_backoff),
     }
 }
 
@@ -109,7 +106,7 @@ where
 {
     match store.delete(key) {
         Ok(existed) => Body::Deleted(existed),
-        Err(e) => map_store_error(&e, store.overload_state(), store.retry_policy().max_backoff),
+        Err(e) => map_store_error(&e, store.retry_policy().max_backoff),
     }
 }
 
@@ -153,33 +150,18 @@ fn unframe_value(raw: &[u8]) -> Option<&[u8]> {
     raw.get(VLEN_HEADER..VLEN_HEADER + len)
 }
 
-/// [`ViperError`] → typed protocol error. `Backpressure` consults the
-/// overload ladder position; everything else classifies on the error
+/// [`ViperError`] → typed protocol error. It classifies on the error
 /// alone, which is what lets a zero-retry configuration still answer
 /// permanent errors correctly (retrying only changes how long the store
 /// fought before surfacing a transient error, not its class).
-pub fn map_store_error(
-    err: &ViperError,
-    overload: OverloadState,
-    retry_cap: std::time::Duration,
-) -> Body {
-    let cap_us = (retry_cap.as_micros().min(u128::from(u32::MAX)) as u32).max(100);
+pub fn map_store_error(err: &ViperError, retry_cap: std::time::Duration) -> Body {
     match err {
-        ViperError::Backpressure => match overload {
-            OverloadState::BreakerOpen => {
-                Body::Err { kind: ErrorKind::Overloaded, retry_after_us: cap_us.saturating_mul(50) }
-            }
-            // Gate saturation, or the race where pressure lifted between
-            // the shed and this read: either way a short retry is right.
-            OverloadState::Gated { .. } | OverloadState::Clear => {
-                Body::Err { kind: ErrorKind::RetryAfter, retry_after_us: cap_us }
-            }
-        },
         ViperError::ReadOnly => Body::Err { kind: ErrorKind::ReadOnly, retry_after_us: 0 },
         // The retry budget (if any) is already spent by the time a
         // transient error escapes the store; tell the client to try
         // later. Permanent faults are internal.
         e if e.is_transient() => {
+            let cap_us = (retry_cap.as_micros().min(u128::from(u32::MAX)) as u32).max(100);
             Body::Err { kind: ErrorKind::RetryAfter, retry_after_us: cap_us.saturating_mul(4) }
         }
         _ => Body::Err { kind: ErrorKind::Internal, retry_after_us: 0 },
@@ -292,31 +274,17 @@ mod tests {
         assert_eq!(zero.max_retries, 0);
         let cases = [
             (ViperError::ReadOnly, ErrorKind::ReadOnly),
-            (ViperError::Backpressure, ErrorKind::RetryAfter),
             (ViperError::WalFull, ErrorKind::Internal),
             (ViperError::IndexMismatch, ErrorKind::Internal),
             (ViperError::Nvm(NvmError::Crashed), ErrorKind::Internal),
             (ViperError::DeviceFull, ErrorKind::RetryAfter),
         ];
         for (err, want) in cases {
-            let body = map_store_error(&err, OverloadState::Clear, zero.max_backoff);
+            let body = map_store_error(&err, zero.max_backoff);
             match body {
                 Body::Err { kind, .. } => assert_eq!(kind, want, "for {err:?}"),
                 other => panic!("{err:?} mapped to non-error {other:?}"),
             }
         }
-        // Breaker-open dominates: same error, harder answer.
-        let body = map_store_error(
-            &ViperError::Backpressure,
-            OverloadState::BreakerOpen,
-            zero.max_backoff,
-        );
-        assert!(matches!(body, Body::Err { kind: ErrorKind::Overloaded, .. }));
-        let body = map_store_error(
-            &ViperError::Backpressure,
-            OverloadState::Gated { in_flight: 4, limit: 4 },
-            zero.max_backoff,
-        );
-        assert!(matches!(body, Body::Err { kind: ErrorKind::RetryAfter, .. }));
     }
 }

@@ -223,8 +223,8 @@ fn expired_deadline_is_shed_with_typed_error() {
 #[test]
 fn client_that_never_reads_is_dropped_while_others_are_served() {
     with_deadline(Duration::from_mins(1), || {
-        let mut cfg = ServiceConfig::default();
-        cfg.set("stall_timeout_us", "200000").expect("cfg");
+        let cfg =
+            ServiceConfig { stall_timeout: Duration::from_millis(200), ..ServiceConfig::default() };
         let store = testutil::served_store(2048, &cfg);
         let recorder = store.recorder().clone();
         let server = Server::spawn(store, cfg, "127.0.0.1:0").expect("spawn");

@@ -63,10 +63,6 @@ pub enum Event {
     Retry,
     /// A store-level retry slept through a seeded exponential backoff.
     BackoffWait,
-    /// The overload circuit breaker tripped open (writes shed).
-    CircuitOpen,
-    /// The overload circuit breaker closed again (writes admitted).
-    CircuitClose,
     /// Maintenance re-resolved a quarantined slot that a later write had
     /// superseded; the slot was reclaimed with no data loss.
     RepairedSlot,
@@ -118,7 +114,7 @@ pub enum Event {
 
 impl Event {
     /// All variants, in counter-array order.
-    pub const ALL: [Event; 28] = [
+    pub const ALL: [Event; 26] = [
         Event::Retrain,
         Event::SplitNode,
         Event::ExpandNode,
@@ -129,8 +125,6 @@ impl Event {
         Event::KeyShift,
         Event::Retry,
         Event::BackoffWait,
-        Event::CircuitOpen,
-        Event::CircuitClose,
         Event::RepairedSlot,
         Event::RetrainDeferred,
         Event::WalAppend,
@@ -168,8 +162,6 @@ impl Event {
             Event::KeyShift => "key_shift",
             Event::Retry => "retry",
             Event::BackoffWait => "backoff_wait",
-            Event::CircuitOpen => "circuit_open",
-            Event::CircuitClose => "circuit_close",
             Event::RepairedSlot => "repaired_slot",
             Event::RetrainDeferred => "retrain_deferred",
             Event::WalAppend => "wal_append",

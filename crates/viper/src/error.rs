@@ -17,10 +17,6 @@ pub enum ViperError {
     DeviceFull,
     /// The store degraded to read-only after exhaustion and rejects writes.
     ReadOnly,
-    /// The overload ladder shed this write: the admission gate stayed
-    /// saturated past its short wait, or the circuit breaker is open.
-    /// `WouldBlock`-style — the store is healthy, retry later.
-    Backpressure,
     /// The WAL ring is full of un-checkpointed records. Not transient —
     /// retrying without a checkpoint cannot help — so the store's put
     /// path intercepts it, writes a checkpoint inline, and retries once
@@ -37,14 +33,14 @@ pub enum ViperError {
 
 impl ViperError {
     /// Fault-class taxonomy for the retry layer. Transient errors may pass
-    /// on their own (a failed write line, a device-full window, an overload
-    /// spike) or be cleared by maintenance, so a bounded retry is
-    /// worthwhile. `ReadOnly` is permanent until online repair lifts it and
+    /// on their own (a failed write line, a device-full window) or be
+    /// cleared by maintenance, so a bounded retry is worthwhile.
+    /// `ReadOnly` is permanent until online repair lifts it and
     /// `Crashed` is terminal until the driver recovers — retrying either
     /// inline would just burn the budget.
     pub const fn is_transient(self) -> bool {
         match self {
-            ViperError::DeviceFull | ViperError::Backpressure => true,
+            ViperError::DeviceFull => true,
             ViperError::ReadOnly | ViperError::WalFull | ViperError::IndexMismatch => false,
             ViperError::Nvm(e) => e.is_transient(),
         }
@@ -56,7 +52,6 @@ impl fmt::Display for ViperError {
         match self {
             ViperError::DeviceFull => write!(f, "NVM device full"),
             ViperError::ReadOnly => write!(f, "store is read-only (device exhausted)"),
-            ViperError::Backpressure => write!(f, "write shed by overload backpressure"),
             ViperError::WalFull => write!(f, "WAL ring full of un-checkpointed records"),
             ViperError::IndexMismatch => write!(f, "index entry points at another key's record"),
             ViperError::Nvm(e) => write!(f, "NVM fault: {e}"),
@@ -96,14 +91,12 @@ mod tests {
     fn display_mentions_cause() {
         assert!(ViperError::DeviceFull.to_string().contains("full"));
         assert!(ViperError::ReadOnly.to_string().contains("read-only"));
-        assert!(ViperError::Backpressure.to_string().contains("backpressure"));
         assert!(ViperError::Nvm(NvmError::Crashed).to_string().contains("NVM fault"));
     }
 
     #[test]
     fn transient_taxonomy() {
         assert!(ViperError::DeviceFull.is_transient());
-        assert!(ViperError::Backpressure.is_transient());
         assert!(ViperError::Nvm(NvmError::WriteFailed).is_transient());
         assert!(!ViperError::ReadOnly.is_transient());
         assert!(!ViperError::WalFull.is_transient(), "retry without checkpoint cannot clear it");

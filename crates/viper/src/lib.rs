@@ -25,7 +25,7 @@
 //!   first rung of the self-healing ladder).
 //! * [`maintenance`] — the background [`MaintenanceWorker`] (deferred
 //!   retraining, quarantine repair, checkpoints on WAL lag, read-only
-//!   lift) and the overload [`CircuitBreaker`].
+//!   lift).
 //! * [`wal`] — the write-ahead log: CRC-framed ring of LSN-addressed
 //!   records with group commit (one fence per batch of appenders).
 //! * [`checkpoint`] — incremental checkpoints of the key → offset map (a
@@ -52,11 +52,8 @@ pub use config::StoreConfig;
 pub use error::ViperError;
 pub use heap::{RecordHeap, RecoverOptions, RecoveryReport};
 pub use layout::{RecordLayout, PAGE_MAGIC};
-pub use maintenance::{
-    BreakerConfig, CircuitBreaker, MaintenanceConfig, MaintenancePass, MaintenanceStats,
-    MaintenanceWorker,
-};
+pub use maintenance::{MaintenanceConfig, MaintenancePass, MaintenanceStats, MaintenanceWorker};
 pub use retry::RetryPolicy;
-pub use store::{ConcurrentViperStore, OverloadState, RepairOutcome, ViperStore};
+pub use store::{ConcurrentViperStore, RepairOutcome, ViperStore};
 pub use wal::{Wal, WalFull};
 pub use write::{SharedWriter, SingleWriter, WriteModel};

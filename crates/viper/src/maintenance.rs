@@ -1,25 +1,21 @@
-//! Background self-healing: the maintenance worker and the overload
-//! circuit breaker.
+//! Background self-healing: the maintenance worker.
 //!
 //! The degradation ladder (DESIGN.md) in one place:
 //!
 //! 1. **Retry** — transient faults are re-attempted inline with seeded
 //!    backoff ([`crate::RetryPolicy`]).
-//! 2. **Backpressure** — an admission gate bounds in-flight puts; a
-//!    saturated gate sheds with [`crate::ViperError::Backpressure`].
-//! 3. **Circuit breaker** — sustained overload (deep retrain queue, p999
-//!    put latency past its bound) opens the [`CircuitBreaker`]; puts shed
-//!    immediately until maintenance catches up and the breaker closes.
-//! 4. **Repair** — the [`MaintenanceWorker`] drains deferred retrains,
+//! 2. **Repair** — the [`MaintenanceWorker`] drains deferred retrains,
 //!    retires stale slots, re-resolves quarantined slots, and lifts
 //!    read-only degradation — all off the foreground path.
+//!
+//! Load is shed above the store, by the server's in-flight budget; the
+//! store itself never refuses a healthy write.
 
-use li_sync::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use li_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use li_sync::thread::JoinHandle;
 use std::sync::Arc;
 use std::time::Duration;
 
-use li_core::telemetry::{Event, OpKind, Recorder};
 use li_core::traits::{ConcurrentIndex, Index};
 
 use crate::store::{RepairOutcome, ViperStore};
@@ -55,102 +51,6 @@ impl MaintenancePass {
             || self.lifted_read_only
             || self.checkpoint_written
             || self.adaptations > 0
-    }
-}
-
-/// When the [`CircuitBreaker`] opens and closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Retrain-queue depth at or above which a tick counts as overloaded.
-    pub depth_open: usize,
-    /// Depth at or below which an open breaker closes again.
-    pub depth_close: usize,
-    /// Consecutive overloaded ticks required before opening — a single
-    /// spike never trips it.
-    pub sustain_ticks: u32,
-    /// Put p999 latency (ns) at or above which a tick also counts as
-    /// overloaded; `0` disables the latency trigger. Note the close path
-    /// looks at queue depth only: the put histogram is cumulative, so a
-    /// past latency spike would otherwise hold the breaker open forever.
-    pub p999_open_ns: u64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig { depth_open: 1024, depth_close: 128, sustain_ticks: 3, p999_open_ns: 0 }
-    }
-}
-
-/// Overload circuit breaker: rung three of the degradation ladder.
-///
-/// Fed one observation per maintenance tick; opens after
-/// `sustain_ticks` consecutive overloaded observations, sheds every put
-/// while open ([`crate::ViperError::Backpressure`] — degraded but
-/// correct: reads, scans and deletes keep working), and closes once the
-/// retrain queue has drained to `depth_close`. Emits
-/// [`Event::CircuitOpen`] / [`Event::CircuitClose`] on transitions.
-pub struct CircuitBreaker {
-    cfg: BreakerConfig,
-    open: AtomicBool,
-    over_ticks: AtomicU32,
-    opens: AtomicU64,
-    closes: AtomicU64,
-    recorder: Recorder,
-}
-
-impl CircuitBreaker {
-    pub fn new(cfg: BreakerConfig, recorder: Recorder) -> Self {
-        assert!(cfg.depth_close < cfg.depth_open, "close threshold must sit below open");
-        assert!(cfg.sustain_ticks >= 1);
-        CircuitBreaker {
-            cfg,
-            open: AtomicBool::new(false),
-            over_ticks: AtomicU32::new(0),
-            opens: AtomicU64::new(0),
-            closes: AtomicU64::new(0),
-            recorder,
-        }
-    }
-
-    /// Whether puts are currently being shed.
-    pub fn is_open(&self) -> bool {
-        self.open.load(Ordering::Acquire)
-    }
-
-    /// How often the breaker has opened (monotonic).
-    pub fn times_opened(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-
-    /// How often the breaker has closed again (monotonic).
-    pub fn times_closed(&self) -> u64 {
-        self.closes.load(Ordering::Relaxed)
-    }
-
-    /// Feeds one tick's overload signals; returns whether the breaker is
-    /// open afterwards. Intended to be called from a single maintenance
-    /// thread (transitions are not atomic across racing observers).
-    pub fn observe(&self, retrain_depth: usize, put_p999_ns: u64) -> bool {
-        let overloaded = retrain_depth >= self.cfg.depth_open
-            || (self.cfg.p999_open_ns > 0 && put_p999_ns >= self.cfg.p999_open_ns);
-        if self.is_open() {
-            if retrain_depth <= self.cfg.depth_close {
-                self.open.store(false, Ordering::Release);
-                self.over_ticks.store(0, Ordering::Relaxed);
-                self.closes.fetch_add(1, Ordering::Relaxed);
-                self.recorder.event(Event::CircuitClose);
-            }
-        } else if overloaded {
-            let over = self.over_ticks.fetch_add(1, Ordering::Relaxed) + 1;
-            if over >= self.cfg.sustain_ticks {
-                self.open.store(true, Ordering::Release);
-                self.opens.fetch_add(1, Ordering::Relaxed);
-                self.recorder.event(Event::CircuitOpen);
-            }
-        } else {
-            self.over_ticks.store(0, Ordering::Relaxed);
-        }
-        self.is_open()
     }
 }
 
@@ -229,13 +129,12 @@ impl WorkerCounters {
 ///
 /// * switches the store's index into *deferred retraining* — a foreground
 ///   insert that would trigger a leaf retrain parks the key in the
-///   overflow buffer ([`Event::RetrainDeferred`]) and returns; the worker
-///   drains the queue with a bounded budget per pass;
+///   overflow buffer ([`li_core::telemetry::Event::RetrainDeferred`])
+///   and returns; the worker drains the queue with a bounded budget per
+///   pass;
 /// * runs one `run_maintenance` pass per `interval`: drain retrains,
 ///   sweep stale slots, repair quarantine, checkpoint on WAL lag, lift
-///   read-only;
-/// * feeds the store's [`CircuitBreaker`] (if installed) with the retrain
-///   depth and put p999 after every pass.
+///   read-only.
 ///
 /// Dropping (or [`MaintenanceWorker::shutdown`]) stops the thread,
 /// turns deferred retraining off and fully drains the queue, so a cleanly
@@ -265,11 +164,6 @@ impl MaintenanceWorker {
                     while !stop.load(Ordering::Acquire) {
                         let pass = store.run_maintenance(cfg.retrain_budget);
                         counters.record(&pass);
-                        if let Some(breaker) = store.circuit_breaker() {
-                            let depth = ConcurrentIndex::pending_retrains(store.index());
-                            let p999 = store.recorder().snapshot().op(OpKind::Put).p999;
-                            breaker.observe(depth, p999);
-                        }
                         sleep_interruptible(cfg.interval, &stop);
                     }
                     // Exit deferred mode and drain everything still
@@ -329,55 +223,8 @@ mod tests {
     use crate::store::tests::{value_for_test, LockedMap, MapIndex};
     use crate::store::ConcurrentViperStore;
     use crate::StoreConfig;
-    use li_core::telemetry::Recorder;
     use li_nvm::{Fault, FaultPlan, NvmDevice};
     use std::time::Instant;
-
-    #[test]
-    fn breaker_trips_on_sustained_depth_and_recovers() {
-        let rec = Recorder::enabled();
-        let cfg =
-            BreakerConfig { depth_open: 10, depth_close: 2, sustain_ticks: 2, p999_open_ns: 0 };
-        let b = CircuitBreaker::new(cfg, rec.clone());
-        assert!(!b.observe(50, 0), "first overloaded tick must not trip");
-        assert!(b.observe(50, 0), "second consecutive tick trips");
-        assert!(b.is_open());
-        assert!(b.observe(5, 0), "above depth_close: stays open");
-        assert!(!b.observe(1, 0), "drained: closes");
-        assert_eq!((b.times_opened(), b.times_closed()), (1, 1));
-        let s = rec.snapshot();
-        assert_eq!(s.event(Event::CircuitOpen), 1);
-        assert_eq!(s.event(Event::CircuitClose), 1);
-    }
-
-    #[test]
-    fn breaker_spike_resets_without_sustain() {
-        let b = CircuitBreaker::new(
-            BreakerConfig { depth_open: 10, depth_close: 2, sustain_ticks: 3, p999_open_ns: 0 },
-            Recorder::disabled(),
-        );
-        for _ in 0..10 {
-            assert!(!b.observe(50, 0));
-            assert!(!b.observe(0, 0), "calm tick resets the sustain counter");
-        }
-        assert_eq!(b.times_opened(), 0);
-    }
-
-    #[test]
-    fn breaker_latency_trigger() {
-        let b = CircuitBreaker::new(
-            BreakerConfig {
-                depth_open: 1000,
-                depth_close: 2,
-                sustain_ticks: 2,
-                p999_open_ns: 1_000,
-            },
-            Recorder::disabled(),
-        );
-        b.observe(0, 50_000);
-        assert!(b.observe(0, 50_000), "latency alone must trip the breaker");
-        assert!(!b.observe(0, 0), "depth is already below close: recovers");
-    }
 
     fn shared_store(n: usize) -> ConcurrentViperStore<LockedMap> {
         ConcurrentViperStore::new(StoreConfig::test(n), LockedMap::default())

@@ -97,11 +97,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Runs `op` with the policy's bounded retry. Non-transient errors and
-/// budget exhaustion surface the last error unchanged; `ViperError::
-/// ReadOnly` and `Backpressure` never reach this loop (their checks sit
-/// above it in the store). Records the attempts histogram for ops that
-/// needed more than one attempt.
+/// Runs `op` with the policy's bounded retry. Non-transient errors (such
+/// as `ViperError::ReadOnly`) and budget exhaustion surface the last
+/// error unchanged. Records the attempts histogram for ops that needed
+/// more than one attempt.
 pub(crate) fn with_retry<T>(
     policy: &RetryPolicy,
     salt: u64,

@@ -26,11 +26,10 @@
 
 use li_sync::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use li_core::telemetry::{Event, OpKind, Recorder};
 use li_core::traits::{BulkBuildIndex, ConcurrentIndex, Index, OrderedIndex, UpdatableIndex};
-use li_core::{Admission, Key, KeyValue};
+use li_core::{Key, KeyValue};
 use li_nvm::NvmDevice;
 
 use crate::checkpoint::{self, CheckpointBlob, Durability, Geometry, Manifest, TOMBSTONE};
@@ -38,25 +37,11 @@ use crate::config::StoreConfig;
 use crate::error::ViperError;
 use crate::heap::{RecordHeap, RecoverOptions, RecoveryReport};
 use crate::layout::RecordLayout;
-use crate::maintenance::{CircuitBreaker, MaintenancePass};
+use crate::maintenance::MaintenancePass;
 use crate::recovery::{recover_state, RecoveredState};
 use crate::retry::RetryPolicy;
 use crate::wal::Wal;
 use crate::write::{Excl, KeyLocks, Shared, SharedWriter, SingleWriter, WriteAccess, WriteModel};
-
-/// Instantaneous position on the overload ladder, surfaced so a front-end
-/// can distinguish "back off briefly" from "back off hard" when mapping
-/// [`ViperError::Backpressure`] to protocol errors — the error itself is
-/// deliberately one variant for both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadState {
-    /// Writes are being admitted normally.
-    Clear,
-    /// The admission gate is saturated: new puts spin-wait then shed.
-    Gated { in_flight: usize, limit: usize },
-    /// The circuit breaker is open: puts shed immediately.
-    BreakerOpen,
-}
 
 /// What one online repair pass resolved. Every formerly quarantined slot
 /// lands in exactly one bucket, so
@@ -74,7 +59,7 @@ pub struct RepairOutcome {
 }
 
 /// Everything of a store but its DRAM index: the record heap, the
-/// degradation flag, the overload ladder, durability, and the write
+/// degradation flag, the retry policy, durability, and the write
 /// model's key locks. Operation bodies are written once against it and
 /// take the index as a parameter — a `WriteAccess` where they mutate it,
 /// a plain `&impl Index` where they only read — which is what lets the
@@ -87,12 +72,6 @@ pub(crate) struct Engine<M: WriteModel> {
     pub(crate) recorder: Recorder,
     /// Bounded retry of transient put/delete faults (disabled by default).
     pub(crate) retry: RetryPolicy,
-    /// Optional single-lane write admission gate (overload backpressure).
-    pub(crate) admission: Option<Admission>,
-    /// How long a put spin-waits on a saturated gate before shedding.
-    pub(crate) admission_wait: Duration,
-    /// Optional circuit breaker; when open, puts shed immediately.
-    pub(crate) breaker: Option<Arc<CircuitBreaker>>,
     /// WAL + checkpoint state when the store was built with
     /// [`StoreConfig::durability`]; `None` keeps every path log-free.
     pub(crate) durability: Option<Durability>,
@@ -124,9 +103,6 @@ impl<M: WriteModel> Engine<M> {
             read_only: AtomicBool::new(false),
             recorder: Recorder::disabled(),
             retry: RetryPolicy::disabled(),
-            admission: None,
-            admission_wait: Duration::from_micros(200),
-            breaker: None,
             durability,
         }
     }
@@ -551,47 +527,6 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
         self.engine.retry
     }
 
-    /// Caps concurrently admitted puts at `limit`; a put finding the gate
-    /// saturated spin-waits up to `max_wait` and then sheds with
-    /// [`ViperError::Backpressure`]. Deletes are never gated — they
-    /// reclaim space and are the pressure-relief valve. Pass `limit = 0`
-    /// to remove the gate.
-    pub fn set_admission_limit(&mut self, limit: usize, max_wait: Duration) {
-        self.engine.admission = (limit > 0).then(|| Admission::new(limit));
-        self.engine.admission_wait = max_wait;
-    }
-
-    /// Installs a circuit breaker; while it is open, puts shed immediately
-    /// with [`ViperError::Backpressure`]. The breaker is shared with the
-    /// maintenance worker, which feeds it overload observations.
-    pub fn set_circuit_breaker(&mut self, breaker: Arc<CircuitBreaker>) {
-        self.engine.breaker = Some(breaker);
-    }
-
-    /// The installed circuit breaker, if any.
-    pub fn circuit_breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        self.engine.breaker.as_ref()
-    }
-
-    /// Where this store currently sits on the overload ladder. Advisory —
-    /// the state can change between this read and the next write — but
-    /// accurate enough to pick a retry hint and the right typed error.
-    /// Breaker-open dominates gate saturation.
-    pub fn overload_state(&self) -> OverloadState {
-        if let Some(b) = &self.engine.breaker {
-            if b.is_open() {
-                return OverloadState::BreakerOpen;
-            }
-        }
-        if let Some(gate) = &self.engine.admission {
-            let in_flight = gate.in_flight();
-            if in_flight >= gate.limit() {
-                return OverloadState::Gated { in_flight, limit: gate.limit() };
-            }
-        }
-        OverloadState::Clear
-    }
-
     /// Lifts read-only degradation if the heap can currently make
     /// progress again (recycled slots, page headroom, and no injected
     /// device-full window). Returns whether the store left read-only
@@ -670,9 +605,8 @@ impl<I: OrderedIndex, M: WriteModel> ViperStore<I, M> {
 // index and forwards to the one body on [`Engine`]; `&mut self` is the
 // single-writer model's writer exclusion.
 impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
-    /// Inserts or updates. Sheds under overload
-    /// ([`ViperError::Backpressure`]), retries transient faults per the
-    /// configured [`RetryPolicy`], and degrades to read-only
+    /// Inserts or updates. Retries transient faults per the configured
+    /// [`RetryPolicy`], and degrades to read-only
     /// ([`ViperError::ReadOnly`] from then on) only once the retry budget
     /// is exhausted on exhaustion. Under durability, a full WAL ring is
     /// absorbed by an inline checkpoint plus one more attempt before
@@ -682,8 +616,8 @@ impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
     }
 
     /// Removes a key; returns whether it existed. Retries transient
-    /// faults; never gated or shed — deletes reclaim space and are the
-    /// way out of degradation. Absorbs a full WAL ring like `put`.
+    /// faults; deletes reclaim space and are the way out of degradation.
+    /// Absorbs a full WAL ring like `put`.
     pub fn delete(&mut self, key: Key) -> Result<bool, ViperError> {
         self.engine.delete(&mut Excl(&mut self.index), key)
     }
@@ -704,7 +638,7 @@ impl<I: Index + UpdatableIndex> ViperStore<I, SingleWriter> {
 
 impl<I: Index + ConcurrentIndex> ViperStore<I, SharedWriter> {
     /// Inserts or updates through a shared reference. Same degradation,
-    /// backpressure, retry and WAL-full contract as the single-writer
+    /// retry and WAL-full contract as the single-writer
     /// put; same-key races are serialised by the stripe lock, which is
     /// released during each backoff so other keys in the stripe keep
     /// flowing.
@@ -1732,71 +1666,6 @@ pub(crate) mod tests {
             either!(&store, s => s.is_read_only()),
             "budget exhausted: degrade, don't spin forever"
         );
-    }
-
-    #[test]
-    fn open_breaker_sheds_puts_but_not_deletes() {
-        for shared in [false, true] {
-            open_breaker_sheds_puts_but_not_deletes_under(shared);
-        }
-    }
-
-    fn open_breaker_sheds_puts_but_not_deletes_under(shared: bool) {
-        use crate::maintenance::{BreakerConfig, CircuitBreaker};
-
-        let mut store = Either::new(shared, StoreConfig::test(1_000));
-        let vs = either!(&store, s => s.heap().layout().value_size);
-        store.put(5, &vec![5u8; vs]).unwrap();
-
-        let rec = Recorder::enabled();
-        let breaker = Arc::new(CircuitBreaker::new(
-            BreakerConfig { depth_open: 1, depth_close: 0, sustain_ticks: 1, p999_open_ns: 0 },
-            rec.clone(),
-        ));
-        either!(&mut store, s => s.set_circuit_breaker(Arc::clone(&breaker)));
-        assert!(breaker.observe(8, 0), "one overloaded tick must open at sustain_ticks=1");
-        assert_eq!(store.put(6, &vec![6u8; vs]), Err(ViperError::Backpressure));
-        // Deletes are the pressure-relief valve: never shed.
-        assert!(store.delete(5).unwrap());
-        breaker.observe(0, 0);
-        assert!(!breaker.is_open(), "drained queue must close the breaker");
-        store.put(6, &vec![6u8; vs]).unwrap();
-        let snap = rec.snapshot();
-        assert_eq!(snap.event(Event::CircuitOpen), 1);
-        assert_eq!(snap.event(Event::CircuitClose), 1);
-    }
-
-    #[test]
-    fn admission_limit_bounds_in_flight_puts() {
-        let mut store = ConcurrentViperStore::new(StoreConfig::test(20_000), LockedMap::default());
-        store.set_admission_limit(2, Duration::from_millis(50));
-        let store = Arc::new(store);
-        let vs = store.heap().layout().value_size;
-        let mut handles = Vec::new();
-        let shed = Arc::new(li_sync::sync::atomic::AtomicUsize::new(0));
-        for t in 0..8u64 {
-            let store = Arc::clone(&store);
-            let shed = Arc::clone(&shed);
-            handles.push(li_sync::thread::spawn(move || {
-                let val = vec![t as u8; vs];
-                for i in 0..500u64 {
-                    match store.put(t * 1_000 + i, &val) {
-                        Ok(()) => {}
-                        Err(ViperError::Backpressure) => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Every put either landed or was shed with Backpressure — nothing
-        // else, and the store stays consistent.
-        let shed = shed.load(Ordering::Relaxed);
-        assert_eq!(store.len() + shed, 4_000);
     }
 }
 

@@ -9,16 +9,13 @@
 
 use li_sync::sync::atomic::Ordering;
 use li_sync::sync::{Mutex, MutexGuard};
-use std::sync::Arc;
-use std::time::Duration;
 
 use li_core::telemetry::OpKind;
 use li_core::traits::{ConcurrentIndex, Index, UpdatableIndex};
-use li_core::{Admission, AdmissionGuard, Key};
+use li_core::Key;
 
 use crate::error::ViperError;
 use crate::heap::RecordHeap;
-use crate::maintenance::CircuitBreaker;
 use crate::retry::with_retry;
 use crate::store::Engine;
 use crate::wal::{Wal, WalFull, WAL_OP_DELETE, WAL_OP_PUT};
@@ -196,33 +193,9 @@ fn append(heap: &RecordHeap, wal: Option<&Wal>, key: Key, value: &[u8]) -> Resul
     Ok(offset)
 }
 
-/// The overload ladder's front door: an open circuit breaker sheds the
-/// write outright; a saturated admission gate sheds it after a bounded
-/// spin-wait. Both surface as the `WouldBlock`-style
-/// [`ViperError::Backpressure`] — the store is healthy, the caller should
-/// back off and retry.
-fn shed_check<'a>(
-    breaker: Option<&Arc<CircuitBreaker>>,
-    admission: Option<&'a Admission>,
-    max_wait: Duration,
-) -> Result<Option<AdmissionGuard<'a>>, ViperError> {
-    if let Some(b) = breaker {
-        if b.is_open() {
-            return Err(ViperError::Backpressure);
-        }
-    }
-    match admission {
-        Some(gate) => match gate.enter(max_wait) {
-            Ok(g) => Ok(Some(g)),
-            Err(_) => Err(ViperError::Backpressure),
-        },
-        None => Ok(None),
-    }
-}
-
 impl<M: WriteModel> Engine<M> {
     /// The put both write models forward to (contract: see
-    /// [`crate::ViperStore::put`]): shed → retry → stripe →
+    /// [`crate::ViperStore::put`]): retry → stripe →
     /// [`Engine::put_core`], absorbing a full WAL ring and flipping
     /// read-only once the retry budget is spent on exhaustion. The stripe
     /// is taken per attempt, so it is released during each backoff.
@@ -234,8 +207,6 @@ impl<M: WriteModel> Engine<M> {
     ) -> Result<(), ViperError> {
         let t = self.recorder.start();
         let r = self.absorbing_wal_full(index, |index| {
-            let _gate =
-                shed_check(self.breaker.as_ref(), self.admission.as_ref(), self.admission_wait)?;
             with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
                 let _stripe = self.key_locks.lock(key);
                 self.put_core(index, key, value)
@@ -248,8 +219,8 @@ impl<M: WriteModel> Engine<M> {
         r
     }
 
-    /// The delete both write models forward to. Never gated or shed —
-    /// deletes reclaim space and are the way out of degradation.
+    /// The delete both write models forward to. Deletes reclaim space and
+    /// are the way out of read-only degradation.
     pub(crate) fn delete<A: WriteAccess>(
         &self,
         index: &mut A,
@@ -269,8 +240,8 @@ impl<M: WriteModel> Engine<M> {
     /// Runs `attempt`; if the WAL ring refused it, writes a checkpoint
     /// inline (which reopens the ring) and runs it once more before
     /// [`ViperError::WalFull`] can surface. The checkpoint quiesces every
-    /// stripe, so it must run here — after the attempt, its stripe guard
-    /// and its admission slot have fully unwound — and not inside it.
+    /// stripe, so it must run here — after the attempt and its stripe
+    /// guard have fully unwound — and not inside it.
     fn absorbing_wal_full<A: WriteAccess, T>(
         &self,
         index: &mut A,

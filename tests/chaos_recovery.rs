@@ -10,9 +10,9 @@
 //!   windows comes back writable once the worker can lift it.
 //! * **Quarantine repair** — after a corrupting restart, the worker
 //!   resolves every quarantined slot as superseded or lost; none linger.
-//! * **Overload ladder** — the circuit breaker trips under sustained
-//!   retrain backlog, sheds puts (never deletes), and closes once the
-//!   worker drains the queue.
+//! * **Retrain backlog** — under a worker that cannot drain, a flood
+//!   grows the deferred-retrain queue while every put and delete still
+//!   succeeds; a worker with a real budget then drains it to zero.
 //! * **Adaptation under faults** — with skewed traffic on a sharded
 //!   router, the maintenance worker keeps committing tuner decisions
 //!   (splits and merges) through injected device failures, and no
@@ -31,8 +31,8 @@ use lip::core::Sharded;
 use lip::nvm::fault::splitmix64;
 use lip::nvm::{Fault, FaultPlan, NvmDevice};
 use lip::viper::{
-    BreakerConfig, CircuitBreaker, ConcurrentViperStore, MaintenanceConfig, MaintenanceWorker,
-    RecoverOptions, RetryPolicy, StoreConfig,
+    ConcurrentViperStore, MaintenanceConfig, MaintenanceWorker, RecoverOptions, RetryPolicy,
+    StoreConfig,
 };
 use lip::IndexKind;
 
@@ -411,12 +411,11 @@ fn worker_repairs_every_quarantined_slot_after_corrupting_restart() {
 }
 
 #[test]
-fn circuit_breaker_trips_under_backlog_and_recovers() {
+fn retrain_backlog_grows_under_flood_and_drains() {
     with_deadline(Duration::from_mins(2), || {
         // Non-linear keys: a perfectly linear key set would collapse each
         // shard's piecewise index into a single segment, capping the
-        // retrain queue at one pending leaf per shard — below any
-        // realistic open threshold.
+        // retrain queue at one pending leaf per shard.
         let initial = lip::workloads::generate_keys(lip::workloads::Dataset::OsmLike, 20_000, 5);
         let (lo, hi) = (initial[0], *initial.last().unwrap());
         let cfg = StoreConfig::test(300_000);
@@ -428,12 +427,8 @@ fn circuit_breaker_trips_under_backlog_and_recovers() {
         );
         let rec = Recorder::enabled();
         store.set_recorder(rec.clone());
-        let breaker = Arc::new(CircuitBreaker::new(
-            BreakerConfig { depth_open: 16, depth_close: 2, sustain_ticks: 2, p999_open_ns: 0 },
-            rec.clone(),
-        ));
-        store.set_circuit_breaker(Arc::clone(&breaker));
         let store = Arc::new(store);
+        let pending = || ConcurrentIndex::pending_retrains(store.index());
 
         // Phase 1: a worker whose drain budget is zero — retraining is
         // deferred but never drained, modelling maintenance that cannot
@@ -443,52 +438,40 @@ fn circuit_breaker_trips_under_backlog_and_recovers() {
             MaintenanceConfig { interval: Duration::from_millis(1), retrain_budget: 0 },
         );
 
-        // Flood inserts until the breaker trips and a put is shed.
+        // Flood inserts until the backlog is deep; the store sheds none.
         let vs = cfg.layout.value_size;
         let mut val = vec![0u8; vs];
         let mut s = 0xF100Du64;
-        let mut shed = false;
         for i in 0..250_000u64 {
             // Stay inside the loaded key range so the flood spreads over
             // many leaves — retrain deferrals then come from distinct
             // leaves and the queue actually deepens.
             let key = lo + splitmix64(&mut s) % (hi - lo);
             value_of(key, i + 1, &mut val);
-            match store.put(key, &val) {
-                Ok(()) => {}
-                Err(lip::viper::ViperError::Backpressure) => {
-                    shed = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error under flood: {e}"),
+            store.put(key, &val).unwrap_or_else(|e| panic!("put failed under flood: {e}"));
+            if i % 64 == 0 && pending() >= 16 {
+                break;
             }
         }
-        assert!(shed, "breaker never shed a put under sustained backlog");
-        assert!(breaker.is_open());
-        assert!(breaker.times_opened() >= 1);
+        assert!(pending() >= 16, "flood never built a backlog: {} pending", pending());
 
-        // Deletes are the relief valve: never shed, even while open.
+        // Deletes succeed with the backlog still parked.
         assert!(store.delete(initial[0]).unwrap());
 
         // Phase 2: the starved worker hands over (its shutdown drains
-        // parked work) to one with a real budget; depth falls and the
-        // breaker closes on its own.
+        // parked work) to one with a real budget; the backlog reaches 0.
         starved.shutdown();
         let worker = MaintenanceWorker::spawn(Arc::clone(&store), MaintenanceConfig::default());
         assert!(
-            eventually(Duration::from_mins(1), || !breaker.is_open()),
-            "breaker never closed; pending retrains: {}",
-            ConcurrentIndex::pending_retrains(store.index())
+            eventually(Duration::from_mins(1), || pending() == 0),
+            "backlog never drained; pending retrains: {}",
+            pending()
         );
-        assert!(breaker.times_closed() >= 1);
         value_of(7, 99, &mut val);
-        store.put(7, &val).expect("puts must flow again after the breaker closes");
+        store.put(7, &val).expect("puts must flow again after the backlog drains");
 
         worker.shutdown();
-        let snap = rec.snapshot();
-        assert!(snap.event(Event::CircuitOpen) >= 1);
-        assert!(snap.event(Event::CircuitClose) >= 1);
-        assert!(snap.event(Event::RetrainDeferred) > 0, "flood never deferred a retrain");
+        assert!(rec.snapshot().event(Event::RetrainDeferred) > 0, "flood never deferred a retrain");
     });
 }
 

@@ -136,89 +136,7 @@ fn nvm_stats_snapshot_frontier() {
     });
 }
 
-/// Model 4 — circuit breaker open/close vs. put shedding.
-///
-/// A maintenance thread feeds overload observations while a put thread
-/// consults `is_open`. Transitions must be exact (one open, one close)
-/// and the put thread must observe a boolean, never a torn/stuck state.
-#[test]
-fn breaker_open_close_vs_shedding() {
-    use li_core::telemetry::Recorder;
-    use li_viper::{BreakerConfig, CircuitBreaker};
-
-    loom::model(|| {
-        let cfg =
-            BreakerConfig { depth_open: 2, depth_close: 0, sustain_ticks: 1, p999_open_ns: 0 };
-        let breaker = Arc::new(CircuitBreaker::new(cfg, Recorder::disabled()));
-        let shed = Arc::new(AtomicUsize::new(0));
-
-        let maintenance = {
-            let breaker = Arc::clone(&breaker);
-            loom::thread::spawn(move || {
-                let opened = breaker.observe(2, 0);
-                assert!(opened, "sustained overload must open the breaker");
-                let still_open = breaker.observe(0, 0);
-                assert!(!still_open, "drained queue must close the breaker");
-            })
-        };
-        let putter = {
-            let breaker = Arc::clone(&breaker);
-            let shed = Arc::clone(&shed);
-            loom::thread::spawn(move || {
-                if breaker.is_open() {
-                    shed.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-        };
-        maintenance.join().unwrap();
-        putter.join().unwrap();
-
-        assert_eq!(breaker.times_opened(), 1);
-        assert_eq!(breaker.times_closed(), 1);
-        assert!(!breaker.is_open(), "breaker must end closed");
-        assert!(shed.load(Ordering::Relaxed) <= 1);
-    });
-}
-
-/// Model 5 — admission gate never over-admits.
-///
-/// Two writers contend on a gate with `limit = 1`; an occupancy
-/// counter checked inside the critical region proves mutual exclusion in
-/// every schedule, and the gate must drain to zero at quiescence.
-#[test]
-fn admission_gate_never_over_admits() {
-    use li_core::Admission;
-
-    loom::model(|| {
-        let gate = Arc::new(Admission::new(1));
-        let inside = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let gate = Arc::clone(&gate);
-                let inside = Arc::clone(&inside);
-                loom::thread::spawn(move || {
-                    // Bounded retry instead of the timed `enter` (model
-                    // time is fake); the yield deprioritizes the loser.
-                    loop {
-                        if let Some(_g) = gate.try_enter() {
-                            let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                            assert!(now <= 1, "{now} callers inside a limit-1 gate");
-                            inside.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                        loom::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(gate.in_flight(), 0, "gate must drain at quiescence");
-    });
-}
-
-/// Model 6 — maintenance shutdown handshake (in miniature).
+/// Model 4 — maintenance shutdown handshake (in miniature).
 ///
 /// The worker loop's shape from `viper::maintenance`: check the stop
 /// flag with `Acquire`, do a tick, yield (standing in for
@@ -254,7 +172,7 @@ fn maintenance_shutdown_handshake() {
     });
 }
 
-/// Model 7 — boundary-table cutover vs. a descending reader and a
+/// Model 5 — boundary-table cutover vs. a descending reader and a
 /// routed writer.
 ///
 /// A `Sharded` router splits shard 0 (open side log → snapshot →

@@ -138,16 +138,7 @@ const HOT_FNS: &[(&str, &[&str])] = &[
     ("viper/src/store.rs", &["put", "get", "delete", "read_record"]),
     (
         "viper/src/write.rs",
-        &[
-            "put",
-            "delete",
-            "absorbing_wal_full",
-            "put_core",
-            "delete_core",
-            "append",
-            "wal_append",
-            "shed_check",
-        ],
+        &["put", "delete", "absorbing_wal_full", "put_core", "delete_core", "append", "wal_append"],
     ),
     (
         "viper/src/heap.rs",
