@@ -1,5 +1,7 @@
 //! The simulated NVM device.
 
+use std::time::Instant;
+
 use li_sync::sync::Mutex;
 
 use crate::fault::{FaultCountersSnapshot, FaultInjector, FaultPlan, FlushOutcome, WriteOutcome};
@@ -54,6 +56,20 @@ impl NvmConfig {
             durability: DurabilityTracking::Shadow,
         }
     }
+}
+
+/// The clock reading the previous wait of a device call ended at; `None`
+/// until the call has waited at all.
+type Reading = Option<Instant>;
+
+/// `ns` of modelled latency starting at `after` (see [`NvmDevice::charge`]);
+/// flushes and fences wait through this alone, as they draw no bandwidth.
+#[inline]
+fn wait(after: Reading, ns: u64) -> Reading {
+    if ns == 0 {
+        return after;
+    }
+    Some(spin_ns(after.unwrap_or_else(Instant::now), ns))
 }
 
 /// Byte-addressable storage written through raw pointers so that readers
@@ -187,12 +203,18 @@ impl NvmDevice {
         snap
     }
 
+    /// One access's modelled cost: `ns` of latency, then the bandwidth
+    /// charge for `bytes`. The wait starts at `after`, the reading the
+    /// previous part of the same call ended at, or at a fresh reading when
+    /// this is the call's first wait; it returns the reading this part
+    /// ended at. A part with nothing to charge reads no clock, so a
+    /// DRAM-like device never does.
     #[inline]
-    fn charge(&self, offset: usize, len: usize, ns_per_block: u64) {
-        let blocks = LatencyModel::blocks(offset, len) as u64;
-        spin_ns(blocks * ns_per_block);
-        if let Some(l) = &self.limiter {
-            l.consume(len as u64);
+    fn charge(&self, after: Reading, ns: u64, bytes: usize) -> Reading {
+        let end = wait(after, ns);
+        match &self.limiter {
+            Some(l) => Some(l.consume(bytes as u64, end.unwrap_or_else(Instant::now))),
+            None => end,
         }
     }
 
@@ -209,7 +231,8 @@ impl NvmDevice {
     #[inline]
     pub fn read_into(&self, offset: usize, buf: &mut [u8]) {
         self.check_range(offset, buf.len());
-        self.charge(offset, buf.len(), self.latency.read_ns_per_block);
+        let blocks = LatencyModel::blocks(offset, buf.len()) as u64;
+        self.charge(None, blocks * self.latency.read_ns_per_block, buf.len());
         self.stats.on_read(buf.len());
         // SAFETY: `check_range` proved `offset + buf.len() <= mem.len`, so
         // the source range lies inside the live Arena allocation; `buf` is a
@@ -238,22 +261,30 @@ impl NvmDevice {
     /// [`NvmDevice::crash`].
     #[inline]
     pub fn try_write(&self, offset: usize, data: &[u8]) -> Result<(), NvmError> {
+        self.write_from(None, offset, data).map(drop)
+    }
+
+    /// [`NvmDevice::try_write`] whose wait starts at `after` (see
+    /// [`NvmDevice::charge`]); returns the reading it ended at.
+    #[inline]
+    fn write_from(&self, after: Reading, offset: usize, data: &[u8]) -> Result<Reading, NvmError> {
         self.check_range(offset, data.len());
         let outcome = match &self.injector {
             Some(inj) => inj.on_write(data.len()),
             None => WriteOutcome::Proceed,
         };
+        let ns = LatencyModel::blocks(offset, data.len()) as u64 * self.latency.write_ns_per_block;
         match outcome {
             WriteOutcome::Crashed => return Err(NvmError::Crashed),
             WriteOutcome::Fail => {
                 // Latency is charged — the program issued the stores even
                 // though the medium rejected them.
-                self.charge(offset, data.len(), self.latency.write_ns_per_block);
+                self.charge(after, ns, data.len());
                 return Err(NvmError::WriteFailed);
             }
             WriteOutcome::Proceed | WriteOutcome::Torn { .. } => {}
         }
-        self.charge(offset, data.len(), self.latency.write_ns_per_block);
+        let end = self.charge(after, ns, data.len());
         self.stats.on_write(data.len());
         // SAFETY: `check_range` proved `offset + data.len() <= mem.len`, so
         // the destination lies inside the live Arena allocation; `data` is a
@@ -270,7 +301,7 @@ impl NvmDevice {
                 s.image[offset..offset + prefix_len].copy_from_slice(&data[..prefix_len]);
             }
         }
-        Ok(())
+        Ok(end)
     }
 
     /// Convenience: reads a little-endian u64.
@@ -301,6 +332,11 @@ impl NvmDevice {
     /// range was not captured; that is precisely the fault the CRC path in
     /// `li-viper` exists to catch.
     pub fn try_flush(&self, offset: usize, len: usize) -> Result<(), NvmError> {
+        self.flush_from(None, offset, len).map(drop)
+    }
+
+    /// [`NvmDevice::try_flush`] whose wait starts at `after`.
+    fn flush_from(&self, after: Reading, offset: usize, len: usize) -> Result<Reading, NvmError> {
         self.check_range(offset, len);
         let outcome = match &self.injector {
             Some(inj) => inj.on_flush(),
@@ -310,10 +346,10 @@ impl NvmDevice {
             return Err(NvmError::Crashed);
         }
         let lines = len.div_ceil(64).max(1) as u64;
-        spin_ns(lines * self.latency.flush_ns);
+        let end = wait(after, lines * self.latency.flush_ns);
         self.stats.flushes.fetch_add(1, li_sync::sync::atomic::Ordering::Relaxed);
         if outcome == FlushOutcome::Drop {
-            return Ok(());
+            return Ok(end);
         }
         if let Some(shadow) = &self.shadow {
             let mut data = vec![0u8; len];
@@ -326,7 +362,7 @@ impl NvmDevice {
             }
             shadow.lock().pending.push((offset, data));
         }
-        Ok(())
+        Ok(end)
     }
 
     /// Store fence: all previously flushed ranges become durable.
@@ -339,10 +375,15 @@ impl NvmDevice {
 
     /// Fallible fence observing any installed fault plan.
     pub fn try_fence(&self) -> Result<(), NvmError> {
+        self.fence_from(None).map(drop)
+    }
+
+    /// [`NvmDevice::try_fence`] whose wait starts at `after`.
+    fn fence_from(&self, after: Reading) -> Result<Reading, NvmError> {
         if let Some(inj) = &self.injector {
             inj.on_fence()?;
         }
-        spin_ns(self.latency.fence_ns);
+        let end = wait(after, self.latency.fence_ns);
         self.stats.fences.fetch_add(1, li_sync::sync::atomic::Ordering::Relaxed);
         if let Some(shadow) = &self.shadow {
             let mut s = shadow.lock();
@@ -351,19 +392,61 @@ impl NvmDevice {
                 s.image[offset..offset + data.len()].copy_from_slice(&data);
             }
         }
-        Ok(())
+        Ok(end)
     }
 
     /// Flush + fence in one call.
+    ///
+    /// Infallible wrapper over [`NvmDevice::try_persist`]; panics if the
+    /// fault plan has frozen the device.
     pub fn persist(&self, offset: usize, len: usize) {
-        self.flush(offset, len);
-        self.fence();
+        self.try_persist(offset, len).expect("injected NVM persist fault; use try_persist");
     }
 
-    /// Fallible flush + fence in one call.
+    /// Fallible flush + fence in one call; the fence's wait starts where
+    /// the flush's ended.
     pub fn try_persist(&self, offset: usize, len: usize) -> Result<(), NvmError> {
-        self.try_flush(offset, len)?;
-        self.try_fence()
+        self.try_persist_ranges([(offset, len)])
+    }
+
+    /// Flushes each `(offset, len)` of `ranges` in order, then fences once:
+    /// the same fault hooks and counters as that many
+    /// [`NvmDevice::try_flush`] calls and one [`NvmDevice::try_fence`], but
+    /// each wait starts where the previous one ended.
+    pub fn try_persist_ranges<I>(&self, ranges: I) -> Result<(), NvmError>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        self.persist_from(None, ranges).map(drop)
+    }
+
+    /// Writes `data` at `offset`, flushes each of `ranges`, then fences —
+    /// [`NvmDevice::try_write`] followed by
+    /// [`NvmDevice::try_persist_ranges`], as one chain of waits. A failed
+    /// write ([`NvmError::WriteFailed`] or [`NvmError::Crashed`]) returns
+    /// before any flush, exactly as the separate calls would stop there.
+    pub fn try_write_persist<I>(
+        &self,
+        offset: usize,
+        data: &[u8],
+        ranges: I,
+    ) -> Result<(), NvmError>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        let end = self.write_from(None, offset, data)?;
+        self.persist_from(end, ranges).map(drop)
+    }
+
+    fn persist_from<I>(&self, after: Reading, ranges: I) -> Result<Reading, NvmError>
+    where
+        I: IntoIterator<Item = (usize, usize)>,
+    {
+        let mut end = after;
+        for (offset, len) in ranges {
+            end = self.flush_from(end, offset, len)?;
+        }
+        self.fence_from(end)
     }
 
     /// Simulates a power failure: the device content reverts to the last
@@ -574,6 +657,128 @@ mod tests {
         }
         // 100 block reads * 1 µs each.
         assert!(t0.elapsed().as_micros() >= 100, "latency not charged");
+    }
+
+    /// Runs `f` and returns how long it took, in ns.
+    fn took_ns(f: impl FnOnce()) -> u64 {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    }
+
+    // Wall-clock latency accounting is meaningless under Miri.
+    #[cfg_attr(miri, ignore)]
+    #[test]
+    fn every_call_waits_its_modelled_time() {
+        let dev = NvmDevice::new(NvmConfig::optane(1 << 16));
+        let m = LatencyModel::optane_like();
+        let block = LatencyModel::BLOCK;
+        let data = [3u8; 4 * LatencyModel::BLOCK];
+        for k in [1, 2, 4] {
+            let mut buf = vec![0u8; k * block];
+            let read = took_ns(|| dev.read_into(block, &mut buf));
+            assert!(read >= k as u64 * m.read_ns_per_block, "read of {k} blocks took {read} ns");
+            let write = took_ns(|| dev.try_write(block, &data[..k * block]).unwrap());
+            assert!(write >= k as u64 * m.write_ns_per_block, "write of {k} blocks: {write} ns");
+        }
+        for n in [1, 3, 8] {
+            let flush = took_ns(|| dev.try_flush(0, n * 64).unwrap());
+            assert!(flush >= n as u64 * m.flush_ns, "flush of {n} lines took {flush} ns");
+        }
+        let fence = took_ns(|| dev.try_fence().unwrap());
+        assert!(fence >= m.fence_ns, "fence took {fence} ns");
+
+        // Composites wait at least the sum of their parts.
+        let persist = took_ns(|| dev.try_persist(0, 128).unwrap());
+        assert!(persist >= 2 * m.flush_ns + m.fence_ns, "persist took {persist} ns");
+        let write_persist = took_ns(|| {
+            dev.try_write_persist(0, &data[..2 * block], [(0, 64), (block, 128)]).unwrap();
+        });
+        let parts = 2 * m.write_ns_per_block + 3 * m.flush_ns + m.fence_ns;
+        assert!(write_persist >= parts, "write+persist took {write_persist} of {parts} ns");
+        // A WAL-style group commit: eight 32-byte records, one fence.
+        let batch = took_ns(|| dev.try_persist_ranges((0..8).map(|i| (i * 32, 32))).unwrap());
+        assert!(batch >= 8 * m.flush_ns + m.fence_ns, "batch took {batch} ns");
+    }
+
+    #[test]
+    fn dram_like_device_reads_no_clock() {
+        let dev = NvmDevice::new(NvmConfig::fast(4096));
+        assert!(dev.charge(None, 0, 256).is_none(), "a free access took a clock reading");
+        assert!(wait(None, 0).is_none());
+    }
+
+    #[test]
+    fn failed_write_in_composite_applies_and_flushes_nothing() {
+        use crate::fault::Fault;
+        let plan = FaultPlan { seed: 0, faults: vec![Fault::FailedWrite { op: 0 }] };
+        let mut dev = NvmDevice::with_faults(NvmConfig::fast_with_crash(4096), &plan);
+        let got = dev.try_write_persist(0, &[9u8; 16], [(0, 16)]);
+        assert_eq!(got, Err(NvmError::WriteFailed));
+        assert_eq!(dev.read_u64(0), 0, "failed write must not apply");
+        let s = dev.stats().snapshot();
+        assert_eq!((s.writes, s.bytes_written, s.flushes, s.fences), (0, 0, 0, 0));
+        assert_eq!(dev.fault_injector().unwrap().ops(), 1, "only the write's op was used");
+        // The retry goes through in full, durably.
+        dev.try_write_persist(0, &[9u8; 16], [(0, 16)]).unwrap();
+        dev.crash();
+        assert_eq!(dev.read_u64(8), u64::from_le_bytes([9; 8]));
+    }
+
+    /// One device's outcomes, counters and post-crash image after a fixed
+    /// script of writes, flushes and fences, issued through the composite
+    /// calls or as separate calls.
+    fn drive(plan: &FaultPlan, composite: bool) -> impl PartialEq + std::fmt::Debug {
+        let mut dev = NvmDevice::with_faults(NvmConfig::fast_with_crash(1024), plan);
+        let first = [(0, 64), (64, 64), (192, 8)];
+        let batch = [(512, 32), (544, 32), (576, 32)];
+        let flushes = |ranges: &[(usize, usize)]| -> Result<(), NvmError> {
+            for &(offset, len) in ranges {
+                dev.try_flush(offset, len)?;
+            }
+            dev.try_fence()
+        };
+        let outcomes = if composite {
+            [
+                dev.try_write_persist(0, &[0x5a; 200], first),
+                dev.try_write(512, &[7; 96]),
+                dev.try_persist_ranges(batch),
+                dev.try_persist(0, 8),
+            ]
+        } else {
+            [
+                dev.try_write(0, &[0x5a; 200]).and_then(|()| flushes(&first)),
+                dev.try_write(512, &[7; 96]),
+                flushes(&batch),
+                flushes(&[(0, 8)]),
+            ]
+        };
+        let ops = dev.fault_injector().map(FaultInjector::ops);
+        let stats = dev.stats_snapshot();
+        dev.crash();
+        let mut image = vec![0u8; 1024];
+        dev.read_into(0, &mut image);
+        (outcomes, ops, stats, image)
+    }
+
+    #[test]
+    fn composites_drive_the_injector_like_separate_calls() {
+        use crate::fault::Fault;
+        // The script is 13 ops long (12 plus one failed write); crash at
+        // each, and past the end, under two mixes of the other faults.
+        for crash in 0..=14 {
+            let plans = [
+                FaultPlan::crash_at(crash)
+                    .with(Fault::DroppedFlush { op: 2 })
+                    .with(Fault::TornWrite { op: 5, granularity: 8 }),
+                FaultPlan::crash_at(crash)
+                    .with(Fault::FailedWrite { op: 0 })
+                    .with(Fault::DroppedFlush { op: 8 }),
+            ];
+            for plan in &plans {
+                assert_eq!(drive(plan, true), drive(plan, false), "{plan:?}");
+            }
+        }
     }
 
     // 8 threads x 1000 ops takes minutes under Miri; the raw-pointer

@@ -1,11 +1,18 @@
 //! Latency and bandwidth model of the simulated device.
 
 use li_sync::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Access-cost model. All costs are *additional* nanoseconds paid on top of
 /// the underlying DRAM access, charged per [`LatencyModel::BLOCK`]-byte
 /// block touched (256 B is Optane's internal access granularity).
+///
+/// The device charges these numbers as deadlines: a call returns no
+/// earlier than its start plus its cost, and a composite call (flush then
+/// fence, write then flushes then fence) starts each part at the reading
+/// its previous part ended on. A wait overshoots its deadline by at most
+/// about one clock read (barring preemption), which keeps a 30 ns fence
+/// near 30 ns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Extra nanoseconds per block read.
@@ -63,17 +70,23 @@ impl LatencyModel {
     }
 }
 
-/// Busy-waits for approximately `ns` nanoseconds. Spinning (rather than
-/// sleeping) matches how a blocked memory access behaves and stays accurate
-/// at the sub-microsecond scale the model needs.
+/// Waits until `ns` nanoseconds past `start` and returns the clock reading
+/// that ended the wait, so the next part of a device call can start where
+/// this one ended instead of paying a fresh reading. Spinning (rather than
+/// sleeping) matches how a blocked memory access behaves; a sub-µs wait
+/// spins without a `spin_loop` hint, whose own tens of ns would overshoot
+/// the deadline by a sizeable share of the modelled cost.
 #[inline]
-pub(crate) fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        li_sync::hint::spin_loop();
+pub(crate) fn spin_ns(start: Instant, ns: u64) -> Instant {
+    let deadline = start + Duration::from_nanos(ns);
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            return now;
+        }
+        if ns >= 1_000 {
+            li_sync::hint::spin_loop();
+        }
     }
 }
 
@@ -105,19 +118,21 @@ impl BandwidthLimiter {
     }
 
     #[inline]
-    fn window_now(&self) -> u64 {
-        (self.epoch.elapsed().as_micros() as u64) / WINDOW_US
+    fn window_of(&self, at: Instant) -> u64 {
+        (at.duration_since(self.epoch).as_micros() as u64) / WINDOW_US
     }
 
-    /// Accounts `bytes` of traffic, spinning into future windows when the
-    /// current one is exhausted.
-    pub fn consume(&self, bytes: u64) {
+    /// Accounts `bytes` of traffic at `now` (the caller's latest clock
+    /// reading), spinning into future windows when the current one is
+    /// exhausted. Returns the reading the call ended at: `now` itself
+    /// unless it had to wait, so only a wait reads the clock.
+    pub fn consume(&self, bytes: u64, mut now: Instant) -> Instant {
         let mut remaining = bytes;
         loop {
-            let now = self.window_now();
+            let window = self.window_of(now);
             let cur = self.state.load(Ordering::Relaxed);
             let (win, used) = (cur >> 32, cur & 0xffff_ffff);
-            let (win, used) = if win < now { (now, 0) } else { (win, used) };
+            let (win, used) = if win < window { (window, 0) } else { (win, used) };
             let grant = (self.bytes_per_window.saturating_sub(used)).min(remaining);
             let next = (win << 32) | (used + grant).min(0xffff_ffff);
             if self
@@ -129,11 +144,12 @@ impl BandwidthLimiter {
             }
             remaining -= grant;
             if remaining == 0 {
-                return;
+                return now;
             }
             // Window exhausted: wait for the next one.
-            while self.window_now() <= win {
+            while self.window_of(now) <= win {
                 li_sync::hint::spin_loop();
+                now = Instant::now();
             }
         }
     }
@@ -159,9 +175,13 @@ mod tests {
     #[test]
     fn spin_roughly_accurate() {
         let t0 = Instant::now();
-        spin_ns(200_000); // 200 µs
+        let end = spin_ns(t0, 200_000); // 200 µs
         let took = t0.elapsed().as_nanos() as u64;
         assert!(took >= 200_000, "spun only {took} ns");
+        assert!(
+            end.duration_since(t0).as_nanos() >= 200_000,
+            "returned a reading before the deadline"
+        );
         assert!(took < 5_000_000, "spun way too long: {took} ns");
     }
 
@@ -177,7 +197,7 @@ mod tests {
         // 1 byte/µs => 1 MB should take ~1 s; use 10 KB => ~10 ms.
         let l = BandwidthLimiter::new(1).unwrap();
         let t0 = Instant::now();
-        l.consume(10_000);
+        l.consume(10_000, t0);
         let took = t0.elapsed().as_micros();
         assert!(took >= 5_000, "took only {took} µs");
     }
@@ -186,7 +206,7 @@ mod tests {
     fn limiter_fast_under_budget() {
         let l = BandwidthLimiter::new(10_000).unwrap();
         let t0 = Instant::now();
-        l.consume(1_000);
+        l.consume(1_000, t0);
         assert!(t0.elapsed().as_micros() < 1_000);
     }
 }

@@ -9,6 +9,11 @@
 //! * **Asymmetric, higher-than-DRAM access latency** — every read/write
 //!   pays a configurable busy-wait per 256-byte block ([`LatencyModel`]),
 //!   so the record-store "drag" on end-to-end throughput is reproduced.
+//!   A call waits until its start plus its modelled cost, and no longer:
+//!   composite calls ([`NvmDevice::try_persist`],
+//!   [`NvmDevice::try_persist_ranges`], [`NvmDevice::try_write_persist`])
+//!   start each part where the previous one ended, so a clock read is paid
+//!   per wait, not per part, and an access with no cost reads no clock.
 //! * **Shared bandwidth** — an optional global token-bucket limiter makes
 //!   many threads contend for device bandwidth, reproducing the saturation
 //!   ALEX hits at high thread counts (Fig. 12).

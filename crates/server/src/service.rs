@@ -26,7 +26,7 @@ where
     I: ConcurrentIndex + OrderedIndex,
 {
     let recorder = store.recorder();
-    let timer = recorder.start();
+    let timer = recorder.start_sampled();
     let (kind, body) = match cmd {
         Command::Get { key } => (OpKind::ServerGet, get(store, *key)),
         Command::Put { key, value } => (OpKind::ServerPut, put(store, *key, value)),

@@ -14,7 +14,9 @@
 //! - [`Recorder`]: a cloneable handle threaded through `li-core` traits.
 //!   A default (disabled) recorder is a `None` — every recording method
 //!   is a single branch and no clock is read, so uninstrumented runs pay
-//!   nothing measurable.
+//!   nothing measurable. The store's GET/PUT/DELETE and the server's
+//!   per-request timer use [`Recorder::start_sampled`]: every op is
+//!   counted, about one in [`TIMED_EVERY`] is timed.
 //! - [`TelemetrySnapshot`]: a plain-data snapshot of everything above,
 //!   with caller-filled `NvmStats` device counters ([`NvmCounters`]) and
 //!   shard-router cell rows ([`CellCounters`]; the router's own counters,
@@ -286,10 +288,13 @@ pub const HIST_BUCKETS: usize = 8;
 
 /// Lock-free fixed-bucket log₂ histogram.
 ///
-/// `record` is three relaxed atomic RMWs plus two bounded CAS loops for
-/// min/max — no locks, no allocation. Relative bucket error is at most
-/// 2× which is far below run-to-run latency variance; percentile
-/// estimates interpolate inside the winning bucket.
+/// `count` is exact: every recorded op bumps it, sampled or not. The
+/// buckets, `sum`, `min` and `max` hold the *samples* — the ops whose
+/// value was measured ([`AtomicHistogram::record`]; an unsampled op only
+/// calls [`AtomicHistogram::count_op`]). `record` is three atomic RMWs plus
+/// two bounded CAS loops for min/max — no locks, no allocation. Relative
+/// bucket error is at most 2× which is far below run-to-run latency
+/// variance; percentile estimates interpolate inside the winning bucket.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -332,36 +337,48 @@ impl AtomicHistogram {
         }
     }
 
+    /// Counts one op and records its measured `value` as a sample. The
+    /// count is bumped before the bucket, and the bucket with `Release`,
+    /// so a snapshot that sees the sample (loading buckets before `count`)
+    /// sees its op counted.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Release);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
+    /// Counts one op whose value was not measured (an unsampled timer).
+    #[inline]
+    pub fn count_op(&self) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Ops counted so far, sampled or not.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        // Order this snapshot after everything published before it began
-        // (same discipline as `NvmStats::snapshot`).
-        li_sync::sync::atomic::fence(Ordering::Acquire);
         let buckets: [u64; HIST_BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        let count: u64 = buckets.iter().sum();
+        // Pairs with `record`'s Release bucket bump: every sample loaded
+        // above had its op counted before it, so `samples <= count`.
+        li_sync::sync::atomic::fence(Ordering::Acquire);
+        let count = self.count.load(Ordering::Relaxed);
+        let samples: u64 = buckets.iter().sum();
         let sum = self.sum.load(Ordering::Relaxed);
         let min = self.min.load(Ordering::Relaxed);
         let max = self.max.load(Ordering::Relaxed);
         // Percentile estimate: upper edge of the bucket containing the
         // target rank, clamped to the observed max.
         let pct_edge = |q_num: u64, q_den: u64| -> u64 {
-            if count == 0 {
+            if samples == 0 {
                 return 0;
             }
-            let rank = (count * q_num).div_ceil(q_den).max(1);
+            let rank = (samples * q_num).div_ceil(q_den).max(1);
             let mut seen = 0u64;
             for (b, &n) in buckets.iter().enumerate() {
                 seen += n;
@@ -373,8 +390,9 @@ impl AtomicHistogram {
         };
         HistogramSnapshot {
             count,
+            samples,
             sum,
-            min: if count == 0 { 0 } else { min },
+            min: if samples == 0 { 0 } else { min },
             max,
             p50: pct_edge(50, 100),
             p90: pct_edge(90, 100),
@@ -385,10 +403,15 @@ impl AtomicHistogram {
 }
 
 /// Plain-data view of one histogram. All values in the recorded unit
-/// (nanoseconds for latency histograms).
+/// (nanoseconds for latency histograms). `count` is every op counted;
+/// `sum`, `min`, `max`, the percentiles and [`HistogramSnapshot::mean`]
+/// cover the `samples` among them, so for a kind timed with
+/// [`Recorder::start_sampled`] a rare outlier can fall between samples
+/// and be missing from `p999` and `max`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
+    pub samples: u64,
     pub sum: u64,
     pub min: u64,
     pub max: u64,
@@ -400,10 +423,10 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.samples == 0 {
             0.0
         } else {
-            self.sum as f64 / self.count as f64
+            self.sum as f64 / self.samples as f64
         }
     }
 }
@@ -431,16 +454,47 @@ impl Metrics {
 }
 
 /// A started latency measurement. Holds a clock reading only when the
-/// recorder that produced it was enabled, so `Recorder::start` on a
-/// disabled recorder never touches the clock.
+/// recorder that produced it was enabled (and, for
+/// [`Recorder::start_sampled`], the op was sampled), so `Recorder::start`
+/// on a disabled recorder never touches the clock.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "pass the timer back to Recorder::finish"]
 pub struct OpTimer(Option<Instant>);
 
-impl OpTimer {
-    pub const fn disabled() -> Self {
-        OpTimer(None)
-    }
+/// [`Recorder::start_sampled`] times about one op in `TIMED_EVERY` per
+/// thread; the rest are counted without reading the clock. One clock
+/// read costs about as much as the store's cheapest op on a VM, so timing
+/// every GET and PUT would be most of what the recorder costs.
+pub const TIMED_EVERY: u32 = 16;
+
+// The per-thread sampler: a xorshift32 state, so a periodic op mix (every
+// other op a GET, say) cannot line up with the sampled ops. Compiled out
+// under loom, where `start_sampled` times every op and the models stay
+// deterministic.
+#[cfg(not(loom))]
+std::thread_local! {
+    static SAMPLER: std::cell::Cell<u32> = const { std::cell::Cell::new(0x9e37_79b9) };
+}
+
+/// Advances this thread's sampler; true for about one call in
+/// [`TIMED_EVERY`].
+#[cfg(not(loom))]
+#[inline]
+fn sample_this_op() -> bool {
+    SAMPLER.with(|s| {
+        let mut x = s.get();
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        s.set(x);
+        x % TIMED_EVERY == 0
+    })
+}
+
+#[cfg(loom)]
+#[inline]
+fn sample_this_op() -> bool {
+    true
 }
 
 /// Cloneable handle used by instrumented code.
@@ -504,12 +558,30 @@ impl Recorder {
         }
     }
 
-    /// Finish timing and record into `kind`'s histogram.
+    /// Begin timing a hot operation: like [`Recorder::start`], but reads
+    /// the clock for only about one call in [`TIMED_EVERY`] per thread.
+    /// [`Recorder::finish`] still counts every op exactly; the histogram's
+    /// latencies are that sample's. A disabled recorder touches neither
+    /// the clock nor the sampler.
+    #[inline]
+    pub fn start_sampled(&self) -> OpTimer {
+        if self.0.is_some() && sample_this_op() {
+            OpTimer(Some(Instant::now()))
+        } else {
+            OpTimer(None)
+        }
+    }
+
+    /// Finish timing: counts one op of `kind` and, if the timer holds a
+    /// clock reading, records its latency as a sample.
     #[inline]
     pub fn finish(&self, kind: OpKind, timer: OpTimer) {
-        if let (Some(m), Some(t0)) = (&self.0, timer.0) {
-            let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            m.ops[kind.idx()].record(ns);
+        if let Some(m) = &self.0 {
+            let h = &m.ops[kind.idx()];
+            match timer.0 {
+                Some(t0) => h.record(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
+                None => h.count_op(),
+            }
         }
     }
 
@@ -632,9 +704,10 @@ impl TelemetrySnapshot {
             }
             first = false;
             let _ = write!(out,
-                "\"{}\":{{\"count\":{},\"mean_ns\":{:.1},\"min_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
+                "\"{}\":{{\"count\":{},\"samples\":{},\"mean_ns\":{:.1},\"min_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
                 k.name(),
                 h.count,
+                h.samples,
                 h.mean(),
                 h.min,
                 h.p50,
@@ -735,6 +808,68 @@ mod tests {
         assert_eq!(s.event(Event::Retrain), 0);
         assert_eq!(s.op(OpKind::Get).count, 0);
         assert_eq!(s.total_lock_waits(), 0);
+    }
+
+    #[test]
+    fn sampled_timers_count_every_op_and_time_about_one_in_sixteen() {
+        let r = Recorder::enabled();
+        let n = 16_384u64;
+        for _ in 0..n {
+            let t = r.start_sampled();
+            r.finish(OpKind::Get, t);
+        }
+        let h = *r.snapshot().op(OpKind::Get);
+        assert_eq!(h.count, n, "every op counted");
+        assert_eq!(r.op_count(OpKind::Get), n);
+        assert!(
+            (n / 32..=n / 8).contains(&h.samples),
+            "{} samples of {n} ops, want about 1 in {TIMED_EVERY}",
+            h.samples
+        );
+        assert!(h.min <= h.p50 && h.p50 <= h.max);
+    }
+
+    #[test]
+    fn start_always_times() {
+        let r = Recorder::enabled();
+        for _ in 0..1_000 {
+            let t = r.start();
+            r.finish(OpKind::Recovery, t);
+        }
+        r.record_ns(OpKind::Recovery, 7);
+        let h = *r.snapshot().op(OpKind::Recovery);
+        assert_eq!((h.count, h.samples), (1_001, 1_001));
+    }
+
+    #[test]
+    fn unsampled_ops_count_but_leave_the_latencies_alone() {
+        let h = AtomicHistogram::new();
+        h.record(100);
+        for _ in 0..3 {
+            h.count_op();
+        }
+        let s = h.snapshot();
+        assert_eq!((s.count, s.samples, s.min, s.max), (4, 1, 100, 100));
+        assert!((s.mean() - 100.0).abs() < f64::EPSILON, "mean is over samples");
+        assert!(s.p50 >= 64 && s.p999 <= 100, "percentiles are over samples");
+    }
+
+    #[cfg(not(loom))]
+    #[test]
+    fn disabled_recorder_touches_neither_clock_nor_sampler() {
+        let state = || SAMPLER.with(std::cell::Cell::get);
+        let before = state();
+        let r = Recorder::disabled();
+        for _ in 0..64 {
+            let t = r.start_sampled();
+            assert!(t.0.is_none(), "a disabled recorder read the clock");
+            r.finish(OpKind::Get, t);
+        }
+        assert_eq!(state(), before, "a disabled recorder advanced the sampler");
+        let on = Recorder::enabled();
+        let t = on.start_sampled();
+        on.finish(OpKind::Get, t);
+        assert_ne!(state(), before, "an enabled recorder draws from the sampler");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use li_sync::sync::Mutex;
 
 use crate::error::ViperError;
 use crate::layout::Crc32;
-use crate::wal::{write_retry, Wal, WAL_RECORD};
+use crate::wal::{write_persist_retry, write_retry, Wal, WAL_RECORD};
 
 /// Magic tag opening every base image ("LIPCKPT2"; an image of another
 /// version does not decode, so recovery rescans the heap instead).
@@ -348,8 +348,7 @@ fn write_image(
     for (i, chunk) in bytes.chunks(WRITE_CHUNK).enumerate() {
         write_retry(dev, recorder, at + i * WRITE_CHUNK, chunk)?;
     }
-    dev.try_flush(at, bytes.len())?;
-    dev.try_fence()?;
+    dev.try_persist(at, bytes.len())?;
     Ok(())
 }
 
@@ -362,9 +361,7 @@ fn write_manifest(
     manifest: &Manifest,
 ) -> Result<(), ViperError> {
     let at = geom.manifest_base[(manifest.generation % 2) as usize];
-    write_retry(dev, recorder, at, &manifest.encode())?;
-    dev.try_flush(at, MANIFEST_SIZE)?;
-    dev.try_fence()?;
+    write_persist_retry(dev, recorder, at, &manifest.encode(), [(at, MANIFEST_SIZE)])?;
     recorder.event(Event::CheckpointWritten);
     Ok(())
 }

@@ -41,7 +41,7 @@ use crate::layout::{
     record_crc, RecordLayout, SlotHeader, PAGE_HEADER, PAGE_MAGIC, SLOT_DEAD, SLOT_FREE,
     SLOT_HEADER, SLOT_LIVE,
 };
-use crate::wal::write_retry;
+use crate::wal::write_persist_retry;
 
 /// Number of lock stripes guarding in-place record updates.
 const UPDATE_STRIPES: usize = 1024;
@@ -205,10 +205,11 @@ pub struct RecordHeap {
     /// maintenance sweep re-validates and retires them.
     stale: Mutex<Vec<usize>>,
     /// Emits `Event::Retry` for every transient write failure the heap's
-    /// writes observe (and re-attempt) through [`write_retry`]: with it
-    /// attached, `Retry` events equal the device's `failed_writes` fault
-    /// counter as long as nothing bypasses that path (recovery healing
-    /// writes directly and is accounted separately via `pages_healed`).
+    /// writes observe (and re-attempt) through [`write_persist_retry`]:
+    /// with it attached, `Retry` events equal the device's `failed_writes`
+    /// fault counter as long as nothing bypasses that path (recovery
+    /// healing writes directly and is accounted separately via
+    /// `pages_healed`).
     recorder: Recorder,
 }
 
@@ -297,8 +298,8 @@ impl RecordHeap {
             }
             // Open a fresh page and stamp its header durably.
             let page_offset = self.next_page(&mut open)?;
-            write_retry(&self.dev, &self.recorder, page_offset, &page_header())?;
-            self.dev.try_persist(page_offset, PAGE_HEADER)?;
+            let header = [(page_offset, PAGE_HEADER)];
+            write_persist_retry(&self.dev, &self.recorder, page_offset, &page_header(), header)?;
             open.page_offset = Some(page_offset);
             open.next_slot = 0;
         }
@@ -424,27 +425,21 @@ impl RecordHeap {
     /// first one also covering the `head` bytes of page header), a fence.
     /// The padding between records is not flushed: nothing reads it.
     fn stage_run(&self, at: usize, bytes: &[u8], head: usize) -> Result<(), ViperError> {
-        write_retry(&self.dev, &self.recorder, at, bytes)?;
         let (record, stride) = (self.layout.record_size(), self.layout.stride());
-        let mut from = at;
-        for to in (at + head + record..=at + bytes.len()).step_by(stride) {
-            self.dev.try_flush(from, to - from)?;
-            from = to - record + stride;
-        }
-        self.dev.try_fence()?;
-        Ok(())
+        let first_end = at + head + record;
+        let records = (first_end..=at + bytes.len()).step_by(stride).map(move |to| {
+            let from = if to == first_end { at } else { to - record };
+            (from, to - from)
+        });
+        write_persist_retry(&self.dev, &self.recorder, at, bytes, records)
     }
 
     /// A run's second step: one write of `span`, which runs from the first
     /// slot's state byte at device offset `first_state` through the last
     /// one's, a flush per state byte, a fence.
     fn commit_run(&self, first_state: usize, span: &[u8]) -> Result<(), ViperError> {
-        write_retry(&self.dev, &self.recorder, first_state, span)?;
-        for state in (first_state..first_state + span.len()).step_by(self.layout.stride()) {
-            self.dev.try_flush(state, 1)?;
-        }
-        self.dev.try_fence()?;
-        Ok(())
+        let states = (first_state..first_state + span.len()).step_by(self.layout.stride());
+        write_persist_retry(&self.dev, &self.recorder, first_state, span, states.map(|s| (s, 1)))
     }
 
     /// First half of an append: allocates a slot and makes the
@@ -520,9 +515,7 @@ impl RecordHeap {
         with_scratch(4 + value.len(), |patch| {
             patch[..4].copy_from_slice(&crc.to_le_bytes());
             patch[4..].copy_from_slice(value);
-            write_retry(&self.dev, &self.recorder, coff, patch)?;
-            self.dev.try_persist(coff, patch.len())?;
-            Ok(())
+            write_persist_retry(&self.dev, &self.recorder, coff, patch, [(coff, patch.len())])
         })
     }
 
@@ -570,8 +563,8 @@ impl RecordHeap {
         let off = offset as usize;
         {
             let _guard = self.stripe(off).lock();
-            write_retry(&self.dev, &self.recorder, self.layout.state_offset(off), &[SLOT_DEAD])?;
-            self.dev.try_persist(self.layout.state_offset(off), 1)?;
+            let state = self.layout.state_offset(off);
+            write_persist_retry(&self.dev, &self.recorder, state, &[SLOT_DEAD], [(state, 1)])?;
         }
         self.free_slots.lock().push(off);
         Ok(())

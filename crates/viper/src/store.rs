@@ -440,7 +440,7 @@ impl<I: Index, M: WriteModel> ViperStore<I, M> {
     /// key's bytes: a slot recycled under a shared-writer read sends it
     /// back to the index (see `read_record`).
     pub fn get(&self, key: Key, value_buf: &mut [u8]) -> bool {
-        let t = self.engine.recorder.start();
+        let t = self.engine.recorder.start_sampled();
         let found =
             self.index.get(key).is_some_and(|offset| self.read_record(key, offset, value_buf));
         self.engine.recorder.finish(OpKind::Get, t);

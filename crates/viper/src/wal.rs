@@ -19,9 +19,9 @@
 //! **Group commit**: appends write their record under the append lock and
 //! then wait for a *commit leader*. The first appender that finds no
 //! leader active becomes one: it flushes every record of the dirty range
-//! (one `try_flush` per record — see below) and issues **one** fence for
-//! the entire batch, then publishes the new committed LSN. Concurrent
-//! appenders therefore share the fence — the device's fence counter grows
+//! (one flush per record — see below) and issues **one** fence for the
+//! entire batch, in one device call whose waits chain, then publishes the
+//! new committed LSN. Concurrent appenders therefore share the fence — the device's fence counter grows
 //! strictly slower than the append count under concurrency, which
 //! `tests/telemetry_causality.rs` asserts.
 //!
@@ -63,17 +63,41 @@ const WRITE_RETRIES: usize = 8;
 
 /// Writes with bounded retry of injected transient failures, emitting one
 /// [`Event::Retry`] per failure observed — including the final one when
-/// the budget is exhausted. The one retrying write of the record heap, the
-/// WAL and the checkpoint writer, so the torture harness's
-/// retry-causality check spans all three.
+/// the budget is exhausted. With [`write_persist_retry`], the one retrying
+/// write of the record heap, the WAL and the checkpoint writer, so the
+/// torture harness's retry-causality check spans all three.
 pub(crate) fn write_retry(
     dev: &NvmDevice,
     recorder: &Recorder,
     offset: usize,
     data: &[u8],
 ) -> Result<(), ViperError> {
+    retry_write(recorder, || dev.try_write(offset, data))
+}
+
+/// [`write_retry`] of `data`, then a flush of each of `ranges` and one
+/// fence, as one device call ([`NvmDevice::try_write_persist`]) whose
+/// waits chain. A failed attempt failed at its write, before any flush,
+/// so the device sees the same op sequence as the separate calls.
+pub(crate) fn write_persist_retry<I>(
+    dev: &NvmDevice,
+    recorder: &Recorder,
+    offset: usize,
+    data: &[u8],
+    ranges: I,
+) -> Result<(), ViperError>
+where
+    I: IntoIterator<Item = (usize, usize)> + Clone,
+{
+    retry_write(recorder, || dev.try_write_persist(offset, data, ranges.clone()))
+}
+
+fn retry_write(
+    recorder: &Recorder,
+    mut attempt: impl FnMut() -> Result<(), NvmError>,
+) -> Result<(), ViperError> {
     for _ in 0..WRITE_RETRIES {
-        match dev.try_write(offset, data) {
+        match attempt() {
             Ok(()) => return Ok(()),
             Err(NvmError::WriteFailed) => recorder.event(Event::Retry),
             Err(e) => return Err(e.into()),
@@ -335,10 +359,7 @@ impl Wal {
     /// of a lying device) and issues one fence for the whole batch.
     fn flush_batch(&self, from: u64, upto: u64) -> Result<(), ViperError> {
         debug_assert!(upto - from < self.nslots, "dirty range cannot exceed the ring");
-        for lsn in from..=upto {
-            self.dev.try_flush(self.slot_of(lsn), WAL_RECORD)?;
-        }
-        self.dev.try_fence()?;
+        self.dev.try_persist_ranges((from..=upto).map(|lsn| (self.slot_of(lsn), WAL_RECORD)))?;
         Ok(())
     }
 

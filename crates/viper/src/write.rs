@@ -205,7 +205,7 @@ impl<M: WriteModel> Engine<M> {
         key: Key,
         value: &[u8],
     ) -> Result<(), ViperError> {
-        let t = self.recorder.start();
+        let t = self.recorder.start_sampled();
         let r = self.absorbing_wal_full(index, |index| {
             with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
                 let _stripe = self.key_locks.lock(key);
@@ -226,7 +226,7 @@ impl<M: WriteModel> Engine<M> {
         index: &mut A,
         key: Key,
     ) -> Result<bool, ViperError> {
-        let t = self.recorder.start();
+        let t = self.recorder.start_sampled();
         let r = self.absorbing_wal_full(index, |index| {
             with_retry(&self.retry, key, &self.recorder, self.heap.device(), || {
                 let _stripe = self.key_locks.lock(key);

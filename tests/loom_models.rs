@@ -68,9 +68,11 @@ fn xindex_retire_vs_get_insert() {
 
 /// Model 2 — telemetry histogram record vs. snapshot.
 ///
-/// Two recorders race a snapshotter. Mid-flight snapshots must be
-/// *coherent* (never more observations than records issued, sum bounded
-/// by the values in flight); the quiescent snapshot must be exact.
+/// Two recorders race a snapshotter; one of them also counts an op it
+/// did not time, as a sampled timer does. Mid-flight snapshots must be
+/// *coherent* (never more samples than counted ops, never more of either
+/// than were issued, sum bounded by the values in flight); the quiescent
+/// snapshot must be exact.
 #[test]
 fn histogram_record_vs_snapshot() {
     use li_telemetry::AtomicHistogram;
@@ -83,19 +85,24 @@ fn histogram_record_vs_snapshot() {
         };
         let b = {
             let h = Arc::clone(&h);
-            loom::thread::spawn(move || h.record(3))
+            loom::thread::spawn(move || {
+                h.count_op();
+                h.record(3);
+            })
         };
 
-        // Concurrent snapshot: bucket-derived count and sum may lag but
-        // never overshoot what has been recorded.
+        // Concurrent snapshot: counts and sum may lag but never overshoot
+        // what has been recorded, and a sample is never seen before its
+        // op is counted.
         let s = h.snapshot();
-        assert!(s.count <= 2, "snapshot count {} overshoots records issued", s.count);
+        assert!(s.samples <= s.count, "{} samples but {} ops counted", s.samples, s.count);
+        assert!(s.count <= 3, "snapshot count {} overshoots ops issued", s.count);
         assert!(s.sum <= 4, "snapshot sum {} overshoots recorded values", s.sum);
 
         a.join().unwrap();
         b.join().unwrap();
         let s = h.snapshot();
-        assert_eq!(s.count, 2);
+        assert_eq!((s.count, s.samples), (3, 2));
         assert_eq!(s.sum, 4);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 3);

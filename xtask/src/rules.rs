@@ -132,9 +132,31 @@ pub fn check_file(
 /// between a read and the write of its batch) is held to the same bar:
 /// it parses client bytes, so a panic there lets any client kill its
 /// connection thread with admitted requests still counted in flight.
-/// The thread-spawn expects live outside these functions on purpose —
-/// they run at startup.
+/// The simulated device's access, wait and bandwidth paths and the
+/// recorder's per-op timer run inside every one of those store ops, so
+/// they are held to the same bar. The thread-spawn expects live outside
+/// these functions on purpose — they run at startup.
 const HOT_FNS: &[(&str, &[&str])] = &[
+    ("nvm/src/latency.rs", &["spin_ns", "consume", "window_of"]),
+    (
+        "nvm/src/device.rs",
+        &[
+            "wait",
+            "charge",
+            "read_into",
+            "try_write",
+            "write_from",
+            "try_flush",
+            "flush_from",
+            "try_fence",
+            "fence_from",
+            "try_persist",
+            "try_persist_ranges",
+            "try_write_persist",
+            "persist_from",
+        ],
+    ),
+    ("telemetry/src/lib.rs", &["start_sampled", "sample_this_op", "finish", "record", "count_op"]),
     ("viper/src/store.rs", &["put", "get", "delete", "read_record"]),
     (
         "viper/src/write.rs",
@@ -161,7 +183,16 @@ const HOT_FNS: &[(&str, &[&str])] = &[
     ),
     (
         "viper/src/wal.rs",
-        &["write_retry", "append", "commit_through", "flush_batch", "replay", "max_lsn"],
+        &[
+            "write_retry",
+            "write_persist_retry",
+            "retry_write",
+            "append",
+            "commit_through",
+            "flush_batch",
+            "replay",
+            "max_lsn",
+        ],
     ),
     (
         "viper/src/checkpoint.rs",
