@@ -16,8 +16,7 @@
 use std::time::Instant;
 
 use li_core::pieces::insertion::{GappedLeaf, InsertOutcome, LeafStorage};
-use li_core::pieces::retrain::RetrainStats;
-use li_core::telemetry::{Event, OpKind, Recorder};
+use li_core::telemetry::{Event, Recorder};
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, UpdatableIndex};
 use li_core::{Key, KeyValue, LinearModel, Value};
 
@@ -67,7 +66,6 @@ pub struct Alex {
     root: Node,
     len: usize,
     config: AlexConfig,
-    stats: RetrainStats,
     recorder: Recorder,
 }
 
@@ -81,7 +79,6 @@ impl Alex {
             root: Node::Data(GappedLeaf::build(&[], config.initial_density, config.max_density)),
             len: 0,
             config,
-            stats: RetrainStats::default(),
             recorder: Recorder::disabled(),
         }
     }
@@ -89,27 +86,7 @@ impl Alex {
     /// Bulk build with explicit configuration.
     pub fn build_with(config: AlexConfig, data: &[KeyValue]) -> Self {
         let root = Self::build_node(&config, data, 0);
-        Alex {
-            root,
-            len: data.len(),
-            config,
-            stats: RetrainStats::default(),
-            recorder: Recorder::disabled(),
-        }
-    }
-
-    /// Retrain/insert counters (Figs. 18 (b)–(d)).
-    pub fn stats(&self) -> RetrainStats {
-        let mut s = self.stats;
-        s.insert_moves += Self::moves_rec(&self.root);
-        s
-    }
-
-    fn moves_rec(node: &Node) -> u64 {
-        match node {
-            Node::Data(leaf) => leaf.moves(),
-            Node::Internal { children, .. } => children.iter().map(Self::moves_rec).sum(),
-        }
+        Alex { root, len: data.len(), config, recorder: Recorder::disabled() }
     }
 
     fn make_leaf(config: &AlexConfig, data: &[KeyValue]) -> Node {
@@ -234,7 +211,6 @@ impl Alex {
             key: Key,
             value: Value,
             config: &AlexConfig,
-            stats: &mut RetrainStats,
             recorder: &Recorder,
         ) -> Option<Value> {
             match node {
@@ -244,7 +220,6 @@ impl Alex {
                     InsertOutcome::NeedsRetrain => {
                         let t0 = Instant::now();
                         let retired_moves = leaf.moves();
-                        stats.insert_moves += retired_moves;
                         let mut data = leaf.to_sorted_vec();
                         let pos = data.partition_point(|kv| kv.0 < key);
                         data.insert(pos, (key, value));
@@ -263,30 +238,19 @@ impl Alex {
                             *node = Alex::build_node(config, &data, 0);
                             recorder.event(Event::SplitNode);
                         }
-                        let elapsed = t0.elapsed();
-                        stats.record_retrain(elapsed, data.len() as u64);
-                        recorder.event(Event::Retrain);
+                        recorder.retrained(t0, data.len() as u64);
                         recorder.event_n(Event::KeyShift, retired_moves);
-                        recorder.record_ns(
-                            OpKind::Retrain,
-                            elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
-                        );
                         None
                     }
                 },
                 Node::Internal { model, bounds, children } => {
                     let i = Alex::route(model, bounds, key);
-                    rec(&mut children[i], key, value, config, stats, recorder)
+                    rec(&mut children[i], key, value, config, recorder)
                 }
             }
         }
 
-        let config = self.config;
-        let recorder = self.recorder.clone();
-        let mut stats = std::mem::take(&mut self.stats);
-        let out = rec(&mut self.root, key, value, &config, &mut stats, &recorder);
-        self.stats = stats;
-        out
+        rec(&mut self.root, key, value, &self.config, &self.recorder)
     }
 
     fn range_rec(node: &Node, lo: Key, hi: Key, out: &mut Vec<KeyValue>) {
@@ -419,16 +383,10 @@ impl Index for Alex {
 
 impl UpdatableIndex for Alex {
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-        self.stats.inserts += 1;
-        let t0 = Instant::now();
         let old = self.insert_impl(key, value);
         if old.is_none() {
             self.len += 1;
         }
-        let elapsed = t0.elapsed();
-        self.stats.insert_time += elapsed;
-        self.recorder
-            .record_ns(OpKind::Insert, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
         old
     }
 
@@ -483,10 +441,6 @@ impl DepthStats for Alex {
         Self::depth_stats_rec(&self.root, 1, &mut leaves, &mut sum);
         leaves
     }
-
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        Some(self.stats())
-    }
 }
 
 #[cfg(test)]
@@ -531,6 +485,8 @@ mod tests {
     #[test]
     fn insert_from_empty_matches_model() {
         let mut alex = Alex::new();
+        let rec = Recorder::enabled();
+        alex.set_recorder(rec.clone());
         let mut model = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(3);
         for i in 0..30_000u64 {
@@ -542,7 +498,7 @@ mod tests {
         for (&k, &v) in model.iter().step_by(61) {
             assert_eq!(alex.get(k), Some(v));
         }
-        assert!(alex.stats().count > 0, "expansions/splits must have happened");
+        assert!(rec.event_count(Event::Retrain) > 0, "expansions/splits must have happened");
     }
 
     #[test]

@@ -13,11 +13,11 @@ use std::time::Instant;
 use crate::approx::ApproxAlgorithm;
 use crate::model::LinearModel;
 use crate::pieces::insertion::{InsertOutcome, Leaf, LeafKind, LeafStorage};
-use crate::pieces::retrain::{RetrainPolicy, RetrainStats};
+use crate::pieces::retrain::RetrainPolicy;
 use crate::pieces::structure::{InnerStructure, StructureKind};
 use crate::traits::{DepthStats, Index, OrderedIndex, TwoPhaseLookup, UpdatableIndex};
 use crate::types::{Key, KeyValue, Value};
-use li_telemetry::{Event, OpKind, Recorder};
+use li_telemetry::{Event, Recorder};
 
 /// Configuration choosing one point in the paper's design space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +52,6 @@ pub struct PiecewiseIndex {
     first_keys: Vec<Key>,
     inner: Box<dyn InnerStructure>,
     len: usize,
-    stats: RetrainStats,
     recorder: Recorder,
     /// Deferred-retrain mode: inserts that would trigger a retrain park
     /// the key in `overflow` and enqueue the leaf instead of blocking.
@@ -84,7 +83,6 @@ impl PiecewiseIndex {
             first_keys,
             inner,
             len: data.len(),
-            stats: RetrainStats::default(),
             recorder: Recorder::disabled(),
             defer_retrains: false,
             overflow: BTreeMap::new(),
@@ -95,14 +93,6 @@ impl PiecewiseIndex {
     /// The configuration this index was assembled from.
     pub fn config(&self) -> PiecewiseConfig {
         self.cfg
-    }
-
-    /// Update/retrain counters, including move counts accumulated in
-    /// retired leaves.
-    pub fn stats(&self) -> RetrainStats {
-        let mut s = self.stats;
-        s.insert_moves += self.leaves.iter().map(super::insertion::LeafStorage::moves).sum::<u64>();
-        s
     }
 
     #[inline]
@@ -124,7 +114,6 @@ impl PiecewiseIndex {
         let t0 = Instant::now();
         let old = &self.leaves[li];
         let retired_moves = old.moves();
-        self.stats.insert_moves += retired_moves;
         let mut data = old.to_sorted_vec();
         for &kv in pending {
             let pos = data.partition_point(|x| x.0 < kv.0);
@@ -160,13 +149,8 @@ impl PiecewiseIndex {
         if structural_change {
             self.inner = self.cfg.structure.build_dyn(&self.first_keys);
         }
-        let elapsed = t0.elapsed();
-        self.stats.record_retrain(elapsed, keys_involved);
-
         // Telemetry: every retrain leaves a strategy-specific fingerprint.
-        self.recorder.event(Event::Retrain);
-        self.recorder
-            .record_ns(OpKind::Retrain, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.recorder.retrained(t0, keys_involved);
         self.recorder.event_n(Event::KeyShift, retired_moves);
         if matches!(self.cfg.leaf, LeafKind::Buffer { .. }) {
             // The retired leaf's off-site buffer was merged into the
@@ -322,32 +306,21 @@ impl OrderedIndex for PiecewiseIndex {
 
 impl UpdatableIndex for PiecewiseIndex {
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-        let t0 = Instant::now();
-        self.stats.inserts += 1;
         if self.leaves.is_empty() {
             let leaf = self.cfg.leaf.build(&[(key, value)], LinearModel::default(), 0);
             self.leaves.push(leaf);
             self.first_keys.push(key);
             self.inner = self.cfg.structure.build_dyn(&self.first_keys);
             self.len = 1;
-            let elapsed = t0.elapsed();
-            self.stats.insert_time += elapsed;
-            self.recorder
-                .record_ns(OpKind::Insert, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
             return None;
         }
         // A parked key must be updated in place: letting it re-enter a
         // leaf would leave a stale twin in the overflow buffer.
         if self.defer_retrains && self.overflow.contains_key(&key) {
-            let out = self.overflow.insert(key, value);
-            let elapsed = t0.elapsed();
-            self.stats.insert_time += elapsed;
-            self.recorder
-                .record_ns(OpKind::Insert, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-            return out;
+            return self.overflow.insert(key, value);
         }
         let li = self.leaf_for(key);
-        let out = match self.leaves[li].insert(key, value) {
+        match self.leaves[li].insert(key, value) {
             InsertOutcome::Inserted => {
                 self.len += 1;
                 None
@@ -364,12 +337,7 @@ impl UpdatableIndex for PiecewiseIndex {
                 self.len += 1;
                 None
             }
-        };
-        let elapsed = t0.elapsed();
-        self.stats.insert_time += elapsed;
-        self.recorder
-            .record_ns(OpKind::Insert, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
-        out
+        }
     }
 
     fn remove(&mut self, key: Key) -> Option<Value> {
@@ -547,6 +515,8 @@ mod tests {
         ];
         for cfg in configs {
             let mut idx = PiecewiseIndex::build_with(cfg, &data);
+            let rec = Recorder::enabled();
+            idx.set_recorder(rec.clone());
             let mut model: BTreeMap<Key, Value> = data.iter().copied().collect();
             let mut rng = StdRng::seed_from_u64(123);
             for n in 0..20_000u64 {
@@ -560,7 +530,7 @@ mod tests {
                 assert_eq!(idx.get(k), Some(v), "{cfg:?} get {k}");
             }
             // Retrains must have happened under this much churn.
-            assert!(idx.stats().count > 0, "{cfg:?}");
+            assert!(rec.event_count(Event::Retrain) > 0, "{cfg:?}");
         }
     }
 

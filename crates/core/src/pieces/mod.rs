@@ -8,7 +8,8 @@
 //!   `RMI`, `LRS`, `ATS` (Fig. 17 (c)).
 //! * [`insertion`] — leaf containers implementing the `Inplace`, `Buffer`
 //!   and `Gapped` insertion strategies (Fig. 18 (a)).
-//! * [`retrain`] — retraining bookkeeping and policies (Fig. 18 (b)–(d)).
+//! * [`retrain`] — retraining policies (Fig. 18 (b)–(d)); the retrains
+//!   themselves are counted, timed and sized by the index's recorder.
 //! * [`assembled`] — [`assembled::PiecewiseIndex`], a full updatable
 //!   learned index assembled from any combination of the above.
 
@@ -19,5 +20,4 @@ pub mod structure;
 
 pub use assembled::{PiecewiseConfig, PiecewiseIndex};
 pub use insertion::{InsertOutcome, LeafKind};
-pub use retrain::RetrainStats;
 pub use structure::{AtsInner, BTreeInner, InnerStructure, LrsInner, RmiInner, StructureKind};

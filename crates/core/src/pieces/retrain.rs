@@ -1,67 +1,11 @@
-//! Retraining bookkeeping (§IV-E/F, Fig. 18 (b)–(d)).
+//! Retraining policies (§IV-E/F, Fig. 18 (b)–(d)).
 //!
 //! A *retraining* is any model rebuild triggered by inserts: FITing-tree
 //! and XIndex re-segment one leaf when its buffer fills; PGM-Index merges
 //! LSM levels; ALEX expands or splits a gapped node. The paper compares
 //! these strategies by retrain **count**, **average time** and **total
-//! time** — exactly the counters kept here.
-
-use std::time::Duration;
-
-/// Counters describing the update behaviour of an index.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RetrainStats {
-    /// Number of retraining operations performed.
-    pub count: u64,
-    /// Total wall time spent retraining.
-    pub total_time: Duration,
-    /// Total keys that participated in retraining operations.
-    pub keys_retrained: u64,
-    /// Total key movements caused by inserts (outside retraining).
-    pub insert_moves: u64,
-    /// Total wall time spent in insert operations (including the time of
-    /// any retrains they triggered).
-    pub insert_time: Duration,
-    /// Number of insert operations.
-    pub inserts: u64,
-}
-
-impl RetrainStats {
-    /// Mean time of one retraining operation.
-    pub fn avg_retrain_time(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total_time / self.count as u32
-        }
-    }
-
-    /// Inserts per retraining operation (∞-ish when no retrain happened).
-    pub fn inserts_per_retrain(&self) -> f64 {
-        if self.count == 0 {
-            f64::INFINITY
-        } else {
-            self.inserts as f64 / self.count as f64
-        }
-    }
-
-    /// Records one retraining operation.
-    pub fn record_retrain(&mut self, took: Duration, keys: u64) {
-        self.count += 1;
-        self.total_time += took;
-        self.keys_retrained += keys;
-    }
-
-    /// Merges counters (e.g. across leaves or threads).
-    pub fn merge(&mut self, other: &RetrainStats) {
-        self.count += other.count;
-        self.total_time += other.total_time;
-        self.keys_retrained += other.keys_retrained;
-        self.insert_moves += other.insert_moves;
-        self.insert_time += other.insert_time;
-        self.inserts += other.inserts;
-    }
-}
+//! time**; every index reports each retrain to its recorder through
+//! `Recorder::retrained`, which keeps exactly those numbers.
 
 /// Retraining policy selector for the assembled index (what to do when a
 /// leaf reports `NeedsRetrain`).
@@ -83,42 +27,5 @@ impl RetrainPolicy {
             RetrainPolicy::ResegmentLeaf => "retrain-one-node",
             RetrainPolicy::ExpandOrSplit { .. } => "expand-or-split",
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn averages() {
-        let mut s = RetrainStats::default();
-        assert_eq!(s.avg_retrain_time(), Duration::ZERO);
-        assert!(s.inserts_per_retrain().is_infinite());
-        s.record_retrain(Duration::from_millis(10), 100);
-        s.record_retrain(Duration::from_millis(30), 300);
-        s.inserts = 10;
-        assert_eq!(s.count, 2);
-        assert_eq!(s.avg_retrain_time(), Duration::from_millis(20));
-        assert_eq!(s.keys_retrained, 400);
-        assert!((s.inserts_per_retrain() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds() {
-        let mut a = RetrainStats {
-            count: 1,
-            total_time: Duration::from_secs(1),
-            keys_retrained: 5,
-            insert_moves: 7,
-            insert_time: Duration::from_secs(2),
-            inserts: 3,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.count, 2);
-        assert_eq!(a.total_time, Duration::from_secs(2));
-        assert_eq!(a.insert_moves, 14);
-        assert_eq!(a.inserts, 6);
     }
 }

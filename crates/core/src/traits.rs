@@ -4,7 +4,6 @@
 //! through these traits, which is what makes the paper's "same environment,
 //! fair comparison" (§III) possible.
 
-use crate::pieces::retrain::RetrainStats;
 use crate::types::{Key, KeyValue, Value};
 use li_telemetry::{CellCounters, Recorder};
 
@@ -178,10 +177,6 @@ pub trait DepthStats {
     /// Number of leaf nodes / segments produced by the approximation
     /// algorithm (Fig. 17 (b)).
     fn leaf_count(&self) -> usize;
-    /// Retrain counters where the index keeps them (Fig. 18).
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        None
-    }
 }
 
 /// Two-phase lookup used by Fig. 17 (d) to time the inner-structure phase

@@ -23,7 +23,7 @@
 use li_core::approx::ApproxAlgorithm;
 use li_core::pieces::assembled::{PiecewiseConfig, PiecewiseIndex};
 use li_core::pieces::insertion::LeafKind;
-use li_core::pieces::retrain::{RetrainPolicy, RetrainStats};
+use li_core::pieces::retrain::RetrainPolicy;
 use li_core::pieces::structure::StructureKind;
 use li_core::traits::{
     BulkBuildIndex, DepthStats, Index, OrderedIndex, TwoPhaseLookup, UpdatableIndex,
@@ -112,11 +112,6 @@ impl FitingTree {
         )
     }
 
-    /// Update/retrain counters (Fig. 18).
-    pub fn stats(&self) -> RetrainStats {
-        self.inner.stats()
-    }
-
     pub fn strategy(&self) -> InsertStrategy {
         self.strategy
     }
@@ -197,10 +192,6 @@ impl DepthStats for FitingTree {
     fn leaf_count(&self) -> usize {
         self.inner.leaf_count()
     }
-
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        Some(self.stats())
-    }
 }
 
 impl TwoPhaseLookup for FitingTree {
@@ -216,6 +207,7 @@ impl TwoPhaseLookup for FitingTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use li_core::telemetry::{Event, Recorder};
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     use std::collections::BTreeMap;
 
@@ -247,6 +239,8 @@ mod tests {
         for strategy in [InsertStrategy::Inplace, InsertStrategy::Buffered] {
             let cfg = FitingConfig { strategy, reserve: 32, ..FitingConfig::default() };
             let mut tree = FitingTree::build_with(cfg, &data);
+            let rec = Recorder::enabled();
+            tree.set_recorder(rec.clone());
             let mut model: BTreeMap<Key, Value> = data.iter().copied().collect();
             let mut rng = StdRng::seed_from_u64(3);
             for i in 0..20_000u64 {
@@ -257,30 +251,34 @@ mod tests {
             for (&k, &v) in model.iter().step_by(211) {
                 assert_eq!(tree.get(k), Some(v), "{strategy:?}");
             }
-            assert!(tree.stats().count > 0, "{strategy:?} should have retrained");
+            assert!(rec.event_count(Event::Retrain) > 0, "{strategy:?} should have retrained");
         }
     }
 
     #[test]
     fn inplace_moves_more_than_buffered() {
         // Fig. 18 (a)'s ordering: inplace shifts stored keys, buffered
-        // mostly shifts within its small buffer.
+        // mostly shifts within its small buffer. A leaf's shifts reach
+        // `KeyShift` when it retires.
         let data = dataset(20_000, 4);
         let mk = |strategy| {
-            FitingTree::build_with(
+            let mut tree = FitingTree::build_with(
                 FitingConfig { strategy, reserve: 128, ..FitingConfig::default() },
                 &data,
-            )
+            );
+            let rec = Recorder::enabled();
+            tree.set_recorder(rec.clone());
+            (tree, rec)
         };
-        let mut inp = mk(InsertStrategy::Inplace);
-        let mut buf = mk(InsertStrategy::Buffered);
+        let (mut inp, inp_rec) = mk(InsertStrategy::Inplace);
+        let (mut buf, buf_rec) = mk(InsertStrategy::Buffered);
         let mut rng = StdRng::seed_from_u64(5);
         for i in 0..20_000u64 {
             let k = rng.random();
             inp.insert(k, i);
             buf.insert(k, i);
         }
-        let (mi, mb) = (inp.stats().insert_moves, buf.stats().insert_moves);
+        let (mi, mb) = (inp_rec.event_count(Event::KeyShift), buf_rec.event_count(Event::KeyShift));
         assert!(mi > mb, "inplace moves {mi} <= buffered moves {mb}");
     }
 

@@ -17,9 +17,10 @@
 //! Inserts place a key at its predicted slot; a collision with a stored
 //! key spawns a child node holding both. Subtrees whose population has
 //! outgrown their build size are rebuilt (LIPP's adjustment), keeping
-//! depth logarithmic under churn.
+//! depth logarithmic under churn; each rebuild is one `Retrain` on the
+//! index's recorder.
 
-use li_core::pieces::retrain::RetrainStats;
+use li_core::telemetry::Recorder;
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, UpdatableIndex};
 use li_core::{Key, KeyValue, LinearModel, Value};
 use std::time::Instant;
@@ -69,7 +70,7 @@ pub struct Lipp {
     root: Node,
     len: usize,
     config: LippConfig,
-    stats: RetrainStats,
+    recorder: Recorder,
 }
 
 impl Lipp {
@@ -82,18 +83,13 @@ impl Lipp {
             root: Self::build_node(&config, &[]),
             len: 0,
             config,
-            stats: RetrainStats::default(),
+            recorder: Recorder::disabled(),
         }
     }
 
     pub fn build_with(config: LippConfig, data: &[KeyValue]) -> Self {
         let root = Self::build_node(&config, data);
-        Lipp { root, len: data.len(), config, stats: RetrainStats::default() }
-    }
-
-    /// Rebuild counters (LIPP's "adjustment" operations).
-    pub fn stats(&self) -> RetrainStats {
-        self.stats
+        Lipp { root, len: data.len(), config, recorder: Recorder::disabled() }
     }
 
     /// Builds a node over sorted `data`; keys colliding on a slot recurse
@@ -167,7 +163,7 @@ impl Lipp {
         node: &mut Node,
         key: Key,
         value: Value,
-        stats: &mut RetrainStats,
+        recorder: &Recorder,
     ) -> Option<Value> {
         // LIPP's adjustment: a subtree that has doubled since its build is
         // re-laid-out so precise placement (and depth) stays healthy.
@@ -178,7 +174,7 @@ impl Lipp {
             let mut data = Vec::with_capacity(node.size);
             Self::collect(node, &mut data);
             *node = Self::build_node(config, &data);
-            stats.record_retrain(t0.elapsed(), data.len() as u64);
+            recorder.retrained(t0, data.len() as u64);
         }
 
         let s = node.slot_of(key);
@@ -200,7 +196,7 @@ impl Lipp {
                 None
             }
             Entry::Child(c) => {
-                let old = Self::insert_rec(config, c, key, value, stats);
+                let old = Self::insert_rec(config, c, key, value, recorder);
                 if old.is_none() {
                     node.size += 1;
                 }
@@ -326,15 +322,15 @@ impl Index for Lipp {
     fn depth_stats(&self) -> Option<&dyn DepthStats> {
         Some(self)
     }
+
+    fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = recorder;
+    }
 }
 
 impl UpdatableIndex for Lipp {
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-        self.stats.inserts += 1;
-        let config = self.config;
-        let mut stats = std::mem::take(&mut self.stats);
-        let old = Self::insert_rec(&config, &mut self.root, key, value, &mut stats);
-        self.stats = stats;
+        let old = Self::insert_rec(&self.config, &mut self.root, key, value, &self.recorder);
         if old.is_none() {
             self.len += 1;
         }
@@ -391,15 +387,12 @@ impl DepthStats for Lipp {
         }
         nodes(&self.root)
     }
-
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        Some(self.stats())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use li_core::telemetry::Event;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     use std::collections::BTreeMap;
 
@@ -438,6 +431,8 @@ mod tests {
     #[test]
     fn insert_from_empty() {
         let mut lipp = Lipp::new();
+        let rec = Recorder::enabled();
+        lipp.set_recorder(rec.clone());
         let mut model = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(3);
         for i in 0..30_000u64 {
@@ -448,7 +443,7 @@ mod tests {
         for (&k, &v) in model.iter().step_by(73) {
             assert_eq!(lipp.get(k), Some(v));
         }
-        assert!(lipp.stats().count > 0, "adjustments must have happened");
+        assert!(rec.event_count(Event::Retrain) > 0, "adjustments must have happened");
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! tombstone bitmap. A full buffer is flushed into the first level whose
 //! capacity can absorb it plus every smaller level: they are merged (newest
 //! version wins, like an LSM compaction) and that one level is rebuilt —
-//! PGM's "retrain" operation, counted in [`DynamicPgm::stats`], once per
+//! PGM's "retrain" operation, reported to the index's recorder, once per
 //! `BASE` inserts. Deletes insert tombstones that are dropped when they
 //! reach the deepest occupied level.
 
 use std::time::Instant;
 
-use li_core::pieces::retrain::RetrainStats;
 use li_core::search::exponential_lower_bound;
-use li_core::telemetry::{Event, OpKind, Recorder};
+use li_core::telemetry::{Event, Recorder};
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, UpdatableIndex};
 use li_core::{Key, KeyValue, Value};
 
@@ -132,7 +131,6 @@ pub struct DynamicPgm {
     levels: Vec<Option<Level>>,
     config: PgmConfig,
     len: usize,
-    stats: RetrainStats,
     recorder: Recorder,
 }
 
@@ -153,14 +151,8 @@ impl DynamicPgm {
             levels: Vec::new(),
             config,
             len: 0,
-            stats: RetrainStats::default(),
             recorder: Recorder::disabled(),
         }
-    }
-
-    /// Retrain counters (Fig. 18 (b)).
-    pub fn stats(&self) -> RetrainStats {
-        self.stats
     }
 
     fn cap(i: usize) -> usize {
@@ -226,12 +218,8 @@ impl DynamicPgm {
         if let Some(slot) = self.levels.get_mut(target) {
             *slot = Level::from_entries(self.config, merged.into_iter());
         }
-        let elapsed = t0.elapsed();
-        self.stats.record_retrain(elapsed, total as u64);
+        self.recorder.retrained(t0, total as u64);
         self.recorder.event(Event::BufferFlush);
-        self.recorder.event(Event::Retrain);
-        self.recorder
-            .record_ns(OpKind::Retrain, elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
         if total > flushed {
             // Existing levels were combined LSM-style, not just placed.
             self.recorder.event(Event::DeltaMerge);
@@ -304,7 +292,6 @@ impl Index for DynamicPgm {
 
 impl UpdatableIndex for DynamicPgm {
     fn insert(&mut self, key: Key, value: Value) -> Option<Value> {
-        self.stats.inserts += 1;
         let old = self.push_entry(key, Some(value));
         if old.is_none() {
             self.len += 1;
@@ -385,10 +372,6 @@ impl DepthStats for DynamicPgm {
     fn leaf_count(&self) -> usize {
         self.levels.iter().flatten().map(|l| l.pgm.segment_count()).sum()
     }
-
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        Some(self.stats())
-    }
 }
 
 #[cfg(test)]
@@ -400,6 +383,8 @@ mod tests {
     #[test]
     fn insert_get_many() {
         let mut d = DynamicPgm::new();
+        let rec = Recorder::enabled();
+        d.set_recorder(rec.clone());
         let mut model = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(1);
         for i in 0..20_000u64 {
@@ -410,7 +395,7 @@ mod tests {
         for (&k, &v) in model.iter().step_by(31) {
             assert_eq!(d.get(k), Some(v));
         }
-        assert!(d.stats().count > 0, "merges must have been counted");
+        assert!(rec.event_count(Event::Retrain) > 0, "merges must have been counted");
     }
 
     #[test]
@@ -504,46 +489,43 @@ mod tests {
     fn amortized_retrain_profile() {
         // The logarithmic method: many small merges, few big ones.
         let mut d = DynamicPgm::new();
+        let rec = Recorder::enabled();
+        d.set_recorder(rec.clone());
         for k in 0..10_000u64 {
             d.insert(k * 3, k);
         }
-        let s = d.stats();
-        assert_eq!(s.inserts, 10_000);
+        let (count, keys) = (rec.event_count(Event::Retrain), rec.event_count(Event::RetrainKeys));
         assert!(
-            (1..=10_000 / BASE as u64 + 1).contains(&s.count),
-            "{} merges: one per full buffer, not one per insert",
-            s.count
+            (1..=10_000 / BASE as u64 + 1).contains(&count),
+            "{count} merges: one per full buffer, not one per insert"
         );
         // Amortised cost must stay logarithmic: total keys touched across
         // all merges is O(n log n), far below the quadratic worst case.
-        assert!(
-            s.keys_retrained < 10_000 * 20,
-            "keys retrained {} suggests quadratic behaviour",
-            s.keys_retrained
-        );
+        assert!(keys < 10_000 * 20, "keys retrained {keys} suggests quadratic behaviour");
     }
 
     #[test]
     fn level_schedule_is_pinned() {
         // Level capacities, target-level choice and the tombstone-drop rule
-        // decide every one of these. `count` and `keys_retrained` were
+        // decide every one of these. `Retrain` and `RetrainKeys` were
         // 6 000 and 88 688 when every insert and remove merged on its own;
         // now the 6 000 buffered entries flush 46 times (6 000 / BASE),
-        // flush k combining 2^tz(k) runs of BASE: 143 · 128 keys. `inserts`
-        // and `len` are the caller's; `leaf_count` 10 -> 6 because the same
-        // pairs sit in fewer levels (46 = 0b101110: four above the bulk
-        // level, where 6 000 single entries had seven) and 112 wait in the
-        // buffer.
+        // flush k combining 2^tz(k) runs of BASE: 143 · 128 keys. `len` is
+        // the caller's; `leaf_count` 10 -> 6 because the same pairs sit in
+        // fewer levels (46 = 0b101110: four above the bulk level, where
+        // 6 000 single entries had seven) and 112 wait in the buffer.
         let data: Vec<KeyValue> = (0..10_000u64).map(|i| (i * 16, i)).collect();
         let mut d = DynamicPgm::build(&data);
+        let rec = Recorder::enabled();
+        d.set_recorder(rec.clone());
         for i in 0..5_000u64 {
             d.insert(i * 48 + 7, i);
         }
         for i in (0..5_000u64).step_by(5) {
             assert_eq!(d.remove(i * 48 + 7), Some(i));
         }
-        let s = d.stats();
-        assert_eq!((s.count, s.keys_retrained, s.inserts), (46, 18_304, 5_000));
+        let retrains = (rec.event_count(Event::Retrain), rec.event_count(Event::RetrainKeys));
+        assert_eq!(retrains, (46, 18_304));
         assert_eq!((d.len(), d.buffer.len()), (14_000, 112));
         assert_eq!(d.leaf_count(), 6);
         let sizes: Vec<usize> = d.levels.iter().map(|l| l.as_ref().map_or(0, Level::len)).collect();
@@ -585,10 +567,13 @@ mod tests {
         // starts a fresh buffer; `len` and every answer hold across the flush.
         for (n, buffered, flushes) in [(BASE - 1, BASE - 1, 0), (BASE, 0, 1), (BASE + 1, 1, 1)] {
             let mut d = DynamicPgm::new();
+            let rec = Recorder::enabled();
+            d.set_recorder(rec.clone());
             for k in 0..n as u64 {
                 assert_eq!(d.insert(k * 2, k), None);
             }
-            assert_eq!((d.buffer.len(), d.stats().count), (buffered, flushes), "{n} inserts");
+            let got = (d.buffer.len(), rec.event_count(Event::Retrain));
+            assert_eq!(got, (buffered, flushes), "{n} inserts");
             assert_eq!(d.len(), n);
             for k in 0..n as u64 {
                 assert_eq!(d.get(k * 2), Some(k));
@@ -602,10 +587,12 @@ mod tests {
     #[test]
     fn buffered_key_is_overwritten_in_place() {
         let mut d = DynamicPgm::new();
+        let rec = Recorder::enabled();
+        d.set_recorder(rec.clone());
         for round in 0..10 * BASE as u64 {
             assert_eq!(d.insert(round % 10, round), round.checked_sub(10));
         }
-        assert_eq!((d.buffer.len(), d.len(), d.stats().count), (10, 10, 0));
+        assert_eq!((d.buffer.len(), d.len(), rec.event_count(Event::Retrain)), (10, 10, 0));
         // Remove then reinsert inside one buffer: the slot turns tombstone
         // and back.
         assert_eq!(d.remove(3), Some(10 * BASE as u64 - 7));

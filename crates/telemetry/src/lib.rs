@@ -46,6 +46,8 @@ use li_sync::sync::Arc;
 pub enum Event {
     /// A model (leaf or node) was retrained/rebuilt.
     Retrain,
+    /// Keys that took part in retrains (summed over every `Retrain`).
+    RetrainKeys,
     /// A retrain split one node into two or more (structural growth).
     SplitNode,
     /// A retrain expanded a node in place (gapped/ALEX-style expansion).
@@ -116,8 +118,9 @@ pub enum Event {
 
 impl Event {
     /// All variants, in counter-array order.
-    pub const ALL: [Event; 26] = [
+    pub const ALL: [Event; 27] = [
         Event::Retrain,
+        Event::RetrainKeys,
         Event::SplitNode,
         Event::ExpandNode,
         Event::BufferFlush,
@@ -155,6 +158,7 @@ impl Event {
     pub const fn name(self) -> &'static str {
         match self {
             Event::Retrain => "retrain",
+            Event::RetrainKeys => "retrain_keys",
             Event::SplitNode => "split_node",
             Event::ExpandNode => "expand_node",
             Event::BufferFlush => "buffer_flush",
@@ -593,6 +597,19 @@ impl Recorder {
         }
     }
 
+    /// Record one retrain that began at `started` and rebuilt `keys` keys:
+    /// [`Event::Retrain`], its exact time in [`OpKind::Retrain`] and
+    /// `keys` in [`Event::RetrainKeys`]. The one retrain ledger.
+    #[inline]
+    pub fn retrained(&self, started: Instant, keys: u64) {
+        if let Some(m) = &self.0 {
+            m.events[Event::Retrain.idx()].fetch_add(1, Ordering::Relaxed);
+            m.events[Event::RetrainKeys.idx()].fetch_add(keys, Ordering::Relaxed);
+            m.ops[OpKind::Retrain.idx()]
+                .record(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        }
+    }
+
     /// Histogram count for `kind` (0 when disabled).
     pub fn op_count(&self, kind: OpKind) -> u64 {
         match &self.0 {
@@ -796,16 +813,30 @@ mod tests {
     }
 
     #[test]
+    fn retrained_counts_times_and_sizes_each_retrain() {
+        let r = Recorder::enabled();
+        let two_ms_ago = Instant::now().checked_sub(std::time::Duration::from_millis(2)).unwrap();
+        r.retrained(two_ms_ago, 300);
+        r.retrained(Instant::now(), 100);
+        let s = r.snapshot();
+        assert_eq!((s.event(Event::Retrain), s.event(Event::RetrainKeys)), (2, 400));
+        let h = s.op(OpKind::Retrain);
+        assert_eq!((h.count, h.samples), (2, 2), "every retrain timed exactly");
+        assert!(h.max >= 2_000_000, "the first retrain's elapsed time: {} ns", h.max);
+    }
+
+    #[test]
     fn disabled_recorder_is_inert() {
         let r = Recorder::disabled();
         assert!(!r.is_enabled());
         r.event(Event::Retrain);
+        r.retrained(Instant::now(), 5);
         r.record_ns(OpKind::Get, 10);
         let t = r.start();
         r.finish(OpKind::Get, t);
         r.shard_lock_wait(r.start());
         let s = r.snapshot();
-        assert_eq!(s.event(Event::Retrain), 0);
+        assert_eq!((s.event(Event::Retrain), s.event(Event::RetrainKeys)), (0, 0));
         assert_eq!(s.op(OpKind::Get).count, 0);
         assert_eq!(s.total_lock_waits(), 0);
     }

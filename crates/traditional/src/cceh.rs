@@ -216,11 +216,6 @@ impl Cceh {
         self.segments.len()
     }
 
-    /// Current directory size (diagnostics).
-    pub fn directory_size(&self) -> usize {
-        self.directory.len()
-    }
-
     /// Verifies directory/segment invariants (tests).
     #[cfg(test)]
     fn check_invariants(&self) {

@@ -33,10 +33,6 @@ impl Op {
             | Op::Scan(k, _) => k,
         }
     }
-
-    pub fn is_write(&self) -> bool {
-        matches!(self, Op::Insert(..) | Op::Update(..) | Op::ReadModifyWrite(..))
-    }
 }
 
 /// Request-distribution selector.
@@ -80,19 +76,6 @@ impl WorkloadSpec {
             name: "YCSB-B",
             read: 0.95,
             update: 0.05,
-            insert: 0.0,
-            rmw: 0.0,
-            scan: 0.0,
-            dist: AccessDistribution::Zipfian,
-        }
-    }
-
-    /// YCSB-C: read-only.
-    pub fn ycsb_c() -> Self {
-        WorkloadSpec {
-            name: "YCSB-C",
-            read: 1.0,
-            update: 0.0,
             insert: 0.0,
             rmw: 0.0,
             scan: 0.0,
@@ -390,10 +373,5 @@ mod tests {
     #[test]
     fn op_accessors() {
         assert_eq!(Op::Read(5).key(), 5);
-        assert!(!Op::Read(5).is_write());
-        assert!(Op::Insert(1, 2).is_write());
-        assert!(Op::Update(1, 2).is_write());
-        assert!(Op::ReadModifyWrite(1, 2).is_write());
-        assert!(!Op::Scan(1, 10).is_write());
     }
 }

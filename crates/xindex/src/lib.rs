@@ -20,10 +20,9 @@ use std::time::Instant;
 use li_sync::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use li_sync::sync::Arc;
 
-use li_core::pieces::retrain::RetrainStats;
 use li_core::pieces::structure::{InnerStructure, RmiInner};
 use li_core::search::{lower_bound_kv, widening_last_le};
-use li_core::telemetry::{Event, OpKind, Recorder};
+use li_core::telemetry::{Event, Recorder};
 use li_core::traits::{
     BulkBuildIndex, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex, UpdatableIndex,
 };
@@ -172,9 +171,6 @@ pub struct XIndex {
     /// agreement across all bounded interleavings. Do NOT use this counter
     /// for cross-thread control flow.
     len: AtomicU64,
-    retrain_count: AtomicU64,
-    retrain_ns: AtomicU64,
-    retrain_keys: AtomicU64,
     recorder: Recorder,
 }
 
@@ -193,25 +189,12 @@ impl XIndex {
             structure_lock: Mutex::with_class(li_sync::lock_class!("xindex-structure"), ()),
             config,
             len: AtomicU64::new(data.len() as u64),
-            retrain_count: AtomicU64::new(0),
-            retrain_ns: AtomicU64::new(0),
-            retrain_keys: AtomicU64::new(0),
             recorder: Recorder::disabled(),
         }
     }
 
     pub fn new() -> Self {
         Self::build_with(XIndexConfig::default(), &[])
-    }
-
-    /// Retrain counters (compactions + splits).
-    pub fn stats(&self) -> RetrainStats {
-        RetrainStats {
-            count: self.retrain_count.load(Ordering::Relaxed),
-            total_time: std::time::Duration::from_nanos(self.retrain_ns.load(Ordering::Relaxed)),
-            keys_retrained: self.retrain_keys.load(Ordering::Relaxed),
-            ..RetrainStats::default()
-        }
     }
 
     /// Number of groups (diagnostics / Table II).
@@ -227,15 +210,6 @@ impl XIndex {
 
     fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.snapshot.read())
-    }
-
-    fn record_retrain(&self, t0: Instant, keys: u64) {
-        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.retrain_count.fetch_add(1, Ordering::Relaxed);
-        self.retrain_ns.fetch_add(ns, Ordering::Relaxed);
-        self.retrain_keys.fetch_add(keys, Ordering::Relaxed);
-        self.recorder.event(Event::Retrain);
-        self.recorder.record_ns(OpKind::Retrain, ns);
     }
 
     /// Splits `group` (found in the current snapshot) in two and installs
@@ -275,7 +249,7 @@ impl XIndex {
         pivots.splice(idx..=idx, [snap.pivots[idx], right_pivot]);
         let next = Snapshot::build(groups, pivots);
         *self.snapshot.write() = next;
-        self.record_retrain(t0, keys);
+        self.recorder.retrained(t0, keys);
         self.recorder.event(Event::SplitNode);
     }
 
@@ -302,7 +276,7 @@ impl XIndex {
                             let t0 = Instant::now();
                             let n = d.len() as u64;
                             d.compact();
-                            self.record_retrain(t0, n);
+                            self.recorder.retrained(t0, n);
                             self.recorder.event(Event::BufferFlush);
                         }
                         if d.sorted.len() + d.buffer.len() > self.config.max_group_size {
@@ -518,10 +492,6 @@ impl DepthStats for XIndex {
     fn leaf_count(&self) -> usize {
         self.group_count()
     }
-
-    fn retrain_stats(&self) -> Option<RetrainStats> {
-        Some(self.stats())
-    }
 }
 
 #[cfg(test)]
@@ -555,6 +525,8 @@ mod tests {
     fn single_threaded_inserts_match_model() {
         let data = dataset(10_000, 2);
         let mut x = XIndex::build(&data);
+        let rec = Recorder::enabled();
+        x.set_recorder(rec.clone());
         let mut model: BTreeMap<Key, Value> = data.iter().copied().collect();
         let mut rng = StdRng::seed_from_u64(3);
         for i in 0..30_000u64 {
@@ -565,7 +537,7 @@ mod tests {
         for (&k, &v) in model.iter().step_by(149) {
             assert_eq!(Index::get(&x, k), Some(v));
         }
-        assert!(x.stats().count > 0, "compactions must be recorded");
+        assert!(rec.event_count(Event::Retrain) > 0, "compactions must be recorded");
     }
 
     #[test]
@@ -657,10 +629,13 @@ mod tests {
     fn concurrent_same_region_inserts() {
         // All threads hammer one key region, forcing compactions and
         // splits under contention.
-        let x = Arc::new(XIndex::build_with(
+        let mut x = XIndex::build_with(
             XIndexConfig { group_size: 256, buffer_size: 32, max_group_size: 512 },
             &(0..1_000u64).map(|i| (i * 1_000, i)).collect::<Vec<_>>(),
-        ));
+        );
+        let rec = Recorder::enabled();
+        Index::set_recorder(&mut x, rec.clone());
+        let x = Arc::new(x);
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let x = Arc::clone(&x);
@@ -680,7 +655,8 @@ mod tests {
             assert!(ConcurrentIndex::get(&*x, i * 1_000).is_some(), "lost {}", i * 1_000);
         }
         assert!(x.group_count() > 4, "splits should have happened");
-        assert!(x.stats().count > 0);
+        assert!(rec.event_count(Event::Retrain) > 0);
+        assert!(rec.event_count(Event::SplitNode) > 0);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! [`AnyIndex`] owns one such box for the single-writer store; the
 //! concurrent router's cells own theirs directly.
 
-use li_core::pieces::retrain::RetrainStats;
 use li_core::traits::{
     BulkBuildIndex, Capabilities, ConcurrentIndex, DepthStats, Index, NativeWriter, OrderedIndex,
     UpdatableIndex,
@@ -208,10 +207,6 @@ impl IndexKind {
         self.row().name
     }
 
-    pub fn is_learned(&self) -> bool {
-        self.row().table1.is_some()
-    }
-
     pub fn supports_insert(&self) -> bool {
         self.row().updatable
     }
@@ -363,11 +358,6 @@ impl AnyIndex {
     /// Leaf/segment/group count (Table II context).
     pub fn leaf_count(&self) -> Option<usize> {
         self.0.depth_stats().map(DepthStats::leaf_count)
-    }
-
-    /// Retrain counters where the index keeps them (Fig. 18).
-    pub fn retrain_stats(&self) -> Option<RetrainStats> {
-        self.0.depth_stats().and_then(DepthStats::retrain_stats)
     }
 }
 
@@ -661,16 +651,6 @@ mod tests {
                 assert!(idx.avg_depth().unwrap() >= 1.0, "{}", kind.name());
                 assert!(idx.leaf_count().unwrap() >= 1, "{}", kind.name());
             }
-            let retrains = matches!(
-                kind,
-                IndexKind::FitingInp
-                    | IndexKind::FitingBuf
-                    | IndexKind::Pgm
-                    | IndexKind::Alex
-                    | IndexKind::XIndex
-                    | IndexKind::Lipp
-            );
-            assert_eq!(idx.retrain_stats().is_some(), retrains, "{}", kind.name());
         }
     }
 

@@ -5,6 +5,7 @@
 //! and assert the invariants that make snapshots assertable evidence:
 //!
 //! * no retraining ⇒ `Retrain == 0` (a read-only run emits *nothing*);
+//! * every `Retrain` is timed once and sized by `RetrainKeys`;
 //! * delta-buffer insertion ⇒ `BufferFlush > 0`, and only there;
 //! * every strategy's event fingerprint is distinguishable from the rest;
 //! * the three concurrent routes are tellable apart from their cell rows;
@@ -23,7 +24,7 @@ use lip::core::pieces::assembled::{PiecewiseConfig, PiecewiseIndex};
 use lip::core::pieces::insertion::LeafKind;
 use lip::core::pieces::retrain::RetrainPolicy;
 use lip::core::pieces::structure::StructureKind;
-use lip::core::telemetry::{Event, OpKind, Recorder};
+use lip::core::telemetry::{Event, OpKind, Recorder, TelemetrySnapshot};
 use lip::core::traits::{ConcurrentIndex, Index, UpdatableIndex};
 use lip::torture::{torture_run, TortureConfig};
 use lip::workloads::{generate_keys, Dataset};
@@ -68,29 +69,6 @@ const POLICIES: [RetrainPolicy; 2] = [
     RetrainPolicy::ResegmentLeaf,
     RetrainPolicy::ExpandOrSplit { expand_factor: 1.5, split_error_threshold: 8.0 },
 ];
-
-#[test]
-fn pieces_matrix_retrain_counter_matches_stats() {
-    // The telemetry Retrain counter and the index's own RetrainStats are
-    // maintained at the same site; they must never drift apart.
-    for leaf in LEAVES {
-        for policy in POLICIES {
-            let (idx, rec) = churned_pieces(leaf, policy, 4_000);
-            let snap = rec.snapshot();
-            assert_eq!(
-                snap.event(Event::Retrain),
-                idx.stats().count,
-                "{leaf:?}/{policy:?}: telemetry vs stats retrain count"
-            );
-            assert_eq!(
-                snap.op(OpKind::Retrain).count,
-                idx.stats().count,
-                "{leaf:?}/{policy:?}: every retrain must be timed"
-            );
-            assert!(idx.stats().count > 0, "{leaf:?}/{policy:?}: churn must retrain");
-        }
-    }
-}
 
 #[test]
 fn buffer_flush_fires_iff_delta_buffer_leaf() {
@@ -201,16 +179,41 @@ fn index_fingerprints_are_distinguishable() {
     assert!(xindex.event(Event::BufferFlush) > 0, "XIndex compaction merges its delta buffer");
     assert_eq!(xindex.event(Event::DeltaMerge), 0);
     assert_eq!(xindex.event(Event::ExpandNode), 0);
+
+    let lipp = churned_any(IndexKind::Lipp, 8_000).snapshot();
+    assert!(lipp.event(Event::Retrain) > 0, "LIPP rebuilds subtrees that outgrew their build");
+    assert_eq!(lipp.event(Event::BufferFlush), 0);
+    assert_eq!(lipp.event(Event::DeltaMerge), 0);
 }
 
 #[test]
-fn insert_latency_histograms_populate() {
-    for kind in [IndexKind::FitingBuf, IndexKind::Alex] {
-        let rec = churned_any(kind, 2_000);
-        let snap = rec.snapshot();
-        let h = snap.op(OpKind::Insert);
-        assert_eq!(h.count, 2_000, "{}: every insert timed", kind.name());
-        assert!(h.max >= h.p999 && h.p999 >= h.p50, "{}: ordered percentiles", kind.name());
+fn every_retrain_is_timed_once_and_sized() {
+    // The recorder is the one retrain ledger: in every cell of the pieces
+    // matrix and in every retraining index, each `Retrain` is timed exactly
+    // once and sized by `RetrainKeys`, and no index times its own inserts.
+    let check = |snap: TelemetrySnapshot, what: &str| {
+        let retrains = snap.event(Event::Retrain);
+        assert!(retrains > 0, "{what}: churn must retrain");
+        let h = snap.op(OpKind::Retrain);
+        assert_eq!((h.count, h.samples), (retrains, retrains), "{what}: each retrain timed once");
+        assert!(snap.event(Event::RetrainKeys) >= retrains, "{what}: each retrain sized");
+        assert_eq!(snap.op(OpKind::Insert).count, 0, "{what}: the index timed an insert");
+    };
+    for leaf in LEAVES {
+        for policy in POLICIES {
+            let (_, rec) = churned_pieces(leaf, policy, 4_000);
+            check(rec.snapshot(), &format!("{leaf:?}/{policy:?}"));
+        }
+    }
+    for kind in [
+        IndexKind::FitingInp,
+        IndexKind::FitingBuf,
+        IndexKind::Pgm,
+        IndexKind::Alex,
+        IndexKind::XIndex,
+        IndexKind::Lipp,
+    ] {
+        check(churned_any(kind, 8_000).snapshot(), kind.name());
     }
 }
 

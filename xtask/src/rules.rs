@@ -133,8 +133,8 @@ pub fn check_file(
 /// it parses client bytes, so a panic there lets any client kill its
 /// connection thread with admitted requests still counted in flight.
 /// The simulated device's access, wait and bandwidth paths and the
-/// recorder's per-op timer run inside every one of those store ops, so
-/// they are held to the same bar. The thread-spawn expects live outside
+/// recorder's per-op timer run inside every one of those store ops, and its
+/// retrain ledger inside the PGM flush, so they are held to the same bar. The thread-spawn expects live outside
 /// these functions on purpose — they run at startup.
 const HOT_FNS: &[(&str, &[&str])] = &[
     ("nvm/src/latency.rs", &["spin_ns", "consume", "window_of"]),
@@ -156,7 +156,10 @@ const HOT_FNS: &[(&str, &[&str])] = &[
             "persist_from",
         ],
     ),
-    ("telemetry/src/lib.rs", &["start_sampled", "sample_this_op", "finish", "record", "count_op"]),
+    (
+        "telemetry/src/lib.rs",
+        &["start_sampled", "sample_this_op", "finish", "record", "count_op", "retrained"],
+    ),
     ("viper/src/store.rs", &["put", "get", "delete", "read_record"]),
     (
         "viper/src/write.rs",
