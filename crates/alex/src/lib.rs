@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use li_core::pieces::insertion::{GappedLeaf, InsertOutcome, LeafStorage};
+use li_core::pieces::insertion::{count_shifts, GappedLeaf, InsertOutcome, LeafStorage};
 use li_core::telemetry::{Event, Recorder};
 use li_core::traits::{BulkBuildIndex, DepthStats, Index, OrderedIndex, UpdatableIndex};
 use li_core::{Key, KeyValue, LinearModel, Value};
@@ -214,12 +214,11 @@ impl Alex {
             recorder: &Recorder,
         ) -> Option<Value> {
             match node {
-                Node::Data(leaf) => match leaf.insert(key, value) {
+                Node::Data(leaf) => match count_shifts(leaf, recorder, |l| l.insert(key, value)) {
                     InsertOutcome::Inserted => None,
                     InsertOutcome::Replaced(old) => Some(old),
                     InsertOutcome::NeedsRetrain => {
                         let t0 = Instant::now();
-                        let retired_moves = leaf.moves();
                         let mut data = leaf.to_sorted_vec();
                         let pos = data.partition_point(|kv| kv.0 < key);
                         data.insert(pos, (key, value));
@@ -239,7 +238,6 @@ impl Alex {
                             recorder.event(Event::SplitNode);
                         }
                         recorder.retrained(t0, data.len() as u64);
-                        recorder.event_n(Event::KeyShift, retired_moves);
                         None
                     }
                 },
@@ -391,16 +389,16 @@ impl UpdatableIndex for Alex {
     }
 
     fn remove(&mut self, key: Key) -> Option<Value> {
-        fn rec(node: &mut Node, key: Key) -> Option<Value> {
+        fn rec(node: &mut Node, key: Key, recorder: &Recorder) -> Option<Value> {
             match node {
-                Node::Data(leaf) => leaf.remove(key),
+                Node::Data(leaf) => count_shifts(leaf, recorder, |l| l.remove(key)),
                 Node::Internal { model, bounds, children } => {
                     let i = Alex::route(model, bounds, key);
-                    rec(&mut children[i], key)
+                    rec(&mut children[i], key, recorder)
                 }
             }
         }
-        let old = rec(&mut self.root, key);
+        let old = rec(&mut self.root, key, &self.recorder);
         if old.is_some() {
             self.len -= 1;
         }
@@ -468,6 +466,19 @@ mod tests {
         for &(k, v) in data.iter().step_by(97) {
             assert_eq!(alex.get(k), Some(v), "key {k}");
         }
+    }
+
+    #[test]
+    fn shifts_are_counted_without_a_retrain() {
+        let mut alex = Alex::build(&dataset(50_000, 7));
+        let rec = Recorder::enabled();
+        alex.set_recorder(rec.clone());
+        let mut rng = StdRng::seed_from_u64(8);
+        for i in 0..500u64 {
+            alex.insert(rng.random(), i);
+        }
+        assert!(rec.event_count(Event::KeyShift) > 0, "500 inserts shifted no keys");
+        assert_eq!(rec.event_count(Event::Retrain), 0);
     }
 
     #[test]

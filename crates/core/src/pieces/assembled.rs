@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use crate::approx::ApproxAlgorithm;
 use crate::model::LinearModel;
-use crate::pieces::insertion::{InsertOutcome, Leaf, LeafKind, LeafStorage};
+use crate::pieces::insertion::{count_shifts, InsertOutcome, Leaf, LeafKind, LeafStorage};
 use crate::pieces::retrain::RetrainPolicy;
 use crate::pieces::structure::{InnerStructure, StructureKind};
 use crate::traits::{DepthStats, Index, OrderedIndex, TwoPhaseLookup, UpdatableIndex};
@@ -112,9 +112,7 @@ impl PiecewiseIndex {
     /// of deferred retraining.
     fn retrain_leaf_with(&mut self, li: usize, pending: &[KeyValue]) {
         let t0 = Instant::now();
-        let old = &self.leaves[li];
-        let retired_moves = old.moves();
-        let mut data = old.to_sorted_vec();
+        let mut data = self.leaves[li].to_sorted_vec();
         for &kv in pending {
             let pos = data.partition_point(|x| x.0 < kv.0);
             debug_assert!(data.get(pos).is_none_or(|x| x.0 != kv.0));
@@ -151,7 +149,6 @@ impl PiecewiseIndex {
         }
         // Telemetry: every retrain leaves a strategy-specific fingerprint.
         self.recorder.retrained(t0, keys_involved);
-        self.recorder.event_n(Event::KeyShift, retired_moves);
         if matches!(self.cfg.leaf, LeafKind::Buffer { .. }) {
             // The retired leaf's off-site buffer was merged into the
             // rebuilt base model.
@@ -320,7 +317,7 @@ impl UpdatableIndex for PiecewiseIndex {
             return self.overflow.insert(key, value);
         }
         let li = self.leaf_for(key);
-        match self.leaves[li].insert(key, value) {
+        match count_shifts(&mut self.leaves[li], &self.recorder, |l| l.insert(key, value)) {
             InsertOutcome::Inserted => {
                 self.len += 1;
                 None
@@ -351,7 +348,7 @@ impl UpdatableIndex for PiecewiseIndex {
             return None;
         }
         let li = self.leaf_for(key);
-        let old = self.leaves[li].remove(key);
+        let old = count_shifts(&mut self.leaves[li], &self.recorder, |l| l.remove(key));
         if old.is_some() {
             self.len -= 1;
         }
@@ -477,6 +474,27 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn shifts_are_counted_without_a_retrain() {
+        let cfg = PiecewiseConfig {
+            algo: ApproxAlgorithm::OptPla { epsilon: 16 },
+            structure: StructureKind::BTree,
+            leaf: LeafKind::Inplace { reserve: 32 },
+            policy: RetrainPolicy::ResegmentLeaf,
+        };
+        let mut idx = PiecewiseIndex::build_with(cfg, &sorted_data(1_000, 10, 0));
+        let rec = Recorder::enabled();
+        idx.set_recorder(rec.clone());
+        for k in [4_005, 4_015, 4_025] {
+            assert_eq!(idx.insert(k, k), None);
+        }
+        let inserted = rec.event_count(Event::KeyShift);
+        assert!(inserted > 0, "inserts into a full run shifted no keys");
+        assert_eq!(idx.remove(4_015), Some(4_015));
+        assert!(rec.event_count(Event::KeyShift) > inserted, "the remove's shifts were lost");
+        assert_eq!(rec.event_count(Event::Retrain), 0);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!   when density crosses a threshold.
 //!
 //! Every leaf counts the key movements it performs
-//! ([`LeafStorage::moves`]), the metric behind Fig. 18 (a)'s analysis.
+//! ([`LeafStorage::moves`]), the metric behind Fig. 18 (a)'s analysis;
+//! [`count_shifts`] reports them as `KeyShift` at the op that made them.
 
 use crate::approx::lsa_gap::GappedLayout;
 use crate::model::LinearModel;
 use crate::search::{lower_bound_kv, widening_last_le};
 use crate::types::{Key, KeyValue, Value};
+use li_telemetry::{Event, Recorder};
 
 /// Result of a leaf insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,21 @@ pub trait LeafStorage {
     fn moves(&self) -> u64;
     /// Bytes used by the leaf's arrays.
     fn data_size_bytes(&self) -> usize;
+}
+
+/// Runs `op` (an insert or remove) on `leaf` and counts the keys it
+/// shifted as [`Event::KeyShift`], so a leaf that never retrains is counted
+/// too.
+#[inline]
+pub fn count_shifts<L: LeafStorage, T>(
+    leaf: &mut L,
+    recorder: &Recorder,
+    op: impl FnOnce(&mut L) -> T,
+) -> T {
+    let before = leaf.moves();
+    let out = op(leaf);
+    recorder.event_n(Event::KeyShift, leaf.moves() - before);
+    out
 }
 
 /// Runtime-polymorphic leaf.

@@ -258,8 +258,8 @@ mod tests {
     #[test]
     fn inplace_moves_more_than_buffered() {
         // Fig. 18 (a)'s ordering: inplace shifts stored keys, buffered
-        // mostly shifts within its small buffer. A leaf's shifts reach
-        // `KeyShift` when it retires.
+        // mostly shifts within its small buffer. Each insert's shifts
+        // reach `KeyShift` as it makes them.
         let data = dataset(20_000, 4);
         let mk = |strategy| {
             let mut tree = FitingTree::build_with(

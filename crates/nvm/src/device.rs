@@ -62,14 +62,29 @@ impl NvmConfig {
 /// until the call has waited at all.
 type Reading = Option<Instant>;
 
-/// `ns` of modelled latency starting at `after` (see [`NvmDevice::charge`]);
-/// flushes and fences wait through this alone, as they draw no bandwidth.
+/// The reading a part of a call that costs `ns` waits from: `after`, the
+/// reading the previous part ended at, or a fresh reading when this is the
+/// call's first wait. A part takes it *before* it moves its bytes, so the
+/// copy runs inside the wait instead of after it. A part with no cost reads
+/// no clock.
 #[inline]
-fn wait(after: Reading, ns: u64) -> Reading {
+fn start(after: Reading, ns: u64) -> Reading {
     if ns == 0 {
         return after;
     }
-    Some(spin_ns(after.unwrap_or_else(Instant::now), ns))
+    Some(after.unwrap_or_else(Instant::now))
+}
+
+/// Waits until `ns` of modelled latency past `from` (see [`start`]) and
+/// returns the reading it ended at: a part lasts max(`ns`, the work done
+/// since `from`). Flushes and fences wait through this alone, as they draw
+/// no bandwidth.
+#[inline]
+fn wait(from: Reading, ns: u64) -> Reading {
+    if ns == 0 {
+        return from;
+    }
+    Some(spin_ns(from.unwrap_or_else(Instant::now), ns))
 }
 
 /// Byte-addressable storage written through raw pointers so that readers
@@ -86,8 +101,8 @@ struct Arena {
 // there is no thread-affine state (no TLS, no interior `Rc`).
 unsafe impl Send for Arena {}
 // SAFETY: sharing `&Arena` across threads exposes only the raw pointer and
-// length. All dereferences happen in `NvmDevice::{read_into, write,
-// snapshot_range, crash}`, each of which bounds-checks first and relies on
+// length. All dereferences happen in `NvmDevice::{read_into, write_from,
+// flush_from, crash}`, each of which bounds-checks first and relies on
 // the caller contract documented on `NvmDevice` ("# Concurrency contract"):
 // no overlapping concurrent accesses where at least one is a write. Under
 // that contract concurrent `&self` access is data-race-free.
@@ -204,14 +219,14 @@ impl NvmDevice {
     }
 
     /// One access's modelled cost: `ns` of latency, then the bandwidth
-    /// charge for `bytes`. The wait starts at `after`, the reading the
-    /// previous part of the same call ended at, or at a fresh reading when
-    /// this is the call's first wait; it returns the reading this part
-    /// ended at. A part with nothing to charge reads no clock, so a
-    /// DRAM-like device never does.
+    /// charge for `bytes`. The wait runs to `from + ns`, where `from` is the
+    /// part's [`start`], taken before the part copied its bytes, so the
+    /// access lasts max(`ns`, its copy) and never less than its model; it
+    /// returns the reading this part ended at. A part with nothing to
+    /// charge reads no clock, so a DRAM-like device never does.
     #[inline]
-    fn charge(&self, after: Reading, ns: u64, bytes: usize) -> Reading {
-        let end = wait(after, ns);
+    fn charge(&self, from: Reading, ns: u64, bytes: usize) -> Reading {
+        let end = wait(from, ns);
         match &self.limiter {
             Some(l) => Some(l.consume(bytes as u64, end.unwrap_or_else(Instant::now))),
             None => end,
@@ -227,12 +242,13 @@ impl NvmDevice {
         );
     }
 
-    /// Reads `buf.len()` bytes starting at `offset`.
+    /// Reads `buf.len()` bytes starting at `offset`. The copy out of the
+    /// arena runs inside the modelled wait: the call lasts max(model, copy).
     #[inline]
     pub fn read_into(&self, offset: usize, buf: &mut [u8]) {
         self.check_range(offset, buf.len());
-        let blocks = LatencyModel::blocks(offset, buf.len()) as u64;
-        self.charge(None, blocks * self.latency.read_ns_per_block, buf.len());
+        let ns = LatencyModel::blocks(offset, buf.len()) as u64 * self.latency.read_ns_per_block;
+        let from = start(None, ns);
         self.stats.on_read(buf.len());
         // SAFETY: `check_range` proved `offset + buf.len() <= mem.len`, so
         // the source range lies inside the live Arena allocation; `buf` is a
@@ -242,6 +258,7 @@ impl NvmDevice {
         unsafe {
             core::ptr::copy_nonoverlapping(self.mem.ptr.add(offset), buf.as_mut_ptr(), buf.len());
         }
+        self.charge(from, ns, buf.len());
     }
 
     /// Writes `data` starting at `offset`. Volatile until flushed+fenced.
@@ -265,7 +282,9 @@ impl NvmDevice {
     }
 
     /// [`NvmDevice::try_write`] whose wait starts at `after` (see
-    /// [`NvmDevice::charge`]); returns the reading it ended at.
+    /// [`start`]); returns the reading it ended at. The copy into the arena
+    /// (and a torn write's durable prefix) runs inside the modelled wait:
+    /// the write lasts max(model, copy).
     #[inline]
     fn write_from(&self, after: Reading, offset: usize, data: &[u8]) -> Result<Reading, NvmError> {
         self.check_range(offset, data.len());
@@ -284,7 +303,7 @@ impl NvmDevice {
             }
             WriteOutcome::Proceed | WriteOutcome::Torn { .. } => {}
         }
-        let end = self.charge(after, ns, data.len());
+        let from = start(after, ns);
         self.stats.on_write(data.len());
         // SAFETY: `check_range` proved `offset + data.len() <= mem.len`, so
         // the destination lies inside the live Arena allocation; `data` is a
@@ -301,7 +320,7 @@ impl NvmDevice {
                 s.image[offset..offset + prefix_len].copy_from_slice(&data[..prefix_len]);
             }
         }
-        Ok(end)
+        Ok(self.charge(from, ns, data.len()))
     }
 
     /// Convenience: reads a little-endian u64.
@@ -335,7 +354,8 @@ impl NvmDevice {
         self.flush_from(None, offset, len).map(drop)
     }
 
-    /// [`NvmDevice::try_flush`] whose wait starts at `after`.
+    /// [`NvmDevice::try_flush`] whose wait starts at `after`; the shadow
+    /// capture runs inside the wait.
     fn flush_from(&self, after: Reading, offset: usize, len: usize) -> Result<Reading, NvmError> {
         self.check_range(offset, len);
         let outcome = match &self.injector {
@@ -345,11 +365,11 @@ impl NvmDevice {
         if outcome == FlushOutcome::Crashed {
             return Err(NvmError::Crashed);
         }
-        let lines = len.div_ceil(64).max(1) as u64;
-        let end = wait(after, lines * self.latency.flush_ns);
+        let ns = len.div_ceil(64).max(1) as u64 * self.latency.flush_ns;
+        let from = start(after, ns);
         self.stats.flushes.fetch_add(1, li_sync::sync::atomic::Ordering::Relaxed);
         if outcome == FlushOutcome::Drop {
-            return Ok(end);
+            return Ok(wait(from, ns));
         }
         if let Some(shadow) = &self.shadow {
             let mut data = vec![0u8; len];
@@ -362,7 +382,7 @@ impl NvmDevice {
             }
             shadow.lock().pending.push((offset, data));
         }
-        Ok(end)
+        Ok(wait(from, ns))
     }
 
     /// Store fence: all previously flushed ranges become durable.
@@ -378,12 +398,13 @@ impl NvmDevice {
         self.fence_from(None).map(drop)
     }
 
-    /// [`NvmDevice::try_fence`] whose wait starts at `after`.
+    /// [`NvmDevice::try_fence`] whose wait starts at `after`; the shadow
+    /// image update runs inside the wait.
     fn fence_from(&self, after: Reading) -> Result<Reading, NvmError> {
         if let Some(inj) = &self.injector {
             inj.on_fence()?;
         }
-        let end = wait(after, self.latency.fence_ns);
+        let from = start(after, self.latency.fence_ns);
         self.stats.fences.fetch_add(1, li_sync::sync::atomic::Ordering::Relaxed);
         if let Some(shadow) = &self.shadow {
             let mut s = shadow.lock();
@@ -392,7 +413,7 @@ impl NvmDevice {
                 s.image[offset..offset + data.len()].copy_from_slice(&data);
             }
         }
-        Ok(end)
+        Ok(wait(from, self.latency.fence_ns))
     }
 
     /// Flush + fence in one call.
@@ -701,9 +722,39 @@ mod tests {
         assert!(batch >= 8 * m.flush_ns + m.fence_ns, "batch took {batch} ns");
     }
 
+    // Wall-clock latency accounting is meaningless under Miri.
+    #[cfg_attr(miri, ignore)]
+    #[test]
+    fn a_wait_past_its_deadline_returns_at_once() {
+        // The copy ran longer than the model: the wait owes nothing more.
+        let Some(from) = Instant::now().checked_sub(std::time::Duration::from_millis(50)) else {
+            return; // the clock has not run 50 ms since boot
+        };
+        let took = took_ns(|| {
+            wait(Some(from), 10_000_000);
+        });
+        assert!(took < 1_000_000, "a wait 40 ms past its deadline took {took} ns");
+    }
+
+    // Wall-clock latency accounting is meaningless under Miri.
+    #[cfg_attr(miri, ignore)]
+    #[test]
+    fn untouched_memory_still_waits_its_model() {
+        // First touches fault pages in during the copy; the model stays the
+        // floor whether the copy is slower or faster than it.
+        let dev = NvmDevice::new(NvmConfig::optane(1 << 24));
+        let m = LatencyModel::optane_like();
+        let mut buf = [0u8; LatencyModel::BLOCK];
+        let read = took_ns(|| dev.read_into(1 << 23, &mut buf));
+        assert!(read >= m.read_ns_per_block, "untouched read took {read} ns");
+        let write = took_ns(|| dev.try_write(3 << 22, &buf).unwrap());
+        assert!(write >= m.write_ns_per_block, "untouched write took {write} ns");
+    }
+
     #[test]
     fn dram_like_device_reads_no_clock() {
         let dev = NvmDevice::new(NvmConfig::fast(4096));
+        assert!(start(None, 0).is_none(), "a free access took a clock reading");
         assert!(dev.charge(None, 0, 256).is_none(), "a free access took a clock reading");
         assert!(wait(None, 0).is_none());
     }

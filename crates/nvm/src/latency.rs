@@ -3,25 +3,27 @@
 use li_sync::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Access-cost model. All costs are *additional* nanoseconds paid on top of
-/// the underlying DRAM access, charged per [`LatencyModel::BLOCK`]-byte
-/// block touched (256 B is Optane's internal access granularity).
+/// Access-cost model, in nanoseconds charged per
+/// [`LatencyModel::BLOCK`]-byte block touched (256 B is Optane's internal
+/// access granularity).
 ///
 /// The device charges these numbers as deadlines: a call returns no
 /// earlier than its start plus its cost, and a composite call (flush then
 /// fence, write then flushes then fence) starts each part at the reading
-/// its previous part ended on. A wait overshoots its deadline by at most
-/// about one clock read (barring preemption), which keeps a 30 ns fence
-/// near 30 ns.
+/// its previous part ended on. A part moves its bytes in the backing DRAM
+/// before it waits, so it lasts max(cost, its copy), not their sum: a cost
+/// is the access's whole modelled time, and the host's own memory cost is
+/// its floor. A wait overshoots its deadline by at most about one clock
+/// read (barring preemption), which keeps a 30 ns fence near 30 ns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
-    /// Extra nanoseconds per block read.
+    /// Nanoseconds per block read.
     pub read_ns_per_block: u64,
-    /// Extra nanoseconds per block written.
+    /// Nanoseconds per block written.
     pub write_ns_per_block: u64,
-    /// Extra nanoseconds for a flush (clwb-like) of one cache line.
+    /// Nanoseconds for a flush (clwb-like) of one cache line.
     pub flush_ns: u64,
-    /// Extra nanoseconds for a store fence.
+    /// Nanoseconds for a store fence.
     pub fence_ns: u64,
     /// Global bandwidth cap in bytes per microsecond (0 = unlimited).
     /// Shared by all threads, which is what makes high-thread-count
@@ -36,6 +38,8 @@ impl LatencyModel {
     /// Calibrated against published Optane DC PMem measurements
     /// (Yang et al., FAST'20): ~300 ns random read, ~100 ns write into the
     /// buffer, flush+fence ~ tens of ns, per-DIMM bandwidth a few GB/s.
+    /// The read cost was set as an extra over a ~80 ns DRAM access; as the
+    /// whole access it charges a read max(220 ns, the host's own miss).
     pub fn optane_like() -> Self {
         LatencyModel {
             read_ns_per_block: 220,
@@ -72,10 +76,12 @@ impl LatencyModel {
 
 /// Waits until `ns` nanoseconds past `start` and returns the clock reading
 /// that ended the wait, so the next part of a device call can start where
-/// this one ended instead of paying a fresh reading. Spinning (rather than
-/// sleeping) matches how a blocked memory access behaves; a sub-µs wait
-/// spins without a `spin_loop` hint, whose own tens of ns would overshoot
-/// the deadline by a sizeable share of the modelled cost.
+/// this one ended instead of paying a fresh reading. Work done since
+/// `start` counts toward the wait: a deadline already passed returns after
+/// one clock read, so the caller lasts max(`ns`, its work). Spinning
+/// (rather than sleeping) matches how a blocked memory access behaves; a
+/// sub-µs wait spins without a `spin_loop` hint, whose own tens of ns would
+/// overshoot the deadline by a sizeable share of the modelled cost.
 #[inline]
 pub(crate) fn spin_ns(start: Instant, ns: u64) -> Instant {
     let deadline = start + Duration::from_nanos(ns);

@@ -10,6 +10,8 @@
 //!   pays a configurable busy-wait per 256-byte block ([`LatencyModel`]),
 //!   so the record-store "drag" on end-to-end throughput is reproduced.
 //!   A call waits until its start plus its modelled cost, and no longer:
+//!   each part copies its bytes (arena, shadow capture, fence image)
+//!   *inside* its wait, so it lasts max(model, copy), not model + copy;
 //!   composite calls ([`NvmDevice::try_persist`],
 //!   [`NvmDevice::try_persist_ranges`], [`NvmDevice::try_write_persist`])
 //!   start each part where the previous one ended, so a clock read is paid

@@ -60,7 +60,8 @@ pub enum Event {
     QuarantineSlot,
     /// A shard lock was contended (fast try-acquire failed).
     ShardLockWait,
-    /// Keys physically moved to make room for an insert (shift count).
+    /// Keys physically moved by a leaf insert or remove (shift count),
+    /// counted at the op that moved them.
     KeyShift,
     /// A transient write failure was observed and the write re-attempted
     /// (one event per injected `WriteFailed` consumed by the store).
